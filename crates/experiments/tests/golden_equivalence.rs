@@ -207,3 +207,85 @@ fn observed_defense_csvs_are_byte_identical_to_goldens() {
         include_str!("golden/defense-summary.csv"),
     );
 }
+
+/// `repro sweep --scale bench --seed 1`, generated at the last commit
+/// that still had a dedicated sweep runner: the phased attacker, the
+/// always-on live κ feed and the `phase` column are pinned byte for byte.
+#[test]
+fn sweep_csv_is_byte_identical_to_golden() {
+    use kad_experiments::sweep::{run_sweep_grid, sweep_grid, sweep_timeseries_csv};
+    let grid = sweep_grid(Scale::Bench, SEED);
+    let outcomes = run_sweep_grid(&MatrixRunner::new(), &grid, |_, _| {});
+    assert_csv_identical(
+        "sweep-timeseries.csv",
+        &sweep_timeseries_csv(&outcomes),
+        include_str!("golden/sweep-timeseries.csv"),
+    );
+}
+
+/// `repro load --scale bench --seed 1`, same provenance: the hot-key
+/// eclipse anchor, the live κ feed from the load start and the per-minute
+/// ledger rows are pinned byte for byte.
+#[test]
+fn load_csvs_are_byte_identical_to_goldens() {
+    use kad_experiments::load::{load_grid, load_summary_csv, load_timeseries_csv, run_load_grid};
+    let grid = load_grid(Scale::Bench, SEED);
+    let outcomes = run_load_grid(&MatrixRunner::new(), &grid, |_, _| {});
+    assert_csv_identical(
+        "load-timeseries.csv",
+        &load_timeseries_csv(&outcomes),
+        include_str!("golden/load-timeseries.csv"),
+    );
+    assert_csv_identical(
+        "load-summary.csv",
+        &load_summary_csv(&outcomes),
+        include_str!("golden/load-summary.csv"),
+    );
+}
+
+/// Every 5th cell of `repro matrix --scale bench --seed 1 --observe`,
+/// generated by the pre-session hand-rolled minute loop: the
+/// `matrix-summary.csv` rows and the observed `audit-chain.csv` of the
+/// paper's k-sweep grid are pinned byte for byte.
+#[test]
+fn matrix_slice_summary_and_audit_chain_are_byte_identical_to_goldens() {
+    use kad_experiments::matrix::paper_matrix;
+    use kad_experiments::observe;
+    let mut slice: Vec<_> = paper_matrix(Scale::Bench, SEED)
+        .into_iter()
+        .step_by(5)
+        .collect();
+    for scenario in &mut slice {
+        scenario.observe = true;
+    }
+    observe::begin_collection();
+    let outcomes = MatrixRunner::new().run(&slice);
+    // The collector is process-global: drop what the other observed
+    // tests of this binary submitted while the window was open.
+    let observations: Vec<_> = observe::end_collection()
+        .into_iter()
+        .filter(|o| slice.iter().any(|s| s.name == o.cell))
+        .collect();
+    let mut summary = String::from("scenario,final_size,min_connectivity,avg_connectivity\n");
+    for outcome in &outcomes {
+        let last = outcome.final_snapshot().expect("snapshots");
+        let avg = last
+            .report
+            .avg_connectivity
+            .map_or("na".to_string(), |v| format!("{v:.2}"));
+        summary.push_str(&format!(
+            "{},{},{},{avg}\n",
+            outcome.scenario.name, last.network_size, last.report.min_connectivity
+        ));
+    }
+    assert_csv_identical(
+        "matrix-summary.csv (every 5th cell)",
+        &summary,
+        include_str!("golden/matrix-slice-summary.csv"),
+    );
+    assert_csv_identical(
+        "audit-chain.csv (every 5th matrix cell)",
+        &observe::audit_chain_csv(&observations),
+        include_str!("golden/matrix-slice-audit-chain.csv"),
+    );
+}
