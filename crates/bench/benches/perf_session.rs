@@ -60,7 +60,9 @@ fn bench_session(c: &mut Criterion) {
     let campaign_cell = campaign_grid(Scale::Bench, 1)
         .into_iter()
         .find(|cell| {
-            cell.plan == kad_experiments::AttackPlan::MinCut && !cell.base.churn.is_active()
+            cell.attack
+                .is_some_and(|a| a.plan == kad_experiments::AttackPlan::MinCut)
+                && !cell.base.churn.is_active()
         })
         .expect("grid cell");
     group.bench_function("campaign_cell", |bencher| {

@@ -39,7 +39,8 @@ fn load_cell(observe: bool) -> LoadScenario {
     let mut cell = load_grid(Scale::Bench, 1)
         .into_iter()
         .find(|cell| {
-            cell.spec.arrival.mean_rate() == 60.0
+            cell.load
+                .is_some_and(|spec| spec.arrival.mean_rate() == 60.0)
                 && cell.attack.is_some_and(|a| a.plan == AttackPlan::Eclipse)
         })
         .expect("grid cell");

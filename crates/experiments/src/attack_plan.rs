@@ -1,21 +1,20 @@
 //! The shared attack machinery every live grid composes over.
 //!
-//! One module owns the adversary's vocabulary so the campaign, service,
-//! defense and sweep grids cannot drift apart:
+//! One module owns the adversary's vocabulary so the grids cannot drift
+//! apart:
 //!
 //! * [`AttackPlan`] — the victim-selection policies (random,
 //!   highest-degree, min-cut-guided, eclipse), re-planned every attack
 //!   minute against the current routing state.
 //! * [`pick_victim`] + [`EclipseState`] — the selection logic itself,
-//!   shared verbatim by every runner (the eclipse re-anchoring rule lives
-//!   in exactly one place).
+//!   used by the session's attacker actor (the eclipse re-anchoring rule
+//!   lives in exactly one place).
 //! * [`AttackSpec`] — the attacker's budget/cadence/start knobs, embedded
-//!   by the service, defense and sweep scenarios (the campaign scenario
-//!   keeps its historical flat fields but builds one internally).
+//!   by every attacked [`LiveCell`](crate::runner::LiveCell).
 //! * [`strategy_label`] / [`grid_base_scenario`] — the labeling and
 //!   base-scenario construction every grid uses, so cell naming and
 //!   seed derivation stay uniform across `repro
-//!   {campaign,service,defend,sweep}`.
+//!   {campaign,service,defend,sweep,load}`.
 
 use crate::scenario::{ChurnRate, Scenario, ScenarioBuilder, TrafficModel};
 use kad_resilience::attack::probe_smallest_cut;
@@ -73,9 +72,8 @@ impl fmt::Display for AttackPlan {
     }
 }
 
-/// The attacker knobs a live scenario embeds: plan, budget, cadence and
-/// start minute. (Historically named `ServiceAttack`; the service and
-/// defense modules re-export it under that name.)
+/// The attacker knobs a live cell embeds: plan, budget, cadence and
+/// start minute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AttackSpec {
     /// Victim-selection policy, re-planned each attack minute.
@@ -129,8 +127,8 @@ impl EclipseState {
 
 /// Picks the next victim under `plan` from the honest nodes of `snap`,
 /// excluding nodes already targeted. Returns `None` when nobody is left.
-/// Shared by every live runner through the session engine's attacker
-/// actors ([`crate::session::AttackerActor`]).
+/// Called by the session engine's attacker actor
+/// ([`crate::session::AttackerActor`]).
 pub fn pick_victim(
     plan: AttackPlan,
     net: &SimNetwork,
@@ -220,8 +218,9 @@ pub fn pick_victim(
 /// `quick(size, 8)` shape with the cell's churn, phase lengths, snapshot
 /// grid and traffic applied, and its seed derived from `base_seed` and the
 /// cell name exactly like the figure harness. Every grid (`repro
-/// campaign`/`service`/`defend`/`sweep`) constructs its cells through
-/// this, so naming and seed derivation cannot diverge between them.
+/// campaign`/`service`/`defend`/`sweep`/`load`) constructs its cells
+/// through this, so naming and seed derivation cannot diverge between
+/// them.
 #[allow(clippy::too_many_arguments)]
 pub fn grid_base_scenario(
     name: &str,

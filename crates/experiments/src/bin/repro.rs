@@ -4,7 +4,7 @@
 //! repro fig2                   # Simulation A at laptop scale
 //! repro tab2 --scale bench     # quick smoke-scale Table 2
 //! repro all --out results/     # everything, CSVs written to results/
-//! repro matrix --scale bench   # the full scenario matrix, run in parallel
+//! repro matrix --scale bench   # the paper's k-sweep grid, run in parallel
 //! repro campaign --out results/ # attack campaigns: κ(t) per strategy
 //! ```
 //!
@@ -15,8 +15,9 @@
 use kad_experiments::figures::{run_experiment, ExperimentId, ExperimentResult};
 use kad_experiments::matrix::MatrixRunner;
 use kad_experiments::observe;
+use kad_experiments::runner::{run_cell, CellOutcome, LiveCell};
 use kad_experiments::scale::Scale;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 #[derive(Clone)]
@@ -47,22 +48,104 @@ const USAGE: &str =
     --scale large runs n=1000 overlays: the live κ feed switches to the sampled estimator\n\
     \x20   (kappa_est/kappa_ci_lo/kappa_ci_hi columns in load-timeseries.csv; na at smaller scales)\n\
     --seed N makes every CSV bit-identically reproducible (all subcommands)\n\
-    --jobs sets the scenario-level worker count (matrix/campaign/service/defend/sweep; others auto-split)\n\
+    --jobs sets the cell-level worker count of every grid (matrix/campaign/service/defend/sweep/load);\n\
+    \x20   outputs are byte-identical for any value; the figure/table registry auto-splits\n\
     --observe DIR writes run-manifest.json, profile.csv, audit-chain.csv, metrics.prom,\n\
     \x20   traces.json (Chrome trace-event p99 exemplar trees) and latency-attribution.csv\n\
     \x20   (critical-path queue/rtt/timeout decomposition, conserving per row)\n\
     \x20   (wall-clock data lands only in those artifacts; the golden CSVs stay byte-identical)";
 
-/// The grid subcommands registered outside the figure/table registry.
-const GRID_SUBCOMMANDS: [&str; 9] = [
-    "all", "matrix", "campaign", "service", "defend", "sweep", "load", "bench", "audit",
-];
+/// Renders a grid's outcomes as text (a CSV, a terminal chart).
+type Render = fn(&[CellOutcome]) -> String;
+
+/// One `repro` grid: what actually differs between grids is the cell
+/// list and the CSV columns; [`run_grid`] owns everything else.
+struct Grid {
+    /// Subcommand, `--observe` manifest label and `repro all` subdirectory.
+    name: &'static str,
+    /// Builds the grid's cells for a scale and base seed.
+    cells: fn(Scale, u64) -> Vec<LiveCell>,
+    /// Terminal rendering printed to stdout after the run, if any.
+    chart: Option<Render>,
+    /// Output files: name and renderer, written to `--out DIR` or printed.
+    csvs: &'static [(&'static str, Render)],
+}
+
+fn campaign_chart(outcomes: &[CellOutcome]) -> String {
+    let figure = kad_experiments::campaign::campaign_figure(outcomes);
+    kad_experiments::ascii_chart::render_min_connectivity(&figure)
+}
+
+/// Every grid, in `repro all` order.
+const GRIDS: [Grid; 6] = {
+    use kad_experiments::{campaign, defense, load, matrix, service, sweep};
+    [
+        // The paper's full k-sweep scenario grid.
+        Grid {
+            name: "matrix",
+            cells: matrix::paper_matrix,
+            chart: None,
+            csvs: &[("matrix-summary.csv", matrix::matrix_summary_csv)],
+        },
+        // Four attack strategies × churn on/off: κ(t) per strategy.
+        Grid {
+            name: "campaign",
+            cells: campaign::campaign_grid,
+            chart: Some(campaign_chart),
+            csvs: &[("campaign-timeseries.csv", campaign::campaign_csv)],
+        },
+        // Baseline + four strategies × churn on/off: the aligned
+        // κ/lookup/retrievability series and the hop-count distributions.
+        Grid {
+            name: "service",
+            cells: service::service_grid,
+            chart: None,
+            csvs: &[
+                ("service-timeseries.csv", service::service_timeseries_csv),
+                ("service-hops.csv", service::service_hops_csv),
+            ],
+        },
+        // 4 policies × 4 strategies × churn on/off: the series with
+        // per-policy activity counters, and time-to-κ-collapse, recovery
+        // slope and message overhead per cell.
+        Grid {
+            name: "defend",
+            cells: defense::defense_grid,
+            chart: None,
+            csvs: &[
+                ("defense-timeseries.csv", defense::defense_timeseries_csv),
+                ("defense-summary.csv", defense::defense_summary_csv),
+            ],
+        },
+        // 2 attacker phase scripts × 4 policies: the κ/service series
+        // with the active attack phase per row.
+        Grid {
+            name: "sweep",
+            cells: sweep::sweep_grid,
+            chart: None,
+            csvs: &[("sweep-timeseries.csv", sweep::sweep_timeseries_csv)],
+        },
+        // Offered request rate × attack plan, plus bursty/diurnal
+        // baselines: one row per cell-minute, and per-cell phase
+        // percentiles with the attack-phase p99 delta.
+        Grid {
+            name: "load",
+            cells: load::load_grid,
+            chart: None,
+            csvs: &[
+                ("load-timeseries.csv", load::load_timeseries_csv),
+                ("load-summary.csv", load::load_summary_csv),
+            ],
+        },
+    ]
+};
 
 /// Every registered subcommand, for the unknown-experiment error message.
 fn registered_subcommands() -> String {
-    GRID_SUBCOMMANDS
-        .iter()
-        .map(|s| s.to_string())
+    std::iter::once("all")
+        .chain(GRIDS.iter().map(|g| g.name))
+        .chain(["bench", "audit"])
+        .map(str::to_string)
         .chain(ExperimentId::ALL.iter().map(|i| i.to_string()))
         .collect::<Vec<_>>()
         .join(", ")
@@ -139,28 +222,11 @@ fn main() {
         run_audit(&args);
         return;
     }
-    if args.experiment.eq_ignore_ascii_case("matrix") {
-        run_matrix(&args);
-        return;
-    }
-    if args.experiment.eq_ignore_ascii_case("campaign") {
-        run_campaign_cells(&args);
-        return;
-    }
-    if args.experiment.eq_ignore_ascii_case("service") {
-        run_service_cells(&args);
-        return;
-    }
-    if args.experiment.eq_ignore_ascii_case("defend") {
-        run_defense_cells(&args);
-        return;
-    }
-    if args.experiment.eq_ignore_ascii_case("sweep") {
-        run_sweep_cells(&args);
-        return;
-    }
-    if args.experiment.eq_ignore_ascii_case("load") {
-        run_load_cells(&args);
+    if let Some(grid) = GRIDS
+        .iter()
+        .find(|g| args.experiment.eq_ignore_ascii_case(g.name))
+    {
+        run_grid(grid, &args);
         return;
     }
     if args.experiment.eq_ignore_ascii_case("bench") {
@@ -185,18 +251,15 @@ fn main() {
     // artifact subdirectory (the registry included); a single subcommand
     // writes into DIR directly.
     let registry_args = sub_observe_args(&args, "registry", all);
-    let observing = registry_args.observe.is_some();
-    if observing {
-        observe::begin_collection();
-    }
+    let observing = begin_observation(&registry_args);
     for id in ids {
         let started = Instant::now();
         eprintln!(
             "== running {id} at {} scale (seed {}) ==",
             args.scale, args.seed
         );
-        // Registry experiments predate the session engine: observing one
-        // yields its span profile (the whole experiment as one cell), not
+        // Observing a registry experiment yields the span profile of the
+        // whole experiment as one cell (its scenarios run unobserved), not
         // a journal.
         let result = observe::run_observed(observing, &id.to_string(), || {
             (
@@ -207,10 +270,7 @@ fn main() {
         println!("{}", result.render());
         eprintln!("== {id} done in {:.1?} ==\n", started.elapsed());
         if let Some(dir) = &args.out {
-            if let Err(err) = write_csvs(dir, &result) {
-                eprintln!("error writing CSVs for {id}: {err}");
-                std::process::exit(1);
-            }
+            write_csvs(dir, &result);
         }
     }
     finish_observation(
@@ -221,12 +281,9 @@ fn main() {
     // `repro all` reproduces *everything*: after the figure/table
     // registry, run every grid workload too.
     if all {
-        run_matrix(&sub_observe_args(&args, "matrix", all));
-        run_campaign_cells(&sub_observe_args(&args, "campaign", all));
-        run_service_cells(&sub_observe_args(&args, "service", all));
-        run_defense_cells(&sub_observe_args(&args, "defend", all));
-        run_sweep_cells(&sub_observe_args(&args, "sweep", all));
-        run_load_cells(&sub_observe_args(&args, "load", all));
+        for grid in &GRIDS {
+            run_grid(grid, &sub_observe_args(&args, grid.name, all));
+        }
     }
 }
 
@@ -317,85 +374,21 @@ fn run_audit(args: &Args) {
     }
 }
 
-/// Runs the paper's full k-sweep scenario grid through [`MatrixRunner`],
-/// streaming one summary line per scenario as it completes.
-fn run_matrix(args: &Args) {
-    let mut scenarios = kad_experiments::matrix::paper_matrix(args.scale, args.seed);
+/// Runs one grid: builds its cells (observed under `--observe`), executes
+/// them on `--jobs` workers with one progress line per finished cell,
+/// prints the grid's chart, and writes each CSV to `--out DIR` (or prints
+/// it without the flag).
+fn run_grid(grid: &Grid, args: &Args) {
+    let mut cells = (grid.cells)(args.scale, args.seed);
     if begin_observation(args) {
-        for scenario in &mut scenarios {
-            scenario.observe = true;
-        }
-    }
-    eprintln!(
-        "== running {} scenarios at {} scale (seed {}) ==",
-        scenarios.len(),
-        args.scale,
-        args.seed
-    );
-    let mut runner = MatrixRunner::new();
-    if let Some(jobs) = args.jobs {
-        runner = runner.scenario_threads(jobs);
-    }
-    let started = Instant::now();
-    let outcomes = runner.run_streaming(&scenarios, |index, outcome| {
-        let last = outcome.final_snapshot();
-        eprintln!(
-            "[{}/{}] {}: final n={} κ_min={}",
-            index + 1,
-            scenarios.len(),
-            outcome.scenario.name,
-            last.map_or(0, |s| s.network_size),
-            last.map_or(0, |s| s.report.min_connectivity),
-        );
-    });
-    let mut summary = String::from("scenario,final_size,min_connectivity,avg_connectivity\n");
-    for outcome in &outcomes {
-        if let Some(last) = outcome.final_snapshot() {
-            let avg = last
-                .report
-                .avg_connectivity
-                .map_or("na".to_string(), |v| format!("{v:.2}"));
-            let line = format!(
-                "{},{},{},{avg}",
-                outcome.scenario.name, last.network_size, last.report.min_connectivity
-            );
-            println!("{line}");
-            summary.push_str(&line);
-            summary.push('\n');
-        }
-    }
-    if let Some(dir) = &args.out {
-        let write = std::fs::create_dir_all(dir)
-            .and_then(|()| std::fs::write(dir.join("matrix-summary.csv"), &summary));
-        match write {
-            Ok(()) => eprintln!("wrote {}", dir.join("matrix-summary.csv").display()),
-            Err(err) => {
-                eprintln!("error writing matrix summary: {err}");
-                std::process::exit(1);
-            }
-        }
-    }
-    finish_observation(args, "matrix");
-    eprintln!("== matrix done in {:.1?} ==", started.elapsed());
-}
-
-/// Runs the attack-campaign grid (four strategies × churn on/off) through
-/// the MatrixRunner and emits the `κ(t)` time series per strategy — to the
-/// terminal as charts, to `--out DIR` as `campaign-timeseries.csv`.
-fn run_campaign_cells(args: &Args) {
-    use kad_experiments::campaign::{
-        campaign_csv, campaign_figure, campaign_grid, run_campaign_grid,
-    };
-
-    let mut grid = campaign_grid(args.scale, args.seed);
-    if begin_observation(args) {
-        for cell in &mut grid {
+        for cell in &mut cells {
             cell.base.observe = true;
         }
     }
     eprintln!(
-        "== running {} attack campaigns at {} scale (seed {}) ==",
-        grid.len(),
+        "== running {} {} cells at {} scale (seed {}) ==",
+        cells.len(),
+        grid.name,
         args.scale,
         args.seed
     );
@@ -404,299 +397,33 @@ fn run_campaign_cells(args: &Args) {
         runner = runner.scenario_threads(jobs);
     }
     let started = Instant::now();
-    let outcomes = run_campaign_grid(&runner, &grid, |index, outcome| {
-        let last = outcome.points.last();
-        eprintln!(
-            "[{}/{}] {}: spent {} compromises, final honest n={} κ_min={}",
-            index + 1,
-            grid.len(),
-            outcome.scenario.name(),
-            outcome.budget_spent,
-            last.map_or(0, |p| p.honest_size),
-            last.map_or(0, |p| p.report.min_connectivity),
-        );
-    });
-    let figure = campaign_figure(&outcomes);
-    println!(
-        "{}",
-        kad_experiments::ascii_chart::render_min_connectivity(&figure)
-    );
-    let csv = campaign_csv(&outcomes);
-    if let Some(dir) = &args.out {
-        let write = std::fs::create_dir_all(dir)
-            .and_then(|()| std::fs::write(dir.join("campaign-timeseries.csv"), &csv));
-        match write {
-            Ok(()) => eprintln!("wrote {}", dir.join("campaign-timeseries.csv").display()),
-            Err(err) => {
-                eprintln!("error writing campaign CSV: {err}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        println!("{csv}");
-    }
-    finish_observation(args, "campaign");
-    eprintln!("== campaign done in {:.1?} ==", started.elapsed());
-}
-
-/// Runs the service-telemetry grid (baseline + four attack strategies ×
-/// churn on/off) and emits the aligned κ/lookup/retrievability series as
-/// `service-timeseries.csv` plus the hop-count distributions as
-/// `service-hops.csv` (to `--out DIR`, or stdout without it).
-fn run_service_cells(args: &Args) {
-    use kad_experiments::service::{
-        run_service_grid, service_grid, service_hops_csv, service_timeseries_csv,
-    };
-
-    let mut grid = service_grid(args.scale, args.seed);
-    if begin_observation(args) {
-        for cell in &mut grid {
-            cell.base.observe = true;
-        }
-    }
-    eprintln!(
-        "== running {} service cells at {} scale (seed {}) ==",
-        grid.len(),
-        args.scale,
-        args.seed
-    );
-    let mut runner = MatrixRunner::new();
-    if let Some(jobs) = args.jobs {
-        runner = runner.scenario_threads(jobs);
-    }
-    let started = Instant::now();
-    let outcomes = run_service_grid(&runner, &grid, |index, outcome| {
-        let last = outcome.points.last();
-        // Retrievability of the last window that actually ran probes
-        // (windows without a probe round report `retrieves = 0`).
-        let retrievability = outcome
+    let outcomes = runner.run_tasks(&cells, run_cell, |index, outcome| {
+        let kappa = outcome
             .points
-            .iter()
-            .rev()
-            .find(|p| p.retrieves > 0)
-            .map_or(0.0, |p| p.retrievability);
+            .last()
+            .map(|p| p.report.min_connectivity)
+            .or(outcome.live_kappa.last().map(|&(_, kappa)| kappa));
         eprintln!(
-            "[{}/{}] {}: κ_min={} lookup_ok={:.0}% hops p50={} retrievable={:.0}%",
+            "[{}/{}] {}: final κ_min={} spent {} compromises",
             index + 1,
-            grid.len(),
-            outcome.scenario.name(),
-            last.map_or(0, |p| p.report.min_connectivity),
-            last.map_or(0.0, |p| p.lookup_success_rate * 100.0),
-            outcome.hops.percentile(0.5),
-            retrievability * 100.0,
-        );
-    });
-    let timeseries = service_timeseries_csv(&outcomes);
-    let hops = service_hops_csv(&outcomes);
-    if let Some(dir) = &args.out {
-        let write = std::fs::create_dir_all(dir).and_then(|()| {
-            std::fs::write(dir.join("service-timeseries.csv"), &timeseries)?;
-            std::fs::write(dir.join("service-hops.csv"), &hops)
-        });
-        match write {
-            Ok(()) => {
-                eprintln!("wrote {}", dir.join("service-timeseries.csv").display());
-                eprintln!("wrote {}", dir.join("service-hops.csv").display());
-            }
-            Err(err) => {
-                eprintln!("error writing service CSVs: {err}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        println!("{timeseries}");
-        println!("{hops}");
-    }
-    finish_observation(args, "service");
-    eprintln!("== service done in {:.1?} ==", started.elapsed());
-}
-
-/// Runs the defense grid (4 policies × 4 attack strategies × churn
-/// on/off) and emits `defense-timeseries.csv` (κ/lookup/retrievability
-/// series with per-policy activity counters) plus `defense-summary.csv`
-/// (time-to-κ-collapse, recovery slope and message overhead per cell) —
-/// to `--out DIR`, or stdout without it.
-fn run_defense_cells(args: &Args) {
-    use kad_experiments::defense::{
-        defense_grid, defense_summary_csv, defense_timeseries_csv, run_defense_grid,
-    };
-
-    let mut grid = defense_grid(args.scale, args.seed);
-    if begin_observation(args) {
-        for cell in &mut grid {
-            cell.base.observe = true;
-        }
-    }
-    eprintln!(
-        "== running {} defense cells at {} scale (seed {}) ==",
-        grid.len(),
-        args.scale,
-        args.seed
-    );
-    let mut runner = MatrixRunner::new();
-    if let Some(jobs) = args.jobs {
-        runner = runner.scenario_threads(jobs);
-    }
-    let started = Instant::now();
-    let outcomes = run_defense_grid(&runner, &grid, |index, outcome| {
-        let last = outcome.points.last();
-        eprintln!(
-            "[{}/{}] {}: κ_min={} retrievable={:.0}% (d-path {:.0}%) repairs={} rejects={}",
-            index + 1,
-            grid.len(),
-            outcome.scenario.name(),
-            last.map_or(0, |p| p.report.min_connectivity),
-            last.map_or(0.0, |p| p.retrievability * 100.0),
-            last.map_or(0.0, |p| p.retrievability_disjoint * 100.0),
-            last.map_or(0, |p| p.repairs),
-            last.map_or(0, |p| p.diversity_rejects),
-        );
-    });
-    let timeseries = defense_timeseries_csv(&outcomes);
-    let summary = defense_summary_csv(&outcomes);
-    if let Some(dir) = &args.out {
-        let write = std::fs::create_dir_all(dir).and_then(|()| {
-            std::fs::write(dir.join("defense-timeseries.csv"), &timeseries)?;
-            std::fs::write(dir.join("defense-summary.csv"), &summary)
-        });
-        match write {
-            Ok(()) => {
-                eprintln!("wrote {}", dir.join("defense-timeseries.csv").display());
-                eprintln!("wrote {}", dir.join("defense-summary.csv").display());
-            }
-            Err(err) => {
-                eprintln!("error writing defense CSVs: {err}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        println!("{timeseries}");
-        println!("{summary}");
-    }
-    finish_observation(args, "defend");
-    eprintln!("== defend done in {:.1?} ==", started.elapsed());
-}
-
-/// Runs the mixed-phase sweep grid (2 attacker phase scripts × 4 defense
-/// policies) and emits `sweep-timeseries.csv` — the κ/service series with
-/// the active attack phase per row — to `--out DIR`, or stdout without it.
-fn run_sweep_cells(args: &Args) {
-    use kad_experiments::sweep::{run_sweep_grid, sweep_grid, sweep_timeseries_csv};
-
-    let mut grid = sweep_grid(args.scale, args.seed);
-    if begin_observation(args) {
-        for cell in &mut grid {
-            cell.base.observe = true;
-        }
-    }
-    eprintln!(
-        "== running {} mixed-phase sweep cells at {} scale (seed {}) ==",
-        grid.len(),
-        args.scale,
-        args.seed
-    );
-    let mut runner = MatrixRunner::new();
-    if let Some(jobs) = args.jobs {
-        runner = runner.scenario_threads(jobs);
-    }
-    let started = Instant::now();
-    let outcomes = run_sweep_grid(&runner, &grid, |index, outcome| {
-        let last = outcome.points.last();
-        let switches: Vec<String> = outcome
-            .phase_switches
-            .iter()
-            .map(|(minute, label)| format!("{label}@{minute}m"))
-            .collect();
-        eprintln!(
-            "[{}/{}] {}: κ_min={} switches=[{}] spent {}",
-            index + 1,
-            grid.len(),
-            outcome.scenario.name(),
-            last.map_or(0, |p| p.report.min_connectivity),
-            switches.join(", "),
+            cells.len(),
+            outcome.scenario.base.name,
+            kappa.unwrap_or(0),
             outcome.budget_spent,
         );
     });
-    let csv = sweep_timeseries_csv(&outcomes);
-    if let Some(dir) = &args.out {
-        let write = std::fs::create_dir_all(dir)
-            .and_then(|()| std::fs::write(dir.join("sweep-timeseries.csv"), &csv));
-        match write {
-            Ok(()) => eprintln!("wrote {}", dir.join("sweep-timeseries.csv").display()),
-            Err(err) => {
-                eprintln!("error writing sweep CSV: {err}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        println!("{csv}");
+    if let Some(chart) = grid.chart {
+        println!("{}", chart(&outcomes));
     }
-    finish_observation(args, "sweep");
-    eprintln!("== sweep done in {:.1?} ==", started.elapsed());
-}
-
-/// Runs the production-load grid (offered request rate × attack plan,
-/// plus bursty/diurnal baselines) and emits `load-timeseries.csv` (one
-/// row per cell-minute: offered vs completed req/min, p50/p90/p99
-/// latency, shed, κ) plus `load-summary.csv` (per-cell phase percentiles
-/// and the attack-phase p99 delta against the same-rate baseline) — to
-/// `--out DIR`, or stdout without it.
-fn run_load_cells(args: &Args) {
-    use kad_experiments::load::{load_grid, load_summary_csv, load_timeseries_csv, run_load_grid};
-
-    let mut grid = load_grid(args.scale, args.seed);
-    if begin_observation(args) {
-        for cell in &mut grid {
-            cell.base.observe = true;
+    for (file, render) in grid.csvs {
+        let csv = render(&outcomes);
+        match &args.out {
+            Some(dir) => write_output(dir, file, &csv),
+            None => println!("{csv}"),
         }
     }
-    eprintln!(
-        "== running {} load cells at {} scale (seed {}) ==",
-        grid.len(),
-        args.scale,
-        args.seed
-    );
-    let mut runner = MatrixRunner::new();
-    if let Some(jobs) = args.jobs {
-        runner = runner.scenario_threads(jobs);
-    }
-    let started = Instant::now();
-    let outcomes = run_load_grid(&runner, &grid, |index, outcome| {
-        let attack = outcome.latency_attack();
-        eprintln!(
-            "[{}/{}] {}: offered={} shed={} found={:.0}% attack p99={}ms",
-            index + 1,
-            grid.len(),
-            outcome.scenario.name(),
-            outcome.stats.offered_total,
-            outcome.stats.shed_total,
-            outcome.points.last().map_or(0.0, |p| p.found_rate * 100.0),
-            attack.percentile(0.99),
-        );
-    });
-    let timeseries = load_timeseries_csv(&outcomes);
-    let summary = load_summary_csv(&outcomes);
-    if let Some(dir) = &args.out {
-        let write = std::fs::create_dir_all(dir).and_then(|()| {
-            std::fs::write(dir.join("load-timeseries.csv"), &timeseries)?;
-            std::fs::write(dir.join("load-summary.csv"), &summary)
-        });
-        match write {
-            Ok(()) => {
-                eprintln!("wrote {}", dir.join("load-timeseries.csv").display());
-                eprintln!("wrote {}", dir.join("load-summary.csv").display());
-            }
-            Err(err) => {
-                eprintln!("error writing load CSVs: {err}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        println!("{timeseries}");
-        println!("{summary}");
-    }
-    finish_observation(args, "load");
-    eprintln!("== load done in {:.1?} ==", started.elapsed());
+    finish_observation(args, grid.name);
+    eprintln!("== {} done in {:.1?} ==", grid.name, started.elapsed());
 }
 
 /// Folds every criterion-shim `BENCH_*.json` report in the target
@@ -736,17 +463,26 @@ fn run_bench_summary(args: &Args) {
     }
 }
 
-fn write_csvs(dir: &PathBuf, result: &ExperimentResult) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
+/// Writes one output file into `dir` (created if absent); exits 1 on an
+/// I/O error.
+fn write_output(dir: &Path, file: &str, contents: &str) {
+    let path = dir.join(file);
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, contents)) {
+        Ok(()) => eprintln!("wrote {}", path.display()),
+        Err(err) => {
+            eprintln!("error writing {}: {err}", path.display());
+            std::process::exit(1);
+        }
+    }
+}
+
+fn write_csvs(dir: &Path, result: &ExperimentResult) {
     for (i, figure) in result.figures.iter().enumerate() {
-        let path = dir.join(format!("{}-figure{}.csv", result.name, i));
-        std::fs::write(&path, figure.to_csv())?;
-        eprintln!("wrote {}", path.display());
+        let file = format!("{}-figure{}.csv", result.name, i);
+        write_output(dir, &file, &figure.to_csv());
     }
     for (i, table) in result.tables.iter().enumerate() {
-        let path = dir.join(format!("{}-table{}.csv", result.name, i));
-        std::fs::write(&path, table.to_csv())?;
-        eprintln!("wrote {}", path.display());
+        let file = format!("{}-table{}.csv", result.name, i);
+        write_output(dir, &file, &table.to_csv());
     }
-    Ok(())
 }

@@ -17,12 +17,12 @@
 //! occupying k-bucket slots — the eclipse mechanics) but are excluded from
 //! every snapshot and all `κ` accounting, per the paper's system model.
 //!
-//! The run itself is a composition over the shared
-//! [`crate::session::SessionDriver`]: joins, churn, traffic, the attacker
-//! and the κ sampler are the standard session actors, wired in the
-//! canonical order. The output is the `κ(t)` / `r(t)` time series against
-//! attacker budget spent, for each strategy — the temporal reading of
-//! Equation 2.
+//! The run itself is [`crate::runner::run_cell`]: joins, churn, traffic
+//! from *all* alive nodes (this grid measures only κ, and compromised
+//! nodes mimic honest behavior), the attacker and the κ sampler on the
+//! snapshot grid, dense from the attack start. The output is the `κ(t)` /
+//! `r(t)` time series against attacker budget spent, for each strategy —
+//! the temporal reading of Equation 2.
 //!
 //! [`SimNetwork::schedule_compromise`]: kademlia::network::SimNetwork::schedule_compromise
 //!
@@ -31,6 +31,7 @@
 //! ```
 //! use kad_experiments::campaign::{run_campaign, AttackPlan, CampaignScenario};
 //! use kad_experiments::scenario::ScenarioBuilder;
+//! use kad_experiments::AttackSpec;
 //!
 //! let mut base = ScenarioBuilder::quick(16, 4);
 //! base.name("doc-campaign")
@@ -38,12 +39,13 @@
 //!     .stabilization_minutes(40)
 //!     .churn_minutes(6);
 //! let scenario = CampaignScenario {
-//!     base: base.build(),
-//!     plan: AttackPlan::HighestDegree,
-//!     budget: 4,
-//!     compromises_per_min: 2,
-//!     start_minute: 40,
-//!     attack_snapshot_minutes: 2,
+//!     attack: Some(AttackSpec {
+//!         plan: AttackPlan::HighestDegree,
+//!         budget: 4,
+//!         compromises_per_min: 2,
+//!         start_minute: 40,
+//!     }),
+//!     ..CampaignScenario::plain(base.build())
 //! };
 //! let outcome = run_campaign(&scenario);
 //! assert_eq!(outcome.budget_spent, 4);
@@ -54,167 +56,13 @@
 
 use crate::attack_plan::{grid_base_scenario, AttackSpec};
 pub use crate::attack_plan::{AttackPlan, EclipseState};
-use crate::matrix::MatrixRunner;
-use crate::observe::{run_observed, CellReport};
-use crate::scale::Scale;
-use crate::scenario::{ChurnRate, Scenario, TrafficModel};
-use crate::series::FigureData;
-use crate::session::{
-    AttackerActor, ChurnActor, JoinSchedule, Sampler, SessionDriver, SnapshotGrid, TrafficActor,
-    TrafficOrigins,
+pub use crate::runner::{
+    run_cell as run_campaign, CellOutcome as CampaignOutcome, LiveCell as CampaignScenario,
 };
-use dessim::metrics::Counters;
-use kad_resilience::{analyze_snapshot, ConnectivityReport};
+use crate::scale::Scale;
+use crate::scenario::{ChurnRate, TrafficModel};
+use crate::series::FigureData;
 use kad_telemetry::{Cell, Recorder};
-use serde::{Deserialize, Serialize};
-
-/// A fully specified live campaign: a base [`Scenario`] (churn, traffic,
-/// loss, protocol, seed) plus the attacker.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CampaignScenario {
-    /// The overlay scenario the attack runs inside.
-    pub base: Scenario,
-    /// Victim selection policy.
-    pub plan: AttackPlan,
-    /// Total compromises the attacker may schedule.
-    pub budget: usize,
-    /// Compromises scheduled per attack minute.
-    pub compromises_per_min: u32,
-    /// Simulated minute the attack starts (usually the end of
-    /// stabilization, when the overlay is healthy).
-    pub start_minute: u64,
-    /// Snapshot spacing during the attack phase, in minutes — denser than
-    /// the base grid so the `κ(t)` series resolves each budget increment.
-    pub attack_snapshot_minutes: u64,
-}
-
-impl CampaignScenario {
-    /// Display name: base scenario name + plan label.
-    pub fn name(&self) -> String {
-        format!("{}+{}", self.base.name, self.plan.label())
-    }
-}
-
-/// One point of the campaign time series.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CampaignPoint {
-    /// Simulated minutes.
-    pub time_min: f64,
-    /// Compromises scheduled so far (the attacker's spent budget).
-    pub budget_spent: usize,
-    /// Honest alive nodes at the snapshot.
-    pub honest_size: usize,
-    /// Connectivity analysis of the honest subgraph.
-    pub report: ConnectivityReport,
-}
-
-/// The result of one live campaign run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CampaignOutcome {
-    /// The campaign that ran.
-    pub scenario: CampaignScenario,
-    /// Time series, ascending; covers the whole run (pre-attack baseline
-    /// points included).
-    pub points: Vec<CampaignPoint>,
-    /// Victims in scheduling order (`(minute, addr)`), for audit/replay
-    /// comparisons.
-    pub victims: Vec<(u64, u32)>,
-    /// Total budget the attacker scheduled (≤ configured budget when it ran
-    /// out of honest victims).
-    pub budget_spent: usize,
-    /// Protocol/transport counters accumulated over the run
-    /// (`node_compromised` may trail `compromise_scheduled` if a victim
-    /// churned away before its compromise fired).
-    pub counters: Counters,
-}
-
-/// Runs a live campaign to completion. Deterministic: the base scenario's
-/// seed fixes the overlay *and* the attacker (labelled streams), so
-/// identical scenarios replay byte-identical outcomes — schedule, series
-/// and counters.
-///
-/// The body is pure actor wiring over [`SessionDriver`]: joins, churn,
-/// traffic from all alive nodes (this runner measures only κ, and
-/// compromised nodes mimic honest behavior), the attacker, and a κ
-/// sampler on the dual snapshot grid.
-///
-/// When the base scenario observes, the cell runs under
-/// [`run_observed`]: span profile installed on this thread, the session
-/// journal (created by the driver) wired in as the network's telemetry
-/// sink so lookup and defense records land in the hash chain too.
-pub fn run_campaign(scenario: &CampaignScenario) -> CampaignOutcome {
-    run_observed(scenario.base.observe, &scenario.name(), || {
-        run_campaign_cell(scenario)
-    })
-}
-
-fn run_campaign_cell(scenario: &CampaignScenario) -> (CampaignOutcome, CellReport) {
-    let base = &scenario.base;
-    let mut driver = SessionDriver::new(base);
-    let journal = driver.journal();
-    if let Some(journal) = &journal {
-        driver
-            .network_mut()
-            .set_telemetry_sink(Box::new(std::rc::Rc::clone(journal)));
-    }
-    let mut joins = JoinSchedule::new(&mut driver);
-    let mut churn = ChurnActor;
-    let mut traffic = TrafficActor::new(TrafficOrigins::AllAlive);
-    let mut attacker = AttackerActor::new(
-        AttackSpec {
-            plan: scenario.plan,
-            budget: scenario.budget,
-            compromises_per_min: scenario.compromises_per_min,
-            start_minute: scenario.start_minute,
-        },
-        &driver,
-    );
-    let analysis = base.analysis;
-    let mut sampler = Sampler::new(
-        SnapshotGrid {
-            base_minutes: base.snapshot_minutes,
-            attack_start: Some(scenario.start_minute),
-            attack_minutes: scenario.attack_snapshot_minutes,
-        },
-        move |net, ctx| {
-            let snap = net.snapshot();
-            let report = analyze_snapshot(&snap, &analysis);
-            ctx.shared
-                .publish_kappa(ctx.at_minute, report.min_connectivity);
-            CampaignPoint {
-                time_min: ctx.time_min,
-                budget_spent: ctx.shared.budget_spent,
-                honest_size: snap.node_count(),
-                report,
-            }
-        },
-    );
-
-    driver.run(&mut [
-        &mut joins,
-        &mut churn,
-        &mut traffic,
-        &mut attacker,
-        &mut sampler,
-    ]);
-    let (net, shared) = driver.finish();
-    let counters = net.counters().clone();
-    let outcome = CampaignOutcome {
-        scenario: scenario.clone(),
-        points: sampler.into_points(),
-        victims: shared.victims,
-        budget_spent: shared.budget_spent,
-        counters: counters.clone(),
-    };
-    (
-        outcome,
-        CellReport {
-            journal,
-            counters,
-            exemplars: Vec::new(),
-        },
-    )
-}
 
 // ----------------------------------------------------------------------
 // Grid + rendering
@@ -245,29 +93,18 @@ pub fn campaign_grid(scale: Scale, base_seed: u64) -> Vec<CampaignScenario> {
                 },
                 base_seed,
             );
-            let start_minute = base.stabilization_minutes;
             grid.push(CampaignScenario {
-                base,
-                plan,
-                budget,
-                compromises_per_min: 1,
-                start_minute,
-                attack_snapshot_minutes: 2,
+                attack: Some(AttackSpec {
+                    plan,
+                    budget,
+                    compromises_per_min: 1,
+                    start_minute: base.stabilization_minutes,
+                }),
+                ..CampaignScenario::plain(base)
             });
         }
     }
     grid
-}
-
-/// Runs a campaign grid through the [`MatrixRunner`] (scenario-level
-/// parallelism above the pair-level parallelism), streaming one callback
-/// per finished campaign. Outcomes return in input order.
-pub fn run_campaign_grid(
-    runner: &MatrixRunner,
-    grid: &[CampaignScenario],
-    on_done: impl FnMut(usize, &CampaignOutcome),
-) -> Vec<CampaignOutcome> {
-    runner.run_tasks(grid, run_campaign, on_done)
 }
 
 /// Renders the `κ(t)` series of several campaigns as one figure (series per
@@ -275,17 +112,7 @@ pub fn run_campaign_grid(
 pub fn campaign_figure(outcomes: &[CampaignOutcome]) -> FigureData {
     let mut figure = FigureData::new("campaign: κ(t) of the honest subgraph vs attacker budget");
     for outcome in outcomes {
-        let points = outcome
-            .points
-            .iter()
-            .map(|p| crate::series::SeriesPoint {
-                time_min: p.time_min,
-                network_size: p.honest_size,
-                min_connectivity: p.report.min_connectivity,
-                avg_connectivity: p.report.avg_connectivity,
-            })
-            .collect();
-        figure.series.insert(outcome.scenario.name(), points);
+        figure.add_outcome(outcome.scenario.base.name.clone(), outcome);
     }
     figure
 }
@@ -305,7 +132,7 @@ pub fn campaign_csv(outcomes: &[CampaignOutcome]) -> String {
         "zero_pairs",
     ]);
     for outcome in outcomes {
-        let strategy = outcome.scenario.plan.label();
+        let strategy = outcome.scenario.strategy_label();
         let churn = outcome.scenario.base.churn.label();
         for p in &outcome.points {
             rec.row(&[
@@ -327,6 +154,7 @@ pub fn campaign_csv(outcomes: &[CampaignOutcome]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::MatrixRunner;
     use crate::scenario::ScenarioBuilder;
     use std::collections::HashSet;
 
@@ -338,13 +166,18 @@ mod tests {
             .churn_minutes(15)
             .snapshot_minutes(20);
         CampaignScenario {
-            base: b.build(),
-            plan,
-            budget: 5,
-            compromises_per_min: 1,
-            start_minute: 40,
-            attack_snapshot_minutes: 2,
+            attack: Some(AttackSpec {
+                plan,
+                budget: 5,
+                compromises_per_min: 1,
+                start_minute: 40,
+            }),
+            ..CampaignScenario::plain(b.build())
         }
+    }
+
+    fn plan_of(cell: &CampaignScenario) -> AttackPlan {
+        cell.attack.expect("campaign cells are attacked").plan
     }
 
     #[test]
@@ -405,7 +238,7 @@ mod tests {
     fn grid_covers_all_plans_and_csv_renders() {
         let grid = campaign_grid(Scale::Bench, 3);
         assert_eq!(grid.len(), 8, "4 plans × 2 churn levels");
-        let plans: HashSet<&str> = grid.iter().map(|c| c.plan.label()).collect();
+        let plans: HashSet<&str> = grid.iter().map(|c| c.strategy_label()).collect();
         assert_eq!(plans.len(), 4);
         // Seeds are unique per cell.
         let mut seeds: Vec<u64> = grid.iter().map(|c| c.base.seed).collect();
@@ -416,13 +249,13 @@ mod tests {
         // render CSV + figure.
         let sample: Vec<CampaignScenario> = grid
             .into_iter()
-            .filter(|c| c.plan == AttackPlan::Random)
+            .filter(|c| plan_of(c) == AttackPlan::Random)
             .collect();
         let mut done = 0usize;
         let outcomes =
-            run_campaign_grid(&MatrixRunner::new().scenario_threads(2), &sample, |_, _| {
-                done += 1;
-            });
+            MatrixRunner::new()
+                .scenario_threads(2)
+                .run_tasks(&sample, run_campaign, |_, _| done += 1);
         assert_eq!(done, sample.len());
         let csv = campaign_csv(&outcomes);
         assert!(csv.starts_with("strategy,churn,time_min"));
@@ -438,12 +271,13 @@ mod tests {
         let mut b = ScenarioBuilder::quick(16, 4);
         b.name("test-campaign-mincut-fast").seed(13);
         let scenario = CampaignScenario {
-            base: b.build(),
-            plan: AttackPlan::MinCut,
-            budget: 8,
-            compromises_per_min: 2,
-            start_minute: 60,
-            attack_snapshot_minutes: 1,
+            attack: Some(AttackSpec {
+                plan: AttackPlan::MinCut,
+                budget: 8,
+                compromises_per_min: 2,
+                start_minute: 60,
+            }),
+            ..CampaignScenario::plain(b.build())
         };
         let outcome = run_campaign(&scenario);
         let last = outcome.points.last().expect("points");

@@ -1,11 +1,11 @@
 //! Defense experiments: attack × defense × churn, live.
 //!
-//! The campaign engine ([`crate::campaign`]) measures how fast each attack
-//! strategy destroys `κ(t)`; the service runner ([`crate::service`])
+//! The campaign grid ([`crate::campaign`]) measures how fast each attack
+//! strategy destroys `κ(t)`; the service grid ([`crate::service`])
 //! measures what that costs the overlay's users. This module closes the
-//! loop with the *defense* side of the ledger: the same session engine
-//! ([`crate::session`]), but with a [`kad_defense`] routing-table
-//! hardening policy installed
+//! loop with the *defense* side of the ledger: the same live cell
+//! ([`crate::runner::run_cell`]), but with a [`kad_defense`]
+//! routing-table hardening policy installed
 //! ([`kademlia::network::SimNetwork::set_defense_policy`]) and the
 //! durability-probe actor retrieving both over a single path and over
 //! `d` disjoint paths
@@ -19,9 +19,9 @@
 //! κ collapse, at what overhead" is answerable from one CSV.
 //!
 //! The grid ([`defense_grid`]) crosses every [`PolicyKind`] with every
-//! [`AttackPlan`] under churn off/`1/1`; `repro defend` runs it through
-//! the [`MatrixRunner`] and writes `defense-timeseries.csv` plus the
-//! per-cell `defense-summary.csv` (time-to-κ-collapse, recovery slope,
+//! [`AttackPlan`] under churn off/`1/1`; `repro defend` runs it and
+//! writes `defense-timeseries.csv` plus the per-cell
+//! `defense-summary.csv` (time-to-κ-collapse, recovery slope,
 //! attack-phase retrievability, message overhead vs the `none` baseline).
 //!
 //! # Example
@@ -39,316 +39,15 @@
 //! assert!(outcome.points.last().expect("points").lookup_success_rate > 0.5);
 //! ```
 
-use crate::attack_plan::{grid_base_scenario, strategy_label, AttackPlan};
-use crate::matrix::MatrixRunner;
+use crate::attack_plan::{grid_base_scenario, AttackPlan, AttackSpec};
+pub use crate::runner::{
+    run_cell as run_defense, CellOutcome as DefenseOutcome, LiveCell as DefenseScenario,
+};
+use crate::runner::{CellPoint, ProbeSpec};
 use crate::scale::Scale;
-use crate::scenario::{ChurnRate, Scenario, TrafficModel};
-use crate::service::ServiceAttack;
-use crate::session::LiveKappaActor;
-use crate::session::{
-    AttackerActor, ChurnActor, JoinSchedule, MinuteActor, ProbeActor, Sampler, SessionDriver,
-    SnapshotGrid, TrafficActor, TrafficOrigins,
-};
-use dessim::metrics::Counters;
+use crate::scenario::{ChurnRate, TrafficModel};
 use kad_defense::PolicyKind;
-use kad_resilience::{analyze_snapshot, ConnectivityReport};
-use kad_telemetry::{
-    Cell, DefenseAction, LookupRecord, MinuteSeries, Recorder, TelemetrySink, TracePurpose,
-};
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// A fully specified defense run: a base [`Scenario`], the hardening
-/// policy, an optional attacker and the probe cadences.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DefenseScenario {
-    /// The overlay scenario (size, churn, traffic, loss, protocol, seed).
-    pub base: Scenario,
-    /// The routing-table hardening policy under test.
-    pub policy: PolicyKind,
-    /// The attacker, if any.
-    pub attack: Option<ServiceAttack>,
-    /// Objects disseminated per store round.
-    pub objects_per_round: usize,
-    /// Minutes between store rounds (first at the end of setup).
-    pub store_every_min: u64,
-    /// Minutes between retrieval probe rounds.
-    pub probe_every_min: u64,
-    /// Disjoint paths per disjoint probe retrieval (`d`); values ≤ 1
-    /// disable the disjoint probe column.
-    pub disjoint_paths: usize,
-}
-
-impl DefenseScenario {
-    /// A scenario with no policy, no attacker and the default cadences.
-    pub fn undefended(base: Scenario) -> Self {
-        DefenseScenario {
-            base,
-            policy: PolicyKind::None,
-            attack: None,
-            objects_per_round: 4,
-            store_every_min: 10,
-            probe_every_min: 2,
-            disjoint_paths: 3,
-        }
-    }
-
-    /// Display name: base + policy + attack strategy.
-    pub fn name(&self) -> String {
-        format!(
-            "{}+{}+{}",
-            self.base.name,
-            self.policy.label(),
-            self.strategy_label()
-        )
-    }
-
-    /// Label of the attack-strategy column (`baseline` when unattacked).
-    pub fn strategy_label(&self) -> &'static str {
-        strategy_label(&self.attack)
-    }
-}
-
-/// One point of the defense time series.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DefensePoint {
-    /// Simulated minutes.
-    pub time_min: f64,
-    /// Compromises scheduled so far.
-    pub budget_spent: usize,
-    /// Honest alive nodes at the snapshot.
-    pub honest_size: usize,
-    /// Connectivity analysis of the honest subgraph.
-    pub report: ConnectivityReport,
-    /// Data lookups completed in the window since the previous point.
-    pub lookups: u64,
-    /// Fraction of those that converged (0 when none completed).
-    pub lookup_success_rate: f64,
-    /// Single-path retrieval probes completed in the window.
-    pub retrieves: u64,
-    /// Fraction of those that found their object (0 when none ran).
-    pub retrievability: f64,
-    /// Disjoint-path retrieval probes completed in the window.
-    pub retrieves_disjoint: u64,
-    /// Fraction of those that found their object (0 when none ran).
-    pub retrievability_disjoint: f64,
-    /// Cumulative defense liveness probes sent.
-    pub probes: u64,
-    /// Cumulative contact evictions, **network-wide**: natural
-    /// staleness evictions are included, so the `none` rows are the
-    /// baseline to subtract when attributing evictions to a policy.
-    pub evictions: u64,
-    /// Cumulative repair lookups launched.
-    pub repairs: u64,
-    /// Cumulative diversity rejections.
-    pub diversity_rejects: u64,
-    /// Cumulative diversity replacements.
-    pub diversity_replaces: u64,
-    /// Cumulative RPCs sent by everyone (the message bill the overhead
-    /// column of the summary is computed from).
-    pub rpc_sent: u64,
-}
-
-/// The result of one defense run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DefenseOutcome {
-    /// The scenario that ran.
-    pub scenario: DefenseScenario,
-    /// Time series on the snapshot grid, ascending.
-    pub points: Vec<DefensePoint>,
-    /// True per-minute `κ_min` of the honest subgraph over the attack and
-    /// recovery window (`(minute, κ_min)`, ascending; empty for attackless
-    /// cells) — the [`LiveKappaActor`]
-    /// feed, resolving the κ collapse and the defense's healing slope at
-    /// minute granularity instead of the snapshot grid's.
-    pub live_kappa: Vec<(u64, u64)>,
-    /// Total compromises the attacker scheduled.
-    pub budget_spent: usize,
-    /// Protocol/transport counters accumulated over the run.
-    pub counters: Counters,
-}
-
-/// The aggregates one defense run collects through the telemetry sink.
-#[derive(Debug, Default)]
-struct DefenseTelemetry {
-    /// Per-minute locate completions: 1.0 = converged, 0.0 = not.
-    lookups: MinuteSeries,
-    /// Per-minute single-path retrievals: 1.0 = found, 0.0 = missing.
-    retrieves: MinuteSeries,
-    /// Per-minute disjoint-path retrievals: 1.0 = found, 0.0 = missing.
-    retrieves_disjoint: MinuteSeries,
-    /// Cumulative defense-action counts, indexed by
-    /// [`DefenseAction::ALL`] position.
-    actions: [u64; 5],
-}
-
-impl DefenseTelemetry {
-    fn action_count(&self, action: DefenseAction) -> u64 {
-        let idx = DefenseAction::ALL
-            .iter()
-            .position(|a| *a == action)
-            .expect("action registered");
-        self.actions[idx]
-    }
-}
-
-impl TelemetrySink for DefenseTelemetry {
-    fn on_lookup(&mut self, record: &LookupRecord) {
-        let minute = record.completed_minute();
-        match record.purpose {
-            TracePurpose::Locate => {
-                let ok = record.outcome.is_success();
-                self.lookups.record(minute, if ok { 1.0 } else { 0.0 });
-            }
-            TracePurpose::Retrieve => {
-                let hit = record.outcome.is_success();
-                self.retrieves.record(minute, if hit { 1.0 } else { 0.0 });
-            }
-            TracePurpose::RetrieveDisjoint => {
-                let hit = record.outcome.is_success();
-                self.retrieves_disjoint
-                    .record(minute, if hit { 1.0 } else { 0.0 });
-            }
-            // Maintenance and repair traffic are not service observations
-            // (repairs surface through `on_defense` instead).
-            _ => {}
-        }
-    }
-
-    fn on_defense(&mut self, action: DefenseAction) {
-        let idx = DefenseAction::ALL
-            .iter()
-            .position(|a| *a == action)
-            .expect("action registered");
-        self.actions[idx] += 1;
-    }
-}
-
-/// Runs a defense scenario to completion. Deterministic: the base
-/// scenario's seed fixes the overlay, the attacker, the probe *and* the
-/// policy (policies are deterministic functions of protocol state), so
-/// identical scenarios replay identical outcomes.
-///
-/// The body is actor wiring over [`SessionDriver`] — identical to
-/// [`crate::service::run_service`]'s composition except that the policy
-/// is installed before the run, the probe actor also runs disjoint-path
-/// retrievals, and the measurement actor reads the defense-action
-/// counters next to the service metrics.
-pub fn run_defense(scenario: &DefenseScenario) -> DefenseOutcome {
-    crate::observe::run_observed(scenario.base.observe, &scenario.name(), || {
-        run_defense_cell(scenario)
-    })
-}
-
-fn run_defense_cell(scenario: &DefenseScenario) -> (DefenseOutcome, crate::observe::CellReport) {
-    let base = &scenario.base;
-    let mut driver = SessionDriver::new(base);
-    driver
-        .network_mut()
-        .set_defense_policy(scenario.policy.build());
-    let journal = driver.journal();
-    let sink = Rc::new(RefCell::new(DefenseTelemetry::default()));
-    driver.network_mut().set_telemetry_sink(match &journal {
-        Some(journal) => Box::new(kad_telemetry::FanoutSink::new(vec![
-            Box::new(Rc::clone(&sink)),
-            Box::new(Rc::clone(journal)),
-        ])),
-        None => Box::new(Rc::clone(&sink)),
-    });
-
-    let mut probe = ProbeActor::new(
-        &driver,
-        scenario.objects_per_round,
-        scenario.store_every_min,
-        scenario.probe_every_min,
-        scenario.disjoint_paths,
-    );
-    let mut joins = JoinSchedule::new(&mut driver);
-    let mut churn = ChurnActor;
-    // Honest origins only — same rule (and reason) as the service
-    // runner: the success rates are honest-user service quantities.
-    let mut traffic = TrafficActor::new(TrafficOrigins::HonestOnly);
-    let mut attacker = scenario
-        .attack
-        .map(|spec| AttackerActor::new(spec, &driver));
-
-    let analysis = base.analysis;
-    let sink_handle = Rc::clone(&sink);
-    let mut window_start_min = 0u64;
-    let mut sampler = Sampler::new(
-        SnapshotGrid {
-            base_minutes: base.snapshot_minutes,
-            attack_start: scenario.attack.map(|a| a.start_minute),
-            attack_minutes: 2,
-        },
-        move |net, ctx| {
-            let snap = net.snapshot();
-            let report = analyze_snapshot(&snap, &analysis);
-            ctx.shared
-                .publish_kappa(ctx.at_minute, report.min_connectivity);
-            let t = sink_handle.borrow();
-            let lookups = t.lookups.range_stats(window_start_min, ctx.at_minute);
-            let retrieves = t.retrieves.range_stats(window_start_min, ctx.at_minute);
-            let disjoint = t
-                .retrieves_disjoint
-                .range_stats(window_start_min, ctx.at_minute);
-            window_start_min = ctx.at_minute;
-            DefensePoint {
-                time_min: ctx.time_min,
-                budget_spent: ctx.shared.budget_spent,
-                honest_size: snap.node_count(),
-                report,
-                lookups: lookups.count,
-                lookup_success_rate: lookups.mean(),
-                retrieves: retrieves.count,
-                retrievability: retrieves.mean(),
-                retrieves_disjoint: disjoint.count,
-                retrievability_disjoint: disjoint.mean(),
-                probes: t.action_count(DefenseAction::Probe),
-                evictions: t.action_count(DefenseAction::Eviction),
-                repairs: t.action_count(DefenseAction::Repair),
-                diversity_rejects: t.action_count(DefenseAction::DiversityReject),
-                diversity_replaces: t.action_count(DefenseAction::DiversityReplace),
-                rpc_sent: net.counters().get("rpc_sent"),
-            }
-        },
-    );
-
-    // Per-minute κ feedback over the attack + recovery window; attackless
-    // cells skip the feed (nothing to react to, nothing to heal).
-    let mut live_kappa = scenario
-        .attack
-        .map(|spec| LiveKappaActor::new(spec.start_minute));
-
-    let mut actors: Vec<&mut dyn MinuteActor> =
-        vec![&mut probe, &mut joins, &mut churn, &mut traffic];
-    if let Some(attacker) = attacker.as_mut() {
-        actors.push(attacker);
-    }
-    if let Some(live) = live_kappa.as_mut() {
-        actors.push(live);
-    }
-    actors.push(&mut sampler);
-    driver.run(&mut actors);
-
-    let (net, shared) = driver.finish();
-    let counters = net.counters().clone();
-    let outcome = DefenseOutcome {
-        scenario: scenario.clone(),
-        points: sampler.into_points(),
-        live_kappa: live_kappa.map_or_else(Vec::new, LiveKappaActor::into_series),
-        budget_spent: shared.budget_spent,
-        counters: counters.clone(),
-    };
-    (
-        outcome,
-        crate::observe::CellReport {
-            journal,
-            counters,
-            exemplars: Vec::new(),
-        },
-    )
-}
+use kad_telemetry::{Cell, Recorder};
 
 // ----------------------------------------------------------------------
 // Grid + rendering
@@ -359,7 +58,10 @@ fn run_defense_cell(scenario: &DefenseScenario) -> (DefenseOutcome, crate::obser
 /// deliberately smaller/shorter than the service grid (32 of them must
 /// finish in seconds at bench scale); the attack phase is followed by a
 /// recovery window so the summary can measure the post-attack κ slope.
-/// Seeds derive from `base_seed` and the cell name, like every grid.
+/// The per-minute κ feed runs over the attack and recovery window,
+/// resolving the collapse and the defense's healing slope at minute
+/// granularity. Seeds derive from `base_seed` and the cell name, like
+/// every grid.
 pub fn defense_grid(scale: Scale, base_seed: u64) -> Vec<DefenseScenario> {
     let cfg = scale.config();
     // Defense cells shave the service grid's size and traffic: the grid
@@ -398,29 +100,23 @@ pub fn defense_grid(scale: Scale, base_seed: u64) -> Vec<DefenseScenario> {
                 let start_minute = base.stabilization_minutes;
                 grid.push(DefenseScenario {
                     policy,
-                    attack: Some(ServiceAttack {
+                    attack: Some(AttackSpec {
                         plan,
                         budget,
                         compromises_per_min: 2,
                         start_minute,
                     }),
-                    store_every_min: 8,
+                    probe: Some(ProbeSpec {
+                        store_every_min: 8,
+                        ..ProbeSpec::DEFENSE
+                    }),
+                    live_kappa_from: Some(start_minute),
                     ..DefenseScenario::undefended(base)
                 });
             }
         }
     }
     grid
-}
-
-/// Runs a defense grid through the [`MatrixRunner`], streaming one
-/// callback per finished cell. Outcomes return in input order.
-pub fn run_defense_grid(
-    runner: &MatrixRunner,
-    grid: &[DefenseScenario],
-    on_done: impl FnMut(usize, &DefenseOutcome),
-) -> Vec<DefenseOutcome> {
-    runner.run_tasks(grid, run_defense, on_done)
 }
 
 /// The aligned time-series CSV: one row per (cell, snapshot).
@@ -545,7 +241,7 @@ pub fn summarize_defense(outcomes: &[DefenseOutcome]) -> Vec<DefenseSummary> {
                 .find(|p| p.time_min <= start_minute)
                 .or_else(|| outcome.points.first());
             let kappa_pre = pre.map_or(0, |p| p.report.min_connectivity);
-            let attack_points: Vec<&DefensePoint> = outcome
+            let attack_points: Vec<&CellPoint> = outcome
                 .points
                 .iter()
                 .filter(|p| p.time_min > start_minute)
@@ -579,7 +275,7 @@ pub fn summarize_defense(outcomes: &[DefenseOutcome]) -> Vec<DefenseSummary> {
                 }
                 _ => 0.0,
             };
-            let mean_over = |select: fn(&DefensePoint) -> (u64, f64)| -> f64 {
+            let mean_over = |select: fn(&CellPoint) -> (u64, f64)| -> f64 {
                 let mut samples = 0u64;
                 let mut weighted = 0.0;
                 for p in &attack_points {
@@ -661,6 +357,7 @@ pub fn defense_summary_csv(outcomes: &[DefenseOutcome]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::MatrixRunner;
     use crate::scenario::ScenarioBuilder;
     use std::collections::HashSet;
 
@@ -678,15 +375,19 @@ mod tests {
         let base = b.build();
         DefenseScenario {
             policy,
-            attack: attack.map(|plan| ServiceAttack {
+            attack: attack.map(|plan| AttackSpec {
                 plan,
                 budget: 5,
                 compromises_per_min: 1,
                 start_minute: 40,
             }),
-            objects_per_round: 3,
-            store_every_min: 5,
-            probe_every_min: 5,
+            probe: Some(ProbeSpec {
+                objects_per_round: 3,
+                store_every_min: 5,
+                probe_every_min: 5,
+                ..ProbeSpec::DEFENSE
+            }),
+            live_kappa_from: attack.map(|_| 40),
             ..DefenseScenario::undefended(base)
         }
     }
@@ -794,9 +495,9 @@ mod tests {
         assert_eq!(sample.len(), 2);
         let mut done = 0usize;
         let outcomes =
-            run_defense_grid(&MatrixRunner::new().scenario_threads(2), &sample, |_, _| {
-                done += 1;
-            });
+            MatrixRunner::new()
+                .scenario_threads(2)
+                .run_tasks(&sample, run_defense, |_, _| done += 1);
         assert_eq!(done, 2);
         let ts = defense_timeseries_csv(&outcomes);
         assert!(ts.starts_with("policy,strategy,churn,time_min"));

@@ -8,7 +8,7 @@
 //! entry.
 
 use crate::matrix::MatrixRunner;
-use crate::runner::ScenarioOutcome;
+use crate::runner::{run_scenario, CellOutcome};
 use crate::scale::Scale;
 use crate::scenario::{paper, ChurnRate, Scenario};
 use crate::series::{churn_phase_min_summary, FigureData};
@@ -168,10 +168,10 @@ fn seeded(mut scenario: Scenario, base_seed: u64) -> Scenario {
     scenario
 }
 
-/// Runs a grid of scenarios through the parallel [`MatrixRunner`] and
+/// Runs a set of scenarios through the parallel [`MatrixRunner`] and
 /// returns outcomes in input order.
-fn run_grid(scenarios: Vec<Scenario>) -> Vec<ScenarioOutcome> {
-    MatrixRunner::new().run(&scenarios)
+fn run_scenarios(scenarios: Vec<Scenario>) -> Vec<CellOutcome> {
+    MatrixRunner::new().run_tasks(&scenarios, run_scenario, |_, _| {})
 }
 
 /// Runs one experiment at the given scale. `base_seed` parameterizes all
@@ -246,15 +246,15 @@ fn k_sweep_figure(
             seeded(scenario, base_seed)
         })
         .collect();
-    for (k, outcome) in K_SWEEP.into_iter().zip(run_grid(scenarios)) {
-        if let Some(last) = outcome.final_snapshot() {
+    for (k, outcome) in K_SWEEP.into_iter().zip(run_scenarios(scenarios)) {
+        if let Some(last) = outcome.points.last() {
             let avg = last
                 .report
                 .avg_connectivity
                 .map_or("n/a".to_string(), |v| format!("{v:.1}"));
             notes.push(format!(
                 "k={k}: final size {}, κ_min {}, κ_avg {avg}",
-                last.network_size, last.report.min_connectivity
+                last.honest_size, last.report.min_connectivity
             ));
         }
         figure.add_outcome(format!("k={k}"), &outcome);
@@ -347,7 +347,7 @@ fn table2(scale: Scale, base_seed: u64) -> ExperimentResult {
             }
         }
     }
-    for ((size, k, churn), outcome) in rows.into_iter().zip(run_grid(scenarios)) {
+    for ((size, k, churn), outcome) in rows.into_iter().zip(run_scenarios(scenarios)) {
         let summary = churn_phase_min_summary(&outcome);
         table.push_row(vec![
             size.to_string(),
@@ -401,7 +401,7 @@ fn figure10(scale: Scale, base_seed: u64) -> ExperimentResult {
             })
             .map(|scenario| seeded(scenario, base_seed))
             .collect();
-        let outcomes = run_grid(scenarios);
+        let outcomes = run_scenarios(scenarios);
         for (row, k) in K_SWEEP.into_iter().enumerate() {
             let mut cells = vec![k.to_string()];
             for outcome in &outcomes[3 * row..3 * row + 3] {
@@ -445,10 +445,9 @@ fn bitlength(scale: Scale, base_seed: u64) -> ExperimentResult {
             .into_iter()
             .map(|bits| seeded(paper::sim_bitlength(scale, large, 20, bits), base_seed))
             .collect();
-        for (bits, outcome) in bit_variants.into_iter().zip(run_grid(scenarios)) {
-            let last = outcome.final_snapshot().cloned();
+        for (bits, outcome) in bit_variants.into_iter().zip(run_scenarios(scenarios)) {
             let summary = churn_phase_min_summary(&outcome);
-            if let Some(last) = last {
+            if let Some(last) = outcome.points.last() {
                 table.push_row(vec![
                     size.to_string(),
                     bits.to_string(),
@@ -485,7 +484,7 @@ fn figure11(scale: Scale, base_seed: u64) -> ExperimentResult {
             .into_iter()
             .map(|s| seeded(paper::sim_i(scale, churn, s), base_seed))
             .collect();
-        for (s, outcome) in staleness.into_iter().zip(run_grid(scenarios)) {
+        for (s, outcome) in staleness.into_iter().zip(run_scenarios(scenarios)) {
             figure.add_outcome(format!("s={s}"), &outcome);
         }
         figures.push(figure);
@@ -529,7 +528,7 @@ fn loss_figure(
             .into_iter()
             .map(|loss| seeded(paper::sim_jkl(scale, churn, loss, s), base_seed))
             .collect();
-        for (loss, outcome) in losses.into_iter().zip(run_grid(scenarios)) {
+        for (loss, outcome) in losses.into_iter().zip(run_scenarios(scenarios)) {
             figure.add_outcome(format!("l={loss}"), &outcome);
         }
         figures.push(figure);

@@ -11,31 +11,31 @@
 //!   full durations — hours to days of compute, as in the paper).
 //! * [`scenario`] — the [`scenario::Scenario`] type and constructors for
 //!   each of the paper's simulations.
-//! * [`matrix`] — the [`matrix::MatrixRunner`]: executes a grid of
-//!   scenarios in parallel (scenario-level workers above the pair-level
-//!   rayon parallelism, with a configurable split) and streams outcomes as
-//!   they finish; the figure/table registry runs its sweeps through it.
-//! * [`runner`] — drives a [`kademlia::SimNetwork`] through the setup /
-//!   stabilization / churn phases, applying joins, silent departures and
-//!   data traffic at random instants within each minute (Section 5.3), and
-//!   snapshotting connectivity on a fixed grid.
-//! * [`session`] — the minute-loop session engine every live workload
-//!   composes over: a [`session::SessionDriver`] owning the network and
-//!   the minute clock, running an ordered set of
-//!   [`session::MinuteActor`]s (joins, churn, traffic, attacker,
-//!   durability probe, measurement sampler).
+//! * [`runner`] — the one live-cell runner: a [`runner::LiveCell`]
+//!   describes everything that may act on an overlay while it runs (the
+//!   paper's setup / stabilization / churn phases and traffic of
+//!   Section 5.3, plus an optional attacker, hardening policy,
+//!   durability probe, per-minute κ feed and load workload), and
+//!   [`runner::run_cell`] wires the canonical actor order once and
+//!   snapshots connectivity on a fixed grid. Every grid below is a list
+//!   of cells and a CSV column list.
+//! * [`session`] — the minute-loop session engine `run_cell` composes
+//!   over: a [`session::SessionDriver`] owning the network and the minute
+//!   clock, running an ordered set of [`session::MinuteActor`]s (joins,
+//!   churn, traffic, attacker, durability probe, measurement sampler).
+//! * [`matrix`] — the grid executor [`matrix::MatrixRunner`] (cell-level
+//!   workers above the pair-level rayon parallelism, outcomes streamed as
+//!   they finish) and the paper's A–H k-sweep grid behind `repro matrix`.
 //! * [`attack_plan`] — the shared adversary vocabulary: victim-selection
-//!   plans, the eclipse anchor, the attack spec every live grid embeds,
-//!   and the uniform grid-cell scenario construction.
+//!   plans, the eclipse anchor, the attack spec a cell embeds, and the
+//!   uniform grid-cell scenario construction.
 //! * [`campaign`] — live attack campaigns: an adversary compromising nodes
 //!   *during* churn and traffic via scheduled
 //!   [`kademlia::network::SimNetwork::schedule_compromise`] events, with
-//!   the `κ(t)` / `r(t)` series per strategy; `repro campaign` runs the
-//!   grid.
-//! * [`service`] — service-level telemetry: the session engine with the
-//!   protocol's [`kad_telemetry`] sink installed and a dissemination-
+//!   the `κ(t)` / `r(t)` series per strategy; the `repro campaign` grid.
+//! * [`service`] — service-level telemetry: cells with a dissemination-
 //!   durability probe, correlating `κ(t)` with lookup success rates,
-//!   hop-count distributions and retrievability; `repro service` runs the
+//!   hop-count distributions and retrievability; the `repro service`
 //!   grid.
 //! * [`traffic`] — production-traffic generators: arrival processes
 //!   (Poisson, bursty on/off, diurnal) and the Zipf hot-key sampler,
@@ -45,17 +45,16 @@
 //!   sustained request volumes with admission-window backpressure, per-
 //!   minute latency percentiles from [`kad_telemetry`] metric families,
 //!   and the (offered rate × attack plan) grid behind `repro load`.
-//! * [`defense`] — the defense side of the ledger: the session engine
-//!   with a [`kad_defense`] routing-table hardening policy installed
-//!   and single- vs disjoint-path retrieval probes, crossing every policy
-//!   with every attack strategy and churn; `repro defend` runs the grid.
-//! * [`sweep`] — the first driver-only workload: mixed-phase campaigns
-//!   whose attacker *switches strategy mid-run* (on a clock or on the
-//!   observed κ trough), crossed with defense policies; `repro sweep`
-//!   runs the grid.
+//! * [`defense`] — the defense side of the ledger: cells with a
+//!   [`kad_defense`] routing-table hardening policy installed and single-
+//!   vs disjoint-path retrieval probes, crossing every policy with every
+//!   attack strategy and churn; the `repro defend` grid.
+//! * [`sweep`] — the phased attacker (it *switches strategy mid-run*, on
+//!   a clock or on the observed κ trough) and its grid crossed with
+//!   defense policies; the `repro sweep` grid.
 //! * [`series`] / [`table`] / [`ascii_chart`] — figure and table data
 //!   structures with CSV and terminal renderings.
-//! * [`observe`] — the flight recorder behind `--observe DIR`: every grid
+//! * [`observe`] — the flight recorder behind `--observe DIR`: every
 //!   cell runs through [`observe::run_observed`], which captures the span
 //!   profile, the session journal's determinism hash chain, and the
 //!   protocol counters, and the collector writes `run-manifest.json`,
@@ -92,15 +91,15 @@ pub mod traffic;
 
 pub use attack_plan::{AttackPlan, AttackSpec};
 pub use campaign::{run_campaign, CampaignOutcome, CampaignScenario};
-pub use defense::{run_defense, DefenseOutcome, DefensePoint, DefenseScenario};
+pub use defense::{run_defense, DefenseOutcome, DefenseScenario};
 pub use figures::{run_experiment, ExperimentId, ExperimentResult};
 pub use load::{run_load, LoadOutcome, LoadPoint, LoadScenario, LoadSpec};
-pub use matrix::{MatrixRunner, SplitPolicy};
+pub use matrix::MatrixRunner;
 pub use observe::{run_observed, CellObservation, CellReport, TraceExemplar};
-pub use runner::{run_scenario, ScenarioOutcome, SnapshotResult};
+pub use runner::{run_cell, run_scenario, CellOutcome, CellPoint, LiveCell, ProbeSpec};
 pub use scale::Scale;
 pub use scenario::{Scenario, ScenarioBuilder};
-pub use service::{run_service, ServiceOutcome, ServicePoint, ServiceScenario};
+pub use service::{run_service, ServiceOutcome, ServiceScenario};
 pub use session::{MinuteActor, SessionDriver};
 pub use sweep::{run_sweep, SweepOutcome, SweepScenario};
 pub use traffic::{ArrivalProcess, ZipfSampler};

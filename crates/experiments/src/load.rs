@@ -53,17 +53,16 @@
 //! no actions — the golden-equivalence suite pins that wiring a rate-0
 //! [`LoadActor`] into the service grid leaves its CSVs byte-identical.
 
-pub use crate::attack_plan::AttackSpec as LoadAttack;
-use crate::attack_plan::{grid_base_scenario, strategy_label, AttackPlan};
-use crate::matrix::MatrixRunner;
+use crate::attack_plan::{grid_base_scenario, AttackPlan, AttackSpec};
+pub use crate::runner::{
+    run_cell as run_load, CellOutcome as LoadOutcome, LiveCell as LoadScenario,
+};
 use crate::scale::Scale;
-use crate::scenario::{ChurnRate, Scenario, TrafficModel};
+use crate::scenario::{ChurnRate, TrafficModel};
 use crate::session::{
-    Action, AttackerActor, ChurnActor, JoinSchedule, LiveKappaActor, MinuteActor, MinuteCtx,
-    Sampler, SessionDriver, SnapshotGrid, TrafficActor, TrafficOrigins,
+    Action, EndCtx, MinuteActor, MinuteCtx, Sampler, SessionDriver, SnapshotGrid, TrafficOrigins,
 };
 use crate::traffic::{ArrivalProcess, ZipfSampler};
-use dessim::metrics::Counters;
 use kad_telemetry::{
     Cell, CounterFamily, ExemplarReservoir, HistogramFamily, LogHistogram, LookupOutcome,
     LookupRecord, MinuteSeries, Recorder, TelemetrySink, TracePurpose, TraceTree,
@@ -100,10 +99,22 @@ pub struct LoadSpec {
     /// First minute requests are issued. Must leave the store lead
     /// (`STORE_LEAD_MINUTES`) after the setup phase for the key stores.
     pub start_minute: u64,
+    /// `Some(minute)` makes the cell a *ledger* cell: it reports one
+    /// [`LoadPoint`] per load minute instead of κ snapshots, with the
+    /// telemetry's pre-attack/attack phases split at this minute
+    /// (baseline cells carry their attacked siblings' attack start, so
+    /// phase windows align across a rate). `None` — a workload merely
+    /// riding on a snapshot cell — splits at the cell's own attack start.
+    pub ledger_split: Option<u64>,
+    /// Anchor the cell's eclipse attacker on the Zipf-hottest key
+    /// ([`crate::session::AttackerActor::with_anchor`]) instead of a
+    /// random id.
+    pub anchor_eclipse: bool,
 }
 
 impl LoadSpec {
-    /// A spec with the grid's default skew and backpressure bounds.
+    /// A spec with the grid's default skew and backpressure bounds,
+    /// riding on a snapshot cell (no ledger, random eclipse anchor).
     pub fn new(arrival: ArrivalProcess, start_minute: u64) -> LoadSpec {
         LoadSpec {
             arrival,
@@ -112,6 +123,8 @@ impl LoadSpec {
             window: 64,
             queue_capacity: 256,
             start_minute,
+            ledger_split: None,
+            anchor_eclipse: false,
         }
     }
 
@@ -153,7 +166,7 @@ impl LoadPhase {
 /// The telemetry aggregates of one load run, installed as the run's sink.
 /// Baseline cells use the same phase-split minute as their attacked
 /// siblings so phase windows stay comparable across a rate.
-#[derive(Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LoadTelemetry {
     phase_split: u64,
     /// Every lookup outcome, keyed `(purpose, outcome, phase)`.
@@ -196,6 +209,16 @@ impl LoadTelemetry {
     pub fn latency_window(&self, from: u64, to: u64) -> LogHistogram {
         self.latency_by_minute
             .merged_where(|&minute| minute >= from && minute < to)
+    }
+
+    /// Pre-attack retrieval latency (`load_start` to the phase split).
+    pub fn latency_pre(&self, load_start: u64) -> LogHistogram {
+        self.latency_window(load_start, self.phase_split)
+    }
+
+    /// Attack-phase retrieval latency (phase split to run end).
+    pub fn latency_attack(&self) -> LogHistogram {
+        self.latency_window(self.phase_split, u64::MAX)
     }
 
     /// The phase a completed minute belongs to.
@@ -275,7 +298,7 @@ pub struct MinuteLoad {
 }
 
 /// The actor's admission ledger, shared with the sampler.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LoadStats {
     /// Per-minute admission bookkeeping.
     pub minutes: BTreeMap<u64, MinuteLoad>,
@@ -435,36 +458,8 @@ impl MinuteActor for LoadActor {
 }
 
 // ----------------------------------------------------------------------
-// The load run
+// The load ledger
 // ----------------------------------------------------------------------
-
-/// A fully specified load run: base scenario, workload, optional attack,
-/// and the phase-split minute shared across a rate's cells.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LoadScenario {
-    /// The overlay scenario (size, churn, loss, protocol, seed).
-    pub base: Scenario,
-    /// The workload.
-    pub spec: LoadSpec,
-    /// The attacker, if any.
-    pub attack: Option<LoadAttack>,
-    /// Minute splitting pre-attack from attack-phase telemetry; equals
-    /// the attack start for attacked cells and is copied to baselines so
-    /// their windows align.
-    pub phase_split: u64,
-}
-
-impl LoadScenario {
-    /// Display name: base name + attack plan (or `baseline`).
-    pub fn name(&self) -> String {
-        format!("{}+{}", self.base.name, self.strategy_label())
-    }
-
-    /// Label of the attack strategy column (`baseline` when unattacked).
-    pub fn strategy_label(&self) -> &'static str {
-        strategy_label(&self.attack)
-    }
-}
 
 /// One cell-minute of the load time series.
 #[derive(Clone, Debug, PartialEq)]
@@ -504,111 +499,45 @@ pub struct LoadPoint {
     pub budget_spent: usize,
 }
 
-/// The result of one load run.
-#[derive(Debug)]
-pub struct LoadOutcome {
-    /// The scenario that ran.
-    pub scenario: LoadScenario,
-    /// One point per load-phase minute, ascending.
+/// What a load workload leaves in its cell's
+/// [`CellOutcome`](crate::runner::CellOutcome).
+#[derive(Clone, Debug, PartialEq)]
+pub struct LoadReport {
+    /// One point per load-phase minute, ascending (ledger cells only —
+    /// see [`LoadSpec::ledger_split`]).
     pub points: Vec<LoadPoint>,
     /// The run's telemetry aggregates (outcome counters, latency family).
     pub telemetry: LoadTelemetry,
     /// The admission ledger.
     pub stats: LoadStats,
-    /// Total compromises the attacker scheduled.
-    pub budget_spent: usize,
-    /// Protocol/transport counters accumulated over the run.
-    pub counters: Counters,
 }
 
-impl LoadOutcome {
-    /// Pre-attack retrieval latency (load start to phase split).
-    pub fn latency_pre(&self) -> LogHistogram {
-        self.telemetry
-            .latency_window(self.scenario.spec.start_minute, self.scenario.phase_split)
-    }
-
-    /// Attack-phase retrieval latency (phase split to run end).
-    pub fn latency_attack(&self) -> LogHistogram {
-        self.telemetry
-            .latency_window(self.scenario.phase_split, u64::MAX)
-    }
-}
-
-/// Runs a load scenario to completion. Deterministic: the base seed fixes
-/// the overlay, the hot keys (`load-keys`), the arrivals and admission
-/// order (`load-arrivals`) and the attacker, so identical scenarios
-/// replay byte-identical outcomes.
-pub fn run_load(scenario: &LoadScenario) -> LoadOutcome {
-    crate::observe::run_observed(scenario.base.observe, &scenario.name(), || {
-        run_load_cell(scenario)
-    })
-}
-
-fn run_load_cell(scenario: &LoadScenario) -> (LoadOutcome, crate::observe::CellReport) {
-    let base = &scenario.base;
-    let mut driver = SessionDriver::new(base);
-    let journal = driver.journal();
-    // Observed runs capture p99 exemplar trace trees; unobserved runs keep
-    // wants_traces false so the simulator records no spans at all.
-    let sink = Rc::new(RefCell::new(if base.observe {
-        LoadTelemetry::with_exemplars(scenario.phase_split)
-    } else {
-        LoadTelemetry::new(scenario.phase_split)
-    }));
-    driver.network_mut().set_telemetry_sink(match &journal {
-        Some(journal) => Box::new(kad_telemetry::FanoutSink::new(vec![
-            Box::new(Rc::clone(&sink)),
-            Box::new(Rc::clone(journal)),
-        ])),
-        None => Box::new(Rc::clone(&sink)),
-    });
-
-    let keys = draw_hot_keys(&driver, scenario.spec.hot_keys);
-    let stats = Rc::new(RefCell::new(LoadStats::default()));
-    let mut joins = JoinSchedule::new(&mut driver);
-    let mut churn = ChurnActor;
-    let mut traffic = TrafficActor::new(TrafficOrigins::HonestOnly);
-    let mut load = LoadActor::new(
-        &driver,
-        scenario.spec,
-        keys.clone(),
-        Rc::clone(&sink),
-        Rc::clone(&stats),
-    );
-    // The eclipse attacker anchors on the hottest key: the replica set it
-    // wipes is the one the skewed retrieval traffic depends on.
-    let mut attacker = scenario.attack.map(|spec| {
-        if spec.plan == AttackPlan::Eclipse {
-            AttackerActor::with_anchor(spec, &driver, keys[0])
-        } else {
-            AttackerActor::new(spec, &driver)
-        }
-    });
-    let mut kappa = LiveKappaActor::new(scenario.spec.start_minute);
-
-    let sink_handle = Rc::clone(&sink);
-    let stats_handle = Rc::clone(&stats);
-    let load_start = scenario.spec.start_minute;
-    let mut sampler = Sampler::new(
+/// The sampler of a ledger cell: one [`LoadPoint`] per completed minute
+/// from the load start on (`None` before it).
+pub(crate) fn ledger_sampler(
+    sink: Rc<RefCell<LoadTelemetry>>,
+    stats: Rc<RefCell<LoadStats>>,
+    load_start: u64,
+) -> Sampler<Option<LoadPoint>, impl FnMut(&mut SimNetwork, &mut EndCtx<'_>) -> Option<LoadPoint>> {
+    Sampler::new(
         SnapshotGrid {
             base_minutes: 1,
             attack_start: None,
             attack_minutes: 1,
         },
-        move |_net: &mut SimNetwork, ctx: &mut crate::session::EndCtx<'_>| {
+        move |_net: &mut SimNetwork, ctx: &mut EndCtx<'_>| {
             if ctx.at_minute <= load_start {
                 return None;
             }
             let minute = ctx.at_minute - 1;
-            let t = sink_handle.borrow();
+            let t = sink.borrow();
             let latency = t
                 .latency_by_minute
                 .get(&minute)
                 .cloned()
                 .unwrap_or_default();
             let found = t.found.range_stats(minute, minute + 1);
-            let ledger = stats_handle
+            let ledger = stats
                 .borrow()
                 .minutes
                 .get(&minute)
@@ -630,57 +559,6 @@ fn run_load_cell(scenario: &LoadScenario) -> (LoadOutcome, crate::observe::CellR
                 kappa_estimate: ctx.shared.last_kappa_estimate.map(|(_, e)| e),
                 budget_spent: ctx.shared.budget_spent,
             })
-        },
-    );
-
-    let mut actors: Vec<&mut dyn MinuteActor> =
-        vec![&mut joins, &mut churn, &mut traffic, &mut load];
-    if let Some(attacker) = attacker.as_mut() {
-        actors.push(attacker);
-    }
-    actors.push(&mut kappa);
-    actors.push(&mut sampler);
-    driver.run(&mut actors);
-
-    let (net, shared) = driver.finish();
-    let counters = net.counters().clone();
-    let points: Vec<LoadPoint> = sampler.into_points().into_iter().flatten().collect();
-    drop(load); // releases the actor's sink and stats handles
-    drop(net); // releases the simulator's sink handle
-    let telemetry = Rc::try_unwrap(sink)
-        .expect("all other sink handles dropped")
-        .into_inner();
-    let stats = Rc::try_unwrap(stats)
-        .expect("all other stats handles dropped")
-        .into_inner();
-    let outcome = LoadOutcome {
-        scenario: scenario.clone(),
-        points,
-        telemetry,
-        stats,
-        budget_spent: shared.budget_spent,
-        counters: counters.clone(),
-    };
-    let exemplars = outcome
-        .telemetry
-        .exemplar_reservoirs()
-        .into_iter()
-        .flat_map(|(phase, reservoir)| {
-            reservoir
-                .exemplars()
-                .iter()
-                .map(move |tree| crate::observe::TraceExemplar {
-                    phase: phase.label(),
-                    tree: tree.clone(),
-                })
-        })
-        .collect();
-    (
-        outcome,
-        crate::observe::CellReport {
-            journal,
-            counters,
-            exemplars,
         },
     )
 }
@@ -713,7 +591,13 @@ pub fn load_grid(scale: Scale, base_seed: u64) -> Vec<LoadScenario> {
     let budget = (size / 4).max(2);
     let mut grid = Vec::new();
     let push = |arrival: ArrivalProcess, plan: Option<AttackPlan>, grid: &mut Vec<_>| {
-        let spec = LoadSpec::new(arrival, LOAD_START_MIN);
+        // Ledger cells; the eclipse anchors on the hottest key, so the
+        // replica set it wipes is the one the skewed traffic depends on.
+        let spec = LoadSpec {
+            ledger_split: Some(LOAD_ATTACK_START_MIN),
+            anchor_eclipse: true,
+            ..LoadSpec::new(arrival, LOAD_START_MIN)
+        };
         let strategy = plan.map_or("baseline", |p| p.label());
         let name = format!("load-{}-{}", spec.rate_label(), strategy);
         let base = grid_base_scenario(
@@ -730,15 +614,16 @@ pub fn load_grid(scale: Scale, base_seed: u64) -> Vec<LoadScenario> {
             base_seed,
         );
         grid.push(LoadScenario {
-            base,
-            spec,
-            attack: plan.map(|plan| LoadAttack {
+            attack: plan.map(|plan| AttackSpec {
                 plan,
                 budget,
                 compromises_per_min: 2,
                 start_minute: LOAD_ATTACK_START_MIN,
             }),
-            phase_split: LOAD_ATTACK_START_MIN,
+            origins: TrafficOrigins::HonestOnly,
+            live_kappa_from: Some(spec.start_minute),
+            load: Some(spec),
+            ..LoadScenario::plain(base)
         });
     };
     for rate in [60.0, 180.0] {
@@ -769,14 +654,11 @@ pub fn load_grid(scale: Scale, base_seed: u64) -> Vec<LoadScenario> {
     grid
 }
 
-/// Runs a load grid through the [`MatrixRunner`], streaming one callback
-/// per finished cell. Outcomes return in input order.
-pub fn run_load_grid(
-    runner: &MatrixRunner,
-    grid: &[LoadScenario],
-    on_done: impl FnMut(usize, &LoadOutcome),
-) -> Vec<LoadOutcome> {
-    runner.run_tasks(grid, run_load, on_done)
+/// Every outcome that ran a workload, with its spec and report.
+fn loaded(outcomes: &[LoadOutcome]) -> impl Iterator<Item = (&LoadOutcome, LoadSpec, &LoadReport)> {
+    outcomes
+        .iter()
+        .filter_map(|o| Some((o, o.scenario.load?, o.load.as_ref()?)))
 }
 
 /// The per-minute CSV: offered vs completed req/min, latency percentiles,
@@ -803,11 +685,11 @@ pub fn load_timeseries_csv(outcomes: &[LoadOutcome]) -> String {
         "kappa_ci_hi",
         "budget_spent",
     ]);
-    for outcome in outcomes {
+    for (outcome, spec, report) in loaded(outcomes) {
         let strategy = outcome.scenario.strategy_label();
-        let arrival = outcome.scenario.spec.arrival.label();
-        let rate = outcome.scenario.spec.arrival.mean_rate();
-        for p in &outcome.points {
+        let arrival = spec.arrival.label();
+        let rate = spec.arrival.mean_rate();
+        for p in &report.points {
             rec.row(&[
                 strategy.into(),
                 arrival.into(),
@@ -839,13 +721,10 @@ pub fn load_timeseries_csv(outcomes: &[LoadOutcome]) -> String {
 /// shape and rate (0 for baselines themselves — the "eclipse costs X ms
 /// of p99 at rate Y" column).
 pub fn load_summary_csv(outcomes: &[LoadOutcome]) -> String {
-    let baseline_p99 = |of: &LoadOutcome| -> Option<u64> {
-        outcomes
-            .iter()
-            .find(|o| {
-                o.scenario.attack.is_none() && o.scenario.spec.arrival == of.scenario.spec.arrival
-            })
-            .map(|o| o.latency_attack().percentile(0.99))
+    let baseline_p99 = |arrival: ArrivalProcess| -> Option<u64> {
+        loaded(outcomes)
+            .find(|(o, spec, _)| o.scenario.attack.is_none() && spec.arrival == arrival)
+            .map(|(_, _, report)| report.telemetry.latency_attack().percentile(0.99))
     };
     let mut rec = Recorder::new(&[
         "strategy",
@@ -862,27 +741,27 @@ pub fn load_summary_csv(outcomes: &[LoadOutcome]) -> String {
         "attack_p99_ms",
         "p99_delta_vs_baseline_ms",
     ]);
-    for outcome in outcomes {
-        let pre = outcome.latency_pre();
-        let attack = outcome.latency_attack();
-        let found: u64 = outcome
+    for (outcome, spec, report) in loaded(outcomes) {
+        let pre = report.telemetry.latency_pre(spec.start_minute);
+        let attack = report.telemetry.latency_attack();
+        let found: u64 = report
             .telemetry
             .outcomes
             .iter()
             .filter(|((p, o, _), _)| *p == TracePurpose::Retrieve && o.is_success())
             .map(|(_, n)| n)
             .sum();
-        let completed = outcome.telemetry.completed_retrievals;
-        let delta = baseline_p99(outcome)
+        let completed = report.telemetry.completed_retrievals;
+        let delta = baseline_p99(spec.arrival)
             .map(|b| attack.percentile(0.99) as i64 - b as i64)
             .unwrap_or(0);
         rec.row(&[
             outcome.scenario.strategy_label().into(),
-            outcome.scenario.spec.arrival.label().into(),
-            Cell::f64(outcome.scenario.spec.arrival.mean_rate(), 1),
-            outcome.stats.offered_total.into(),
-            outcome.stats.admitted_total.into(),
-            outcome.stats.shed_total.into(),
+            spec.arrival.label().into(),
+            Cell::f64(spec.arrival.mean_rate(), 1),
+            report.stats.offered_total.into(),
+            report.stats.admitted_total.into(),
+            report.stats.shed_total.into(),
             completed.into(),
             Cell::f64(found as f64 / completed.max(1) as f64, 4),
             pre.percentile(0.5).into(),
@@ -898,6 +777,8 @@ pub fn load_summary_csv(outcomes: &[LoadOutcome]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::MatrixRunner;
+    use crate::runner::run_cell_reported;
     use crate::scenario::ScenarioBuilder;
 
     fn quick_load(plan: Option<AttackPlan>, rate: f64, seed: u64) -> LoadScenario {
@@ -909,37 +790,55 @@ mod tests {
         .seed(seed)
         .stabilization_minutes(40)
         .churn_minutes(20);
-        let mut spec = LoadSpec::new(ArrivalProcess::Poisson { rate_per_min: rate }, 42);
-        spec.hot_keys = 4;
+        let spec = LoadSpec {
+            hot_keys: 4,
+            ledger_split: Some(48),
+            anchor_eclipse: true,
+            ..LoadSpec::new(ArrivalProcess::Poisson { rate_per_min: rate }, 42)
+        };
         LoadScenario {
-            base: b.build(),
-            spec,
-            attack: plan.map(|plan| LoadAttack {
+            attack: plan.map(|plan| AttackSpec {
                 plan,
                 budget: 5,
                 compromises_per_min: 1,
                 start_minute: 48,
             }),
-            phase_split: 48,
+            origins: TrafficOrigins::HonestOnly,
+            live_kappa_from: Some(spec.start_minute),
+            load: Some(spec),
+            ..LoadScenario::plain(b.build())
         }
+    }
+
+    fn spec_mut(scenario: &mut LoadScenario) -> &mut LoadSpec {
+        scenario.load.as_mut().expect("load cell")
+    }
+
+    fn ledger(outcome: &LoadOutcome) -> &LoadReport {
+        outcome.load.as_ref().expect("cell ran a load workload")
     }
 
     #[test]
     fn baseline_load_completes_and_finds_values() {
         let outcome = run_load(&quick_load(None, 30.0, 3));
         assert_eq!(outcome.budget_spent, 0);
-        assert!(outcome.stats.offered_total > 0, "arrivals happened");
+        let report = ledger(&outcome);
+        assert!(report.stats.offered_total > 0, "arrivals happened");
         assert!(
-            outcome.telemetry.completed_retrievals > 0,
+            report.telemetry.completed_retrievals > 0,
             "retrievals completed"
         );
-        let pre = outcome.latency_pre();
+        let pre = report.telemetry.latency_pre(42);
         assert!(pre.count() > 0 && pre.mean() > 0.0, "latency recorded");
-        let last = outcome.points.last().expect("points");
+        let last = report.points.last().expect("points");
         assert!(last.found_rate > 0.5, "hot keys retrievable: {last:?}");
+        assert!(
+            outcome.points.is_empty(),
+            "ledger cells take no κ snapshots"
+        );
         // The outcome family saw load retrievals and background traffic.
-        assert!(outcome.telemetry.outcomes.total() > 0);
-        assert!(outcome
+        assert!(report.telemetry.outcomes.total() > 0);
+        assert!(report
             .telemetry
             .outcomes
             .iter()
@@ -950,39 +849,39 @@ mod tests {
     fn replay_is_deterministic() {
         let a = run_load(&quick_load(Some(AttackPlan::Eclipse), 30.0, 7));
         let b = run_load(&quick_load(Some(AttackPlan::Eclipse), 30.0, 7));
-        assert_eq!(a.points, b.points);
-        assert_eq!(a.stats.minutes, b.stats.minutes);
-        assert_eq!(a.telemetry.outcomes, b.telemetry.outcomes);
+        assert_eq!(a, b);
         let c = run_load(&quick_load(Some(AttackPlan::Eclipse), 30.0, 8));
-        assert_ne!(a.points, c.points, "seeds diverge");
+        assert_ne!(ledger(&a).points, ledger(&c).points, "seeds diverge");
     }
 
     #[test]
     fn silent_spec_is_inert() {
         let mut scenario = quick_load(None, 0.0, 5);
-        scenario.spec.arrival = ArrivalProcess::Poisson { rate_per_min: 0.0 };
+        spec_mut(&mut scenario).arrival = ArrivalProcess::Poisson { rate_per_min: 0.0 };
         let outcome = run_load(&scenario);
-        assert_eq!(outcome.stats.offered_total, 0);
-        assert_eq!(outcome.telemetry.completed_retrievals, 0);
-        assert!(outcome.points.iter().all(|p| p.offered == 0));
+        let report = ledger(&outcome);
+        assert_eq!(report.stats.offered_total, 0);
+        assert_eq!(report.telemetry.completed_retrievals, 0);
+        assert!(report.points.iter().all(|p| p.offered == 0));
     }
 
     #[test]
     fn tiny_window_sheds_overload() {
         let mut scenario = quick_load(None, 120.0, 9);
-        scenario.spec.window = 4;
-        scenario.spec.queue_capacity = 8;
+        spec_mut(&mut scenario).window = 4;
+        spec_mut(&mut scenario).queue_capacity = 8;
         let outcome = run_load(&scenario);
+        let report = ledger(&outcome);
         assert!(
-            outcome.stats.shed_total > 0,
+            report.stats.shed_total > 0,
             "a 4-wide window cannot carry 120 req/min: {:?}",
-            outcome.stats
+            report.stats
         );
         // Conservation: every offered request was admitted, queued or shed.
-        let queued_at_end = outcome.points.last().map(|p| p.queue_depth).unwrap_or(0);
+        let queued_at_end = report.points.last().map(|p| p.queue_depth).unwrap_or(0);
         assert_eq!(
-            outcome.stats.offered_total,
-            outcome.stats.admitted_total + outcome.stats.shed_total + queued_at_end,
+            report.stats.offered_total,
+            report.stats.admitted_total + report.stats.shed_total + queued_at_end,
         );
     }
 
@@ -991,8 +890,8 @@ mod tests {
         let baseline = run_load(&quick_load(None, 30.0, 11));
         let eclipsed = run_load(&quick_load(Some(AttackPlan::Eclipse), 30.0, 11));
         assert_eq!(eclipsed.budget_spent, 5);
-        let base_attack = baseline.latency_attack();
-        let ecl_attack = eclipsed.latency_attack();
+        let base_attack = ledger(&baseline).telemetry.latency_attack();
+        let ecl_attack = ledger(&eclipsed).telemetry.latency_attack();
         assert!(base_attack.count() > 0 && ecl_attack.count() > 0);
         // The anchored eclipse wipes the hot key's replica set: retrievals
         // exhaust more candidates, so the attack-phase tail grows.
@@ -1008,7 +907,7 @@ mod tests {
     fn observed_cell_captures_conserving_exemplars() {
         let mut scenario = quick_load(Some(AttackPlan::Eclipse), 30.0, 11);
         scenario.base.observe = true;
-        let (outcome, report) = run_load_cell(&scenario);
+        let (outcome, report) = run_cell_reported(&scenario);
         assert!(!report.exemplars.is_empty(), "observed run captured trees");
         let mut phases = std::collections::BTreeSet::new();
         for ex in &report.exemplars {
@@ -1028,7 +927,7 @@ mod tests {
             assert!(!ex.tree.spans.is_empty(), "exemplars carry spans");
         }
         assert!(phases.contains("attack"), "attack-phase offenders captured");
-        for (_, reservoir) in outcome.telemetry.exemplar_reservoirs() {
+        for (_, reservoir) in ledger(&outcome).telemetry.exemplar_reservoirs() {
             assert!(reservoir.len() <= EXEMPLARS_PER_PHASE);
             let lat: Vec<u64> = reservoir
                 .exemplars()
@@ -1042,12 +941,13 @@ mod tests {
         // Unobserved sibling: no reservoirs, byte-identical aggregates —
         // trace capture is observation only.
         let unobserved = run_load(&quick_load(Some(AttackPlan::Eclipse), 30.0, 11));
+        let (observed, unobserved) = (ledger(&outcome), ledger(&unobserved));
         assert!(unobserved.telemetry.exemplars.is_none());
-        assert_eq!(outcome.points, unobserved.points);
-        assert_eq!(outcome.telemetry.outcomes, unobserved.telemetry.outcomes);
+        assert_eq!(observed.points, unobserved.points);
+        assert_eq!(observed.telemetry.outcomes, unobserved.telemetry.outcomes);
         // Same seed, same exemplars (the determinism contract the proptest
         // suite pins at the reservoir level).
-        let (_, report2) = run_load_cell(&scenario);
+        let (_, report2) = run_cell_reported(&scenario);
         assert_eq!(report.exemplars.len(), report2.exemplars.len());
         for (a, b) in report.exemplars.iter().zip(&report2.exemplars) {
             assert_eq!(a.phase, b.phase);
@@ -1060,7 +960,7 @@ mod tests {
         let observed = |plan| {
             let mut scenario = quick_load(plan, 30.0, 11);
             scenario.base.observe = true;
-            run_load_cell(&scenario)
+            run_cell_reported(&scenario)
         };
         let (_, base_report) = observed(None);
         let (_, ecl_report) = observed(Some(AttackPlan::Eclipse));
@@ -1129,11 +1029,18 @@ mod tests {
         };
         let outcome = LoadOutcome {
             scenario: quick_load(None, 30.0, 3),
-            points: vec![point(50, None), point(51, Some(est))],
-            telemetry: LoadTelemetry::new(48),
-            stats: LoadStats::default(),
+            points: Vec::new(),
+            hops: LogHistogram::default(),
+            victims: Vec::new(),
+            phase_switches: Vec::new(),
+            live_kappa: Vec::new(),
+            load: Some(LoadReport {
+                points: vec![point(50, None), point(51, Some(est))],
+                telemetry: LoadTelemetry::new(48),
+                stats: LoadStats::default(),
+            }),
             budget_spent: 0,
-            counters: Counters::default(),
+            counters: dessim::metrics::Counters::default(),
         };
         let csv = load_timeseries_csv(std::slice::from_ref(&outcome));
         let header = csv.lines().next().expect("header");
@@ -1159,27 +1066,28 @@ mod tests {
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), 12, "unique seed per cell");
-        assert!(grid
-            .iter()
-            .all(|c| c.spec.start_minute >= c.base.setup_minutes + STORE_LEAD_MINUTES));
-        assert!(grid
-            .iter()
-            .all(|c| c.phase_split > c.spec.start_minute && c.phase_split < c.base.end_minutes()));
+        for cell in &grid {
+            let spec = cell.load.expect("load cell");
+            let split = spec.ledger_split.expect("ledger cell");
+            assert!(spec.start_minute >= cell.base.setup_minutes + STORE_LEAD_MINUTES);
+            assert!(split > spec.start_minute && split < cell.base.end_minutes());
+        }
         // Smoke-run two cheap cells (low-rate baseline + eclipse) and
         // render both CSVs.
         let sample: Vec<LoadScenario> = grid
             .into_iter()
             .filter(|c| {
-                c.spec.arrival.mean_rate() == 60.0
+                c.load.is_some_and(|spec| spec.arrival.mean_rate() == 60.0)
                     && (c.attack.is_none()
                         || c.attack.is_some_and(|a| a.plan == AttackPlan::Eclipse))
             })
             .collect();
         assert_eq!(sample.len(), 2);
         let mut done = 0usize;
-        let outcomes = run_load_grid(&MatrixRunner::new().scenario_threads(2), &sample, |_, _| {
-            done += 1;
-        });
+        let outcomes =
+            MatrixRunner::new()
+                .scenario_threads(2)
+                .run_tasks(&sample, run_load, |_, _| done += 1);
         assert_eq!(done, 2);
         let ts = load_timeseries_csv(&outcomes);
         assert!(ts.starts_with("strategy,arrival,rate_per_min,minute"));

@@ -1,24 +1,24 @@
-//! Parallel scenario matrix: many scenarios, streamed as they finish.
+//! The grid executor: many independent cells in parallel, streamed as
+//! they finish.
 //!
 //! The paper's evaluation is a *grid* — simulations A–L swept over `k`,
-//! churn, loss, staleness and network size. Each cell is an independent
-//! [`run_scenario`] call, so the grid parallelizes perfectly at the
-//! scenario level, **above** the pair-level rayon parallelism inside each
-//! connectivity sweep. [`MatrixRunner`] owns that outer level:
+//! churn, loss, staleness and network size — and so is every `repro`
+//! workload since. Each cell is an independent
+//! [`run_cell`](crate::runner::run_cell) call, so a grid parallelizes
+//! perfectly at the cell level, **above** the pair-level rayon
+//! parallelism inside each connectivity sweep. [`MatrixRunner`] owns that
+//! outer level:
 //!
-//! * scenarios are claimed work-stealing style by a configurable number of
-//!   worker threads ([`SplitPolicy`] picks the split between scenario- and
-//!   pair-level parallelism, or [`MatrixRunner::scenario_threads`] sets it
-//!   explicitly);
+//! * cells are claimed work-stealing style by a number of worker threads
+//!   (half the cores by default, or [`MatrixRunner::scenario_threads`]);
+//!   each worker runs its cell under a rayon thread budget of
+//!   `cores / workers` (at least 1), so the inner pair-level sweeps and
+//!   the outer workers share the core budget instead of multiplying it;
 //! * outcomes stream to a callback the moment they finish (progress
-//!   reporting, incremental CSV writes), and are also returned in input
-//!   order;
-//! * results are **identical** to running [`run_scenario`] serially on the
-//!   same scenarios: the runner never mutates a scenario, and every
-//!   scenario seeds all of its own randomness. That equivalence is tested.
-//! * the engine is generic ([`MatrixRunner::run_tasks`]): attack-campaign
-//!   grids and other non-[`Scenario`] workloads share the same worker pool
-//!   and thread-budget split.
+//!   reporting), and are also returned in input order;
+//! * results are **identical** to running the cells serially: the runner
+//!   never mutates a cell, and every cell seeds all of its own
+//!   randomness. That equivalence is tested.
 //!
 //! # Example
 //!
@@ -37,52 +37,20 @@
 //! assert_eq!(finished, 6);
 //! ```
 
-use crate::runner::{run_scenario, ScenarioOutcome};
+use crate::runner::{CellOutcome, LiveCell};
 use crate::scale::Scale;
-use crate::scenario::{paper, Scenario};
+use crate::scenario::paper;
+use kad_telemetry::{Cell, Recorder};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-/// How the core budget is split between the scenario and pair levels.
-///
-/// Whatever the split, each scenario worker runs its scenario under a
-/// rayon thread budget of `cores / workers` (at least 1), so the inner
-/// pair-level sweeps and the outer workers share the core budget instead
-/// of multiplying it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SplitPolicy {
-    /// Scenario-level first: one worker per core, inner sweeps serial.
-    /// Best when the grid has at least as many cells as cores.
-    Scenarios,
-    /// Pair-level only: scenarios run one at a time, each sweep fanning
-    /// out across cores. Best for a handful of large scenarios.
-    Pairs,
-    /// Half the cores at the scenario level (at least one), the other
-    /// half to each worker's inner sweeps — a robust default for mixed
-    /// grids.
-    #[default]
-    Auto,
-}
-
-impl SplitPolicy {
-    /// Number of scenario-level workers for `scenario_count` scenarios.
-    fn scenario_threads(self, scenario_count: usize) -> usize {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let raw = match self {
-            SplitPolicy::Scenarios => cores,
-            SplitPolicy::Pairs => 1,
-            SplitPolicy::Auto => (cores / 2).max(1),
-        };
-        raw.min(scenario_count.max(1))
-    }
-}
-
-/// Executes a grid of scenarios in parallel. See the module docs.
+/// Executes a grid of cells in parallel. See the module docs.
 ///
 /// # Example
 ///
 /// ```
 /// use kad_experiments::matrix::MatrixRunner;
+/// use kad_experiments::runner::run_scenario;
 /// use kad_experiments::scenario::ScenarioBuilder;
 ///
 /// let scenarios: Vec<_> = (0..2)
@@ -92,63 +60,38 @@ impl SplitPolicy {
 ///         b.build()
 ///     })
 ///     .collect();
-/// let outcomes = MatrixRunner::new().run(&scenarios);
+/// let outcomes = MatrixRunner::new().run_tasks(&scenarios, run_scenario, |_, _| {});
 /// assert_eq!(outcomes.len(), 2);
-/// assert_eq!(outcomes[0].scenario.seed, 40);
+/// assert_eq!(outcomes[0].scenario.base.seed, 40);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct MatrixRunner {
-    split: SplitPolicy,
     explicit_threads: Option<usize>,
 }
 
 impl MatrixRunner {
-    /// Runner with the default [`SplitPolicy::Auto`] split.
+    /// Runner with the default split: half the cores at the cell level
+    /// (at least one), the other half to each worker's inner sweeps.
     pub fn new() -> Self {
         MatrixRunner::default()
     }
 
-    /// Sets the split policy.
-    pub fn split(mut self, split: SplitPolicy) -> Self {
-        self.split = split;
-        self
-    }
-
-    /// Overrides the number of scenario-level worker threads directly
-    /// (values are clamped to at least 1; the policy is ignored).
+    /// Overrides the number of cell-level worker threads (values are
+    /// clamped to at least 1).
     pub fn scenario_threads(mut self, threads: usize) -> Self {
         self.explicit_threads = Some(threads.max(1));
         self
     }
 
-    fn worker_count(&self, scenario_count: usize) -> usize {
-        match self.explicit_threads {
-            Some(threads) => threads.min(scenario_count.max(1)),
-            None => self.split.scenario_threads(scenario_count),
-        }
+    fn worker_count(&self, cells: usize) -> usize {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.explicit_threads
+            .unwrap_or((cores / 2).max(1))
+            .min(cells.max(1))
     }
 
-    /// Runs every scenario and returns the outcomes in input order.
-    pub fn run(&self, scenarios: &[Scenario]) -> Vec<ScenarioOutcome> {
-        self.run_streaming(scenarios, |_, _| {})
-    }
-
-    /// Runs every scenario; `on_outcome(index, outcome)` fires on the
-    /// calling thread as each scenario completes (completion order, not
-    /// input order). The returned vector is in input order regardless.
-    pub fn run_streaming(
-        &self,
-        scenarios: &[Scenario],
-        on_outcome: impl FnMut(usize, &ScenarioOutcome),
-    ) -> Vec<ScenarioOutcome> {
-        self.run_tasks(scenarios, run_scenario, on_outcome)
-    }
-
-    /// The generic engine behind [`MatrixRunner::run_streaming`]: executes
-    /// `run` over any grid of task values with the same worker pool,
-    /// work-stealing claim order, per-worker rayon thread budget and
-    /// streamed completions. Attack-campaign grids (and any future workload
-    /// whose cells are not plain [`Scenario`]s) run through this directly.
+    /// Executes `run` over a grid of task values: work-stealing claim
+    /// order, per-worker rayon thread budget, streamed completions.
     ///
     /// `on_done(index, result)` fires on the calling thread in completion
     /// order; the returned vector is in input order regardless.
@@ -217,7 +160,7 @@ impl MatrixRunner {
 
 /// The paper's full A–H scenario grid (both sizes × the `k` sweep), seeded
 /// exactly like the figure harness — the workload `repro matrix` runs.
-pub fn paper_matrix(scale: Scale, base_seed: u64) -> Vec<Scenario> {
+pub fn paper_matrix(scale: Scale, base_seed: u64) -> Vec<LiveCell> {
     let mut scenarios = Vec::new();
     for large in [false, true] {
         for k in crate::figures::K_SWEEP {
@@ -230,15 +173,37 @@ pub fn paper_matrix(scale: Scale, base_seed: u64) -> Vec<Scenario> {
     for scenario in &mut scenarios {
         scenario.seed = crate::figures::seed_for(base_seed, &scenario.name);
     }
-    scenarios
+    scenarios.into_iter().map(LiveCell::plain).collect()
+}
+
+/// The `matrix-summary.csv`: one row per cell with its final snapshot.
+pub fn matrix_summary_csv(outcomes: &[CellOutcome]) -> String {
+    let mut rec = Recorder::new(&[
+        "scenario",
+        "final_size",
+        "min_connectivity",
+        "avg_connectivity",
+    ]);
+    for outcome in outcomes {
+        if let Some(last) = outcome.points.last() {
+            rec.row(&[
+                outcome.scenario.base.name.as_str().into(),
+                last.honest_size.into(),
+                last.report.min_connectivity.into(),
+                Cell::opt_f64(last.report.avg_connectivity, 2),
+            ]);
+        }
+    }
+    rec.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_cell;
     use crate::scenario::{ChurnRate, ScenarioBuilder};
 
-    fn small_grid() -> Vec<Scenario> {
+    fn small_grid() -> Vec<LiveCell> {
         let mut scenarios = Vec::new();
         for (i, k) in [4usize, 6].into_iter().enumerate() {
             let mut b = ScenarioBuilder::quick(14, k);
@@ -253,57 +218,61 @@ mod tests {
             .churn_minutes(10)
             .snapshot_minutes(10);
         scenarios.push(churny.build());
-        scenarios
+        scenarios.into_iter().map(LiveCell::plain).collect()
     }
 
     #[test]
     fn matrix_matches_serial_exactly() {
-        let scenarios = small_grid();
-        let serial: Vec<ScenarioOutcome> = scenarios.iter().map(run_scenario).collect();
+        let cells = small_grid();
+        let serial: Vec<CellOutcome> = cells.iter().map(run_cell).collect();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         for runner in [
             MatrixRunner::new(),
-            MatrixRunner::new().split(SplitPolicy::Scenarios),
-            MatrixRunner::new().split(SplitPolicy::Pairs),
+            MatrixRunner::new().scenario_threads(cores),
+            MatrixRunner::new().scenario_threads(1),
             MatrixRunner::new().scenario_threads(2),
             MatrixRunner::new().scenario_threads(8),
         ] {
-            let parallel = runner.run(&scenarios);
+            let parallel = runner.run_tasks(&cells, run_cell, |_, _| {});
             assert_eq!(parallel, serial, "runner {runner:?}");
         }
     }
 
     #[test]
     fn streaming_reports_every_scenario_once() {
-        let scenarios = small_grid();
+        let cells = small_grid();
         let mut seen = Vec::new();
-        let outcomes =
-            MatrixRunner::new()
-                .scenario_threads(3)
-                .run_streaming(&scenarios, |index, outcome| {
-                    seen.push((index, outcome.scenario.name.clone()));
-                });
-        assert_eq!(outcomes.len(), scenarios.len());
+        let outcomes = MatrixRunner::new().scenario_threads(3).run_tasks(
+            &cells,
+            run_cell,
+            |index, outcome| {
+                seen.push((index, outcome.scenario.base.name.clone()));
+            },
+        );
+        assert_eq!(outcomes.len(), cells.len());
         let mut indices: Vec<usize> = seen.iter().map(|&(i, _)| i).collect();
         indices.sort_unstable();
-        assert_eq!(indices, (0..scenarios.len()).collect::<Vec<_>>());
+        assert_eq!(indices, (0..cells.len()).collect::<Vec<_>>());
         for (index, name) in seen {
-            assert_eq!(name, scenarios[index].name, "callback index matches");
+            assert_eq!(name, cells[index].base.name, "callback index matches");
         }
         // Returned order is input order.
-        for (outcome, scenario) in outcomes.iter().zip(&scenarios) {
-            assert_eq!(outcome.scenario.name, scenario.name);
+        for (outcome, cell) in outcomes.iter().zip(&cells) {
+            assert_eq!(outcome.scenario.base.name, cell.base.name);
         }
     }
 
     #[test]
     fn empty_matrix_is_empty() {
-        assert!(MatrixRunner::new().run(&[]).is_empty());
+        let none: [LiveCell; 0] = [];
+        assert!(MatrixRunner::new()
+            .run_tasks(&none, run_cell, |_, _| {})
+            .is_empty());
     }
 
     #[test]
     fn generic_tasks_return_in_input_order() {
-        // The generic engine must behave exactly like the scenario path:
-        // results in input order, every index reported once.
+        // Results in input order, every index reported once.
         let tasks: Vec<u64> = (0..17).collect();
         let mut seen = Vec::new();
         let results = MatrixRunner::new().scenario_threads(4).run_tasks(
@@ -322,17 +291,18 @@ mod tests {
 
     #[test]
     fn paper_matrix_is_seeded_and_named() {
-        let scenarios = paper_matrix(Scale::Bench, 7);
+        let cells = paper_matrix(Scale::Bench, 7);
         // 2 sizes × 4 k values × 4 simulation families.
-        assert_eq!(scenarios.len(), 32);
-        let mut names: Vec<&str> = scenarios.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(cells.len(), 32);
+        let mut names: Vec<&str> = cells.iter().map(|c| c.base.name.as_str()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 32, "scenario names are unique");
         // Seeds derive from the name, so they differ across the grid.
-        let mut seeds: Vec<u64> = scenarios.iter().map(|s| s.seed).collect();
+        let mut seeds: Vec<u64> = cells.iter().map(|c| c.base.seed).collect();
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), 32, "scenario seeds are unique");
+        assert!(cells.iter().all(|c| *c == LiveCell::plain(c.base.clone())));
     }
 }

@@ -1,7 +1,8 @@
 //! The flight recorder: per-cell observation capture and the `--observe`
 //! artifact set.
 //!
-//! Every grid runner funnels its cells through [`run_observed`]. When a
+//! [`run_cell`](crate::runner::run_cell) funnels every cell through
+//! [`run_observed`]. When a
 //! run observes, the wrapper installs a thread-local [`SpanProfile`] on
 //! the worker thread, wraps the cell body in a root `cell` span, and
 //! submits the resulting [`CellObservation`] — span table, the session
@@ -71,8 +72,9 @@ pub struct CellReport {
 }
 
 impl CellReport {
-    /// A report with no journal and no counters — for cells that predate
-    /// the session engine (the k-sweep matrix, the figure registry).
+    /// A report with no journal and no counters — for work observed as
+    /// one cell without a session of its own (a figure/table registry
+    /// experiment).
     pub fn empty() -> CellReport {
         CellReport {
             journal: None,

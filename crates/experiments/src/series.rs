@@ -1,6 +1,6 @@
 //! Figure data: named time series of connectivity measurements.
 
-use crate::runner::ScenarioOutcome;
+use crate::runner::CellOutcome;
 use dessim::metrics::Summary;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -38,16 +38,16 @@ impl FigureData {
         }
     }
 
-    /// Adds a scenario outcome as one labelled series.
-    pub fn add_outcome(&mut self, label: impl Into<String>, outcome: &ScenarioOutcome) {
+    /// Adds a cell outcome's snapshot series as one labelled series.
+    pub fn add_outcome(&mut self, label: impl Into<String>, outcome: &CellOutcome) {
         let points = outcome
-            .snapshots
+            .points
             .iter()
-            .map(|s| SeriesPoint {
-                time_min: s.time_min,
-                network_size: s.network_size,
-                min_connectivity: s.report.min_connectivity,
-                avg_connectivity: s.report.avg_connectivity,
+            .map(|p| SeriesPoint {
+                time_min: p.time_min,
+                network_size: p.honest_size,
+                min_connectivity: p.report.min_connectivity,
+                avg_connectivity: p.report.avg_connectivity,
             })
             .collect();
         self.series.insert(label.into(), points);
@@ -88,7 +88,7 @@ impl FigureData {
 
 /// Churn-phase summary of an outcome's minimum connectivity — the quantity
 /// Table 2 reports (mean and relative variance during the churn phase).
-pub fn churn_phase_min_summary(outcome: &ScenarioOutcome) -> Summary {
+pub fn churn_phase_min_summary(outcome: &CellOutcome) -> Summary {
     let mut summary = Summary::new();
     for s in outcome.churn_phase() {
         summary.record(s.report.min_connectivity as f64);
@@ -101,7 +101,7 @@ mod tests {
     use super::*;
     use crate::scenario::ScenarioBuilder;
 
-    fn outcome() -> ScenarioOutcome {
+    fn outcome() -> CellOutcome {
         let mut b = ScenarioBuilder::quick(12, 4);
         b.seed(3).snapshot_minutes(30);
         crate::runner::run_scenario(&b.build())
@@ -119,7 +119,7 @@ mod tests {
             lines[0],
             "series,time_min,network_size,min_connectivity,avg_connectivity"
         );
-        assert_eq!(lines.len(), 1 + out.snapshots.len());
+        assert_eq!(lines.len(), 1 + out.points.len());
         assert!(lines[1].starts_with("k=4,"));
     }
 

@@ -3,12 +3,10 @@
 //!
 //! The paper's connection resilience `κ(D)` is a structural proxy for the
 //! service operators actually care about — do lookups still succeed, and
-//! does disseminated data stay reachable? This module closes that gap: it
-//! composes the shared session engine ([`crate::session`]) with the
-//! protocol's telemetry sink installed
-//! ([`kademlia::network::SimNetwork::set_telemetry_sink`]) and a
-//! durability-probe actor disseminating and re-retrieving objects,
-//! producing for every snapshot instant:
+//! does disseminated data stay reachable? A service cell is a live cell
+//! ([`crate::runner::run_cell`]) with a durability-probe actor
+//! disseminating and re-retrieving objects and traffic from honest
+//! origins only, producing for every snapshot instant:
 //!
 //! * the connectivity report `κ(t)` / `r(t)` (the paper's axis),
 //! * the data-lookup success rate and hop statistics in the window since
@@ -18,9 +16,9 @@
 //!   dissemination durability under churn and compromise.
 //!
 //! The grid ([`service_grid`]) crosses churn with every attack strategy
-//! (plus an attack-free baseline); `repro service` runs it through the
-//! [`MatrixRunner`] and emits `service-timeseries.csv` (aligned series)
-//! and `service-hops.csv` (hop-count distributions).
+//! (plus an attack-free baseline); `repro service` runs it and emits
+//! `service-timeseries.csv` (aligned series) and `service-hops.csv`
+//! (hop-count distributions).
 //!
 //! # Example
 //!
@@ -37,292 +35,14 @@
 //! assert!(!outcome.hops.is_empty(), "hop distribution collected");
 //! ```
 
-pub use crate::attack_plan::AttackSpec as ServiceAttack;
-use crate::attack_plan::{grid_base_scenario, strategy_label, AttackPlan};
-use crate::load::{draw_hot_keys, LoadActor, LoadSpec, LoadStats, LoadTelemetry};
-use crate::matrix::MatrixRunner;
+use crate::attack_plan::{grid_base_scenario, AttackPlan, AttackSpec};
+use crate::runner::ProbeSpec;
+pub use crate::runner::{
+    run_cell as run_service, CellOutcome as ServiceOutcome, LiveCell as ServiceScenario,
+};
 use crate::scale::Scale;
-use crate::scenario::{ChurnRate, Scenario, TrafficModel};
-use crate::session::{
-    AttackerActor, ChurnActor, JoinSchedule, MinuteActor, ProbeActor, Sampler, SessionDriver,
-    SnapshotGrid, TrafficActor, TrafficOrigins,
-};
-use dessim::metrics::Counters;
-use kad_resilience::{analyze_snapshot, ConnectivityReport};
-use kad_telemetry::{
-    Cell, LogHistogram, LookupRecord, MinuteSeries, Recorder, TelemetrySink, TracePurpose,
-};
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// A fully specified service-telemetry run: a base [`Scenario`] plus the
-/// durability probe's cadence and an optional attacker.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ServiceScenario {
-    /// The overlay scenario (size, churn, traffic, loss, protocol, seed).
-    pub base: Scenario,
-    /// The attacker, if any.
-    pub attack: Option<ServiceAttack>,
-    /// Objects disseminated per store round.
-    pub objects_per_round: usize,
-    /// Minutes between store rounds (first at the end of setup).
-    pub store_every_min: u64,
-    /// Minutes between retrieval probe rounds.
-    pub probe_every_min: u64,
-    /// An optional production-load workload riding on the run
-    /// ([`crate::load`]). A silent spec is fully inert — the golden-
-    /// equivalence suite pins that wiring one leaves the service CSVs
-    /// byte-identical.
-    pub load: Option<LoadSpec>,
-}
-
-impl ServiceScenario {
-    /// A scenario with the default probe cadence and no attacker.
-    pub fn unattacked(base: Scenario) -> Self {
-        ServiceScenario {
-            base,
-            attack: None,
-            objects_per_round: 4,
-            store_every_min: 10,
-            probe_every_min: 5,
-            load: None,
-        }
-    }
-
-    /// Display name: base scenario name + attack plan (or `baseline`).
-    pub fn name(&self) -> String {
-        format!("{}+{}", self.base.name, self.strategy_label())
-    }
-
-    /// Label of the attack strategy column (`baseline` when unattacked).
-    pub fn strategy_label(&self) -> &'static str {
-        strategy_label(&self.attack)
-    }
-}
-
-/// One point of the service time series: κ and the service metrics over
-/// the window since the previous point.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ServicePoint {
-    /// Simulated minutes.
-    pub time_min: f64,
-    /// Compromises scheduled so far.
-    pub budget_spent: usize,
-    /// Honest alive nodes at the snapshot.
-    pub honest_size: usize,
-    /// Connectivity analysis of the honest subgraph.
-    pub report: ConnectivityReport,
-    /// Data lookups (purpose `Locate`) completed in the window.
-    pub lookups: u64,
-    /// Fraction of those that converged (0 when none completed).
-    pub lookup_success_rate: f64,
-    /// Mean hop count of converged lookups in the window (0 when none).
-    pub hop_mean: f64,
-    /// Retrieval probes completed in the window.
-    pub retrieves: u64,
-    /// Fraction of those that found their object (0 when none ran).
-    pub retrievability: f64,
-    /// Objects disseminated by the probe so far.
-    pub stored_objects: usize,
-}
-
-/// The result of one service run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ServiceOutcome {
-    /// The scenario that ran.
-    pub scenario: ServiceScenario,
-    /// Time series on the snapshot grid, ascending.
-    pub points: Vec<ServicePoint>,
-    /// Hop-count distribution of all converged data lookups.
-    pub hops: LogHistogram,
-    /// Messages-per-lookup distribution of all data lookups.
-    pub messages: LogHistogram,
-    /// Total compromises the attacker scheduled.
-    pub budget_spent: usize,
-    /// Protocol/transport counters accumulated over the run.
-    pub counters: Counters,
-}
-
-/// The telemetry aggregates one run collects, shared between the sink
-/// installed in the simulator and the measurement actor via `Rc<RefCell>`.
-#[derive(Debug, Default)]
-struct ServiceTelemetry {
-    /// Per-minute locate completions: sample 1.0 = converged, 0.0 = not.
-    lookups: MinuteSeries,
-    /// Per-minute converged-locate hop counts.
-    hop_series: MinuteSeries,
-    /// Per-minute retrievals: sample 1.0 = value found, 0.0 = missing.
-    retrieves: MinuteSeries,
-    /// Hop counts of converged locates, whole run.
-    hops: LogHistogram,
-    /// Messages per locate, whole run.
-    messages: LogHistogram,
-}
-
-/// Aggregation is O(1) per record; the simulator holds the recorder
-/// behind `Rc<RefCell>` (the blanket sink impl in [`kad_telemetry`]) and
-/// the measurement actor keeps the other handle.
-impl TelemetrySink for ServiceTelemetry {
-    fn on_lookup(&mut self, record: &LookupRecord) {
-        let minute = record.completed_minute();
-        match record.purpose {
-            TracePurpose::Locate => {
-                let ok = record.outcome.is_success();
-                self.lookups.record(minute, if ok { 1.0 } else { 0.0 });
-                self.messages.record(record.messages as u64);
-                if ok {
-                    self.hops.record(record.hops as u64);
-                    self.hop_series.record(minute, record.hops as f64);
-                }
-            }
-            TracePurpose::Retrieve => {
-                let hit = record.outcome.is_success();
-                self.retrieves.record(minute, if hit { 1.0 } else { 0.0 });
-            }
-            // Maintenance traffic (refresh/bootstrap) and dissemination
-            // control lookups are not service observations.
-            _ => {}
-        }
-    }
-}
-
-/// Runs a service scenario to completion. Deterministic: the base
-/// scenario's seed fixes the overlay, the attacker and the probe (labelled
-/// streams), so identical scenarios replay identical outcomes.
-///
-/// The body is actor wiring over [`SessionDriver`]: the probe actor
-/// first (retrievals before fresh stores, both before the minute's
-/// actions), then joins, churn, traffic from *honest* origins only (the
-/// success rates are honest-user service quantities and the sink cannot
-/// tell an attacker-originated lookup apart), the optional attacker, and
-/// the measurement actor holding the sink handle.
-pub fn run_service(scenario: &ServiceScenario) -> ServiceOutcome {
-    crate::observe::run_observed(scenario.base.observe, &scenario.name(), || {
-        run_service_cell(scenario)
-    })
-}
-
-fn run_service_cell(scenario: &ServiceScenario) -> (ServiceOutcome, crate::observe::CellReport) {
-    let base = &scenario.base;
-    let mut driver = SessionDriver::new(base);
-    let journal = driver.journal();
-    let sink = Rc::new(RefCell::new(ServiceTelemetry::default()));
-    // An optional load workload rides on the run through a fanout sink,
-    // and an observing run's journal joins it; without either the plain
-    // sink installs directly (identical behavior — the golden suite pins
-    // the unloaded path byte for byte).
-    let load_parts = scenario.load.map(|spec| {
-        let phase_split = scenario
-            .attack
-            .map_or(base.end_minutes(), |a| a.start_minute);
-        let load_sink = Rc::new(RefCell::new(LoadTelemetry::new(phase_split)));
-        let stats = Rc::new(RefCell::new(LoadStats::default()));
-        let keys = draw_hot_keys(&driver, spec.hot_keys);
-        (spec, load_sink, stats, keys)
-    });
-    let mut sinks: Vec<Box<dyn kad_telemetry::TelemetrySink>> = vec![Box::new(Rc::clone(&sink))];
-    if let Some((_, load_sink, _, _)) = &load_parts {
-        sinks.push(Box::new(Rc::clone(load_sink)));
-    }
-    if let Some(journal) = &journal {
-        sinks.push(Box::new(Rc::clone(journal)));
-    }
-    driver
-        .network_mut()
-        .set_telemetry_sink(if sinks.len() == 1 {
-            sinks.pop().expect("one sink")
-        } else {
-            Box::new(kad_telemetry::FanoutSink::new(sinks))
-        });
-    let mut load_actor = load_parts.map(|(spec, load_sink, stats, keys)| {
-        LoadActor::new(&driver, spec, keys, load_sink, stats)
-    });
-
-    let mut probe = ProbeActor::new(
-        &driver,
-        scenario.objects_per_round,
-        scenario.store_every_min,
-        scenario.probe_every_min,
-        1, // single-path retrievals only
-    );
-    let mut joins = JoinSchedule::new(&mut driver);
-    let mut churn = ChurnActor;
-    let mut traffic = TrafficActor::new(TrafficOrigins::HonestOnly);
-    let mut attacker = scenario
-        .attack
-        .map(|spec| AttackerActor::new(spec, &driver));
-
-    let analysis = base.analysis;
-    let sink_handle = Rc::clone(&sink);
-    let mut window_start_min = 0u64;
-    let mut sampler = Sampler::new(
-        SnapshotGrid {
-            base_minutes: base.snapshot_minutes,
-            attack_start: scenario.attack.map(|a| a.start_minute),
-            // Denser grid during the attack so the service series resolves
-            // each budget increment, like the campaign engine's.
-            attack_minutes: 2,
-        },
-        move |net, ctx| {
-            let snap = net.snapshot();
-            let report = analyze_snapshot(&snap, &analysis);
-            ctx.shared
-                .publish_kappa(ctx.at_minute, report.min_connectivity);
-            let t = sink_handle.borrow();
-            let lookups = t.lookups.range_stats(window_start_min, ctx.at_minute);
-            let hops_window = t.hop_series.range_stats(window_start_min, ctx.at_minute);
-            let retrieves = t.retrieves.range_stats(window_start_min, ctx.at_minute);
-            window_start_min = ctx.at_minute;
-            ServicePoint {
-                time_min: ctx.time_min,
-                budget_spent: ctx.shared.budget_spent,
-                honest_size: snap.node_count(),
-                report,
-                lookups: lookups.count,
-                lookup_success_rate: lookups.mean(),
-                hop_mean: hops_window.mean(),
-                retrieves: retrieves.count,
-                retrievability: retrieves.mean(),
-                stored_objects: ctx.shared.stored_objects,
-            }
-        },
-    );
-
-    let mut actors: Vec<&mut dyn MinuteActor> =
-        vec![&mut probe, &mut joins, &mut churn, &mut traffic];
-    if let Some(load) = load_actor.as_mut() {
-        actors.push(load);
-    }
-    if let Some(attacker) = attacker.as_mut() {
-        actors.push(attacker);
-    }
-    actors.push(&mut sampler);
-    driver.run(&mut actors);
-
-    let (net, shared) = driver.finish();
-    let counters = net.counters().clone();
-    let points = sampler.into_points(); // drops the sampler's sink handle
-    drop(net); // releases the simulator's sink handle
-    let telemetry = Rc::try_unwrap(sink)
-        .expect("simulator dropped, recorder uniquely owned")
-        .into_inner();
-    let outcome = ServiceOutcome {
-        scenario: scenario.clone(),
-        points,
-        hops: telemetry.hops,
-        messages: telemetry.messages,
-        budget_spent: shared.budget_spent,
-        counters: counters.clone(),
-    };
-    (
-        outcome,
-        crate::observe::CellReport {
-            journal,
-            counters,
-            exemplars: Vec::new(),
-        },
-    )
-}
+use crate::scenario::{ChurnRate, TrafficModel};
+use kad_telemetry::{Cell, Recorder};
 
 // ----------------------------------------------------------------------
 // Analytic hop-count expectation
@@ -396,7 +116,7 @@ pub fn service_grid(scale: Scale, base_seed: u64) -> Vec<ServiceScenario> {
             );
             let start_minute = base.stabilization_minutes;
             grid.push(ServiceScenario {
-                attack: plan.map(|plan| ServiceAttack {
+                attack: plan.map(|plan| AttackSpec {
                     plan,
                     budget,
                     compromises_per_min: 1,
@@ -406,22 +126,15 @@ pub fn service_grid(scale: Scale, base_seed: u64) -> Vec<ServiceScenario> {
                 // 2 minutes, so every window contains a retrievability
                 // sample (a sparser cadence leaves hollow `retrieves = 0`
                 // windows in the series).
-                probe_every_min: 2,
+                probe: Some(ProbeSpec {
+                    probe_every_min: 2,
+                    ..ProbeSpec::SERVICE
+                }),
                 ..ServiceScenario::unattacked(base)
             });
         }
     }
     grid
-}
-
-/// Runs a service grid through the [`MatrixRunner`], streaming one
-/// callback per finished cell. Outcomes return in input order.
-pub fn run_service_grid(
-    runner: &MatrixRunner,
-    grid: &[ServiceScenario],
-    on_done: impl FnMut(usize, &ServiceOutcome),
-) -> Vec<ServiceOutcome> {
-    runner.run_tasks(grid, run_service, on_done)
 }
 
 /// The aligned time-series CSV: κ(t) next to lookup success, hop mean and
@@ -498,6 +211,7 @@ pub fn service_hops_csv(outcomes: &[ServiceOutcome]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::MatrixRunner;
     use crate::scenario::ScenarioBuilder;
     use std::collections::HashSet;
 
@@ -513,15 +227,17 @@ mod tests {
         .snapshot_minutes(20);
         let base = b.build();
         ServiceScenario {
-            attack: attack.map(|plan| ServiceAttack {
+            attack: attack.map(|plan| AttackSpec {
                 plan,
                 budget: 5,
                 compromises_per_min: 1,
                 start_minute: 40,
             }),
-            objects_per_round: 3,
-            store_every_min: 5,
-            probe_every_min: 5,
+            probe: Some(ProbeSpec {
+                objects_per_round: 3,
+                store_every_min: 5,
+                ..ProbeSpec::SERVICE
+            }),
             ..ServiceScenario::unattacked(base)
         }
     }
@@ -543,7 +259,11 @@ mod tests {
         );
         assert!(last.stored_objects >= 3);
         assert!(outcome.hops.mean() >= 1.0, "hop counts start at the seed");
-        assert!(outcome.messages.count() >= outcome.hops.count());
+        let located: u64 = outcome.points.iter().map(|p| p.lookups).sum();
+        assert!(
+            located >= outcome.hops.count(),
+            "only converged lookups count hops"
+        );
     }
 
     #[test]
@@ -597,9 +317,9 @@ mod tests {
             grid.into_iter().filter(|c| c.attack.is_none()).collect();
         let mut done = 0usize;
         let outcomes =
-            run_service_grid(&MatrixRunner::new().scenario_threads(2), &sample, |_, _| {
-                done += 1;
-            });
+            MatrixRunner::new()
+                .scenario_threads(2)
+                .run_tasks(&sample, run_service, |_, _| done += 1);
         assert_eq!(done, sample.len());
         let ts = service_timeseries_csv(&outcomes);
         assert!(ts.starts_with("strategy,churn,time_min"));

@@ -1,13 +1,13 @@
 //! Mixed-phase attack sweeps: the attacker switches strategy mid-campaign.
 //!
-//! The first workload that exists *because* of the session engine: a
-//! [`PhasedAttackerActor`] drives the shared [`AttackerActor`] through an
+//! A [`PhasedAttackerActor`] drives the shared [`AttackerActor`] through an
 //! ordered list of [`AttackPhase`]s, switching victim-selection plans on a
-//! clock or on the measured κ feedback the sampler publishes into
+//! clock or on the measured κ feedback the samplers publish into
 //! [`SessionShared`] — e.g. eclipse a replica neighborhood until `κ_min`
 //! troughs, then finish the overlay off with min-cut-guided compromises.
-//! Under the hand-rolled minute loops this shape needed a fourth 800-line
-//! runner; here it is one actor plus grid/CSV glue.
+//! It is the one attacker every live cell wires
+//! ([`crate::runner::run_cell`]): a fixed-plan attack is a one-phase
+//! script.
 //!
 //! The sweep grid crosses two phase scripts with every [`kad_defense`]
 //! policy, so "does a defense that survives a *fixed* strategy also
@@ -20,20 +20,16 @@
 //! [`SessionShared`]: crate::session::SessionShared
 
 use crate::attack_plan::{grid_base_scenario, AttackPlan, AttackSpec};
-use crate::matrix::MatrixRunner;
-use crate::scale::Scale;
-use crate::scenario::{ChurnRate, Scenario, TrafficModel};
-use crate::session::{
-    AttackerActor, ChurnActor, JoinSchedule, LiveKappaActor, MinuteActor, MinuteCtx, ProbeActor,
-    Sampler, SessionDriver, SnapshotGrid, TrafficActor, TrafficOrigins,
+use crate::runner::ProbeSpec;
+pub use crate::runner::{
+    run_cell as run_sweep, CellOutcome as SweepOutcome, LiveCell as SweepScenario,
 };
-use dessim::metrics::Counters;
+use crate::scale::Scale;
+use crate::scenario::{ChurnRate, TrafficModel};
+use crate::session::{AttackerActor, MinuteActor, MinuteCtx};
 use kad_defense::PolicyKind;
-use kad_resilience::{analyze_snapshot, ConnectivityReport};
-use kad_telemetry::{Cell, LookupRecord, MinuteSeries, Recorder, TelemetrySink, TracePurpose};
+use kad_telemetry::{Cell, Recorder};
 use kademlia::network::SimNetwork;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// When a phase hands over to the next one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,10 +38,10 @@ pub enum SwitchRule {
     /// phase entry).
     AfterMinutes(u64),
     /// When the published `κ_min` first drops below the threshold — the
-    /// "switch at the κ trough" trigger. The
-    /// [`LiveKappaActor`] publishes the
-    /// true κ every minute of the attack, so the switch lands on the very
-    /// next attack minute after connectivity actually drops.
+    /// "switch at the κ trough" trigger. With the cell's live κ feed on
+    /// ([`LiveKappaActor`](crate::session::LiveKappaActor)) the true κ is
+    /// published every minute of the attack, so the switch lands on the
+    /// very next attack minute after connectivity actually drops.
     KappaBelow(u64),
     /// Never: the terminal phase.
     Never,
@@ -75,15 +71,18 @@ pub struct PhasedAttackerActor {
 }
 
 impl PhasedAttackerActor {
-    /// Wires the attacker with the first phase's plan; `spec.plan` is
-    /// overridden by `phases[0]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `phases` is empty.
-    pub fn new(spec: AttackSpec, phases: Vec<AttackPhase>, driver: &SessionDriver<'_>) -> Self {
-        assert!(!phases.is_empty(), "a phased attacker needs ≥ 1 phase");
-        let mut inner = AttackerActor::new(spec, driver);
+    /// Drives `inner` through `script`; its first phase's plan overrides
+    /// the plan `inner` was wired with. An empty script keeps that plan
+    /// for the whole run.
+    pub fn new(mut inner: AttackerActor, script: &[AttackPhase]) -> Self {
+        let phases = if script.is_empty() {
+            vec![AttackPhase {
+                plan: inner.plan(),
+                switch: SwitchRule::Never,
+            }]
+        } else {
+            script.to_vec()
+        };
         inner.set_plan(phases[0].plan);
         PhasedAttackerActor {
             inner,
@@ -111,6 +110,10 @@ impl PhasedAttackerActor {
 }
 
 impl MinuteActor for PhasedAttackerActor {
+    fn label(&self) -> &'static str {
+        "attacker"
+    }
+
     fn on_minute(&mut self, net: &mut SimNetwork, ctx: &mut MinuteCtx<'_>) {
         let attacking = ctx.minute >= self.inner.spec().start_minute;
         if attacking {
@@ -132,263 +135,61 @@ impl MinuteActor for PhasedAttackerActor {
     }
 }
 
-/// A fully specified mixed-phase sweep cell.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SweepScenario {
-    /// The overlay scenario (size, churn, traffic, loss, protocol, seed).
-    pub base: Scenario,
-    /// The routing-table hardening policy installed during the run.
-    pub policy: PolicyKind,
-    /// Short label of the phase script (`eclipse>min-cut@trough`), the
-    /// CSV's `script` column.
-    pub script: String,
-    /// The attacker's phase script, first phase first.
-    pub phases: Vec<AttackPhase>,
-    /// Total compromises across all phases.
-    pub budget: usize,
-    /// Compromises scheduled per attack minute.
-    pub compromises_per_min: u32,
-    /// Simulated minute the attack starts.
-    pub start_minute: u64,
-    /// Objects disseminated per store round.
-    pub objects_per_round: usize,
-    /// Minutes between store rounds.
-    pub store_every_min: u64,
-    /// Minutes between retrieval probe rounds.
-    pub probe_every_min: u64,
-}
-
-impl SweepScenario {
-    /// Display name: base + script + policy.
-    pub fn name(&self) -> String {
-        format!("{}+{}+{}", self.base.name, self.script, self.policy.label())
-    }
-}
-
-/// One point of the sweep time series.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SweepPoint {
-    /// Simulated minutes.
-    pub time_min: f64,
-    /// Label of the attack plan active at the snapshot.
-    pub phase: &'static str,
-    /// Compromises scheduled so far.
-    pub budget_spent: usize,
-    /// Honest alive nodes at the snapshot.
-    pub honest_size: usize,
-    /// Connectivity analysis of the honest subgraph.
-    pub report: ConnectivityReport,
-    /// Data lookups completed in the window since the previous point.
-    pub lookups: u64,
-    /// Fraction of those that converged (0 when none completed).
-    pub lookup_success_rate: f64,
-    /// Retrieval probes completed in the window.
-    pub retrieves: u64,
-    /// Fraction of those that found their object (0 when none ran).
-    pub retrievability: f64,
-}
-
-/// The result of one sweep run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SweepOutcome {
-    /// The scenario that ran.
-    pub scenario: SweepScenario,
-    /// Time series on the snapshot grid, ascending.
-    pub points: Vec<SweepPoint>,
-    /// Phase transitions: `(minute, label of the plan switched to)`.
-    pub phase_switches: Vec<(u64, &'static str)>,
-    /// True per-minute `κ_min` of the honest subgraph from the attack
-    /// start on (`(minute, κ_min)`, ascending) — the
-    /// [`LiveKappaActor`] feed the
-    /// trough-triggered switches react to.
-    pub live_kappa: Vec<(u64, u64)>,
-    /// Total compromises the attacker scheduled.
-    pub budget_spent: usize,
-    /// Protocol/transport counters accumulated over the run.
-    pub counters: Counters,
-}
-
-/// The service aggregates a sweep collects (lookup success and
-/// retrievability; hop distributions stay with the service runner).
-#[derive(Debug, Default)]
-struct SweepTelemetry {
-    lookups: MinuteSeries,
-    retrieves: MinuteSeries,
-}
-
-impl TelemetrySink for SweepTelemetry {
-    fn on_lookup(&mut self, record: &LookupRecord) {
-        let minute = record.completed_minute();
-        match record.purpose {
-            TracePurpose::Locate => {
-                let ok = record.outcome.is_success();
-                self.lookups.record(minute, if ok { 1.0 } else { 0.0 });
-            }
-            TracePurpose::Retrieve => {
-                let hit = record.outcome.is_success();
-                self.retrieves.record(minute, if hit { 1.0 } else { 0.0 });
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Runs a mixed-phase sweep cell to completion. Deterministic like every
-/// session composition: seed + wiring fixes the replay.
-pub fn run_sweep(scenario: &SweepScenario) -> SweepOutcome {
-    crate::observe::run_observed(scenario.base.observe, &scenario.name(), || {
-        run_sweep_cell(scenario)
-    })
-}
-
-fn run_sweep_cell(scenario: &SweepScenario) -> (SweepOutcome, crate::observe::CellReport) {
-    let base = &scenario.base;
-    let mut driver = SessionDriver::new(base);
-    driver
-        .network_mut()
-        .set_defense_policy(scenario.policy.build());
-    let journal = driver.journal();
-    let sink = Rc::new(RefCell::new(SweepTelemetry::default()));
-    driver.network_mut().set_telemetry_sink(match &journal {
-        Some(journal) => Box::new(kad_telemetry::FanoutSink::new(vec![
-            Box::new(Rc::clone(&sink)),
-            Box::new(Rc::clone(journal)),
-        ])),
-        None => Box::new(Rc::clone(&sink)),
-    });
-
-    let mut probe = ProbeActor::new(
-        &driver,
-        scenario.objects_per_round,
-        scenario.store_every_min,
-        scenario.probe_every_min,
-        1,
-    );
-    let mut joins = JoinSchedule::new(&mut driver);
-    let mut churn = ChurnActor;
-    let mut traffic = TrafficActor::new(TrafficOrigins::HonestOnly);
-    let mut attacker = PhasedAttackerActor::new(
-        AttackSpec {
-            plan: scenario.phases[0].plan,
-            budget: scenario.budget,
-            compromises_per_min: scenario.compromises_per_min,
-            start_minute: scenario.start_minute,
-        },
-        scenario.phases.clone(),
-        &driver,
-    );
-
-    let analysis = base.analysis;
-    let sink_handle = Rc::clone(&sink);
-    let mut window_start_min = 0u64;
-    let mut sampler = Sampler::new(
-        SnapshotGrid {
-            base_minutes: base.snapshot_minutes,
-            attack_start: Some(scenario.start_minute),
-            attack_minutes: 2,
-        },
-        move |net: &mut SimNetwork, ctx: &mut crate::session::EndCtx<'_>| {
-            let snap = net.snapshot();
-            let report = analyze_snapshot(&snap, &analysis);
-            // The feedback loop: the phased attacker reads this κ to
-            // decide its trough-triggered switches.
-            ctx.shared
-                .publish_kappa(ctx.at_minute, report.min_connectivity);
-            let t = sink_handle.borrow();
-            let lookups = t.lookups.range_stats(window_start_min, ctx.at_minute);
-            let retrieves = t.retrieves.range_stats(window_start_min, ctx.at_minute);
-            window_start_min = ctx.at_minute;
-            SweepPoint {
-                time_min: ctx.time_min,
-                phase: ctx.shared.attack_label,
-                budget_spent: ctx.shared.budget_spent,
-                honest_size: snap.node_count(),
-                report,
-                lookups: lookups.count,
-                lookup_success_rate: lookups.mean(),
-                retrieves: retrieves.count,
-                retrievability: retrieves.mean(),
-            }
-        },
-    );
-
-    // The live feed runs before the grid sampler, so at grid instants the
-    // sampler's full-report κ (same exact minimum) is the one that stays
-    // published.
-    let mut live_kappa = LiveKappaActor::new(scenario.start_minute);
-
-    driver.run(&mut [
-        &mut probe,
-        &mut joins,
-        &mut churn,
-        &mut traffic,
-        &mut attacker,
-        &mut live_kappa,
-        &mut sampler,
-    ]);
-    let (net, shared) = driver.finish();
-    let counters = net.counters().clone();
-    let outcome = SweepOutcome {
-        scenario: scenario.clone(),
-        points: sampler.into_points(),
-        phase_switches: shared.phase_switches,
-        live_kappa: live_kappa.into_series(),
-        budget_spent: shared.budget_spent,
-        counters: counters.clone(),
-    };
-    (
-        outcome,
-        crate::observe::CellReport {
-            journal,
-            counters,
-            exemplars: Vec::new(),
-        },
-    )
-}
-
 // ----------------------------------------------------------------------
 // Grid + rendering
 // ----------------------------------------------------------------------
 
+/// Short label of a phase script — the plans in order, then each switch
+/// rule (`eclipse>min-cut@trough`, `random>highest-degree@4m`): the
+/// CSV's `script` column and part of the cell name.
+pub fn script_label(phases: &[AttackPhase]) -> String {
+    let plans: Vec<&str> = phases.iter().map(|p| p.plan.label()).collect();
+    let mut label = plans.join(">");
+    for phase in phases {
+        match phase.switch {
+            SwitchRule::AfterMinutes(minutes) => label.push_str(&format!("@{minutes}m")),
+            SwitchRule::KappaBelow(_) => label.push_str("@trough"),
+            SwitchRule::Never => {}
+        }
+    }
+    label
+}
+
 /// The two phase scripts the sweep grid crosses with every policy.
-fn phase_scripts() -> Vec<(String, Vec<AttackPhase>)> {
-    vec![
-        (
-            // Eclipse a replica neighborhood until κ_min troughs below 5,
-            // then finish with guided min-cut compromises.
-            "eclipse>min-cut@trough".to_string(),
-            vec![
-                AttackPhase {
-                    plan: AttackPlan::Eclipse,
-                    switch: SwitchRule::KappaBelow(5),
-                },
-                AttackPhase {
-                    plan: AttackPlan::MinCut,
-                    switch: SwitchRule::Never,
-                },
-            ],
-        ),
-        (
-            // Blend in as random failures for 4 attack minutes, then go
-            // after the best-connected nodes.
-            "random>highest-degree@4m".to_string(),
-            vec![
-                AttackPhase {
-                    plan: AttackPlan::Random,
-                    switch: SwitchRule::AfterMinutes(4),
-                },
-                AttackPhase {
-                    plan: AttackPlan::HighestDegree,
-                    switch: SwitchRule::Never,
-                },
-            ],
-        ),
+fn phase_scripts() -> [Vec<AttackPhase>; 2] {
+    [
+        // Eclipse a replica neighborhood until κ_min troughs below 5,
+        // then finish with guided min-cut compromises.
+        vec![
+            AttackPhase {
+                plan: AttackPlan::Eclipse,
+                switch: SwitchRule::KappaBelow(5),
+            },
+            AttackPhase {
+                plan: AttackPlan::MinCut,
+                switch: SwitchRule::Never,
+            },
+        ],
+        // Blend in as random failures for 4 attack minutes, then go
+        // after the best-connected nodes.
+        vec![
+            AttackPhase {
+                plan: AttackPlan::Random,
+                switch: SwitchRule::AfterMinutes(4),
+            },
+            AttackPhase {
+                plan: AttackPlan::HighestDegree,
+                switch: SwitchRule::Never,
+            },
+        ],
     ]
 }
 
 /// The grid `repro sweep` runs: both phase scripts × every [`PolicyKind`]
 /// (churn off — the adaptive attacker is the variable under test), sized
 /// like the defense grid so all 8 cells finish in seconds at bench scale.
+/// The live κ feed runs from the attack start, so trough-triggered
+/// switches land on the very next attack minute.
 pub fn sweep_grid(scale: Scale, base_seed: u64) -> Vec<SweepScenario> {
     let cfg = scale.config();
     let size = (cfg.small_size * 3 / 4).max(12);
@@ -396,9 +197,9 @@ pub fn sweep_grid(scale: Scale, base_seed: u64) -> Vec<SweepScenario> {
     let attack_minutes = budget as u64 / 2;
     let recovery_minutes = 14;
     let mut grid = Vec::new();
-    for (script, phases) in phase_scripts() {
+    for phases in phase_scripts() {
         for policy in PolicyKind::ALL {
-            let name = format!("sweep-{}-{}", script, policy.label());
+            let name = format!("sweep-{}-{}", script_label(&phases), policy.label());
             let base = grid_base_scenario(
                 &name,
                 size,
@@ -414,30 +215,25 @@ pub fn sweep_grid(scale: Scale, base_seed: u64) -> Vec<SweepScenario> {
             );
             let start_minute = base.stabilization_minutes;
             grid.push(SweepScenario {
-                base,
                 policy,
-                script: script.clone(),
+                attack: Some(AttackSpec {
+                    plan: phases[0].plan,
+                    budget,
+                    compromises_per_min: 2,
+                    start_minute,
+                }),
                 phases: phases.clone(),
-                budget,
-                compromises_per_min: 2,
-                start_minute,
-                objects_per_round: 4,
-                store_every_min: 8,
-                probe_every_min: 2,
+                probe: Some(ProbeSpec {
+                    store_every_min: 8,
+                    probe_every_min: 2,
+                    ..ProbeSpec::SERVICE
+                }),
+                live_kappa_from: Some(start_minute),
+                ..SweepScenario::unattacked(base)
             });
         }
     }
     grid
-}
-
-/// Runs a sweep grid through the [`MatrixRunner`], streaming one callback
-/// per finished cell. Outcomes return in input order.
-pub fn run_sweep_grid(
-    runner: &MatrixRunner,
-    grid: &[SweepScenario],
-    on_done: impl FnMut(usize, &SweepOutcome),
-) -> Vec<SweepOutcome> {
-    runner.run_tasks(grid, run_sweep, on_done)
 }
 
 /// The mixed-phase time-series CSV: one row per (cell, snapshot), with
@@ -464,7 +260,7 @@ pub fn sweep_timeseries_csv(outcomes: &[SweepOutcome]) -> String {
         let churn = outcome.scenario.base.churn.label();
         for p in &outcome.points {
             rec.row(&[
-                outcome.scenario.script.clone().into(),
+                script_label(&outcome.scenario.phases).into(),
                 policy.into(),
                 churn.clone().into(),
                 Cell::f64(p.time_min, 1),
@@ -487,6 +283,7 @@ pub fn sweep_timeseries_csv(outcomes: &[SweepOutcome]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::MatrixRunner;
     use crate::scenario::ScenarioBuilder;
 
     fn quick_sweep(phases: Vec<AttackPhase>, seed: u64) -> SweepScenario {
@@ -497,16 +294,21 @@ mod tests {
             .churn_minutes(14)
             .snapshot_minutes(20);
         SweepScenario {
-            base: b.build(),
-            policy: PolicyKind::None,
-            script: "test".to_string(),
+            attack: Some(AttackSpec {
+                plan: phases[0].plan,
+                budget: 8,
+                compromises_per_min: 2,
+                start_minute: 40,
+            }),
             phases,
-            budget: 8,
-            compromises_per_min: 2,
-            start_minute: 40,
-            objects_per_round: 3,
-            store_every_min: 5,
-            probe_every_min: 2,
+            probe: Some(ProbeSpec {
+                objects_per_round: 3,
+                store_every_min: 5,
+                probe_every_min: 2,
+                ..ProbeSpec::SERVICE
+            }),
+            live_kappa_from: Some(40),
+            ..SweepScenario::unattacked(b.build())
         }
     }
 
@@ -611,9 +413,10 @@ mod tests {
             .collect();
         assert_eq!(sample.len(), 2);
         let mut done = 0usize;
-        let outcomes = run_sweep_grid(&MatrixRunner::new().scenario_threads(2), &sample, |_, _| {
-            done += 1;
-        });
+        let outcomes =
+            MatrixRunner::new()
+                .scenario_threads(2)
+                .run_tasks(&sample, run_sweep, |_, _| done += 1);
         assert_eq!(done, 2);
         let csv = sweep_timeseries_csv(&outcomes);
         assert!(csv.starts_with("script,policy,churn,time_min,phase"));

@@ -123,6 +123,54 @@ fn same_seed_regenerates_bit_identical_load_csvs() {
 }
 
 #[test]
+fn jobs_count_never_changes_a_byte_of_sweep_or_load_output() {
+    // `--jobs` only decides which worker thread runs which cell: every
+    // CSV and, under `--observe`, the determinism hash chain must be
+    // byte-identical at 1 and 4 workers. The two cheapest grids keep the
+    // test in CI-smoke territory.
+    let scratch = std::env::temp_dir().join(format!("repro-jobs-test-{}", std::process::id()));
+    for (grid, csvs) in [
+        ("sweep", &["sweep-timeseries.csv"][..]),
+        ("load", &["load-timeseries.csv", "load-summary.csv"][..]),
+    ] {
+        let run = |jobs: &str| {
+            let out = scratch.join(format!("{grid}-jobs{jobs}"));
+            let observe = scratch.join(format!("{grid}-jobs{jobs}-observe"));
+            let output = repro()
+                .args([grid, "--scale", "bench", "--seed", "7", "--jobs", jobs])
+                .arg("--out")
+                .arg(&out)
+                .arg("--observe")
+                .arg(&observe)
+                .output()
+                .expect("spawn repro");
+            assert!(
+                output.status.success(),
+                "repro {grid} --jobs {jobs} failed: {}",
+                String::from_utf8_lossy(&output.stderr)
+            );
+            (out, observe)
+        };
+        let (out_1, observe_1) = run("1");
+        let (out_4, observe_4) = run("4");
+        for name in csvs {
+            let serial = std::fs::read(out_1.join(name)).expect("--jobs 1 CSV");
+            let parallel = std::fs::read(out_4.join(name)).expect("--jobs 4 CSV");
+            assert!(!serial.is_empty(), "{name} is empty");
+            assert_eq!(serial, parallel, "{name} differs between --jobs 1 and 4");
+        }
+        let chain_1 = std::fs::read(observe_1.join("audit-chain.csv")).expect("chain");
+        let chain_4 = std::fs::read(observe_4.join("audit-chain.csv")).expect("chain");
+        assert!(!chain_1.is_empty());
+        assert_eq!(
+            chain_1, chain_4,
+            "{grid}: audit chain differs between --jobs 1 and 4"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+#[test]
 fn observe_artifacts_are_deterministic_and_audit_reports_divergence() {
     // Two same-seed observed runs must produce byte-identical audit
     // chains (`repro audit` exits 0); a third run at a different seed
@@ -195,6 +243,14 @@ fn usage_documents_the_defend_grid_and_seed_flag() {
     assert!(
         stdout.contains("--seed"),
         "usage documents --seed: {stdout}"
+    );
+    let jobs_line = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with("--jobs"))
+        .expect("usage documents --jobs");
+    assert!(
+        jobs_line.contains("load"),
+        "--jobs applies to the load grid too: {jobs_line}"
     );
 }
 

@@ -4,10 +4,9 @@
 //! makes every CSV in the docs regenerable with `--seed`.
 
 use kad_defense::PolicyKind;
-use kad_experiments::campaign::AttackPlan;
 use kad_experiments::defense::{defense_timeseries_csv, run_defense, DefenseScenario};
 use kad_experiments::scenario::ScenarioBuilder;
-use kad_experiments::service::ServiceAttack;
+use kad_experiments::{AttackPlan, AttackSpec, ProbeSpec};
 use proptest::prelude::*;
 
 fn cell(policy: PolicyKind, plan: AttackPlan, seed: u64) -> DefenseScenario {
@@ -21,15 +20,19 @@ fn cell(policy: PolicyKind, plan: AttackPlan, seed: u64) -> DefenseScenario {
     let base = b.build();
     DefenseScenario {
         policy,
-        attack: Some(ServiceAttack {
+        attack: Some(AttackSpec {
             plan,
             budget: 4,
             compromises_per_min: 1,
             start_minute: 40,
         }),
-        objects_per_round: 2,
-        store_every_min: 6,
-        probe_every_min: 4,
+        probe: Some(ProbeSpec {
+            objects_per_round: 2,
+            store_every_min: 6,
+            probe_every_min: 4,
+            ..ProbeSpec::DEFENSE
+        }),
+        live_kappa_from: Some(40),
         ..DefenseScenario::undefended(base)
     }
 }

@@ -1,19 +1,26 @@
-//! Golden-equivalence suite: the session-engine refactor must not change
-//! a single output byte.
+//! Golden-equivalence suite: no refactor of the runners may change a
+//! single output byte.
 //!
-//! The files under `tests/golden/` were generated by the pre-refactor
-//! hand-rolled minute loops (`repro {campaign,service,defend} --scale
-//! bench --seed 1`). Every test here re-runs the same grid in-process
-//! through the current runners and asserts the rendered CSVs are
-//! **byte-identical** to those pinned outputs — the acceptance criterion
-//! for porting the runners onto the shared [`kad_experiments::session`]
-//! driver. A diff in any of these tests means the refactor changed the
-//! event order, an RNG draw, or a format string somewhere.
+//! The files under `tests/golden/` were generated by the runners that
+//! preceded each port (`repro {campaign,service,defend} --scale bench
+//! --seed 1` by the hand-rolled minute loops before the
+//! [`kad_experiments::session`] driver; `sweep`, `load` and the `matrix`
+//! slice by the per-grid runners before the one
+//! [`kad_experiments::runner::run_cell`]). Every test here re-runs the
+//! same grid in-process and asserts the rendered CSVs are
+//! **byte-identical** to those pinned outputs. A diff in any of these
+//! tests means a change altered the event order, an RNG draw, or a
+//! format string somewhere.
 
 use kad_experiments::matrix::MatrixRunner;
+use kad_experiments::runner::{run_cell, CellOutcome, LiveCell};
 use kad_experiments::scale::Scale;
 
 const SEED: u64 = 1;
+
+fn run(grid: &[LiveCell]) -> Vec<CellOutcome> {
+    MatrixRunner::new().run_tasks(grid, run_cell, |_, _| {})
+}
 
 /// First differing line (1-based) between two CSV strings, for a readable
 /// failure message instead of a megabyte assert_eq dump.
@@ -42,9 +49,9 @@ fn assert_csv_identical(kind: &str, actual: &str, golden: &str) {
 
 #[test]
 fn campaign_csv_is_byte_identical_to_pre_refactor_golden() {
-    use kad_experiments::campaign::{campaign_csv, campaign_grid, run_campaign_grid};
+    use kad_experiments::campaign::{campaign_csv, campaign_grid};
     let grid = campaign_grid(Scale::Bench, SEED);
-    let outcomes = run_campaign_grid(&MatrixRunner::new(), &grid, |_, _| {});
+    let outcomes = run(&grid);
     assert_csv_identical(
         "campaign-timeseries.csv",
         &campaign_csv(&outcomes),
@@ -61,12 +68,12 @@ fn campaign_csv_is_byte_identical_to_pre_refactor_golden() {
 /// property-test graphs.
 #[test]
 fn campaign_kappa_columns_survive_disabling_the_batched_engine() {
-    use kad_experiments::campaign::{campaign_csv, campaign_grid, run_campaign_grid};
+    use kad_experiments::campaign::{campaign_csv, campaign_grid};
     let mut grid = campaign_grid(Scale::Bench, SEED);
     for scenario in &mut grid {
         scenario.base.analysis.batched = false;
     }
-    let outcomes = run_campaign_grid(&MatrixRunner::new(), &grid, |_, _| {});
+    let outcomes = run(&grid);
     let actual = campaign_csv(&outcomes);
     let golden = include_str!("golden/campaign-timeseries.csv");
     // Columns: strategy,churn,time_min,budget_spent,honest_size,kappa_min,
@@ -91,11 +98,9 @@ fn campaign_kappa_columns_survive_disabling_the_batched_engine() {
 
 #[test]
 fn service_csvs_are_byte_identical_to_pre_refactor_goldens() {
-    use kad_experiments::service::{
-        run_service_grid, service_grid, service_hops_csv, service_timeseries_csv,
-    };
+    use kad_experiments::service::{service_grid, service_hops_csv, service_timeseries_csv};
     let grid = service_grid(Scale::Bench, SEED);
-    let outcomes = run_service_grid(&MatrixRunner::new(), &grid, |_, _| {});
+    let outcomes = run(&grid);
     assert_csv_identical(
         "service-timeseries.csv",
         &service_timeseries_csv(&outcomes),
@@ -117,9 +122,7 @@ fn service_csvs_are_byte_identical_to_pre_refactor_goldens() {
 /// harness streams, and a silent process draws nothing and issues nothing.
 #[test]
 fn rate_zero_load_actor_leaves_service_csvs_byte_identical() {
-    use kad_experiments::service::{
-        run_service_grid, service_grid, service_hops_csv, service_timeseries_csv,
-    };
+    use kad_experiments::service::{service_grid, service_hops_csv, service_timeseries_csv};
     use kad_experiments::traffic::ArrivalProcess;
     use kad_experiments::LoadSpec;
     let mut grid = service_grid(Scale::Bench, SEED);
@@ -129,7 +132,7 @@ fn rate_zero_load_actor_leaves_service_csvs_byte_identical() {
             scenario.base.stabilization_minutes,
         ));
     }
-    let outcomes = run_service_grid(&MatrixRunner::new(), &grid, |_, _| {});
+    let outcomes = run(&grid);
     assert_csv_identical(
         "service-timeseries.csv (rate-0 load)",
         &service_timeseries_csv(&outcomes),
@@ -144,11 +147,9 @@ fn rate_zero_load_actor_leaves_service_csvs_byte_identical() {
 
 #[test]
 fn defense_csvs_are_byte_identical_to_pre_refactor_goldens() {
-    use kad_experiments::defense::{
-        defense_grid, defense_summary_csv, defense_timeseries_csv, run_defense_grid,
-    };
+    use kad_experiments::defense::{defense_grid, defense_summary_csv, defense_timeseries_csv};
     let grid = defense_grid(Scale::Bench, SEED);
-    let outcomes = run_defense_grid(&MatrixRunner::new(), &grid, |_, _| {});
+    let outcomes = run(&grid);
     assert_csv_identical(
         "defense-timeseries.csv",
         &defense_timeseries_csv(&outcomes),
@@ -170,12 +171,12 @@ fn defense_csvs_are_byte_identical_to_pre_refactor_goldens() {
 /// un-observed tests use.
 #[test]
 fn observed_campaign_csv_is_byte_identical_to_golden() {
-    use kad_experiments::campaign::{campaign_csv, campaign_grid, run_campaign_grid};
+    use kad_experiments::campaign::{campaign_csv, campaign_grid};
     let mut grid = campaign_grid(Scale::Bench, SEED);
     for scenario in &mut grid {
         scenario.base.observe = true;
     }
-    let outcomes = run_campaign_grid(&MatrixRunner::new(), &grid, |_, _| {});
+    let outcomes = run(&grid);
     assert_csv_identical(
         "campaign-timeseries.csv (observed)",
         &campaign_csv(&outcomes),
@@ -188,14 +189,12 @@ fn observed_campaign_csv_is_byte_identical_to_golden() {
 /// out to the journal must not perturb a byte of the goldens.
 #[test]
 fn observed_defense_csvs_are_byte_identical_to_goldens() {
-    use kad_experiments::defense::{
-        defense_grid, defense_summary_csv, defense_timeseries_csv, run_defense_grid,
-    };
+    use kad_experiments::defense::{defense_grid, defense_summary_csv, defense_timeseries_csv};
     let mut grid = defense_grid(Scale::Bench, SEED);
     for scenario in &mut grid {
         scenario.base.observe = true;
     }
-    let outcomes = run_defense_grid(&MatrixRunner::new(), &grid, |_, _| {});
+    let outcomes = run(&grid);
     assert_csv_identical(
         "defense-timeseries.csv (observed)",
         &defense_timeseries_csv(&outcomes),
@@ -213,9 +212,9 @@ fn observed_defense_csvs_are_byte_identical_to_goldens() {
 /// always-on live κ feed and the `phase` column are pinned byte for byte.
 #[test]
 fn sweep_csv_is_byte_identical_to_golden() {
-    use kad_experiments::sweep::{run_sweep_grid, sweep_grid, sweep_timeseries_csv};
+    use kad_experiments::sweep::{sweep_grid, sweep_timeseries_csv};
     let grid = sweep_grid(Scale::Bench, SEED);
-    let outcomes = run_sweep_grid(&MatrixRunner::new(), &grid, |_, _| {});
+    let outcomes = run(&grid);
     assert_csv_identical(
         "sweep-timeseries.csv",
         &sweep_timeseries_csv(&outcomes),
@@ -228,9 +227,9 @@ fn sweep_csv_is_byte_identical_to_golden() {
 /// ledger rows are pinned byte for byte.
 #[test]
 fn load_csvs_are_byte_identical_to_goldens() {
-    use kad_experiments::load::{load_grid, load_summary_csv, load_timeseries_csv, run_load_grid};
+    use kad_experiments::load::{load_grid, load_summary_csv, load_timeseries_csv};
     let grid = load_grid(Scale::Bench, SEED);
-    let outcomes = run_load_grid(&MatrixRunner::new(), &grid, |_, _| {});
+    let outcomes = run(&grid);
     assert_csv_identical(
         "load-timeseries.csv",
         &load_timeseries_csv(&outcomes),
@@ -244,40 +243,29 @@ fn load_csvs_are_byte_identical_to_goldens() {
 }
 
 /// Every 5th cell of `repro matrix --scale bench --seed 1 --observe`,
-/// generated by the pre-session hand-rolled minute loop: the
+/// generated by the pre-session hand-rolled minute loop (now deleted): the
 /// `matrix-summary.csv` rows and the observed `audit-chain.csv` of the
 /// paper's k-sweep grid are pinned byte for byte.
 #[test]
 fn matrix_slice_summary_and_audit_chain_are_byte_identical_to_goldens() {
-    use kad_experiments::matrix::paper_matrix;
+    use kad_experiments::matrix::{matrix_summary_csv, paper_matrix};
     use kad_experiments::observe;
     let mut slice: Vec<_> = paper_matrix(Scale::Bench, SEED)
         .into_iter()
         .step_by(5)
         .collect();
-    for scenario in &mut slice {
-        scenario.observe = true;
+    for cell in &mut slice {
+        cell.base.observe = true;
     }
     observe::begin_collection();
-    let outcomes = MatrixRunner::new().run(&slice);
+    let outcomes = run(&slice);
     // The collector is process-global: drop what the other observed
     // tests of this binary submitted while the window was open.
     let observations: Vec<_> = observe::end_collection()
         .into_iter()
-        .filter(|o| slice.iter().any(|s| s.name == o.cell))
+        .filter(|o| slice.iter().any(|c| c.base.name == o.cell))
         .collect();
-    let mut summary = String::from("scenario,final_size,min_connectivity,avg_connectivity\n");
-    for outcome in &outcomes {
-        let last = outcome.final_snapshot().expect("snapshots");
-        let avg = last
-            .report
-            .avg_connectivity
-            .map_or("na".to_string(), |v| format!("{v:.2}"));
-        summary.push_str(&format!(
-            "{},{},{},{avg}\n",
-            outcome.scenario.name, last.network_size, last.report.min_connectivity
-        ));
-    }
+    let summary = matrix_summary_csv(&outcomes);
     assert_csv_identical(
         "matrix-summary.csv (every 5th cell)",
         &summary,

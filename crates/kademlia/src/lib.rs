@@ -54,7 +54,6 @@ pub mod network;
 pub mod node;
 pub mod probe;
 pub mod routing;
-pub mod slab;
 pub mod snapshot;
 
 pub use config::KademliaConfig;

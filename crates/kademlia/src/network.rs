@@ -42,12 +42,12 @@ use crate::id::NodeId;
 use crate::lookup::{partition_seeds, LookupId, LookupPurpose, LookupScratch, LookupState};
 use crate::messages::{Message, RequestKind, ResponseBody, RpcId};
 use crate::node::KademliaNode;
-use crate::slab::GenSlab;
 use crate::snapshot::RoutingSnapshot;
 use dessim::event::EventId;
 use dessim::metrics::{Counters, HotCounter};
 use dessim::rng::RngFactory;
 use dessim::scheduler::EventQueue;
+use dessim::slab::GenSlab;
 use dessim::time::SimTime;
 use dessim::transport::Transport;
 use kad_telemetry::{

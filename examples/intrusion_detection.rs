@@ -39,7 +39,7 @@ fn main() {
         });
     let scenario = builder.build();
     let outcome = run_scenario(&scenario);
-    let last = outcome.final_snapshot().expect("snapshots");
+    let last = outcome.points.last().expect("snapshots");
     let kappa = last.report.min_connectivity;
     println!(
         "measured after stabilization: κ(D) = {kappa} (resilience r = {})",

@@ -33,7 +33,7 @@ fn main() {
             .churn_minutes(60)
             .snapshot_minutes(20);
         let outcome = run_scenario(&builder.build());
-        let last = outcome.final_snapshot().expect("snapshots");
+        let last = outcome.points.last().expect("snapshots");
         let avg = last
             .report
             .avg_connectivity

@@ -23,18 +23,18 @@ fn main() {
     let outcome = run_scenario(&scenario);
 
     println!("\n time(min)  size   κ_min   κ_avg   resilience");
-    for snap in &outcome.snapshots {
+    for snap in &outcome.points {
         println!(
             "  {:>7.0}  {:>5}  {:>5}  {:>6.1}  {:>10}",
             snap.time_min,
-            snap.network_size,
+            snap.honest_size,
             snap.report.min_connectivity,
             snap.report.avg_connectivity.unwrap_or(f64::NAN),
             snap.report.resilience()
         );
     }
 
-    let last = outcome.final_snapshot().expect("snapshots recorded");
+    let last = outcome.points.last().expect("snapshots recorded");
     println!(
         "\nfinal connectivity κ(D) = {} → the network tolerates {} \
          simultaneously compromised nodes (Equation 2: κ > r ≥ a)",

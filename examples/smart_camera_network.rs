@@ -41,18 +41,18 @@ fn main() {
     let outcome = run_scenario(&scenario);
 
     println!(" time(min)  cameras  κ_min  tolerated attackers");
-    for snap in &outcome.snapshots {
+    for snap in &outcome.points {
         println!(
             "  {:>7.0}  {:>7}  {:>5}  {:>19}",
             snap.time_min,
-            snap.network_size,
+            snap.honest_size,
             snap.report.min_connectivity,
             snap.report.resilience(),
         );
     }
 
     let stabilized = outcome
-        .snapshots
+        .points
         .iter()
         .rfind(|s| s.time_min >= 60.0 && s.time_min <= scenario.stabilization_minutes as f64);
     if let Some(snap) = stabilized {

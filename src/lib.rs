@@ -23,7 +23,7 @@
 //!
 //! let config = ScenarioBuilder::quick(64, 20).seed(7).build();
 //! let outcome = run_scenario(&config);
-//! let last = outcome.snapshots.last().expect("snapshots recorded");
+//! let last = outcome.points.last().expect("snapshots recorded");
 //! println!(
 //!     "κ(D) = {} → tolerates {} compromised nodes",
 //!     last.report.min_connectivity,

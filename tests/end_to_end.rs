@@ -151,9 +151,9 @@ fn even_transform_agrees_with_attack_reality_on_snapshot() {
 fn scenario_runner_full_pipeline() {
     let scenario = ScenarioBuilder::quick(32, 8).seed(17).build();
     let outcome = run_scenario(&scenario);
-    assert!(!outcome.snapshots.is_empty());
-    let last = outcome.snapshots.last().expect("non-empty");
-    assert_eq!(last.network_size, 32);
+    assert!(!outcome.points.is_empty());
+    let last = outcome.points.last().expect("non-empty");
+    assert_eq!(last.honest_size, 32);
     assert!(last.report.min_connectivity > 0);
     assert!(outcome.counters.get("msg_sent") > 1000);
 }
@@ -208,6 +208,6 @@ fn umbrella_prelude_compiles_and_runs() {
     assert_eq!(config.k, 20);
     let scenario = ScenarioBuilder::quick(16, 4).build();
     let outcome = run_scenario(&scenario);
-    let report: &ConnectivityReport = &outcome.snapshots.last().expect("snapshot").report;
+    let report: &ConnectivityReport = &outcome.points.last().expect("snapshot").report;
     assert!(report.node_count == 16);
 }

@@ -9,7 +9,7 @@ use kademlia_resilience::kad_experiments::scenario::{ChurnRate, ScenarioBuilder,
 use kademlia_resilience::kad_experiments::series::churn_phase_min_summary;
 
 /// The registry scenarios run full-flow sweeps, so the average is defined.
-fn avg_of(snapshot: &kademlia_resilience::kad_experiments::runner::SnapshotResult) -> f64 {
+fn avg_of(snapshot: &kademlia_resilience::kad_experiments::runner::CellPoint) -> f64 {
     snapshot
         .report
         .avg_connectivity
@@ -32,7 +32,7 @@ fn connectivity_tracks_bucket_size() {
     let mut mins = Vec::new();
     for k in [4usize, 8, 16] {
         let outcome = run_scenario(&base(60, k, 40).build());
-        let last = outcome.snapshots.last().expect("snapshots");
+        let last = outcome.points.last().expect("snapshots");
         mins.push((k, last.report.min_connectivity));
     }
     // Monotone non-decreasing in k, and roughly ≥ k once stabilized.
@@ -53,8 +53,8 @@ fn traffic_improves_connectivity() {
     let without_traffic = run_scenario(&no_traffic_builder.build());
 
     // Compare the first snapshot after setup: traffic accelerates wiring.
-    let early_with = with_traffic.snapshots.first().expect("snapshots");
-    let early_without = without_traffic.snapshots.first().expect("snapshots");
+    let early_with = with_traffic.points.first().expect("snapshots");
+    let early_without = without_traffic.points.first().expect("snapshots");
     assert!(
         avg_of(early_with) >= avg_of(early_without),
         "traffic should speed up connectivity: {} vs {}",
@@ -114,8 +114,8 @@ fn message_loss_increases_connectivity_with_s1() {
 
     let clean = run_scenario(&lossless.build());
     let noisy = run_scenario(&lossy.build());
-    let clean_avg = avg_of(clean.snapshots.last().expect("snapshots"));
-    let noisy_avg = avg_of(noisy.snapshots.last().expect("snapshots"));
+    let clean_avg = avg_of(clean.points.last().expect("snapshots"));
+    let noisy_avg = avg_of(noisy.points.last().expect("snapshots"));
     assert!(
         noisy_avg > clean_avg,
         "loss should improve avg connectivity: {noisy_avg} vs {clean_avg}"
@@ -150,8 +150,8 @@ fn staleness_limit_damps_loss_effect() {
 
     let fast = run_scenario(&fast_eviction.build());
     let slow = run_scenario(&slow_eviction.build());
-    let fast_avg = avg_of(fast.snapshots.last().expect("snapshots"));
-    let slow_avg = avg_of(slow.snapshots.last().expect("snapshots"));
+    let fast_avg = avg_of(fast.points.last().expect("snapshots"));
+    let slow_avg = avg_of(slow.points.last().expect("snapshots"));
     assert!(
         slow_avg < fast_avg,
         "s=5 should damp the loss-driven gain: s5 {slow_avg} vs s1 {fast_avg}"
@@ -166,8 +166,8 @@ fn bit_length_has_no_significant_effect() {
     let mut narrow_builder = base(50, 8, 45);
     narrow_builder.bits(80);
     let narrow = run_scenario(&narrow_builder.build());
-    let wide_last = wide.snapshots.last().expect("snapshots");
-    let narrow_last = narrow.snapshots.last().expect("snapshots");
+    let wide_last = wide.points.last().expect("snapshots");
+    let narrow_last = narrow.points.last().expect("snapshots");
     let (wide_avg, narrow_avg) = (avg_of(wide_last), avg_of(narrow_last));
     let rel_diff = (wide_avg - narrow_avg).abs() / wide_avg.max(1.0);
     assert!(
@@ -192,7 +192,7 @@ fn departure_churn_can_raise_connectivity() {
         .snapshot_minutes(5);
     let outcome = run_scenario(&b.build());
     let stabilized = outcome
-        .snapshots
+        .points
         .iter()
         .rfind(|s| s.time_min <= 90.0)
         .expect("stabilization snapshot");
