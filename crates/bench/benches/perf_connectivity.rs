@@ -79,16 +79,18 @@ fn bench_analysis(c: &mut Criterion) {
 /// Workspace reuse against two baselines, same source set swept over all
 /// targets:
 ///
-/// * `workspace_reuse` — one evaluator whose Even network and scratch
-///   buffers persist across pairs (the current hot path);
+/// * `workspace_reuse` — one evaluator whose graph rows and scratch
+///   buffers persist across pairs (the current hot path: the unit-vertex
+///   kernel, which builds no Even network);
 /// * `fresh_scratch_per_pair` — one Even network per *source* (what the
 ///   pre-refactor `map_init` sweep built per rayon worker) but solver
 ///   scratch allocated fresh for every pair, as `max_flow` used to do.
 ///   Closest honest emulation of the old hot path (its `O(m)` full reset
 ///   is not reproducible — resets are journaled now);
-/// * `rebuild_per_pair` — the Even transformation rebuilt for every pair:
-///   the per-call cost of the convenience `pair_connectivity` API, an
-///   upper bound rather than the old sweep behaviour.
+/// * `rebuild_per_pair` — the evaluator (the kernel's CSR rows and
+///   scratch) rebuilt for every pair: the per-call cost of the convenience
+///   `pair_connectivity` API, an upper bound rather than the old sweep
+///   behaviour.
 fn bench_workspace_reuse(c: &mut Criterion) {
     let mut group = c.benchmark_group("pair_sweep");
     group.sample_size(10);
@@ -153,7 +155,7 @@ fn bench_workspace_reuse(c: &mut Criterion) {
                     let mut min = u64::MAX;
                     for &v in &sources {
                         for w in 0..g.node_count() as u32 {
-                            // Fresh Even network + solver scratch per pair.
+                            // Fresh evaluator (rows + scratch) per pair.
                             let mut eval = PairEvaluator::new(g, SolverKind::Dinic);
                             if let Some(flow) = eval.connectivity(v, w, None) {
                                 min = min.min(flow);

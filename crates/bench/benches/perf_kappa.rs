@@ -1,11 +1,14 @@
-//! Live-κ cost: the batched multi-pair max-flow engine against the
-//! per-pair baseline on the min-only sweep the session engine runs every
-//! simulated minute, plus the headline scale check — exact κ_min at
-//! n=1000 inside a one-minute budget.
+//! Live-κ cost: the default κ engine (`batched: true` — the unit-vertex
+//! flow kernel on the graph's CSR rows) against the per-pair baseline
+//! (`batched: false` — Dinic on the explicit Even network) on the min-only
+//! sweep the session engine runs every simulated minute, plus the headline
+//! scale check — exact κ_min at n=1000 inside a one-minute budget.
 //!
-//! The `kappa` group is what the CI `kappa-perf-smoke` job parses out of
-//! `BENCH_perf_kappa.json`: it fails the build if the batched engine's
-//! best median falls behind the per-pair baseline's. Set
+//! The bench ids keep the `batched_*` / `per_pair_*` names they were first
+//! recorded under, so `BENCH_summary.json` stays one series per id. The
+//! `kappa` group is what the CI `kappa-perf-smoke` job parses out of
+//! `BENCH_perf_kappa.json`: it fails the build unless the default engine's
+//! best median is at least 2× faster than the per-pair baseline's. Set
 //! `PERF_KAPPA_QUICK=1` to shrink the sweep size and skip the n=1000
 //! minute-budget check (CI smoke mode); the full run is the acceptance
 //! benchmark.
@@ -48,7 +51,7 @@ fn bench_min_sweep(c: &mut Criterion) {
     let per_pair = sampled_connectivity(&g, &min_only(false));
     assert_eq!(
         batched, per_pair,
-        "batched and per-pair engines must produce identical sweeps"
+        "kernel and per-pair engines must produce identical sweeps"
     );
     println!(
         "  n={n}: κ_min={} over {} sources",

@@ -2,7 +2,7 @@
 //! when off and nearly free when on.
 //!
 //! The observability layer (PR 8) threads span guards through the session
-//! driver, the batched κ engine and the lookup dispatcher, and hangs a
+//! driver, the κ sweep and the lookup dispatcher, and hangs a
 //! journal off every observed session. Both claims the design makes are
 //! pinned here:
 //!
@@ -20,8 +20,9 @@
 //!   where a cell's time went rather than lumping it into the root.
 //!
 //! The κ sweep pair (`kappa_sweep_plain` / `kappa_sweep_observed`) pins
-//! the same off/on contract on the hot kernel alone: the batched min-κ
-//! sweep with and without a profile installed on the calling thread.
+//! the same off/on contract on the hot kernel alone: the min-κ sweep (one
+//! span per source, none per pair) with and without a profile installed on
+//! the calling thread.
 //!
 //! `criterion_main!` writes the machine-readable medians to
 //! `BENCH_perf_telemetry.json` (`BENCH_JSON_DIR` overrides the

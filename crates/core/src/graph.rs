@@ -71,7 +71,7 @@ pub fn has_connectivity_at_least(g: &DiGraph, threshold: u64, config: &AnalysisC
         // κ(D) ≤ min degree for non-complete graphs.
         return false;
     }
-    let mut eval = crate::pair::PairEvaluator::new(g, config.solver).with_batching(config.batched);
+    let mut eval = crate::pair::PairEvaluator::for_config(g, config);
     for v in 0..n as u32 {
         for w in 0..n as u32 {
             if let Some(flow) = eval.connectivity(v, w, Some(threshold)) {

@@ -6,7 +6,8 @@
 //! graph), this crate computes:
 //!
 //! * `κ(v, w)` for vertex pairs ([`pair`]) via Even's transformation and a
-//!   max-flow solver,
+//!   max-flow solver (by default the unit-vertex kernel, which runs Dinic
+//!   on the transformed network without building it),
 //! * the exact graph connectivity `κ(D)` ([`graph`]) — minimum over all
 //!   non-adjacent ordered pairs, with the complete-graph shortcut and a
 //!   strong-connectivity pre-check,
@@ -82,13 +83,14 @@ pub struct AnalysisConfig {
     pub use_cutoff: bool,
     /// Compute pair flows on rayon worker threads.
     pub parallel: bool,
-    /// Route pair flows through the batched shared-source Dinic engine
-    /// (`flowgraph::maxflow::BatchedDinic`): one clean-network BFS level
-    /// graph per source is reused across every target, and a capacity-bound
-    /// early exit skips the final certifying BFS on bound-attaining pairs.
-    /// Values are exact either way — this is purely a speed lever, enabled
-    /// by default and only honored for the Dinic solver. Disable to measure
-    /// the per-pair baseline.
+    /// Run Dinic pair flows on the unit-vertex kernel
+    /// (`flowgraph::vertex_flow::VertexFlow`): unit-capacity Dinic on the
+    /// implicit Even network, straight over the graph's CSR rows, with a
+    /// sink-stopped BFS, sink-side pruning of the level graph and a
+    /// `min(outdeg, indeg)` early exit. Values are exact either way — this
+    /// is purely a speed lever, enabled by default and only honored for the
+    /// Dinic solver. Disable to run per-pair Dinic on the explicit Even
+    /// network instead: the measurement baseline and an independent check.
     pub batched: bool,
 }
 

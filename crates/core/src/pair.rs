@@ -1,10 +1,11 @@
 //! Pairwise vertex connectivity `κ(v, w)`.
 
 use crate::solver::SolverKind;
-use flowgraph::even::{EdgeCapacity, EvenNetwork};
-use flowgraph::maxflow::{BatchedDinic, FlowWorkspace};
+use crate::AnalysisConfig;
+use flowgraph::even::EvenNetwork;
+use flowgraph::maxflow::FlowWorkspace;
+use flowgraph::vertex_flow::VertexFlow;
 use flowgraph::DiGraph;
-use std::sync::Arc;
 
 /// Computes `κ(v, w)` for a single pair: the number of node-disjoint
 /// `v -> w` paths, equivalently the size of a minimum `v`-`w` vertex cut.
@@ -13,7 +14,7 @@ use std::sync::Arc;
 /// is undefined for adjacent pairs; the paper excludes them from Equation
 /// 1's minimum).
 ///
-/// This convenience function rebuilds the Even transformation per call; use
+/// This convenience function rebuilds the evaluator per call; use
 /// [`PairEvaluator`] to amortize the construction over many pairs.
 ///
 /// # Example
@@ -30,57 +31,60 @@ pub fn pair_connectivity(g: &DiGraph, v: u32, w: u32, solver: SolverKind) -> Opt
     PairEvaluator::new(g, solver).connectivity(v, w, None)
 }
 
-/// Reusable evaluator: one Even network, one solver, one workspace — many
-/// pairs, zero per-pair allocation.
+/// What an evaluator runs its pair flows on.
+#[derive(Clone)]
+enum Engine {
+    /// The unit-vertex kernel on the graph's CSR rows — no Even network.
+    Kernel(VertexFlow),
+    /// A trait solver on the materialised Even network.
+    Explicit {
+        even: EvenNetwork,
+        workspace: FlowWorkspace,
+    },
+}
+
+/// Reusable evaluator: built once per graph, then many pairs with zero
+/// per-pair allocation.
 ///
-/// Cloning is cheap and exact: the underlying graph is shared (`Arc`), the
-/// residual network is duplicated so each clone can run independently, and
-/// the solver is a `Copy` enum — clones are how the parallel sweep hands
-/// each rayon worker its own evaluator.
+/// [`SolverKind::Dinic`] evaluators run [`VertexFlow`], the unit-capacity
+/// Dinic kernel that works on the *implicit* Even network; the other
+/// solvers — and Dinic under `batched: false` — build the explicit
+/// [`EvenNetwork`] and run the trait solver on it. The two routes return
+/// identical values (property-tested), so the explicit one serves as the
+/// measurement baseline and the independent oracle.
+///
+/// Cloning is cheap and exact: the kernel's rows (or the explicit route's
+/// graph) are shared behind an `Arc`, only the per-worker scratch — or the
+/// residual network — is duplicated. Clones are how the parallel sweep
+/// hands each rayon worker its own evaluator.
 #[derive(Clone)]
 pub struct PairEvaluator {
-    even: EvenNetwork,
     solver: SolverKind,
-    /// Present when the batched shared-source engine drives the flows
-    /// (Dinic only); `None` falls back to the per-pair trait solvers.
-    batched: Option<BatchedDinic>,
-    workspace: FlowWorkspace,
+    engine: Engine,
 }
 
 impl PairEvaluator {
-    /// Builds the evaluator for a graph. Dinic evaluators default to the
-    /// batched shared-source engine; see [`PairEvaluator::with_batching`].
+    /// Builds the evaluator for a graph; Dinic gets the unit-vertex kernel.
     pub fn new(g: &DiGraph, solver: SolverKind) -> Self {
-        Self::from_shared(Arc::new(g.clone()), solver)
+        Self::build(g, solver, true)
     }
 
-    /// Builds the evaluator around an already-shared graph, avoiding the
-    /// graph clone of [`PairEvaluator::new`].
-    pub fn from_shared(g: Arc<DiGraph>, solver: SolverKind) -> Self {
-        let even = EvenNetwork::from_shared(g, EdgeCapacity::Unit);
-        let workspace = FlowWorkspace::for_network(even.network());
-        let batched = match solver {
-            SolverKind::Dinic => Some(BatchedDinic::new()),
-            _ => None,
-        };
-        PairEvaluator {
-            even,
-            solver,
-            batched,
-            workspace,
-        }
+    /// Builds the evaluator an analysis configuration asks for:
+    /// `config.solver`, and for Dinic the kernel unless `config.batched` is
+    /// off.
+    pub fn for_config(g: &DiGraph, config: &AnalysisConfig) -> Self {
+        Self::build(g, config.solver, config.batched)
     }
 
-    /// Enables or disables the batched shared-source engine (only effective
-    /// for the Dinic solver — the other solvers always run per-pair).
-    /// κ values are identical either way; `false` is the measurement
-    /// baseline for the `perf_kappa` bench.
-    pub fn with_batching(mut self, batched: bool) -> Self {
-        self.batched = match (batched, self.solver) {
-            (true, SolverKind::Dinic) => Some(BatchedDinic::new()),
-            _ => None,
+    fn build(g: &DiGraph, solver: SolverKind, batched: bool) -> Self {
+        let engine = if batched && solver == SolverKind::Dinic {
+            Engine::Kernel(VertexFlow::new(g))
+        } else {
+            let even = EvenNetwork::from_graph(g);
+            let workspace = FlowWorkspace::for_network(even.network());
+            Engine::Explicit { even, workspace }
         };
-        self
+        PairEvaluator { solver, engine }
     }
 
     /// The solver this evaluator runs.
@@ -91,33 +95,12 @@ impl PairEvaluator {
     /// `κ(v, w)`, or `None` for adjacent/equal pairs. With a cutoff the
     /// result may be any certified lower bound `>= cutoff`.
     pub fn connectivity(&mut self, v: u32, w: u32, cutoff: Option<u64>) -> Option<u64> {
-        let Some(engine) = self.batched.as_mut() else {
-            return self.even.vertex_connectivity_with(
-                &self.solver,
-                v,
-                w,
-                cutoff,
-                &mut self.workspace,
-            );
-        };
-        let n = self.even.original_node_count() as u32;
-        assert!(v < n && w < n, "vertex out of range");
-        let graph = self.even.graph();
-        if v == w || graph.has_edge(v, w) {
-            return None;
+        match &mut self.engine {
+            Engine::Kernel(kernel) => kernel.connectivity(v, w, cutoff),
+            Engine::Explicit { even, workspace } => {
+                even.vertex_connectivity_with(&self.solver, v, w, cutoff, workspace)
+            }
         }
-        // κ(v, w) ≤ min(outdeg(v), indeg(w)) on the unit Even network —
-        // tighter than the generic capacity-bound scan and free to compute.
-        let bound = (graph.out_degree(v) as u64).min(graph.in_degree(w) as u64);
-        let (s, t) = (EvenNetwork::out_vertex(v), EvenNetwork::in_vertex(w));
-        Some(engine.max_flow_bounded(
-            self.even.network_mut(),
-            s,
-            t,
-            cutoff,
-            Some(bound),
-            &mut self.workspace,
-        ))
     }
 }
 

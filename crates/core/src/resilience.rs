@@ -41,9 +41,9 @@ pub fn tolerates(kappa: u64, attackers: u64) -> bool {
 }
 
 /// Measures a graph's resilience directly: Equation 2 applied to the exact
-/// `κ(D)` computed by [`crate::graph::exact_connectivity`] — which routes
-/// its pair flows through the batched shared-source engine whenever
-/// `config.batched` is set.
+/// `κ(D)` computed by [`crate::graph::exact_connectivity`] — which runs
+/// its pair flows on the unit-vertex kernel whenever `config.batched` is
+/// set.
 ///
 /// # Example
 ///
@@ -101,8 +101,8 @@ mod tests {
     fn graph_resilience_matches_exact_connectivity() {
         use flowgraph::generators::{bidirected_cycle, cycle};
         let config = crate::AnalysisConfig::default();
-        // κ = 2 ring → r = 1; κ = 1 directed cycle → r = 0; and the batched
-        // engine agrees with the per-pair baseline.
+        // κ = 2 ring → r = 1; κ = 1 directed cycle → r = 0; and the kernel
+        // agrees with the explicit per-pair baseline.
         assert_eq!(graph_resilience(&bidirected_cycle(9), &config), 1);
         assert_eq!(graph_resilience(&cycle(9), &config), 0);
         let per_pair = crate::AnalysisConfig {

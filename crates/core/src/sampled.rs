@@ -101,13 +101,16 @@ pub fn connectivity_from_sources(
 
     let global_min = AtomicU64::new(u64::MAX);
     let use_cutoff = config.use_cutoff;
-    // One prototype evaluator; workers clone it, sharing the graph behind
-    // an `Arc` and duplicating only the residual network + workspace. Each
-    // worker then sweeps its sources with zero per-pair allocation — and,
-    // with batching on, one shared level graph per source.
-    let prototype = PairEvaluator::new(g, config.solver).with_batching(config.batched);
+    // One prototype evaluator; workers clone it, sharing the graph rows
+    // behind an `Arc` and duplicating only their scratch (on the explicit
+    // route: the residual network + workspace). Each worker then sweeps its
+    // sources with zero per-pair allocation.
+    let prototype = PairEvaluator::for_config(g, config);
 
     let sweep_source = |eval: &mut PairEvaluator, v: u32| -> (u64, u128, usize, usize) {
+        // One span per source, not per pair: a pair flow is tens of
+        // microseconds, the same order as opening and closing a span.
+        let _span = kad_telemetry::span::span("source-sweep");
         let mut local_min = u64::MAX;
         let mut sum: u128 = 0;
         let mut count = 0usize;

@@ -64,6 +64,34 @@ proptest! {
         prop_assert_eq!(batched, per_pair);
     }
 
+    /// `analyze_graph` on the unit-vertex kernel and on the explicit Even
+    /// network agree field for field, for each of the three presets, on
+    /// every graph family the kernel is tested on.
+    #[test]
+    fn reports_survive_disabling_the_kernel(
+        family in 0u8..4,
+        n in 6usize..40,
+        seed in any::<u64>(),
+        sparse in arb_digraph(14),
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let g = match family {
+            0 => sparse,
+            1 => generators::gnp(n, 0.05 + 0.5 * (seed % 101) as f64 / 100.0, &mut rng),
+            2 => generators::random_k_out_symmetric(n, 2 + (seed % 4) as usize, &mut rng),
+            _ => generators::paper_figure1(),
+        };
+        for preset in [
+            AnalysisConfig::exact(),
+            AnalysisConfig::paper_sampled(),
+            AnalysisConfig::min_only(),
+        ] {
+            let kernel = analyze_graph(&g, &preset);
+            let explicit = analyze_graph(&g, &AnalysisConfig { batched: false, ..preset });
+            prop_assert_eq!(kernel, explicit, "{:?}", preset);
+        }
+    }
+
     /// Cutoff pruning preserves the exact minimum.
     #[test]
     fn cutoff_preserves_minimum(g in arb_digraph(12)) {
@@ -329,4 +357,39 @@ proptest! {
             prop_assert_eq!(est.min_sampled, 0);
         }
     }
+}
+
+/// The ROADMAP's large-graph validation: at n=1000 the exact minimum
+/// respects the degree bound, the kernel and the explicit network agree on
+/// it, and the live estimator's `min_sampled` bounds it from above — the
+/// direction the published bound claims.
+#[test]
+fn exact_minimum_and_estimator_bound_at_n1000() {
+    let mut rng = SmallRng::seed_from_u64(1000);
+    let g = generators::random_k_out_symmetric(1000, 20, &mut rng);
+    let exact = analyze_graph(&g, &AnalysisConfig::min_only());
+    assert!(exact.strongly_connected);
+    assert!(exact.min_connectivity <= g.min_degree() as u64);
+    let explicit = analyze_graph(
+        &g,
+        &AnalysisConfig {
+            batched: false,
+            ..AnalysisConfig::min_only()
+        },
+    );
+    assert_eq!(exact, explicit);
+    let estimate = sampled_kappa(
+        &g,
+        &SampledKappaConfig {
+            target_pairs: 256,
+            ..SampledKappaConfig::default()
+        },
+    );
+    assert!(!estimate.exact, "256 pairs are a sample at n=1000");
+    assert!(
+        estimate.min_sampled >= exact.min_connectivity,
+        "sampled minimum {} below the exact κ_min {}",
+        estimate.min_sampled,
+        exact.min_connectivity
+    );
 }

@@ -7,8 +7,8 @@
 //! those files and folds them into a single `BENCH_summary.json` mapping
 //! `<bench>/<id>` to its median nanoseconds — the committed performance
 //! snapshot that successive PRs diff against, and what the CI
-//! `kappa-perf-smoke` job parses to compare the batched engine against the
-//! per-pair baseline.
+//! `kappa-perf-smoke` job parses to compare the default κ engine against
+//! the per-pair baseline.
 //!
 //! The reports are flat, machine-written JSON with a fixed key order, so
 //! the scanner below parses them by hand (the build environment has no

@@ -779,7 +779,7 @@ impl SnapshotGrid {
 ///
 /// Each minute costs one minimum-only sweep
 /// ([`AnalysisConfig::min_only`](kad_resilience::AnalysisConfig::min_only):
-/// cutoff pruning, batched shared-source engine) on the honest snapshot —
+/// cutoff pruning, unit-vertex flow kernel) on the honest snapshot —
 /// the cheap exact-minimum path, which is what makes a per-minute feed
 /// affordable (`perf_kappa` pins the budget at n=1000). The full
 /// `(minute, κ_min)` series is kept for the outcome.

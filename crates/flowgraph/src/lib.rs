@@ -15,6 +15,10 @@
 //!   [`maxflow::Dinic`] and [`maxflow::EdmondsKarp`] as cross-checking
 //!   baselines. All support *early cutoff*, the key trick that makes
 //!   minimum-connectivity search tractable.
+//! * [`vertex_flow`] — the production `κ(v, w)` kernel: unit-capacity Dinic
+//!   on the *implicit* Even network, straight over CSR rows of the graph
+//!   (no transformed network is built); the explicit route above is its
+//!   independent oracle.
 //! * [`dimacs`] — reader/writer for the DIMACS max-flow exchange format the
 //!   authors used between their Java tooling and the C HIPR binary.
 //! * [`scc`] — strong-connectivity pre-checks (a graph that is not strongly
@@ -52,7 +56,9 @@ pub mod maxflow;
 pub mod mincut;
 pub mod paths;
 pub mod scc;
+pub mod vertex_flow;
 
 pub use digraph::DiGraph;
 pub use even::EvenNetwork;
 pub use maxflow::{Dinic, EdmondsKarp, FlowNetwork, FlowWorkspace, MaxFlow, PushRelabel, Solver};
+pub use vertex_flow::VertexFlow;

@@ -4,8 +4,9 @@
 //! On the unit-capacity networks produced by Even's transform this is the
 //! asymptotically right choice — `O(E · √V)` — and with the `cutoff`
 //! parameter it degenerates into Even's classical "is `κ(v, w) ≥ k`?" test
-//! that stops after `k` augmenting paths. The experiment harness uses it as
-//! the default solver.
+//! that stops after `k` augmenting paths. It is the explicit-network
+//! baseline of the default κ kernel ([`crate::vertex_flow`]), which runs
+//! the same algorithm on the implicit network.
 //!
 //! Level-graph membership lives in a `u64`-word bitset rather than a
 //! sentinel in the level array: a BFS clears `n/64` words instead of
@@ -48,11 +49,13 @@ impl Dinic {
 /// BFS over the residual graph from `s`, filling `level` and the `visited`
 /// bitset (levels are meaningful only where the visited bit is set).
 ///
-/// With `t = Some(sink)` the search does not expand beyond the sink (its
-/// levels would never be used) and the return value says whether the sink
-/// was reached. With `t = None` the whole residual-reachable set is layered
-/// — the form [`super::BatchedDinic`] uses to build a target-independent
-/// level graph — and the return value is `true`.
+/// With `t = Some(sink)` the search returns `true` the moment the sink is
+/// labelled — every vertex of a lower level is labelled by then, and those
+/// are the only ones a shortest `s -> t` path can use — or `false` once the
+/// reachable set is exhausted without it. With `t = None` the whole
+/// residual-reachable set is layered — the form [`super::BatchedDinic`]
+/// uses to build a target-independent level graph — and the return value
+/// is `true`.
 pub(crate) fn level_bfs(
     net: &FlowNetwork,
     s: u32,
@@ -77,14 +80,13 @@ pub(crate) fn level_bfs(
                 bit_set(visited, v);
                 level[v as usize] = level[u as usize] + 1;
                 if t == Some(v) {
-                    // Levels beyond the sink are never used.
-                    continue;
+                    return true;
                 }
                 queue.push_back(v);
             }
         }
     }
-    t.is_none_or(|t| bit_test(visited, t))
+    t.is_none()
 }
 
 /// Sends a blocking flow from `s` to `t` through the level graph described

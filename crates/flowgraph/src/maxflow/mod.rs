@@ -14,12 +14,19 @@
 //! * [`EdmondsKarp`] — BFS augmenting paths; the simple baseline used to
 //!   cross-check the other two.
 //!
-//! [`BatchedDinic`] is the fourth engine, built for connectivity *sweeps*
-//! rather than one-shot flows: it caches one clean-network BFS level graph
-//! per (source, [`FlowNetwork::base_epoch`]) and reuses it across every
-//! target sharing that source, with a capacity-bound early exit replacing
-//! the final certifying BFS on bound-attaining pairs. It is stateful and so
-//! lives outside the [`MaxFlow`] trait.
+//! [`BatchedDinic`] is the fourth engine on explicit networks, built for
+//! the incremental κ tracker (`kad_resilience::attack::incremental`), which
+//! needs arc ids to replay recorded path decompositions: it caches one
+//! clean-network BFS level graph per (source, [`FlowNetwork::base_epoch`])
+//! and reuses it across every target sharing that source, with a
+//! capacity-bound early exit replacing the final certifying BFS on
+//! bound-attaining pairs. It is stateful and so lives outside the
+//! [`MaxFlow`] trait.
+//!
+//! None of these is what a κ *sweep* runs by default any more: on the
+//! all-unit networks of Even's transform, [`crate::vertex_flow`] runs Dinic
+//! without materialising a [`FlowNetwork`] at all. The solvers here are its
+//! independent oracle and the `batched: false` measurement baseline.
 //!
 //! All solvers implement [`MaxFlow`] and support an optional **cutoff**: the
 //! solver may stop as soon as it can prove the flow value is at least the
@@ -440,8 +447,9 @@ pub trait MaxFlow {
 /// The paper ran HIPR (highest-label push-relabel); [`Solver::Dinic`] is
 /// the default here because on the unit-capacity networks produced by
 /// Even's transform it is both asymptotically right and empirically fastest
-/// (see the `perf_maxflow` bench). All solvers produce identical values —
-/// that equivalence is property-tested.
+/// (see the `perf_maxflow` bench) — and the one the analysis crates can run
+/// on [`crate::vertex_flow`] instead of an explicit network. All solvers
+/// produce identical values — that equivalence is property-tested.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Solver {
     /// Dinic's level-graph algorithm (default).

@@ -1,0 +1,543 @@
+//! Unit-vertex flow kernel: `κ(v, w)` straight on the connectivity graph.
+//!
+//! Every capacity of Even's network ([`crate::even`]) is 1, so a flow on it
+//! is a set of internally vertex-disjoint `v → w` paths and the whole
+//! residual network can be read off two `n`-long arrays instead of being
+//! stored: for a vertex `x` that carries the unit of some path, `pred[x]`
+//! is the vertex the unit enters from and `succ[x]` the one it leaves to.
+//! With `x'` the in-copy and `x''` the out-copy of `x`:
+//!
+//! * `x'` has exactly **one** residual out-arc — the internal arc
+//!   `x' → x''` while `x` is idle, the reversed edge arc `x' → pred[x]''`
+//!   once it carries a unit;
+//! * `x''` has its out-neighbour row minus `succ[x]` (edge arcs without
+//!   flow), plus the reversed internal arc `x'' → x'` while `x` carries a
+//!   unit.
+//!
+//! [`VertexFlow`] runs Dinic phases on that implicit network over a CSR
+//! copy of the graph's out- and in-neighbour rows:
+//!
+//! 1. **Sink-stopped BFS.** Labelling returns the moment the sink is
+//!    labelled. Every vertex of a lower level is labelled by then, which is
+//!    all a level graph towards *this* sink needs; on overlay graphs (sink
+//!    two or three hops away) that is a few rows, not the whole network.
+//! 2. **Sink-side marking.** Walking the in-neighbour rows backwards from
+//!    the sink keeps only the vertices that lie on a shortest residual
+//!    `s → t` path. The blocking-flow DFS is confined to them, so it never
+//!    wanders into the part of the level graph that cannot reach the sink.
+//! 3. **Unit blocking flow.** Each interior vertex of an augmenting path
+//!    has a single residual in- or out-arc and the path saturates it, so
+//!    the vertex leaves the level graph and the DFS restarts at the source.
+//!
+//! The loop ends when `min(cutoff, outdeg(v), indeg(w))` units are routed
+//! (the degree bound is the capacity of the cuts around `v''` and `w'`, so
+//! a flow meeting it is maximal) or a BFS fails to reach the sink. State is
+//! restored in `O(vertices touched)` before returning, so calls are
+//! independent and a clone is always a clean evaluator.
+//!
+//! The explicit [`crate::EvenNetwork`] + [`crate::maxflow`] route stays as
+//! the independent oracle; the two are property-tested equal pair by pair.
+
+use crate::digraph::DiGraph;
+use std::sync::Arc;
+
+/// "No vertex" in `pred`/`succ`, "not labelled" in `level`/`layer`.
+const NONE: u32 = u32::MAX;
+
+/// In-copy `x'` of vertex `x` (same numbering as [`crate::EvenNetwork`]).
+#[inline]
+fn in_copy(x: u32) -> u32 {
+    2 * x
+}
+
+/// Out-copy `x''` of vertex `x`.
+#[inline]
+fn out_copy(x: u32) -> u32 {
+    2 * x + 1
+}
+
+/// The one residual arc out of in-copy `a = x'`: the internal arc to `x''`
+/// while `x` is idle, the reversed edge arc to `pred[x]''` once it carries a
+/// unit.
+#[inline]
+fn sole_exit(pred: &[u32], a: u32) -> u32 {
+    match pred[(a >> 1) as usize] {
+        NONE => a | 1,
+        u => out_copy(u),
+    }
+}
+
+/// Out- and in-neighbour rows in compressed sparse row form, both sorted
+/// ascending within a row.
+#[derive(Debug)]
+struct Csr {
+    out_off: Vec<usize>,
+    out_adj: Vec<u32>,
+    in_off: Vec<usize>,
+    in_adj: Vec<u32>,
+}
+
+impl Csr {
+    fn new(g: &DiGraph) -> Self {
+        let n = g.node_count();
+        let mut out_off = Vec::with_capacity(n + 1);
+        let mut out_adj = Vec::with_capacity(g.edge_count());
+        let mut in_off = vec![0usize; n + 1];
+        out_off.push(0);
+        for x in 0..n as u32 {
+            out_adj.extend_from_slice(g.out_neighbors(x));
+            out_off.push(out_adj.len());
+            in_off[x as usize + 1] = in_off[x as usize] + g.in_degree(x);
+        }
+        // Tails ascend, so every in-row comes out sorted.
+        let mut fill = in_off.clone();
+        let mut in_adj = vec![0u32; out_adj.len()];
+        for (x, y) in g.edges() {
+            in_adj[fill[y as usize]] = x;
+            fill[y as usize] += 1;
+        }
+        Csr {
+            out_off,
+            out_adj,
+            in_off,
+            in_adj,
+        }
+    }
+
+    #[inline]
+    fn out_row(&self, x: u32) -> &[u32] {
+        &self.out_adj[self.out_off[x as usize]..self.out_off[x as usize + 1]]
+    }
+
+    #[inline]
+    fn in_row(&self, x: u32) -> &[u32] {
+        &self.in_adj[self.in_off[x as usize]..self.in_off[x as usize + 1]]
+    }
+}
+
+/// Reusable `κ(v, w)` evaluator for one graph.
+///
+/// Cloning shares the CSR rows behind an [`Arc`] and duplicates only the
+/// `O(n)` scratch arrays — how a parallel sweep hands each worker its own
+/// evaluator.
+///
+/// # Example
+///
+/// ```
+/// use flowgraph::generators::paper_figure1;
+/// use flowgraph::vertex_flow::VertexFlow;
+///
+/// // Figure 1 of the paper: three edge-disjoint a → i paths, but all of
+/// // them pass through e.
+/// let mut kernel = VertexFlow::new(&paper_figure1());
+/// assert_eq!(kernel.connectivity(0, 8, None), Some(1));
+/// // Adjacent pairs have no defined vertex connectivity.
+/// assert_eq!(kernel.connectivity(0, 1, None), None);
+/// ```
+#[derive(Clone, Debug)]
+pub struct VertexFlow {
+    csr: Arc<Csr>,
+    /// `pred[x]`: where the unit through `x` enters from (`NONE`: idle).
+    /// Never set for the source; set for every out-neighbour of the source
+    /// that an edge `(v, x)` feeds.
+    pred: Vec<u32>,
+    /// `succ[x]`: where the unit through `x` leaves to. Never set for the
+    /// source or the sink.
+    succ: Vec<u32>,
+    /// Vertices whose `pred`/`succ` were written (duplicates allowed).
+    touched: Vec<u32>,
+    /// BFS labels of the current phase, indexed by copy id.
+    level: Vec<u32>,
+    /// The pruned level graph: `level` restricted to vertices on a shortest
+    /// residual `s → t` path; the DFS clears entries as vertices die.
+    layer: Vec<u32>,
+    /// Current-arc pointer into the out-row, per vertex (out-copies only).
+    cur: Vec<usize>,
+    /// BFS queue; doubles as the list of labelled copies to unlabel.
+    queue: Vec<u32>,
+    /// Marked copies in discovery order; the list to unmark.
+    marked: Vec<u32>,
+    /// The DFS's partial path, as copy ids starting at the source.
+    path: Vec<u32>,
+}
+
+impl VertexFlow {
+    /// Builds the kernel for `g`: one `O(n + m)` pass to lay out the rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` has more than `u32::MAX / 2` vertices (copy ids must
+    /// fit a `u32`).
+    pub fn new(g: &DiGraph) -> Self {
+        let n = g.node_count();
+        assert!(
+            n <= (u32::MAX / 2) as usize,
+            "graph too large for u32 copy ids"
+        );
+        VertexFlow {
+            csr: Arc::new(Csr::new(g)),
+            pred: vec![NONE; n],
+            succ: vec![NONE; n],
+            touched: Vec::new(),
+            level: vec![NONE; 2 * n],
+            layer: vec![NONE; 2 * n],
+            cur: vec![0; n],
+            queue: Vec::new(),
+            marked: Vec::new(),
+            path: Vec::new(),
+        }
+    }
+
+    /// Number of vertices of the graph this kernel was built for.
+    pub fn node_count(&self) -> usize {
+        self.pred.len()
+    }
+
+    /// `κ(v, w)`: the number of internally vertex-disjoint `v → w` paths,
+    /// or `None` when `v == w` or `(v, w)` is an edge.
+    ///
+    /// With `cutoff = Some(c)` the search stops after `c` paths, so the
+    /// result is `min(c, κ(v, w))` — a certified lower bound that is `>= c`
+    /// whenever `κ(v, w)` is. Without a cutoff the value is exact.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` or `w` is out of range.
+    pub fn connectivity(&mut self, v: u32, w: u32, cutoff: Option<u64>) -> Option<u64> {
+        let n = self.node_count();
+        assert!((v as usize) < n && (w as usize) < n, "vertex out of range");
+        if v == w || self.csr.out_row(v).binary_search(&w).is_ok() {
+            return None;
+        }
+        // Every path leaves v over its own edge and enters w over its own.
+        let bound = self.csr.out_row(v).len().min(self.csr.in_row(w).len()) as u64;
+        let stop = cutoff.map_or(bound, |c| c.min(bound));
+        let mut flow = 0;
+        while flow < stop {
+            let reached = self.label_until_sink(v, w);
+            if reached {
+                self.mark_shortest_paths(w);
+            }
+            for &a in &self.queue {
+                self.level[a as usize] = NONE;
+            }
+            if !reached {
+                break;
+            }
+            flow += self.blocking_flow(v, w, stop - flow);
+            for &a in &self.marked {
+                self.layer[a as usize] = NONE;
+            }
+        }
+        for &x in &self.touched {
+            self.pred[x as usize] = NONE;
+            self.succ[x as usize] = NONE;
+        }
+        self.touched.clear();
+        Some(flow)
+    }
+
+    /// BFS over the residual network from `v''`, returning as soon as `w'`
+    /// is labelled (`true`) or the reachable set is exhausted (`false`).
+    /// Every labelled copy is left in `queue`.
+    fn label_until_sink(&mut self, v: u32, w: u32) -> bool {
+        let VertexFlow {
+            csr,
+            pred,
+            succ,
+            level,
+            queue,
+            ..
+        } = self;
+        let (s, t) = (out_copy(v), in_copy(w));
+        queue.clear();
+        level[s as usize] = 0;
+        queue.push(s);
+        // The source is the one out-copy whose used edges are not in `succ`
+        // (it feeds many paths): edge (v, y) carries a unit iff pred[y] == v.
+        // The sink is not among its out-neighbours — the pair is non-adjacent.
+        for &y in csr.out_row(v) {
+            if pred[y as usize] != v {
+                level[in_copy(y) as usize] = 1;
+                queue.push(in_copy(y));
+            }
+        }
+        let mut head = 1;
+        while head < queue.len() {
+            let a = queue[head];
+            head += 1;
+            let next = level[a as usize] + 1;
+            let x = a >> 1;
+            if a & 1 == 0 {
+                let b = sole_exit(pred, a);
+                if level[b as usize] == NONE {
+                    level[b as usize] = next;
+                    queue.push(b);
+                }
+                continue;
+            }
+            let used = succ[x as usize];
+            for &y in csr.out_row(x) {
+                let b = in_copy(y);
+                if level[b as usize] == NONE && y != used {
+                    level[b as usize] = next;
+                    queue.push(b);
+                    if b == t {
+                        return true;
+                    }
+                }
+            }
+            if used != NONE && level[(a & !1) as usize] == NONE {
+                level[(a & !1) as usize] = next;
+                queue.push(a & !1);
+            }
+        }
+        false
+    }
+
+    /// Copies into `layer` the labels of exactly those copies that lie on a
+    /// shortest residual path to `w'`, walking residual arcs backwards from
+    /// the sink one level at a time. Call right after a successful
+    /// [`Self::label_until_sink`]; every marked copy is left in `marked`.
+    fn mark_shortest_paths(&mut self, w: u32) {
+        let VertexFlow {
+            csr,
+            pred,
+            succ,
+            level,
+            layer,
+            cur,
+            marked,
+            ..
+        } = self;
+        let mut mark = |a: u32, at: u32, marked: &mut Vec<u32>| {
+            if level[a as usize] == at && layer[a as usize] == NONE {
+                layer[a as usize] = at;
+                cur[(a >> 1) as usize] = 0;
+                marked.push(a);
+            }
+        };
+        let t = in_copy(w);
+        let depth = level[t as usize];
+        marked.clear();
+        mark(t, depth, marked);
+        // Into the sink: edges (z, w) without flow, i.e. succ[z] != w.
+        for &z in csr.in_row(w) {
+            if succ[z as usize] != w {
+                mark(out_copy(z), depth - 1, marked);
+            }
+        }
+        let mut head = 1;
+        while head < marked.len() {
+            let b = marked[head];
+            head += 1;
+            let x = b >> 1;
+            // The source sits at level 0 and is the only copy there.
+            let Some(at) = level[b as usize].checked_sub(1) else {
+                continue;
+            };
+            if b & 1 == 1 {
+                // One residual in-arc: from x' while idle, else the reverse
+                // of the edge its unit leaves over.
+                let a = match succ[x as usize] {
+                    NONE => b & !1,
+                    y => in_copy(y),
+                };
+                mark(a, at, marked);
+                continue;
+            }
+            let feeder = pred[x as usize];
+            for &z in csr.in_row(x) {
+                if z != feeder {
+                    mark(out_copy(z), at, marked);
+                }
+            }
+            if feeder != NONE {
+                mark(b | 1, at, marked);
+            }
+        }
+    }
+
+    /// Routes up to `budget` units through the marked level graph and
+    /// returns how many it routed (at least one after a successful BFS).
+    fn blocking_flow(&mut self, v: u32, w: u32, budget: u64) -> u64 {
+        let VertexFlow {
+            csr,
+            pred,
+            succ,
+            touched,
+            layer,
+            cur,
+            path,
+            ..
+        } = self;
+        let (s, t) = (out_copy(v), in_copy(w));
+        let mut sent = 0;
+        path.clear();
+        path.push(s);
+        while let Some(&a) = path.last() {
+            if a == t {
+                for arc in path.windows(2) {
+                    let (x, y) = (arc[0] >> 1, arc[1] >> 1);
+                    if arc[0] & 1 == 0 {
+                        // Out of an in-copy (internal arc, or a reversed
+                        // edge): the edge arcs on either side record it.
+                        continue;
+                    }
+                    if x == y {
+                        // Reversed internal arc: x is rerouted around.
+                        pred[x as usize] = NONE;
+                        succ[x as usize] = NONE;
+                        continue;
+                    }
+                    if x != v {
+                        succ[x as usize] = y;
+                        touched.push(x);
+                    }
+                    if y != w {
+                        pred[y as usize] = x;
+                        touched.push(y);
+                    }
+                }
+                // The path saturated the single residual in- or out-arc of
+                // each interior copy: none can carry a second path this
+                // phase.
+                for &b in &path[1..path.len() - 1] {
+                    layer[b as usize] = NONE;
+                }
+                sent += 1;
+                if sent == budget {
+                    break;
+                }
+                path.truncate(1);
+                continue;
+            }
+            let x = a >> 1;
+            let next = layer[a as usize] + 1;
+            let step = if a & 1 == 0 {
+                let b = sole_exit(pred, a);
+                (layer[b as usize] == next).then_some(b)
+            } else {
+                // Edges out of the source into level 1 are residual by
+                // construction; elsewhere the used edge is succ[x].
+                let row = csr.out_row(x);
+                let used = succ[x as usize];
+                let at = &mut cur[x as usize];
+                while *at < row.len()
+                    && (layer[in_copy(row[*at]) as usize] != next || row[*at] == used)
+                {
+                    *at += 1;
+                }
+                match row.get(*at) {
+                    Some(&y) => Some(in_copy(y)),
+                    None => (used != NONE && layer[(a & !1) as usize] == next).then_some(a & !1),
+                }
+            };
+            match step {
+                Some(b) => path.push(b),
+                None => {
+                    // Dead end: drop it from the level graph; the parent's
+                    // scan skips it from now on.
+                    layer[a as usize] = NONE;
+                    path.pop();
+                }
+            }
+        }
+        sent
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::generators::{bidirected_cycle, complete, cycle, gnp, paper_figure1};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    fn assert_clean(kernel: &VertexFlow) {
+        assert!(kernel.pred.iter().all(|&p| p == NONE));
+        assert!(kernel.succ.iter().all(|&s| s == NONE));
+        assert!(kernel.level.iter().all(|&l| l == NONE));
+        assert!(kernel.layer.iter().all(|&l| l == NONE));
+        assert!(kernel.touched.is_empty());
+    }
+
+    #[test]
+    fn csr_rows_mirror_the_graph() {
+        let g = paper_figure1();
+        let csr = Csr::new(&g);
+        let reverse = g.reverse();
+        for x in 0..g.node_count() as u32 {
+            assert_eq!(csr.out_row(x), g.out_neighbors(x));
+            assert_eq!(csr.in_row(x), reverse.out_neighbors(x));
+        }
+    }
+
+    #[test]
+    fn known_values() {
+        let mut ring = VertexFlow::new(&bidirected_cycle(9));
+        assert_eq!(ring.connectivity(0, 4, None), Some(2));
+        let mut one_way = VertexFlow::new(&cycle(6));
+        assert_eq!(one_way.connectivity(0, 3, None), Some(1));
+        let mut full = VertexFlow::new(&complete(5));
+        assert_eq!(full.connectivity(0, 3, None), None);
+        assert_eq!(full.connectivity(2, 2, None), None);
+    }
+
+    #[test]
+    fn rerouting_needs_a_second_phase() {
+        // The shortest path 0→1→4→6 blocks both longer ones; the second
+        // phase must push back through 1 → 4 to reach the value 2.
+        let g = DiGraph::from_edges(
+            7,
+            [
+                (0, 1),
+                (1, 4),
+                (4, 6),
+                (0, 2),
+                (2, 3),
+                (3, 4),
+                (1, 5),
+                (5, 6),
+            ],
+        );
+        let mut kernel = VertexFlow::new(&g);
+        assert_eq!(kernel.connectivity(0, 6, None), Some(2));
+        assert_clean(&kernel);
+    }
+
+    #[test]
+    fn unreachable_and_degree_zero_pairs_are_zero() {
+        // Vertex i (8) of Figure 1 has no out-edges; vertex a (0) no
+        // in-edges.
+        let mut kernel = VertexFlow::new(&paper_figure1());
+        assert_eq!(kernel.connectivity(8, 0, None), Some(0));
+        assert_eq!(kernel.connectivity(8, 0, Some(3)), Some(0));
+        assert_eq!(kernel.connectivity(4, 0, None), Some(0));
+        assert_clean(&kernel);
+    }
+
+    #[test]
+    fn cutoff_stops_at_the_requested_count() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        let g = gnp(30, 0.4, &mut rng);
+        let mut kernel = VertexFlow::new(&g);
+        for v in 0..30u32 {
+            for w in 0..30u32 {
+                let Some(exact) = kernel.connectivity(v, w, None) else {
+                    continue;
+                };
+                for c in [0u64, 1, 3, 100] {
+                    assert_eq!(kernel.connectivity(v, w, Some(c)), Some(exact.min(c)));
+                }
+            }
+        }
+        assert_clean(&kernel);
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex out of range")]
+    fn out_of_range_vertex_panics() {
+        VertexFlow::new(&cycle(4)).connectivity(0, 4, None);
+    }
+}

@@ -14,13 +14,31 @@ use flowgraph::maxflow::{
 use flowgraph::mincut::{cut_disconnects, min_vertex_cut};
 use flowgraph::paths::{validate_disjoint_paths, vertex_disjoint_paths};
 use flowgraph::scc::{is_strongly_connected, strongly_connected_components};
+use flowgraph::vertex_flow::VertexFlow;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 /// Strategy: a random digraph with up to `n` vertices and arbitrary edges.
 fn arb_digraph(max_n: usize) -> impl Strategy<Value = DiGraph> {
     (2..=max_n).prop_flat_map(|n| {
         proptest::collection::vec((0..n as u32, 0..n as u32), 0..n * 4)
             .prop_map(move |edges| DiGraph::from_edges(n, edges))
+    })
+}
+
+/// Strategy: the graph families the κ kernel has to get right — arbitrary
+/// sparse digraphs (sinks, unreachable targets, several SCCs), `gnp`, the
+/// Kademlia-like `random_k_out_symmetric`, and the paper's Figure 1.
+fn arb_kernel_graph() -> impl Strategy<Value = DiGraph> {
+    (0u8..4, 6usize..26, any::<u64>(), arb_digraph(12)).prop_map(|(family, n, seed, sparse)| {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        match family {
+            0 => sparse,
+            1 => generators::gnp(n, 0.05 + 0.5 * (seed % 101) as f64 / 100.0, &mut rng),
+            2 => generators::random_k_out_symmetric(n, 2 + (seed % 4) as usize, &mut rng),
+            _ => generators::paper_figure1(),
+        }
     })
 }
 
@@ -292,6 +310,74 @@ proptest! {
             prop_assert!(bounded >= cutoff);
         } else {
             prop_assert_eq!(bounded, exact, "below cutoff the value is exact");
+        }
+    }
+
+    /// The unit-vertex kernel equals push-relabel and explicit-network
+    /// Dinic pair by pair, and agrees with them on which pairs are
+    /// undefined (adjacent or equal).
+    #[test]
+    fn kernel_matches_explicit_solvers(g in arb_kernel_graph()) {
+        let mut kernel = VertexFlow::new(&g);
+        let mut even = EvenNetwork::from_graph(&g);
+        let mut ws = FlowWorkspace::new();
+        for v in 0..g.node_count() as u32 {
+            for w in 0..g.node_count() as u32 {
+                let got = kernel.connectivity(v, w, None);
+                prop_assert_eq!(got.is_none(), v == w || g.has_edge(v, w));
+                let pr = even.vertex_connectivity_with(&PushRelabel::new(), v, w, None, &mut ws);
+                let dinic = even.vertex_connectivity_with(&Dinic::new(), v, w, None, &mut ws);
+                prop_assert_eq!(got, pr, "kernel vs push-relabel ({}, {})", v, w);
+                prop_assert_eq!(got, dinic, "kernel vs dinic ({}, {})", v, w);
+            }
+        }
+    }
+
+    /// Kernel cutoff contract: `min(c, κ) ≤ result ≤ κ`, and for `c ≥ 1` a
+    /// returned 0 is always a true zero pair.
+    #[test]
+    fn kernel_cutoff_is_sound(g in arb_kernel_graph(), cutoff in 0u64..8) {
+        let mut kernel = VertexFlow::new(&g);
+        for v in 0..g.node_count() as u32 {
+            for w in 0..g.node_count() as u32 {
+                let Some(exact) = kernel.connectivity(v, w, None) else {
+                    prop_assert_eq!(kernel.connectivity(v, w, Some(cutoff)), None);
+                    continue;
+                };
+                let bounded = kernel.connectivity(v, w, Some(cutoff)).expect("non-adjacent");
+                prop_assert!(exact.min(cutoff) <= bounded && bounded <= exact);
+                if cutoff >= 1 {
+                    prop_assert_eq!(bounded == 0, exact == 0, "pair ({}, {})", v, w);
+                }
+            }
+        }
+    }
+
+    /// One kernel swept over pairs in an arbitrary order, with and without
+    /// cutoffs, answers like a fresh kernel per pair; a clone taken
+    /// mid-sweep and the original then run independently of each other.
+    #[test]
+    fn kernel_reuse_and_clones_match_fresh(
+        g in arb_kernel_graph(),
+        order in proptest::collection::vec((0u32..26, 0u32..26, 0u64..6), 1..60),
+    ) {
+        let n = g.node_count() as u32;
+        let mut reused = VertexFlow::new(&g);
+        let mut cloned = None;
+        for (i, (v, w, c)) in order.iter().map(|&(v, w, c)| (v % n, w % n, c)).enumerate() {
+            // 0 stands for "no cutoff".
+            let cutoff = (c > 0).then_some(c);
+            let fresh = VertexFlow::new(&g).connectivity(v, w, cutoff);
+            prop_assert_eq!(reused.connectivity(v, w, cutoff), fresh, "reused ({}, {})", v, w);
+            if i == order.len() / 2 {
+                cloned = Some(reused.clone());
+            }
+            if let Some(clone) = cloned.as_mut() {
+                // Run the clone on a different pair first: shared state
+                // would show up in the original's next answer.
+                clone.connectivity(w, v, None);
+                prop_assert_eq!(clone.connectivity(v, w, cutoff), fresh, "clone ({}, {})", v, w);
+            }
         }
     }
 
