@@ -1,7 +1,7 @@
 //! Scale bench: minutes-simulated-per-second on 1k–10k-node overlays,
 //! plus the zero-allocation gate the scale-leap PR is held to — **zero
 //! steady-state heap allocations** across a full simulated minute of the
-//! pinned load cell.
+//! pinned load cell (checked at n=1000, and at n=4000 in the full run).
 //!
 //! The `throughput` group is what the CI `scale-smoke` job parses out of
 //! `BENCH_perf_scale.json`. Set `PERF_SCALE_QUICK=1` to run the n=1000
@@ -254,11 +254,15 @@ fn bench_throughput(c: &mut Criterion) {
         );
         // Warm one minute outside measurement (fills pools, tops up
         // high-water marks), then hold the event loop to zero steady-state
-        // allocations at the acceptance cell.
+        // allocations — at the acceptance cell and, in the full run, at
+        // n=4000 too, so the claim is checked above the cache-resident
+        // size.
         let plan = plan_minute(&net, &mut rng, bits);
         drive_minute(&mut net, &plan);
-        if n == 1000 {
+        if n <= 4000 {
             assert_zero_alloc_minute(&mut net, &mut rng, bits);
+        }
+        if n == 1000 {
             assert_estimator_agreement(&net);
         }
         let measure_start = Instant::now();

@@ -148,11 +148,9 @@ impl DefensePolicy for EvictUnresponsive {
 
     fn probe_targets(&mut self, table: &RoutingTable, now: SimTime) -> Vec<Contact> {
         let mut stale: Vec<(SimTime, Contact)> = Vec::new();
-        for i in 0..table.bucket_count() {
-            for entry in table.bucket(i).iter() {
-                if now.since(entry.last_seen) >= self.max_age {
-                    stale.push((entry.last_seen, entry.contact));
-                }
+        for entry in table.entries() {
+            if now.since(entry.last_seen) >= self.max_age {
+                stale.push((entry.last_seen, entry.contact));
             }
         }
         stale.sort_by_key(|&(seen, c)| (seen, c.addr.0));
@@ -294,6 +292,14 @@ mod tests {
         Contact::new(NodeId::from_u64(v, 16), NodeAddr(v as u32))
     }
 
+    /// An empty 16-bit table owned by id 0 (so distance == id) with
+    /// bucket capacity `k`; policies see its buckets through
+    /// `table.bucket(i)`.
+    fn table_with_k(k: usize) -> RoutingTable {
+        let config = KademliaConfig::builder().bits(16).k(k).build().unwrap();
+        RoutingTable::new(NodeId::from_u64(0, 16), &config)
+    }
+
     #[test]
     fn kinds_round_trip_to_policies() {
         assert_eq!(PolicyKind::ALL.len(), 4);
@@ -334,14 +340,14 @@ mod tests {
     fn diversify_admits_everything_below_capacity() {
         let mut policy = DiversifyBuckets::default();
         let own = NodeId::from_u64(0, 16);
-        let mut bucket = KBucket::new(4);
+        let mut table = table_with_k(4);
         for v in [0x10u64, 0x11, 0x12] {
             assert_eq!(
-                policy.decide_insert(&own, &bucket, 4, &contact(v)),
+                policy.decide_insert(&own, &table.bucket(4), 4, &contact(v)),
                 InsertDecision::Admit,
                 "non-full buckets admit even same-group contacts"
             );
-            bucket.offer(contact(v), SimTime::ZERO);
+            table.offer(contact(v), SimTime::ZERO);
         }
     }
 
@@ -354,10 +360,11 @@ mod tests {
         let own = NodeId::from_u64(0, 16);
         // Bucket 5 covers distances 32..64; groups are bits 4..3:
         // 32..40 → group 0, 40..48 → group 1, 48..56 → group 2, 56..64 → 3.
-        let mut bucket = KBucket::new(3);
+        let mut table = table_with_k(3);
         for v in [32u64, 33, 40] {
-            bucket.offer(contact(v), SimTime::ZERO);
+            table.offer(contact(v), SimTime::ZERO);
         }
+        let bucket = table.bucket(5);
         // Full bucket: group 0 holds {32, 33}, group 1 holds {40}.
         // A group-0 candidate is rejected (cap 1 saturated).
         assert_eq!(
@@ -394,9 +401,10 @@ mod tests {
             cap: None,
         };
         let own = NodeId::from_u64(0, 16);
-        let mut bucket = KBucket::new(2);
-        bucket.offer(contact(0x4000), SimTime::ZERO);
-        bucket.offer(contact(0x4abc), SimTime::ZERO);
+        let mut table = table_with_k(2);
+        table.offer(contact(0x4000), SimTime::ZERO);
+        table.offer(contact(0x4abc), SimTime::ZERO);
+        let bucket = table.bucket(14);
         let decision = policy.decide_insert(&own, &bucket, 14, &contact(0x5fff));
         assert_ne!(decision, InsertDecision::Admit, "bucket is full");
         assert!(policy.group_of(&own, &NodeId::from_u64(0x5fff, 16), 14) < 256);

@@ -9,9 +9,10 @@
 
 use dessim::time::SimTime;
 use kad_defense::{DefensePolicy, DiversifyBuckets, InsertDecision};
-use kademlia::bucket::KBucket;
+use kademlia::config::KademliaConfig;
 use kademlia::contact::{Contact, NodeAddr};
 use kademlia::id::NodeId;
+use kademlia::routing::RoutingTable;
 use proptest::prelude::*;
 
 proptest! {
@@ -30,7 +31,8 @@ proptest! {
     ) {
         let mut policy = DiversifyBuckets { group_bits, cap: None };
         let own = NodeId::from_u64(0, 16);
-        let mut bucket = KBucket::new(k);
+        let config = KademliaConfig::builder().bits(16).k(k).build().expect("valid");
+        let mut table = RoutingTable::new(own, &config);
         let lo = 1u64 << bucket_index;
         let mut distinct = std::collections::HashSet::new();
         for (i, raw) in offers.iter().enumerate() {
@@ -41,14 +43,14 @@ proptest! {
                 NodeId::from_u64(id_value, 16),
                 NodeAddr(i as u32),
             );
-            if bucket.contains(&candidate.id) {
+            if table.contains(&candidate.id) {
                 continue;
             }
             distinct.insert(id_value);
-            let len_before = bucket.len();
-            match policy.decide_insert(&own, &bucket, bucket_index, &candidate) {
+            let len_before = table.bucket(bucket_index).len();
+            match policy.decide_insert(&own, &table.bucket(bucket_index), bucket_index, &candidate) {
                 InsertDecision::Admit => {
-                    bucket.offer(candidate, SimTime::ZERO);
+                    table.offer(candidate, SimTime::ZERO);
                 }
                 InsertDecision::Reject => {
                     prop_assert!(
@@ -61,16 +63,20 @@ proptest! {
                         len_before >= k,
                         "replaced with only {len_before}/{k} live contacts"
                     );
-                    prop_assert!(bucket.contains(&old), "replace names a stored contact");
-                    prop_assert!(bucket.remove(&old));
-                    bucket.offer(candidate, SimTime::ZERO);
-                    prop_assert_eq!(bucket.len(), len_before, "replace keeps the bucket full");
+                    prop_assert!(table.remove(&old), "replace names a stored contact");
+                    table.offer(candidate, SimTime::ZERO);
+                    prop_assert_eq!(
+                        table.bucket(bucket_index).len(),
+                        len_before,
+                        "replace keeps the bucket full"
+                    );
                 }
             }
-            prop_assert!(bucket.len() <= k);
+            prop_assert!(table.bucket(bucket_index).len() <= k);
         }
         // Supply permitting, the policy filled the bucket to capacity.
-        prop_assert_eq!(bucket.len(), k.min(distinct.len()));
+        prop_assert_eq!(table.bucket(bucket_index).len(), k.min(distinct.len()));
+        prop_assert_eq!(table.contact_count(), k.min(distinct.len()), "one bucket only");
     }
 
     /// The prefix group is well-defined: stable per id and bounded by

@@ -1,4 +1,4 @@
-//! A single k-bucket.
+//! A single k-bucket, as a view into its routing table.
 //!
 //! Buckets hold at most `k` contacts, ordered least-recently-seen first.
 //! When a bucket is full, new contacts are **dropped** rather than evicting
@@ -6,6 +6,14 @@
 //! large `α` hurts small-`k` networks ("those places are not available for
 //! joining nodes"). Eviction happens only through the staleness limit `s`:
 //! after `s` *consecutive* failed communications a contact is removed.
+//!
+//! The storage lives in [`crate::routing::RoutingTable`]'s packed arena —
+//! one allocation set per table, not one per bucket — and all mutation
+//! goes through the table. [`KBucket`] is the borrowed, read-only view of
+//! one bucket's slice that [`crate::routing::RoutingTable::bucket`] hands
+//! to defense policies and diagnostics. The `Vec`-per-bucket
+//! implementation the arena replaced survives only as the test-only
+//! `reference` model the table is differentially tested against.
 
 use crate::contact::Contact;
 use crate::id::NodeId;
@@ -24,6 +32,17 @@ pub struct BucketEntry {
     pub last_seen: SimTime,
 }
 
+/// The cold half of a routing-table entry: liveness bookkeeping that only
+/// refreshes, failures and probe scans touch — kept apart from the
+/// contacts so closest-contact reads and membership scans never load it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct Liveness {
+    /// See [`BucketEntry::last_seen`].
+    pub(crate) last_seen: SimTime,
+    /// See [`BucketEntry::failures`].
+    pub(crate) failures: u32,
+}
+
 /// Outcome of offering a contact to a bucket.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InsertOutcome {
@@ -35,121 +54,196 @@ pub enum InsertOutcome {
     Full,
 }
 
-/// A k-bucket: at most `k` contacts, least-recently-seen first.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KBucket {
-    entries: Vec<BucketEntry>,
+/// A read-only view of one k-bucket: at most `k` contacts,
+/// least-recently-seen first.
+#[derive(Clone, Copy, Debug)]
+pub struct KBucket<'a> {
+    contacts: &'a [Contact],
+    liveness: &'a [Liveness],
     k: usize,
 }
 
-impl KBucket {
-    /// Creates an empty bucket with capacity `k`.
-    pub fn new(k: usize) -> Self {
+impl<'a> KBucket<'a> {
+    /// A view over one bucket's parallel slices of the table arena.
+    pub(crate) fn new(contacts: &'a [Contact], liveness: &'a [Liveness], k: usize) -> Self {
+        debug_assert_eq!(contacts.len(), liveness.len());
         KBucket {
-            entries: Vec::new(),
+            contacts,
+            liveness,
             k,
         }
     }
 
     /// Number of stored contacts.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.contacts.len()
     }
 
     /// Whether the bucket holds no contacts.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.contacts.is_empty()
     }
 
     /// Whether the bucket is at capacity.
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.k
+        self.contacts.len() >= self.k
     }
 
     /// Whether a contact with this id is stored.
     pub fn contains(&self, id: &NodeId) -> bool {
-        self.position(id).is_some()
-    }
-
-    fn position(&self, id: &NodeId) -> Option<usize> {
-        self.entries.iter().position(|e| e.contact.id == *id)
-    }
-
-    /// Offers a contact observed through *successful* communication.
-    ///
-    /// Present → moved to the most-recently-seen end with failures reset.
-    /// Absent and space available → appended. Absent and full → dropped
-    /// ([`InsertOutcome::Full`]).
-    pub fn offer(&mut self, contact: Contact, now: SimTime) -> InsertOutcome {
-        match self.position(&contact.id) {
-            Some(pos) => {
-                let mut entry = self.entries.remove(pos);
-                entry.failures = 0;
-                entry.last_seen = now;
-                entry.contact = contact;
-                self.entries.push(entry);
-                InsertOutcome::Refreshed
-            }
-            None if self.entries.len() < self.k => {
-                self.entries.push(BucketEntry {
-                    contact,
-                    failures: 0,
-                    last_seen: now,
-                });
-                InsertOutcome::Inserted
-            }
-            None => InsertOutcome::Full,
-        }
-    }
-
-    /// Records a successful communication with `id` (if stored).
-    pub fn record_success(&mut self, id: &NodeId, now: SimTime) {
-        if let Some(pos) = self.position(id) {
-            let mut entry = self.entries.remove(pos);
-            entry.failures = 0;
-            entry.last_seen = now;
-            self.entries.push(entry);
-        }
-    }
-
-    /// Records a failed communication with `id`. Once the failure count
-    /// reaches `staleness_limit` the contact is evicted; returns `true` in
-    /// that case.
-    pub fn record_failure(&mut self, id: &NodeId, staleness_limit: u32) -> bool {
-        if let Some(pos) = self.position(id) {
-            self.entries[pos].failures += 1;
-            if self.entries[pos].failures >= staleness_limit {
-                self.entries.remove(pos);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Removes a contact outright, returning `true` if it was present.
-    pub fn remove(&mut self, id: &NodeId) -> bool {
-        match self.position(id) {
-            Some(pos) => {
-                self.entries.remove(pos);
-                true
-            }
-            None => false,
-        }
+        self.contacts.iter().any(|c| c.id == *id)
     }
 
     /// Iterates entries, least-recently-seen first.
-    pub fn iter(&self) -> impl Iterator<Item = &BucketEntry> {
-        self.entries.iter()
+    pub fn iter(&self) -> impl Iterator<Item = BucketEntry> + 'a {
+        entries(self.contacts, self.liveness)
     }
 
     /// Iterates just the contacts.
-    pub fn contacts(&self) -> impl Iterator<Item = &Contact> {
-        self.entries.iter().map(|e| &e.contact)
+    pub fn contacts(&self) -> impl Iterator<Item = &'a Contact> {
+        self.contacts.iter()
+    }
+}
+
+/// Zips the arena's parallel slices back into [`BucketEntry`] values.
+pub(crate) fn entries<'a>(
+    contacts: &'a [Contact],
+    liveness: &'a [Liveness],
+) -> impl Iterator<Item = BucketEntry> + 'a {
+    contacts.iter().zip(liveness).map(|(c, l)| BucketEntry {
+        contact: *c,
+        failures: l.failures,
+        last_seen: l.last_seen,
+    })
+}
+
+/// The owning `Vec<BucketEntry>` bucket the packed arena replaced, kept as
+/// the executable specification of bucket semantics: the unit tests below
+/// pin it, and `routing`'s differential proptest holds the arena to it.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{BucketEntry, InsertOutcome};
+    use crate::contact::Contact;
+    use crate::id::NodeId;
+    use dessim::time::SimTime;
+
+    /// A k-bucket: at most `k` contacts, least-recently-seen first.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct KBucket {
+        entries: Vec<BucketEntry>,
+        k: usize,
+    }
+
+    impl KBucket {
+        /// Creates an empty bucket with capacity `k`.
+        pub fn new(k: usize) -> Self {
+            KBucket {
+                entries: Vec::new(),
+                k,
+            }
+        }
+
+        /// Number of stored contacts.
+        pub fn len(&self) -> usize {
+            self.entries.len()
+        }
+
+        /// Whether the bucket holds no contacts.
+        pub fn is_empty(&self) -> bool {
+            self.entries.is_empty()
+        }
+
+        /// Whether the bucket is at capacity.
+        pub fn is_full(&self) -> bool {
+            self.entries.len() >= self.k
+        }
+
+        /// Whether a contact with this id is stored.
+        pub fn contains(&self, id: &NodeId) -> bool {
+            self.position(id).is_some()
+        }
+
+        fn position(&self, id: &NodeId) -> Option<usize> {
+            self.entries.iter().position(|e| e.contact.id == *id)
+        }
+
+        /// Offers a contact observed through *successful* communication.
+        ///
+        /// Present → moved to the most-recently-seen end with failures reset.
+        /// Absent and space available → appended. Absent and full → dropped
+        /// ([`InsertOutcome::Full`]).
+        pub fn offer(&mut self, contact: Contact, now: SimTime) -> InsertOutcome {
+            match self.position(&contact.id) {
+                Some(pos) => {
+                    let mut entry = self.entries.remove(pos);
+                    entry.failures = 0;
+                    entry.last_seen = now;
+                    entry.contact = contact;
+                    self.entries.push(entry);
+                    InsertOutcome::Refreshed
+                }
+                None if self.entries.len() < self.k => {
+                    self.entries.push(BucketEntry {
+                        contact,
+                        failures: 0,
+                        last_seen: now,
+                    });
+                    InsertOutcome::Inserted
+                }
+                None => InsertOutcome::Full,
+            }
+        }
+
+        /// Records a successful communication with `id` (if stored).
+        pub fn record_success(&mut self, id: &NodeId, now: SimTime) {
+            if let Some(pos) = self.position(id) {
+                let mut entry = self.entries.remove(pos);
+                entry.failures = 0;
+                entry.last_seen = now;
+                self.entries.push(entry);
+            }
+        }
+
+        /// Records a failed communication with `id`. Once the failure count
+        /// reaches `staleness_limit` the contact is evicted; returns `true` in
+        /// that case.
+        pub fn record_failure(&mut self, id: &NodeId, staleness_limit: u32) -> bool {
+            if let Some(pos) = self.position(id) {
+                self.entries[pos].failures += 1;
+                if self.entries[pos].failures >= staleness_limit {
+                    self.entries.remove(pos);
+                    return true;
+                }
+            }
+            false
+        }
+
+        /// Removes a contact outright, returning `true` if it was present.
+        pub fn remove(&mut self, id: &NodeId) -> bool {
+            match self.position(id) {
+                Some(pos) => {
+                    self.entries.remove(pos);
+                    true
+                }
+                None => false,
+            }
+        }
+
+        /// Iterates entries, least-recently-seen first.
+        pub fn iter(&self) -> impl Iterator<Item = &BucketEntry> {
+            self.entries.iter()
+        }
+
+        /// Iterates just the contacts.
+        pub fn contacts(&self) -> impl Iterator<Item = &Contact> {
+            self.entries.iter().map(|e| &e.contact)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::KBucket;
     use super::*;
     use crate::contact::NodeAddr;
 

@@ -195,7 +195,8 @@ impl KademliaConfigBuilder {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if any parameter is out of range: `bits`
-    /// outside `1..=160`, `k = 0`, `α = 0`, `s = 0`, or a zero RPC timeout.
+    /// outside `1..=160`, `k = 0`, `bits · k` beyond the routing table's
+    /// 16-bit offsets, `α = 0`, `s = 0`, or a zero RPC timeout.
     pub fn build(&self) -> Result<KademliaConfig, ConfigError> {
         let config = self.config.unwrap_or_default();
         if config.bits == 0 || config.bits > MAX_BITS {
@@ -206,6 +207,12 @@ impl KademliaConfigBuilder {
         }
         if config.k == 0 {
             return Err(ConfigError("k must be at least 1".into()));
+        }
+        if config.bits as usize * config.k > u16::MAX as usize {
+            return Err(ConfigError(format!(
+                "bits * k must fit the routing table's 16-bit offsets, got {} * {}",
+                config.bits, config.k
+            )));
         }
         if config.alpha == 0 {
             return Err(ConfigError("alpha must be at least 1".into()));
@@ -263,6 +270,8 @@ mod tests {
         assert!(KademliaConfig::builder().bits(0).build().is_err());
         assert!(KademliaConfig::builder().bits(161).build().is_err());
         assert!(KademliaConfig::builder().k(0).build().is_err());
+        assert!(KademliaConfig::builder().bits(160).k(410).build().is_err());
+        assert!(KademliaConfig::builder().bits(160).k(409).build().is_ok());
         assert!(KademliaConfig::builder().alpha(0).build().is_err());
         assert!(KademliaConfig::builder()
             .staleness_limit(0)

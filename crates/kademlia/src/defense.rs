@@ -115,9 +115,11 @@ mod tests {
         let config = KademliaConfig::builder().bits(16).k(2).build().unwrap();
         let own = NodeId::from_u64(0, 16);
         let table = RoutingTable::new(own, &config);
-        let bucket = KBucket::new(2);
         let c = Contact::new(NodeId::from_u64(5, 16), NodeAddr(1));
-        assert_eq!(p.decide_insert(&own, &bucket, 2, &c), InsertDecision::Admit);
+        assert_eq!(
+            p.decide_insert(&own, &table.bucket(2), 2, &c),
+            InsertDecision::Admit
+        );
         assert_eq!(p.probe_interval(), None);
         assert!(p.probe_targets(&table, SimTime::ZERO).is_empty());
         assert_eq!(p.repair_target(&own, &c), None);

@@ -172,6 +172,24 @@ impl NodeId {
         NodeId(bytes)
     }
 
+    /// The unique identifier at XOR distance `d` from `self` — XOR is its
+    /// own inverse, so `a.at_distance(&a.distance(&b)) == b`. Lets a lookup
+    /// shortlist keep only the distance and rebuild the id on demand.
+    pub fn at_distance(&self, d: &Distance) -> NodeId {
+        let (h, m, l) = words(&self.0);
+        let mut bytes = [0u8; ID_BYTES];
+        bytes[0..8].copy_from_slice(&(h ^ d.hi).to_be_bytes());
+        bytes[8..16].copy_from_slice(&(m ^ d.mid).to_be_bytes());
+        bytes[16..20].copy_from_slice(&(l ^ d.lo).to_be_bytes());
+        NodeId(bytes)
+    }
+
+    /// The low 32 bits: the routing table's membership fingerprint. A match
+    /// is only a hint — callers confirm with the full id.
+    pub(crate) fn fingerprint(&self) -> u32 {
+        words(&self.0).2
+    }
+
     /// Raw big-endian bytes.
     pub fn as_bytes(&self) -> &[u8; ID_BYTES] {
         &self.0
@@ -192,6 +210,33 @@ impl Distance {
         mid: 0,
         lo: 0,
     };
+
+    /// Assembles a distance from its three big-endian words (see the type
+    /// docs) — the inverse of [`Distance::words`].
+    pub(crate) fn from_words(hi: u64, mid: u64, lo: u32) -> Distance {
+        Distance { hi, mid, lo }
+    }
+
+    /// The three big-endian words `(hi, mid, lo)`.
+    pub(crate) fn words(&self) -> (u64, u64, u32) {
+        (self.hi, self.mid, self.lo)
+    }
+
+    /// Bits `[below - 48, below)` of the distance (bits `[0, 48)` when
+    /// `below < 48`) as an integer: a compact sort key for distances that
+    /// agree on every bit at or above `below`. Among such distances, equal
+    /// keys are only possible when `below > 48`; the caller breaks those
+    /// ties with the full distance.
+    pub(crate) fn sort_key(&self, below: usize) -> u64 {
+        const MASK: u64 = (1 << 48) - 1;
+        let shift = below.saturating_sub(48);
+        if shift >= 96 {
+            return (self.hi >> (shift - 96)) & MASK;
+        }
+        let low = (u128::from(self.mid) << 32) | u128::from(self.lo);
+        // Bits of `hi` shifted past bit 127 are above the 48-bit window.
+        ((low >> shift) | (u128::from(self.hi) << (96 - shift))) as u64 & MASK
+    }
 
     /// Position of the most significant set bit (`floor(log2(d))`), which
     /// is exactly the k-bucket index. `None` for the zero distance.
@@ -401,6 +446,40 @@ mod tests {
                     "target {target} missed bucket {index}"
                 );
                 assert!(target.fits(80));
+            }
+        }
+    }
+
+    #[test]
+    fn at_distance_inverts_distance() {
+        let mut rng = SmallRng::seed_from_u64(21);
+        for bits in [8u16, 32, 80, 160] {
+            for _ in 0..50 {
+                let a = NodeId::random(&mut rng, bits);
+                let b = NodeId::random(&mut rng, bits);
+                assert_eq!(a.at_distance(&a.distance(&b)), b);
+                let (hi, mid, lo) = a.distance(&b).words();
+                assert_eq!(Distance::from_words(hi, mid, lo), a.distance(&b));
+            }
+        }
+        assert_eq!(NodeId::from_u64(0xdead_beef, 32).fingerprint(), 0xdead_beef);
+    }
+
+    #[test]
+    fn sort_key_is_the_48_bit_window_below_the_band_top() {
+        // Small distances: the key is the whole value.
+        let d = NodeId::from_u64(0x1234_5678_9abc, 64).distance(&NodeId::ZERO);
+        assert_eq!(d.sort_key(48), 0x1234_5678_9abc);
+        assert_eq!(d.sort_key(20), 0x1234_5678_9abc, "never shifts left");
+        // Against a bit-by-bit reading of the window, at every offset
+        // (word seams at 32 and 96 included).
+        let mut rng = SmallRng::seed_from_u64(22);
+        for _ in 0..20 {
+            let d = NodeId::random(&mut rng, 160).distance(&NodeId::ZERO);
+            for below in 0..=160usize {
+                let shift = below.saturating_sub(48);
+                let expect = (0..48).fold(0u64, |acc, j| acc | (u64::from(d.bit(shift + j)) << j));
+                assert_eq!(d.sort_key(below), expect, "below {below}");
             }
         }
     }

@@ -14,7 +14,7 @@
 //! protocol logic unit-testable without a simulator.
 
 use crate::config::KademliaConfig;
-use crate::contact::Contact;
+use crate::contact::{Contact, NodeAddr};
 use crate::id::{Distance, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -74,20 +74,54 @@ enum CandidateState {
     Failed,
 }
 
+/// One shortlist entry, 32 bytes — two to a cache line (a stored
+/// [`Contact`] beside a padded [`Distance`] would be 56). Every response
+/// merges into and every query scans this array, so its density sets the
+/// lookup's share of per-message cost.
+///
+/// The candidate's id is not stored: for a fixed target the XOR metric is
+/// injective, so the cached distance *is* the identity — two candidates
+/// collide on it iff they are the same node — and the id is
+/// `target ^ distance` whenever a [`Contact`] must be handed out. The
+/// distance's three words are flattened into the struct so `addr`, `hop`
+/// and `state` fill what would otherwise be its tail padding.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 struct Candidate {
-    contact: Contact,
-    state: CandidateState,
+    /// XOR distance to the lookup target ([`Distance::words`]), cached at
+    /// insertion so shortlist searches never recompute it.
+    dist_hi: u64,
+    dist_mid: u64,
+    dist_lo: u32,
+    addr: NodeAddr,
     /// Hop depth: seeds from the local routing table are hop 1; a contact
     /// learned from the response of a hop-`h` node is hop `h + 1`. The hop
     /// depth of the closest responder is the lookup's hop count — the
     /// quantity the Roos-style analytic hop distribution predicts.
     hop: u32,
-    /// XOR distance to the lookup target, cached at insertion so shortlist
-    /// binary searches never recompute it. For a fixed target the XOR
-    /// metric is injective, so `dist` doubles as an identity key: two
-    /// candidates collide on `dist` iff they are the same node.
-    dist: Distance,
+    state: CandidateState,
+}
+
+impl Candidate {
+    fn new(contact: &Contact, target: &NodeId, hop: u32) -> Self {
+        let (dist_hi, dist_mid, dist_lo) = contact.id.distance(target).words();
+        Candidate {
+            dist_hi,
+            dist_mid,
+            dist_lo,
+            addr: contact.addr,
+            hop,
+            state: CandidateState::Untried,
+        }
+    }
+
+    fn dist(&self) -> Distance {
+        Distance::from_words(self.dist_hi, self.dist_mid, self.dist_lo)
+    }
+
+    /// The candidate as a contact, its id rebuilt from the target.
+    fn contact(&self, target: &NodeId) -> Contact {
+        Contact::new(target.at_distance(&self.dist()), self.addr)
+    }
 }
 
 /// Reusable per-lookup shortlist arena.
@@ -100,6 +134,20 @@ struct Candidate {
 #[derive(Clone, Debug, Default)]
 pub struct LookupScratch {
     shortlist: Vec<Candidate>,
+}
+
+impl LookupScratch {
+    /// Shortlist entries a warm arena has room for: the worst-case
+    /// shortlist (`capacity + k` — a merge can transiently overshoot
+    /// capacity by one response's worth of contacts before pruning).
+    fn slots(config: &KademliaConfig) -> usize {
+        config.shortlist_capacity() + config.k
+    }
+
+    /// Heap bytes a warm arena holds (what a pool of them costs apiece).
+    pub(crate) fn footprint_bytes(config: &KademliaConfig) -> usize {
+        Self::slots(config) * std::mem::size_of::<Candidate>()
+    }
 }
 
 /// The set of a node's in-progress lookups, keyed by [`LookupId`].
@@ -220,10 +268,8 @@ impl LookupState {
     }
 
     /// [`LookupState::new`] from a pooled shortlist arena: the arena is
-    /// reset (cleared) and reserved to the worst-case shortlist footprint
-    /// (`capacity + k` — a merge can transiently overshoot capacity by one
-    /// response's worth of contacts before pruning), so a warm arena never
-    /// grows again.
+    /// reset (cleared) and reserved to the worst-case shortlist footprint,
+    /// so a warm arena never grows again.
     pub fn with_scratch(
         id: LookupId,
         target: NodeId,
@@ -236,7 +282,7 @@ impl LookupState {
         let mut shortlist = scratch.shortlist;
         shortlist.clear();
         let capacity = config.shortlist_capacity();
-        shortlist.reserve(capacity + config.k);
+        shortlist.reserve(LookupScratch::slots(config));
         let mut state = LookupState {
             id,
             target,
@@ -345,7 +391,7 @@ impl LookupState {
             if cand.state == CandidateState::Untried {
                 cand.state = CandidateState::InFlight;
                 self.in_flight += 1;
-                out.push(cand.contact);
+                out.push(cand.contact(&self.target));
             }
             idx += 1;
         }
@@ -412,7 +458,7 @@ impl LookupState {
                 .iter()
                 .filter(|c| c.state == CandidateState::Responded)
                 .take(count)
-                .map(|c| c.contact),
+                .map(|c| c.contact(&self.target)),
         );
     }
 
@@ -421,14 +467,11 @@ impl LookupState {
         // the fixed target is injective — binary search by distance is an
         // exact id lookup.
         let dist = id.distance(&self.target);
-        let pos = self.shortlist.partition_point(|c| c.dist < dist);
-        match self.shortlist.get(pos) {
-            Some(c) if c.dist == dist => {
-                debug_assert_eq!(c.contact.id, *id, "injective distance");
-                Some(pos)
-            }
-            _ => None,
-        }
+        let pos = self.shortlist.partition_point(|c| c.dist() < dist);
+        self.shortlist
+            .get(pos)
+            .is_some_and(|c| c.dist() == dist)
+            .then_some(pos)
     }
 
     /// Inserts new candidates at hop depth `hop`, keeping the list sorted
@@ -467,22 +510,16 @@ impl LookupState {
     }
 
     fn merge_chunk(&mut self, chunk: &[Contact], hop: u32) {
-        let Some(&first) = chunk.first() else { return };
-        let stage = |contact: Contact| Candidate {
-            contact,
-            state: CandidateState::Untried,
-            hop,
-            dist: contact.id.distance(&self.target),
-        };
+        let Some(first) = chunk.first() else { return };
         // Stage every candidate with its distance computed once, dropping
         // the owner itself.
-        let mut staged = [stage(first); 24];
+        let mut staged = [Candidate::new(first, &self.target, hop); 24];
         let mut m = 0;
-        for &contact in chunk {
+        for contact in chunk {
             if contact.id == self.own_id {
                 continue;
             }
-            staged[m] = stage(contact);
+            staged[m] = Candidate::new(contact, &self.target, hop);
             m += 1;
         }
         if m == 0 {
@@ -494,11 +531,11 @@ impl LookupState {
         // in-batch duplicates (equal distance = same node). The sorted
         // path cannot contain in-batch duplicates — they would violate
         // strict ascent.
-        if !(1..m).all(|i| staged[i - 1].dist < staged[i].dist) {
-            staged[..m].sort_unstable_by_key(|s| s.dist);
+        if !(1..m).all(|i| staged[i - 1].dist() < staged[i].dist()) {
+            staged[..m].sort_unstable_by_key(Candidate::dist);
             let mut unique = 1;
             for i in 1..m {
-                if staged[i].dist != staged[unique - 1].dist {
+                if staged[i].dist() != staged[unique - 1].dist() {
                     staged[unique] = staged[i];
                     unique += 1;
                 }
@@ -513,18 +550,18 @@ impl LookupState {
         // tail (the fast reject above, applied once instead of per
         // contact).
         let at_capacity = self.shortlist.len() >= self.capacity;
-        let worst = self.shortlist.last().map(|c| c.dist);
+        let worst = self.shortlist.last().map(Candidate::dist);
         let mut keep = 0;
         let mut p = 0;
         for i in 0..m {
-            let d = staged[i].dist;
+            let d = staged[i].dist();
             if at_capacity && worst.is_some_and(|w| d > w) {
                 break;
             }
-            while p < self.shortlist.len() && self.shortlist[p].dist < d {
+            while p < self.shortlist.len() && self.shortlist[p].dist() < d {
                 p += 1;
             }
-            if self.shortlist.get(p).is_some_and(|c| c.dist == d) {
+            if self.shortlist.get(p).is_some_and(|c| c.dist() == d) {
                 continue;
             }
             if keep == 0 {
@@ -548,7 +585,7 @@ impl LookupState {
             if j == 0 {
                 break; // remaining shortlist prefix already in place
             }
-            if i > 0 && self.shortlist[i - 1].dist > staged[j - 1].dist {
+            if i > 0 && self.shortlist[i - 1].dist() > staged[j - 1].dist() {
                 self.shortlist[w] = self.shortlist[i - 1];
                 i -= 1;
             } else {
@@ -586,6 +623,46 @@ mod tests {
             &seeds.iter().map(|&v| contact(v)).collect::<Vec<_>>(),
             &config(k, alpha),
         )
+    }
+
+    #[test]
+    fn candidates_are_half_a_cache_line() {
+        assert!(std::mem::size_of::<Candidate>() <= 32);
+    }
+
+    /// Candidates store a distance, not an id: every contact the lookup
+    /// hands back out must be byte-equal to the one that went in.
+    #[test]
+    fn handed_out_contacts_equal_their_seeds() {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        for bits in [32u16, 160] {
+            let mut rng = SmallRng::seed_from_u64(u64::from(bits));
+            let cfg = KademliaConfig::builder()
+                .bits(bits)
+                .k(20)
+                .alpha(3)
+                .build()
+                .expect("valid");
+            let target = NodeId::random(&mut rng, bits);
+            let seeds: Vec<Contact> = (0..40)
+                .map(|i| Contact::new(NodeId::random(&mut rng, bits), NodeAddr(i)))
+                .collect();
+            let own = NodeId::random(&mut rng, bits);
+            let mut s = LookupState::new(1, target, LookupPurpose::Locate, own, &seeds, &cfg);
+            let mut queried = Vec::new();
+            while !s.is_finished() {
+                for c in s.next_queries() {
+                    assert!(seeds.contains(&c), "{c} is not a seed ({bits} bits)");
+                    queried.push(c);
+                    s.on_response(&c.id, &[]);
+                }
+            }
+            let mut closest = seeds.clone();
+            closest.sort_by_key(|c| c.id.distance(&target));
+            assert_eq!(queried, closest[..queried.len()], "closest first");
+            assert_eq!(s.closest_responded(20), closest[..20]);
+        }
     }
 
     #[test]

@@ -18,6 +18,17 @@
 //! Compromised nodes additionally **withhold stored values** from
 //! FIND_VALUE retrievals, the service-level face of the same model.
 //!
+//! What a delivered message costs the host is set by the bytes it touches,
+//! not by the event count (the scheduler is ~5 % of it — see DESIGN.md,
+//! *Why the scale curve is superlinear*). A request refreshes the
+//! requester in the receiver's routing table and reads one or two of its
+//! buckets into a `k`-capacity pooled body; a response refreshes the
+//! responder — that offer *is* the RPC's success record — and merges the
+//! body into a shortlist of 32-byte candidates. The table, the shortlist
+//! and the body are laid out for that path ([`crate::routing`],
+//! [`crate::lookup`], the private `NetScratch` pools), and none of it
+//! allocates once the pools are warm.
+//!
 //! Service telemetry: installing a [`TelemetrySink`] via
 //! [`SimNetwork::set_telemetry_sink`] makes every terminating lookup emit
 //! one [`LookupRecord`] (purpose, outcome, hop depth, messages, simulated
@@ -159,68 +170,90 @@ struct DisjointGroup {
 /// Slot sentinel: this pending RPC recorded no trace span.
 const NO_TRACE_SLOT: usize = usize::MAX;
 
-/// Pool-size cap: bounds idle memory without throttling steady state (the
-/// number of buffers simultaneously out of the pool is bounded by in-flight
-/// RPCs, which the cap comfortably exceeds at every supported scale).
-const MAX_POOLED_BUFS: usize = 8192;
+/// Idle-memory budget of each buffer pool (response bodies, lookup
+/// arenas). A pool retains `POOL_BYTES / buffer size` buffers and drops
+/// returns beyond that, so idle memory is bounded whatever the network
+/// size. The budget is sized from what steady state needs: buffers out of
+/// a pool peak with the minute-start burst — every injected operation
+/// holding one arena and up to `α` RPCs in flight — measured under the
+/// pinned load (1.125 operations per node per minute) at 2.4 bodies and
+/// 1.1 arenas per node: 23,121 and 11,352 at n = 10,000. At the paper's
+/// `k = 20` a body is 480 bytes and an arena 2.5 KB, so 32 MiB retains
+/// ~70k bodies and ~13k arenas: up to n = 10,000 the whole burst comes
+/// back to the pool and the next one allocates nothing; beyond that the
+/// excess goes through the allocator each minute.
+const POOL_BYTES: usize = 32 << 20;
 
 /// Pooled scratch buffers for the event loop's hot paths.
 ///
-/// Contact buffers cycle: one leaves the pool to carry a response body,
+/// Body buffers cycle: one leaves the pool to carry a response body,
 /// rides the event queue inside the message, and returns to the pool when
 /// the response is consumed — or when the message is lost in transit or
 /// delivered to a dead node. Lookup arenas cycle between
 /// [`LookupState::with_scratch`] and [`LookupState::into_scratch`]. After
 /// warm-up every pool sits at its high-water mark and the steady-state
 /// event loop performs zero heap allocations.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct NetScratch {
-    /// Recycled contact vectors (response bodies, lookup seeds).
-    contact_bufs: Vec<Vec<Contact>>,
+    /// Recycled response-body vectors, each of capacity `body_cap`.
+    body_bufs: Vec<Vec<Contact>>,
+    /// Capacity every pooled body is created with, and the floor a buffer
+    /// must meet to re-enter the pool: `k`, exactly what a FIND_NODE
+    /// answer holds ([`RoutingTable::closest_into`] never grows its
+    /// output past the requested count).
+    ///
+    /// [`RoutingTable::closest_into`]: crate::routing::RoutingTable::closest_into
+    body_cap: usize,
+    /// How many bodies / arenas [`POOL_BYTES`] retains.
+    max_bodies: usize,
+    max_arenas: usize,
     /// Recycled per-lookup shortlist arenas.
     lookup_arenas: Vec<LookupScratch>,
+    /// The seed buffer `start_lookup_internal` borrows via `mem::take`.
+    seeds: Vec<Contact>,
     /// The query buffer `drive_lookup` borrows via `mem::take`.
     queries: Vec<Contact>,
     /// The STORE-target buffer for finished disseminations.
     store_targets: Vec<Contact>,
 }
 
-/// Capacity every pooled contact buffer is created with, and the floor a
-/// buffer must meet to re-enter the pool. `closest_into`'s bounded band
-/// collection peaks at `count + bucket capacity` contacts, and the
-/// largest `count` on the hot path is the lookup shortlist (`3k`), so
-/// `4k = 80` at the paper's `k = 20` — 128 covers that with slack.
-/// Normalizing capacity at the pool boundary matters for the
-/// zero-allocation gate: without it, each buffer *individually* doubles
-/// its way to the working-set bound over many recyclings, and with
-/// hundreds of buffers cycling randomly that growth trickles on for
-/// hours of simulated time.
-const CONTACT_BUF_CAP: usize = 128;
-
 impl NetScratch {
-    fn take_contacts(&mut self) -> Vec<Contact> {
-        self.contact_bufs
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(CONTACT_BUF_CAP))
-    }
-
-    /// Adds up to `count` full-capacity buffers to the pool (bounded by
-    /// [`MAX_POOLED_BUFS`]); called once per spawned node.
-    fn pre_mint_contacts(&mut self, count: usize) {
-        let target = MAX_POOLED_BUFS.min(self.contact_bufs.len() + count);
-        while self.contact_bufs.len() < target {
-            self.contact_bufs.push(Vec::with_capacity(CONTACT_BUF_CAP));
+    fn new(config: &KademliaConfig) -> Self {
+        let body_bytes = config.k * std::mem::size_of::<Contact>();
+        NetScratch {
+            body_bufs: Vec::new(),
+            body_cap: config.k,
+            max_bodies: POOL_BYTES / body_bytes.max(1),
+            max_arenas: POOL_BYTES / LookupScratch::footprint_bytes(config).max(1),
+            lookup_arenas: Vec::new(),
+            seeds: Vec::new(),
+            queries: Vec::new(),
+            store_targets: Vec::new(),
         }
     }
 
-    /// Returns a buffer to the pool. Undersized buffers — one whose
-    /// storage was taken into a response body (capacity zero), or a body
-    /// built before capacity normalization — are dropped; replacements
-    /// are minted at full capacity by [`NetScratch::take_contacts`].
-    fn recycle_contacts(&mut self, mut buf: Vec<Contact>) {
-        if buf.capacity() >= CONTACT_BUF_CAP && self.contact_bufs.len() < MAX_POOLED_BUFS {
+    fn take_body(&mut self) -> Vec<Contact> {
+        self.body_bufs
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(self.body_cap))
+    }
+
+    /// Adds up to `count` buffers to the body pool (bounded by the pool
+    /// budget); called once per spawned node.
+    fn pre_mint_bodies(&mut self, count: usize) {
+        let target = self.max_bodies.min(self.body_bufs.len() + count);
+        while self.body_bufs.len() < target {
+            self.body_bufs.push(Vec::with_capacity(self.body_cap));
+        }
+    }
+
+    /// Returns a body buffer to the pool. Undersized buffers — one whose
+    /// storage was taken into a response body (capacity zero) — are
+    /// dropped; replacements are minted by [`NetScratch::take_body`].
+    fn recycle_body(&mut self, mut buf: Vec<Contact>) {
+        if buf.capacity() >= self.body_cap && self.body_bufs.len() < self.max_bodies {
             buf.clear();
-            self.contact_bufs.push(buf);
+            self.body_bufs.push(buf);
         }
     }
 
@@ -229,7 +262,7 @@ impl NetScratch {
     }
 
     fn recycle_lookup(&mut self, arena: LookupScratch) {
-        if self.lookup_arenas.len() < MAX_POOLED_BUFS {
+        if self.lookup_arenas.len() < self.max_arenas {
             self.lookup_arenas.push(arena);
         }
     }
@@ -323,6 +356,7 @@ impl SimNetwork {
     /// reproduce identical runs.
     pub fn new(config: KademliaConfig, transport: Transport, seed: u64) -> Self {
         let factory = RngFactory::new(seed);
+        let scratch = NetScratch::new(&config);
         SimNetwork {
             config,
             transport,
@@ -330,7 +364,7 @@ impl SimNetwork {
             queue: EventQueue::new(),
             pending: GenSlab::new(),
             next_lookup_id: 0,
-            scratch: NetScratch::default(),
+            scratch,
             transport_rng: factory.stream("transport"),
             refresh_rng: factory.stream("refresh"),
             id_rng: factory.stream("node-ids"),
@@ -472,7 +506,7 @@ impl SimNetwork {
         // peak buffers-in-flight tracks the minute-start lookup burst
         // (every node firing α queries at once), and minting here — in
         // the topology phase — keeps that growth off the event loop.
-        self.scratch.pre_mint_contacts(8);
+        self.scratch.pre_mint_bodies(self.config.alpha);
         // A node's defense-tick chain starts exactly once: here for nodes
         // spawned after the policy was installed, in `set_defense_policy`
         // for nodes alive at install time.
@@ -749,7 +783,7 @@ impl SimNetwork {
         target: NodeId,
         purpose: LookupPurpose,
     ) -> LookupId {
-        let mut seeds = self.scratch.take_contacts();
+        let mut seeds = std::mem::take(&mut self.scratch.seeds);
         let node = &self.nodes[addr.index()];
         node.routing
             .closest_into(&target, self.config.shortlist_capacity(), &mut seeds);
@@ -764,7 +798,7 @@ impl SimNetwork {
             }
         }
         let id = self.create_lookup(addr, target, purpose, &seeds, true);
-        self.scratch.recycle_contacts(seeds);
+        self.scratch.seeds = seeds;
         self.drive_lookup(addr, id);
         id
     }
@@ -1029,7 +1063,7 @@ impl SimNetwork {
             if !node.routing.contains(&contact.id) {
                 if let Some(idx) = node.routing.bucket_index(&contact.id) {
                     let own = node.routing.own_id();
-                    match policy.decide_insert(&own, node.routing.bucket(idx), idx, &contact) {
+                    match policy.decide_insert(&own, &node.routing.bucket(idx), idx, &contact) {
                         InsertDecision::Admit => {}
                         InsertDecision::Reject => {
                             self.counters.incr("defense_diversity_reject");
@@ -1162,7 +1196,7 @@ impl SimNetwork {
     fn reclaim_body(&mut self, body: ResponseBody) {
         match body {
             ResponseBody::Nodes(nodes) | ResponseBody::Value { nodes, .. } => {
-                self.scratch.recycle_contacts(nodes);
+                self.scratch.recycle_body(nodes);
             }
             _ => {}
         }
@@ -1192,7 +1226,7 @@ impl SimNetwork {
                 // their respective routing tables": requests advertise
                 // the requester.
                 self.offer_contact(to, from);
-                let mut buf = self.scratch.take_contacts();
+                let mut buf = self.scratch.take_body();
                 let (response, responder) = {
                     let node = &mut self.nodes[to.index()];
                     (
@@ -1203,7 +1237,7 @@ impl SimNetwork {
                 // If the response body took the buffer, `buf` is now empty
                 // (capacity travels inside the message and comes back on
                 // the consumption side); otherwise it returns to the pool.
-                self.scratch.recycle_contacts(buf);
+                self.scratch.recycle_body(buf);
                 self.counters.incr_hot(HotCounter::RequestHandled);
                 self.send_message(
                     from.addr,
@@ -1223,9 +1257,11 @@ impl SimNetwork {
                 };
                 self.queue.cancel(pending.timeout_event);
                 debug_assert_eq!(pending.requester, to, "response routed to requester");
-                let now = self.now();
+                // The offer is also the RPC's success record: a stored
+                // responder moves to its bucket's most-recently-seen end
+                // with failures reset; one the table dropped has no entry
+                // to update.
                 self.offer_contact(to, from);
-                self.nodes[to.index()].routing.record_success(&from.id, now);
                 self.counters.incr_hot(HotCounter::ResponseReceived);
                 if let Some(lookup_id) = pending.lookup {
                     if self.traces_on {
@@ -1251,7 +1287,7 @@ impl SimNetwork {
                             state.mark_value_found();
                         }
                     }
-                    self.scratch.recycle_contacts(contacts);
+                    self.scratch.recycle_body(contacts);
                     self.drive_lookup(to, lookup_id);
                     self.trace.cause = None;
                 } else {
@@ -1342,9 +1378,9 @@ impl SimNetwork {
         let first_bucket = match self.config.refresh_policy {
             RefreshPolicy::AllBuckets => 0,
             RefreshPolicy::OccupiedWithMargin(margin) => {
-                let node = &self.nodes[addr.index()];
-                let lowest_occupied = (0..bits)
-                    .find(|&i| !node.routing.bucket(i).is_empty())
+                let lowest_occupied = self.nodes[addr.index()]
+                    .routing
+                    .lowest_occupied()
                     .unwrap_or(bits.saturating_sub(1));
                 lowest_occupied.saturating_sub(margin)
             }
@@ -1391,6 +1427,7 @@ mod tests {
     use dessim::latency::LatencyModel;
     use dessim::loss::LossModel;
     use dessim::time::SimDuration;
+    use rand::SeedableRng;
 
     fn test_config(k: usize) -> KademliaConfig {
         KademliaConfig::builder()
@@ -1921,6 +1958,117 @@ mod tests {
 
         fn repair_target(&mut self, _own: &NodeId, lost: &Contact) -> Option<NodeId> {
             Some(lost.id)
+        }
+    }
+
+    /// Test policy: a full bucket admits the newcomer in place of its
+    /// least-recently-seen contact.
+    struct ReplaceOldest;
+
+    impl crate::defense::DefensePolicy for ReplaceOldest {
+        fn label(&self) -> &'static str {
+            "replace-oldest"
+        }
+
+        fn decide_insert(
+            &mut self,
+            _own: &NodeId,
+            bucket: &crate::bucket::KBucket,
+            _index: usize,
+            _candidate: &Contact,
+        ) -> crate::defense::InsertDecision {
+            match bucket.iter().next() {
+                Some(oldest) if bucket.is_full() => {
+                    crate::defense::InsertDecision::Replace(oldest.contact.id)
+                }
+                _ => crate::defense::InsertDecision::Admit,
+            }
+        }
+    }
+
+    /// The Response arm records the RPC's success through
+    /// `offer_contact(to, from)` alone. That is only sound if the table a
+    /// response leaves behind is a fixed point of
+    /// `routing.record_success(&from.id, now)` — under every policy
+    /// verdict, for a responder that is stored, new with room, or new to
+    /// a full bucket.
+    #[test]
+    fn a_response_leaves_nothing_for_record_success_to_do() {
+        type Policy = Option<Box<dyn crate::defense::DefensePolicy>>;
+        let policies: [fn() -> Policy; 3] = [
+            || None,
+            || Some(Box::new(RejectAll)),
+            || Some(Box::new(ReplaceOldest)),
+        ];
+        for (p, policy) in policies.into_iter().enumerate() {
+            let config = KademliaConfig::builder()
+                .bits(32)
+                .k(2)
+                .staleness_limit(3)
+                .build()
+                .expect("valid");
+            let mut net = SimNetwork::new(config, lossless(), 77);
+            let a = net.spawn_node();
+            let mut rng = SmallRng::seed_from_u64(5);
+            // Three peers in one bucket of a's table (k = 2: the third
+            // finds it full) and one alone in another.
+            let mut peer = |net: &SimNetwork, bucket: usize, addr: u32| {
+                let id = net.node(a).routing.random_id_in_bucket(&mut rng, bucket);
+                Contact::new(id, NodeAddr(addr))
+            };
+            let peers = [
+                peer(&net, 20, 100),
+                peer(&net, 20, 101),
+                peer(&net, 20, 102),
+                peer(&net, 9, 103),
+            ];
+            // Stored before the policy is installed, with a failure on
+            // record so a refresh has something to reset.
+            for c in &peers[..2] {
+                net.nodes[a.index()].routing.offer(*c, SimTime::ZERO);
+                net.nodes[a.index()].routing.record_failure(&c.id);
+            }
+            if let Some(policy) = policy() {
+                net.set_defense_policy(policy);
+            }
+            net.run_until(SimTime::from_secs(30));
+            for from in [peers[0], peers[3], peers[2], peers[1], peers[2]] {
+                let rpc_id = net.pending.next_key();
+                net.send_request(a, from, RequestKind::Ping, None);
+                net.on_deliver(
+                    a,
+                    Message::Response {
+                        rpc_id,
+                        from,
+                        body: ResponseBody::Pong,
+                    },
+                );
+                let after_response: Vec<_> = net.node(a).routing.entries().collect();
+                let now = net.now();
+                net.nodes[a.index()].routing.record_success(&from.id, now);
+                assert_eq!(
+                    net.node(a).routing.entries().collect::<Vec<_>>(),
+                    after_response,
+                    "policy {p}: record_success changed the table after {from}'s response"
+                );
+            }
+            let stored = |c: &Contact| net.node(a).routing.contains(&c.id);
+            match p {
+                // No policy: the full bucket dropped the third peer.
+                0 => assert!(stored(&peers[0]) && stored(&peers[1]) && !stored(&peers[2])),
+                // Reject: only what was stored beforehand.
+                1 => assert!(!stored(&peers[2]) && !stored(&peers[3])),
+                // Replace: the third peer took a slot.
+                _ => assert!(stored(&peers[2]) && stored(&peers[3])),
+            }
+            let refreshed = net
+                .node(a)
+                .routing
+                .entries()
+                .find(|e| e.contact == peers[0]);
+            if let Some(entry) = refreshed {
+                assert_eq!((entry.failures, entry.last_seen), (0, net.now()));
+            }
         }
     }
 

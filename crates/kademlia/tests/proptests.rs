@@ -1,7 +1,6 @@
 //! Property-based tests for the Kademlia protocol structures.
 
 use dessim::time::SimTime;
-use kademlia::bucket::KBucket;
 use kademlia::config::KademliaConfig;
 use kademlia::contact::{Contact, NodeAddr};
 use kademlia::id::NodeId;
@@ -13,6 +12,21 @@ use rand::SeedableRng;
 
 fn contact(v: u64, bits: u16) -> Contact {
     Contact::new(NodeId::from_u64(v, bits), NodeAddr(v as u32))
+}
+
+/// Bucket 5 of a 32-bit table owned by id 0 covers ids `32..64`: the
+/// single-bucket tests below keep every id inside it.
+const BUCKET: usize = 5;
+const BUCKET_BASE: u64 = 1 << BUCKET;
+
+fn one_bucket_table(k: usize, s: u32) -> RoutingTable {
+    let config = KademliaConfig::builder()
+        .bits(32)
+        .k(k)
+        .staleness_limit(s)
+        .build()
+        .expect("valid");
+    RoutingTable::new(NodeId::from_u64(0, 32), &config)
 }
 
 proptest! {
@@ -71,20 +85,22 @@ proptest! {
         ops in proptest::collection::vec((0u64..20, 0u8..3), 0..200),
         s in 1u32..6,
     ) {
-        let mut bucket = KBucket::new(k);
+        let mut table = one_bucket_table(k, s);
         for (v, op) in ops {
-            let id = NodeId::from_u64(v + 1, 32);
+            let id = NodeId::from_u64(BUCKET_BASE + v, 32);
             match op {
                 0 => {
-                    bucket.offer(contact(v + 1, 32), SimTime::ZERO);
+                    table.offer(contact(BUCKET_BASE + v, 32), SimTime::ZERO);
                 }
                 1 => {
-                    bucket.record_success(&id, SimTime::ZERO);
+                    table.record_success(&id, SimTime::ZERO);
                 }
                 _ => {
-                    bucket.record_failure(&id, s);
+                    table.record_failure(&id);
                 }
             }
+            let bucket = table.bucket(BUCKET);
+            prop_assert_eq!(bucket.len(), table.contact_count(), "ids left the bucket");
             prop_assert!(bucket.len() <= k);
             let mut seen = std::collections::HashSet::new();
             for c in bucket.contacts() {
@@ -97,24 +113,24 @@ proptest! {
     /// resets the countdown.
     #[test]
     fn staleness_semantics(s in 1u32..6, successes_before in 0u32..4) {
-        let mut bucket = KBucket::new(4);
-        let id = NodeId::from_u64(1, 32);
-        bucket.offer(contact(1, 32), SimTime::ZERO);
+        let mut table = one_bucket_table(4, s);
+        let id = NodeId::from_u64(BUCKET_BASE, 32);
+        table.offer(contact(BUCKET_BASE, 32), SimTime::ZERO);
         // Partial failures followed by a success leave the contact in.
         for _ in 0..s - 1 {
-            prop_assert!(!bucket.record_failure(&id, s));
+            prop_assert!(!table.record_failure(&id));
         }
         for _ in 0..successes_before {
-            bucket.record_success(&id, SimTime::ZERO);
+            table.record_success(&id, SimTime::ZERO);
         }
         if successes_before > 0 {
             // Counter reset: need the full s failures again.
             for _ in 0..s - 1 {
-                prop_assert!(!bucket.record_failure(&id, s));
+                prop_assert!(!table.record_failure(&id));
             }
         }
-        prop_assert!(bucket.record_failure(&id, s));
-        prop_assert!(bucket.is_empty());
+        prop_assert!(table.record_failure(&id));
+        prop_assert!(table.bucket(BUCKET).is_empty());
     }
 
     /// `closest` returns contacts sorted by distance to the target and
