@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flowgraph::even::EvenNetwork;
-use flowgraph::maxflow::{Dinic, EdmondsKarp, FlowWorkspace, MaxFlow, PushRelabel, Solver};
+use flowgraph::maxflow::{Dinic, FlowWorkspace, MaxFlow, PushRelabel, Solver};
 use kad_bench::support::overlay_graph;
 use std::hint::black_box;
 
@@ -28,10 +28,9 @@ fn bench_solvers(c: &mut Criterion) {
                 }
             }
         }
-        let solvers: [(&str, &dyn MaxFlow); 3] = [
+        let solvers: [(&str, &dyn MaxFlow); 2] = [
             ("dinic", &Dinic::new()),
             ("push-relabel", &PushRelabel::new()),
-            ("edmonds-karp", &EdmondsKarp::new()),
         ];
         for (name, solver) in solvers {
             // Fresh-workspace baseline: scratch allocated per computation

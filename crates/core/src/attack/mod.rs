@@ -1,48 +1,33 @@
-//! Attack simulation: empirical validation of Equation 2, one-shot and
-//! temporal.
+//! Attack simulation: empirical validation of Equation 2.
 //!
 //! The paper's system model assumes an attacker who compromises up to `a`
 //! nodes; a compromised node can drop all traffic, so from a connectivity
-//! standpoint it is *removed*. This module answers two questions:
-//!
-//! * **One-shot** ([`simulate_attack`]): remove a victim set in a single
-//!   blow and check whether the survivors can still all communicate — the
-//!   operational meaning of r-resilience.
-//! * **Temporal** ([`campaign::Campaign`]): let the attacker compromise
-//!   nodes *one per step* under a strategy that re-plans against the
-//!   shrinking survivor graph, and watch `κ` degrade step by step. The
-//!   per-step connectivity is maintained by [`incremental`]: after each
-//!   removal only the pairs whose recorded flow witness used the removed
-//!   vertex are re-solved, so a `T`-step campaign costs far less than `T`
-//!   full `n(n−1)`-pair sweeps.
+//! standpoint it is *removed*. [`simulate_attack`] removes a victim set in
+//! a single blow and checks whether the survivors can still all
+//! communicate — the operational meaning of r-resilience — and
+//! [`equation2_holds`] probes the theorem behind it. The temporal attacker,
+//! which compromises nodes minute by minute while the overlay keeps living,
+//! is the live campaign grid in `kad_experiments`; its min-cut strategy
+//! scouts each minute's snapshot with [`probe_smallest_cut`].
 //!
 //! # Example
 //!
-//! A minimal campaign: a 12-node bidirected ring (κ = 2) attacked by a
-//! min-cut-guided adversary. Two compromises suffice to disconnect it:
+//! A 12-node bidirected ring has κ = 2: one compromise never disconnects
+//! it, a two-vertex minimum cut does.
 //!
 //! ```
 //! use flowgraph::generators::bidirected_cycle;
-//! use kad_resilience::attack::{Campaign, CampaignConfig, CampaignStrategy};
+//! use kad_resilience::attack::{simulate_attack, AttackStrategy};
+//! use rand::rngs::SmallRng;
+//! use rand::SeedableRng;
 //!
 //! let g = bidirected_cycle(12);
-//! let config = CampaignConfig {
-//!     strategy: CampaignStrategy::MinCutGuided,
-//!     budget: 2,
-//!     seed: 7,
-//! };
-//! let outcome = Campaign::new(&g, config).expect("valid config").run();
-//! assert_eq!(outcome.initial.min, 2);
-//! assert_eq!(outcome.steps.len(), 2);
-//! // After spending κ(D) = 2 compromises the ring is severed.
-//! assert_eq!(outcome.steps.last().unwrap().kappa_min, 0);
+//! let mut rng = SmallRng::seed_from_u64(7);
+//! let one = simulate_attack(&g, 1, AttackStrategy::Random, &mut rng).expect("budget < n");
+//! assert!(one.survivors_connected);
+//! let two = simulate_attack(&g, 2, AttackStrategy::MinimumCut, &mut rng).expect("budget < n");
+//! assert!(!two.survivors_connected);
 //! ```
-
-pub mod campaign;
-pub mod incremental;
-
-pub use campaign::{Campaign, CampaignConfig, CampaignOutcome, CampaignStep, CampaignStrategy};
-pub use incremental::{IncrementalConnectivity, InsertionStats, RemovalStats};
 
 use crate::graph::exact_connectivity;
 use crate::AnalysisConfig;
@@ -69,9 +54,9 @@ pub enum AttackStrategy {
     MinimumCut,
 }
 
-/// Typed failure of an attack simulation or campaign — returned instead of
-/// panicking so a degenerate cell (e.g. a budget larger than the network
-/// after heavy churn) cannot abort a whole scenario-matrix run.
+/// Typed failure of an attack simulation — returned instead of panicking so
+/// a degenerate cell (e.g. a budget larger than the network after heavy
+/// churn) cannot abort a whole scenario-matrix run.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AttackError {
     /// The attacker budget would not leave a single survivor.
@@ -81,22 +66,6 @@ pub enum AttackError {
         /// Vertices in the graph.
         nodes: usize,
     },
-    /// [`CampaignStrategy::Eclipse`] needs a node-id table; build the
-    /// campaign with [`Campaign::with_ids`].
-    MissingIds,
-    /// The id table does not cover every vertex.
-    IdCountMismatch {
-        /// Ids supplied.
-        ids: usize,
-        /// Vertices in the graph.
-        nodes: usize,
-    },
-    /// The vertex does not exist in the graph.
-    VertexOutOfRange(u32),
-    /// The vertex was already removed earlier in the campaign.
-    AlreadyRemoved(u32),
-    /// The vertex is alive, so it cannot be restored.
-    NotRemoved(u32),
 }
 
 impl fmt::Display for AttackError {
@@ -106,18 +75,6 @@ impl fmt::Display for AttackError {
                 f,
                 "attacker budget {budget} must leave at least one of {nodes} nodes"
             ),
-            AttackError::MissingIds => {
-                write!(
-                    f,
-                    "eclipse strategy needs node ids (use Campaign::with_ids)"
-                )
-            }
-            AttackError::IdCountMismatch { ids, nodes } => {
-                write!(f, "{ids} ids supplied for {nodes} vertices")
-            }
-            AttackError::VertexOutOfRange(v) => write!(f, "vertex {v} out of range"),
-            AttackError::AlreadyRemoved(v) => write!(f, "vertex {v} already removed"),
-            AttackError::NotRemoved(v) => write!(f, "vertex {v} is alive, nothing to restore"),
         }
     }
 }
@@ -231,9 +188,8 @@ fn best_cut_within_budget<R: Rng + ?Sized>(
 /// returns the smallest non-empty cut found (`None` when every probed pair
 /// was adjacent, identical, or already disconnected).
 ///
-/// Shared by the static [`CampaignStrategy::MinCutGuided`] attacker and the
-/// live `kad_experiments` campaign, so both adversaries stay behaviorally
-/// identical.
+/// The live `kad_experiments` campaign's min-cut attacker calls this on
+/// every minute's survivor snapshot.
 pub fn probe_smallest_cut<R: Rng + ?Sized>(
     g: &DiGraph,
     candidates: &[u32],
@@ -385,6 +341,52 @@ mod tests {
         }
         .to_string();
         assert!(message.contains("budget 3"), "{message}");
+    }
+
+    fn all_vertices(g: &DiGraph) -> Vec<u32> {
+        (0..g.node_count() as u32).collect()
+    }
+
+    #[test]
+    fn probe_needs_three_candidates() {
+        let g = bidirected_cycle(12);
+        let mut rng = SmallRng::seed_from_u64(8);
+        assert_eq!(probe_smallest_cut(&g, &[0, 6], 16, &mut rng), None);
+        assert_eq!(probe_smallest_cut(&g, &[], 16, &mut rng), None);
+    }
+
+    #[test]
+    fn probe_cuts_the_ring_in_two() {
+        let g = bidirected_cycle(12);
+        let mut rng = SmallRng::seed_from_u64(9);
+        let cut = probe_smallest_cut(&g, &all_vertices(&g), 16, &mut rng).expect("κ = 2 ring");
+        assert_eq!(cut.len(), 2);
+        let (survivors, _) = g.remove_vertices(&cut.iter().copied().collect());
+        assert!(!is_strongly_connected(&survivors));
+    }
+
+    #[test]
+    fn probe_finds_figure1_articulation() {
+        let g = paper_figure1();
+        let mut rng = SmallRng::seed_from_u64(2);
+        let cut = probe_smallest_cut(&g, &all_vertices(&g), 16, &mut rng);
+        assert_eq!(cut, Some(vec![4]), "vertex e is the 1-cut");
+    }
+
+    #[test]
+    fn probe_replays_from_the_same_seed() {
+        let mut rng = SmallRng::seed_from_u64(10);
+        let g = gnp(16, 0.3, &mut rng);
+        let probe = |seed| {
+            probe_smallest_cut(
+                &g,
+                &all_vertices(&g),
+                16,
+                &mut SmallRng::seed_from_u64(seed),
+            )
+        };
+        assert!(probe(11).is_some());
+        assert_eq!(probe(11), probe(11));
     }
 
     #[test]

@@ -46,9 +46,13 @@ pub fn exact_connectivity(g: &DiGraph, config: &AnalysisConfig) -> u64 {
     connectivity_from_sources(g, &sources, &sweep).min
 }
 
-/// Tests whether `κ(D) >= threshold` without computing the exact value
-/// (Even's classical decision procedure: every pair flow is cut off at
-/// `threshold`).
+/// Tests whether `κ(D) >= threshold` without computing the exact value.
+///
+/// After the complete-graph, strong-connectivity and minimum-degree
+/// pre-checks it runs up to `n(n−1)` pair flows, each cut off at
+/// `threshold`, and answers `false` at the first pair below it. This is
+/// not Even's `O(t² + n)`-flow decision procedure, which would need flows
+/// from a source *set*.
 ///
 /// Useful when only Equation 2 matters: a network tolerates `a`
 /// compromised nodes iff `κ(D) > a`, i.e. `has_connectivity_at_least(g,

@@ -16,10 +16,10 @@
 //!   validated by the authors on 20 full analyses; the [`sampled`] module
 //!   ships the same validation as a reproducible experiment),
 //! * minimum & average connectivity reports ([`report`]), the resilience
-//!   arithmetic of Equation 2 ([`resilience`]), and attack simulations that
-//!   empirically validate it ([`attack`]) — both one-shot removals and
-//!   temporal [`attack::Campaign`]s whose per-step `κ` is maintained by an
-//!   incremental dirty-pair tracker ([`attack::incremental`]).
+//!   arithmetic of Equation 2 ([`resilience`]), and one-shot attack
+//!   simulations that empirically validate it ([`attack`]), plus the
+//!   min-cut scout the live campaign grid's attacker uses
+//!   ([`attack::probe_smallest_cut`]).
 //!
 //! The per-pair flow computations parallelize with rayon — the stand-in for
 //! the 24-node Opteron cluster the authors used.

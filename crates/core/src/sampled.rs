@@ -349,9 +349,14 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(17);
         let g = gnp(18, 0.3, &mut rng);
         let mut results = Vec::new();
-        for kind in SolverKind::ALL {
+        for (solver, batched) in [
+            (SolverKind::Dinic, true),
+            (SolverKind::PushRelabel, true),
+            (SolverKind::Dinic, false),
+        ] {
             let config = AnalysisConfig {
-                solver: kind,
+                solver,
+                batched,
                 ..AnalysisConfig::exact()
             };
             results.push(sampled_connectivity(&g, &config));

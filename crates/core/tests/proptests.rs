@@ -2,10 +2,7 @@
 
 use flowgraph::generators;
 use flowgraph::DiGraph;
-use kad_resilience::attack::{
-    simulate_attack, AttackStrategy, Campaign, CampaignConfig, CampaignStrategy,
-    IncrementalConnectivity,
-};
+use kad_resilience::attack::{simulate_attack, AttackStrategy};
 use kad_resilience::estimator::{sampled_kappa, SampledKappaConfig};
 use kad_resilience::graph::{exact_connectivity, has_connectivity_at_least};
 use kad_resilience::sampled::sampled_connectivity;
@@ -167,117 +164,6 @@ proptest! {
         let exact = sampled_connectivity(&g, &AnalysisConfig::exact());
         let sampled = sampled_connectivity(&g, &AnalysisConfig::default());
         prop_assert_eq!(sampled.min, exact.min);
-    }
-
-    /// A campaign replayed from the same RNG stream seed is byte-identical:
-    /// same compromise schedule, same κ series, same flow counts.
-    #[test]
-    fn campaign_replay_is_byte_identical(g in arb_digraph(12), seed in any::<u64>()) {
-        for strategy in [
-            CampaignStrategy::Random,
-            CampaignStrategy::HighestDegree,
-            CampaignStrategy::MinCutGuided,
-        ] {
-            let budget = (g.node_count() / 2).max(1);
-            let config = CampaignConfig { strategy, budget, seed };
-            let a = Campaign::new(&g, config).expect("budget < n").run();
-            let b = Campaign::new(&g, config).expect("budget < n").run();
-            prop_assert_eq!(a, b, "{:?}", strategy);
-        }
-    }
-
-    /// The incremental dirty-pair tracker agrees exactly with a full
-    /// re-sweep after every removal.
-    #[test]
-    fn incremental_matches_full_resweep(g in arb_digraph(10), seed in any::<u64>()) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut tracker = IncrementalConnectivity::new(&g);
-        let mut removed = std::collections::HashSet::new();
-        for _ in 0..g.node_count().min(4) {
-            let alive = tracker.alive_vertices();
-            if alive.len() <= 1 {
-                break;
-            }
-            let victim = alive[rand::Rng::random_range(&mut rng, 0..alive.len())];
-            tracker.remove(victim).expect("alive victim");
-            removed.insert(victim);
-            let (survivor, _) = g.remove_vertices(&removed);
-            let oracle = sampled_connectivity(
-                &survivor,
-                &AnalysisConfig { parallel: false, ..AnalysisConfig::exact() },
-            );
-            let got = tracker.summary();
-            prop_assert_eq!(got.min, oracle.min);
-            prop_assert_eq!(got.pairs_evaluated, oracle.pairs_evaluated);
-            prop_assert_eq!(got.zero_pairs, oracle.zero_pairs);
-            let avg = got.avg.expect("tracker keeps full flow values");
-            let oracle_avg = oracle.avg.expect("exact sweep defines the mean");
-            prop_assert!((avg - oracle_avg).abs() < 1e-12);
-        }
-    }
-
-    /// Interleaved removals, restores, and edge insertions stay in exact
-    /// agreement with a from-scratch re-sweep of the current topology.
-    #[test]
-    fn incremental_insertion_matches_full_resweep(
-        g in arb_digraph(9),
-        seed in any::<u64>(),
-        script in proptest::collection::vec(0u8..4, 1..8),
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut tracker = IncrementalConnectivity::new(&g);
-        // Current topology mirrored outside the tracker: base graph grown
-        // by insertions, minus the currently removed vertex set.
-        let mut grown = g.clone();
-        let n = g.node_count() as u32;
-        let mut removed = std::collections::HashSet::new();
-        for op in script {
-            match op {
-                // Remove a random alive vertex (keep at least one alive).
-                0 | 1 => {
-                    let alive = tracker.alive_vertices();
-                    if alive.len() <= 1 {
-                        continue;
-                    }
-                    let victim = alive[rand::Rng::random_range(&mut rng, 0..alive.len())];
-                    tracker.remove(victim).expect("alive victim");
-                    removed.insert(victim);
-                }
-                // Restore a random removed vertex.
-                2 => {
-                    if removed.is_empty() {
-                        continue;
-                    }
-                    let mut gone: Vec<u32> = removed.iter().copied().collect();
-                    gone.sort_unstable();
-                    let back = gone[rand::Rng::random_range(&mut rng, 0..gone.len())];
-                    tracker.restore(back).expect("was removed");
-                    removed.remove(&back);
-                }
-                // Insert a random new edge between alive vertices.
-                _ => {
-                    let u = rand::Rng::random_range(&mut rng, 0..n);
-                    let v = rand::Rng::random_range(&mut rng, 0..n);
-                    if u == v || removed.contains(&u) || removed.contains(&v) {
-                        continue;
-                    }
-                    tracker.insert_edge(u, v).expect("alive endpoints");
-                    grown.add_edge(u, v);
-                }
-            }
-            let (survivor, _) = grown.remove_vertices(&removed);
-            let oracle = sampled_connectivity(
-                &survivor,
-                &AnalysisConfig { parallel: false, ..AnalysisConfig::exact() },
-            );
-            let got = tracker.summary();
-            prop_assert_eq!(got.min, oracle.min);
-            prop_assert_eq!(got.pairs_evaluated, oracle.pairs_evaluated);
-            prop_assert_eq!(got.zero_pairs, oracle.zero_pairs);
-            let avg = got.avg.expect("tracker keeps full flow values");
-            let oracle_avg = oracle.avg.expect("exact sweep defines the mean");
-            prop_assert!((avg - oracle_avg).abs() < 1e-12);
-        }
     }
 
     /// Densification never lowers exact connectivity.

@@ -171,8 +171,8 @@ pub fn pick_victim(
                     return Some(queued);
                 }
             }
-            // Same scouting probe as the static adversary, over the dense
-            // snapshot indices (every honest node is a candidate pair end).
+            // Scout the dense snapshot indices (every honest node is a
+            // candidate pair end).
             let g = snapshot_to_digraph(snap);
             let dense: Vec<u32> = (0..snap.node_count() as u32).collect();
             if let Some(cut) = probe_smallest_cut(&g, &dense, 16, rng) {

@@ -1,8 +1,8 @@
 //! Live attack campaigns: an adversary compromising nodes *during* churn
 //! and data traffic, driven through the simulator's event kernel.
 //!
-//! The core [`kad_resilience::attack::Campaign`] answers "how does `κ`
-//! degrade as victims fall" on a frozen connectivity graph. This module
+//! [`kad_resilience::attack::simulate_attack`] answers "does the network
+//! survive this victim set" on a frozen connectivity graph. This module
 //! asks the harder scenario-diversity question the related dynamic-overlay
 //! work evaluates: the overlay keeps *living* — joins, departures, lookups,
 //! refreshes, message loss — while the attacker works through its budget.

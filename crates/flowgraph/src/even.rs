@@ -72,12 +72,6 @@ impl EvenNetwork {
 
     /// Builds the transformation with a chosen edge-arc capacity.
     pub fn with_edge_capacity(graph: &DiGraph, edge_cap: EdgeCapacity) -> Self {
-        Self::from_shared(Arc::new(graph.clone()), edge_cap)
-    }
-
-    /// Builds the transformation around an already-shared graph, avoiding
-    /// the graph clone of [`EvenNetwork::with_edge_capacity`].
-    pub fn from_shared(graph: Arc<DiGraph>, edge_cap: EdgeCapacity) -> Self {
         let n = graph.node_count();
         let mut net = FlowNetwork::new(2 * n);
         // Internal arcs x' -> x'' with capacity 1 (vertex capacity).
@@ -93,7 +87,7 @@ impl EvenNetwork {
         }
         EvenNetwork {
             net,
-            graph,
+            graph: Arc::new(graph.clone()),
             edge_cap,
         }
     }
@@ -110,9 +104,7 @@ impl EvenNetwork {
     /// vertex in ascending order, and every arc consumes two residual slots
     /// (forward + reverse), so vertex `x`'s internal arc is id `2x`. The
     /// mapping is an invariant of the constructor and is asserted by tests;
-    /// incremental connectivity tracking uses it to delete vertices in place
-    /// (zero the internal arc's base capacity) and to read which vertices a
-    /// computed flow crossed.
+    /// it reads which vertices a computed flow crossed.
     #[inline]
     pub fn internal_arc(x: u32) -> u32 {
         2 * x
@@ -332,7 +324,7 @@ mod tests {
     fn internal_arcs_witness_disjoint_paths() {
         // Two vertex-disjoint paths 0 -> 1 -> 3 and 0 -> 2 -> 3: after the
         // flow, exactly the interior vertices 1 and 2 carry flow through
-        // their internal arcs (the invariant incremental tracking reads).
+        // their internal arcs.
         let g = DiGraph::from_edges(4, [(0, 1), (1, 3), (0, 2), (2, 3)]);
         let mut even = EvenNetwork::from_graph(&g);
         assert_eq!(even.vertex_connectivity(&Dinic::new(), 0, 3, None), Some(2));

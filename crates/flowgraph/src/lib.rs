@@ -9,12 +9,13 @@
 //!   directed edge `(v, w)` iff `w` appears in `v`'s routing table.
 //! * [`even::EvenNetwork`] — Even's vertex-splitting transformation, which
 //!   reduces vertex connectivity to maximum flow (Section 4.3 of the paper).
-//! * [`maxflow`] — three interchangeable max-flow solvers:
+//! * [`maxflow`] — max-flow solvers on explicit networks:
 //!   [`maxflow::PushRelabel`] (a faithful re-implementation of the HIPR
-//!   highest-label push-relabel code the authors used),
-//!   [`maxflow::Dinic`] and [`maxflow::EdmondsKarp`] as cross-checking
-//!   baselines. All support *early cutoff*, the key trick that makes
-//!   minimum-connectivity search tractable.
+//!   highest-label push-relabel code the authors used, and the oracle),
+//!   [`maxflow::Dinic`] (min-cuts, Menger paths, the explicit sweep
+//!   baseline) and [`maxflow::EdmondsKarp`] (a test-only reference). All
+//!   support *early cutoff*, the key trick that makes minimum-connectivity
+//!   search tractable.
 //! * [`vertex_flow`] — the production `κ(v, w)` kernel: unit-capacity Dinic
 //!   on the *implicit* Even network, straight over CSR rows of the graph
 //!   (no transformed network is built); the explicit route above is its

@@ -11,9 +11,7 @@
 //! Level-graph membership lives in a `u64`-word bitset rather than a
 //! sentinel in the level array: a BFS clears `n/64` words instead of
 //! rewriting `n` levels, and dead-end removal during the blocking flow is a
-//! single bit clear. The blocking-flow DFS is shared with
-//! [`super::BatchedDinic`], which substitutes a cached clean-network level
-//! graph for the first phase.
+//! single bit clear.
 
 use super::{
     bit_clear, bit_set, bit_test, check_endpoints, words_for, FlowNetwork, FlowWorkspace, MaxFlow,
@@ -49,17 +47,14 @@ impl Dinic {
 /// BFS over the residual graph from `s`, filling `level` and the `visited`
 /// bitset (levels are meaningful only where the visited bit is set).
 ///
-/// With `t = Some(sink)` the search returns `true` the moment the sink is
-/// labelled — every vertex of a lower level is labelled by then, and those
-/// are the only ones a shortest `s -> t` path can use — or `false` once the
-/// reachable set is exhausted without it. With `t = None` the whole
-/// residual-reachable set is layered — the form [`super::BatchedDinic`]
-/// uses to build a target-independent level graph — and the return value
-/// is `true`.
-pub(crate) fn level_bfs(
+/// Returns `true` the moment the sink `t` is labelled — every vertex of a
+/// lower level is labelled by then, and those are the only ones a shortest
+/// `s -> t` path can use — or `false` once the reachable set is exhausted
+/// without it.
+fn level_bfs(
     net: &FlowNetwork,
     s: u32,
-    t: Option<u32>,
+    t: u32,
     level: &mut [u32],
     visited: &mut [u64],
     queue: &mut VecDeque<u32>,
@@ -79,14 +74,14 @@ pub(crate) fn level_bfs(
             if !bit_test(visited, v) {
                 bit_set(visited, v);
                 level[v as usize] = level[u as usize] + 1;
-                if t == Some(v) {
+                if v == t {
                     return true;
                 }
                 queue.push_back(v);
             }
         }
     }
-    t.is_none()
+    false
 }
 
 /// Sends a blocking flow from `s` to `t` through the level graph described
@@ -98,7 +93,7 @@ pub(crate) fn level_bfs(
 /// level-graph membership bits, which the DFS consumes destructively
 /// (dead-end vertices are cleared out of it).
 #[allow(clippy::too_many_arguments)] // takes the workspace fields split apart
-pub(crate) fn blocking_flow(
+fn blocking_flow(
     net: &mut FlowNetwork,
     s: u32,
     t: u32,
@@ -206,7 +201,7 @@ impl MaxFlow for Dinic {
                     return flow;
                 }
             }
-            if !level_bfs(net, s, Some(t), level, visited, queue) {
+            if !level_bfs(net, s, t, level, visited, queue) {
                 return flow;
             }
             cur.iter_mut().for_each(|c| *c = 0);
@@ -279,30 +274,5 @@ mod tests {
         net.add_arc(3, 5, 1);
         net.add_arc(4, 5, 1);
         assert_eq!(Dinic::new().max_flow(&mut net, 0, 5, None), 2);
-    }
-
-    #[test]
-    fn full_bfs_layers_everything_reachable() {
-        let mut net = FlowNetwork::new(5);
-        net.add_arc(0, 1, 1);
-        net.add_arc(1, 2, 1);
-        net.add_arc(2, 3, 1);
-        // Vertex 4 is unreachable.
-        let mut level = vec![u32::MAX; 5];
-        let mut visited = vec![0u64; 1];
-        let mut queue = VecDeque::new();
-        assert!(level_bfs(
-            &net,
-            0,
-            None,
-            &mut level,
-            &mut visited,
-            &mut queue
-        ));
-        for v in 0..4u32 {
-            assert!(bit_test(&visited, v), "vertex {v} reachable");
-            assert_eq!(level[v as usize], v);
-        }
-        assert!(!bit_test(&visited, 4));
     }
 }

@@ -2,31 +2,22 @@
 //!
 //! The paper computes vertex connectivity by running a max-flow solver (the
 //! C program HIPR) on Even-transformed connectivity graphs. This module
-//! provides three interchangeable solvers:
+//! provides two selectable solvers and one reference implementation:
 //!
 //! * [`PushRelabel`] — the *hi-level* (highest-label) push-relabel variant
 //!   with gap and global-relabeling heuristics; a faithful Rust
-//!   re-implementation of HIPR (Cherkassky & Goldberg 1995).
+//!   re-implementation of HIPR (Cherkassky & Goldberg 1995), and the
+//!   independent oracle every κ path is tested against.
 //! * [`Dinic`] — level-graph blocking flow. On the unit-capacity networks
-//!   produced by Even's transform this runs in `O(E·√V)` and, combined with
-//!   an early cutoff, is exactly Even's classical algorithm for testing
-//!   `κ ≥ k`.
-//! * [`EdmondsKarp`] — BFS augmenting paths; the simple baseline used to
-//!   cross-check the other two.
+//!   produced by Even's transform this runs in `O(E·√V)`; it is what
+//!   [`crate::mincut`], [`crate::paths`] and the `batched: false` sweep
+//!   baseline run on explicit networks.
+//! * [`EdmondsKarp`] — BFS augmenting paths; not selectable through
+//!   [`Solver`], kept only as a direct [`MaxFlow`] cross-check in tests.
 //!
-//! [`BatchedDinic`] is the fourth engine on explicit networks, built for
-//! the incremental κ tracker (`kad_resilience::attack::incremental`), which
-//! needs arc ids to replay recorded path decompositions: it caches one
-//! clean-network BFS level graph per (source, [`FlowNetwork::base_epoch`])
-//! and reuses it across every target sharing that source, with a
-//! capacity-bound early exit replacing the final certifying BFS on
-//! bound-attaining pairs. It is stateful and so lives outside the
-//! [`MaxFlow`] trait.
-//!
-//! None of these is what a κ *sweep* runs by default any more: on the
-//! all-unit networks of Even's transform, [`crate::vertex_flow`] runs Dinic
-//! without materialising a [`FlowNetwork`] at all. The solvers here are its
-//! independent oracle and the `batched: false` measurement baseline.
+//! None of these is what a κ *sweep* runs by default: on the all-unit
+//! networks of Even's transform, [`crate::vertex_flow`] runs Dinic without
+//! materialising a [`FlowNetwork`] at all.
 //!
 //! All solvers implement [`MaxFlow`] and support an optional **cutoff**: the
 //! solver may stop as soon as it can prove the flow value is at least the
@@ -53,12 +44,10 @@
 //! [`Solver`] is the enum-dispatched selector used by the analysis crates:
 //! `Copy`, serializable, and statically dispatched in the inner loop.
 
-mod batched;
 mod dinic;
 mod edmonds_karp;
 mod push_relabel;
 
-pub use batched::{capacity_bound, probe_unit_augment, BatchedDinic};
 pub use dinic::Dinic;
 pub use edmonds_karp::EdmondsKarp;
 pub use push_relabel::PushRelabel;
@@ -108,11 +97,6 @@ pub struct FlowNetwork {
     /// Even-numbered ids of arc pairs pushed over since the last reset.
     /// May contain duplicates; restoring is idempotent.
     touched: Vec<u32>,
-    /// Bumped whenever the *base* network changes (arcs added, base
-    /// capacities edited) — never by flow pushes or resets. Level-graph
-    /// caches key on this to know when a clean-network BFS is stale.
-    #[serde(default)]
-    base_epoch: u64,
 }
 
 impl PartialEq for FlowNetwork {
@@ -140,7 +124,6 @@ impl FlowNetwork {
             orig_cap: Vec::new(),
             adj: vec![Vec::new(); n],
             touched: Vec::new(),
-            base_epoch: 0,
         }
     }
 
@@ -174,18 +157,7 @@ impl FlowNetwork {
         self.cap.push(0);
         self.orig_cap.push(0);
         self.adj[v as usize].push(id + 1);
-        self.base_epoch += 1;
         id
-    }
-
-    /// Monotone counter identifying the current *base* network: bumped by
-    /// [`FlowNetwork::add_arc`] and [`FlowNetwork::set_base_capacity`], never
-    /// by pushes or resets. Two calls observing the same epoch (and no
-    /// in-flight flow) see identical clean networks, so level graphs computed
-    /// against one are valid for the other.
-    #[inline]
-    pub fn base_epoch(&self) -> u64 {
-        self.base_epoch
     }
 
     /// Head (target vertex) of arc `i`.
@@ -249,24 +221,6 @@ impl FlowNetwork {
     /// asserting the `O(touched)` reset path is taken).
     pub fn touched_len(&self) -> usize {
         self.touched.len()
-    }
-
-    /// Permanently changes the base capacity of arc `i`: both the current
-    /// residual and the value [`FlowNetwork::reset`] restores. Callers
-    /// should reset first so no in-flight flow is mixed into the new base.
-    ///
-    /// This is how a vertex is deleted from an Even network *in place*:
-    /// zeroing its internal arc removes it from every future flow while
-    /// every other arc id stays stable — which incremental connectivity
-    /// tracking relies on to replay recorded path decompositions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn set_base_capacity(&mut self, i: u32, cap: u64) {
-        self.orig_cap[i as usize] = cap;
-        self.cap[i as usize] = cap;
-        self.base_epoch += 1;
     }
 
     /// Net flow out of `v` (outgoing minus incoming flow on forward arcs).
@@ -457,13 +411,11 @@ pub enum Solver {
     Dinic,
     /// HIPR-style highest-label push-relabel — the paper's solver.
     PushRelabel,
-    /// Edmonds–Karp BFS augmenting paths — the baseline.
-    EdmondsKarp,
 }
 
 impl Solver {
     /// All solver kinds, for cross-checking tests and benches.
-    pub const ALL: [Solver; 3] = [Solver::Dinic, Solver::PushRelabel, Solver::EdmondsKarp];
+    pub const ALL: [Solver; 2] = [Solver::Dinic, Solver::PushRelabel];
 }
 
 impl MaxFlow for Solver {
@@ -478,7 +430,6 @@ impl MaxFlow for Solver {
         match self {
             Solver::Dinic => Dinic::new().max_flow_with(net, s, t, cutoff, workspace),
             Solver::PushRelabel => PushRelabel::new().max_flow_with(net, s, t, cutoff, workspace),
-            Solver::EdmondsKarp => EdmondsKarp::new().max_flow_with(net, s, t, cutoff, workspace),
         }
     }
 
@@ -486,7 +437,6 @@ impl MaxFlow for Solver {
         match self {
             Solver::Dinic => "dinic",
             Solver::PushRelabel => "push-relabel-hi",
-            Solver::EdmondsKarp => "edmonds-karp",
         }
     }
 }
@@ -696,7 +646,6 @@ mod tests {
             let expected = match kind {
                 Solver::Dinic => Dinic::new().max_flow(&mut direct, 0, 5, None),
                 Solver::PushRelabel => PushRelabel::new().max_flow(&mut direct, 0, 5, None),
-                Solver::EdmondsKarp => EdmondsKarp::new().max_flow(&mut direct, 0, 5, None),
             };
             assert_eq!(kind.max_flow(&mut via_enum, 0, 5, None), expected, "{kind}");
         }

@@ -1,15 +1,15 @@
 //! Property-based tests for the flow/connectivity machinery.
 //!
-//! The central property: all three max-flow solvers are interchangeable,
-//! and the Even-transform connectivity obeys Menger's theorem — the number
-//! of vertex-disjoint paths found equals the flow value equals the size of
-//! a verified vertex cut.
+//! The central property: every max-flow solver — and the unit-vertex
+//! kernel — is interchangeable, and the Even-transform connectivity obeys
+//! Menger's theorem — the number of vertex-disjoint paths found equals the
+//! flow value equals the size of a verified vertex cut.
 
 use flowgraph::digraph::DiGraph;
 use flowgraph::even::{EdgeCapacity, EvenNetwork};
 use flowgraph::generators;
 use flowgraph::maxflow::{
-    BatchedDinic, Dinic, EdmondsKarp, FlowNetwork, FlowWorkspace, MaxFlow, PushRelabel, Solver,
+    Dinic, EdmondsKarp, FlowNetwork, FlowWorkspace, MaxFlow, PushRelabel, Solver,
 };
 use flowgraph::mincut::{cut_disconnects, min_vertex_cut};
 use flowgraph::paths::{validate_disjoint_paths, vertex_disjoint_paths};
@@ -17,7 +17,8 @@ use flowgraph::scc::{is_strongly_connected, strongly_connected_components};
 use flowgraph::vertex_flow::VertexFlow;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 /// Strategy: a random digraph with up to `n` vertices and arbitrary edges.
 fn arb_digraph(max_n: usize) -> impl Strategy<Value = DiGraph> {
@@ -27,17 +28,30 @@ fn arb_digraph(max_n: usize) -> impl Strategy<Value = DiGraph> {
     })
 }
 
+/// A seeded random vertex subset of `g` (each vertex with probability 1/3),
+/// the shape of a victim set the attack code removes. At least two
+/// vertices always survive, so the survivor graph still has pairs.
+fn removed_subset(g: &DiGraph, seed: u64) -> HashSet<u32> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..g.node_count() as u32)
+        .filter(|_| rng.random_range(0..3u8) == 0)
+        .take(g.node_count().saturating_sub(2))
+        .collect()
+}
+
 /// Strategy: the graph families the κ kernel has to get right — arbitrary
 /// sparse digraphs (sinks, unreachable targets, several SCCs), `gnp`, the
-/// Kademlia-like `random_k_out_symmetric`, and the paper's Figure 1.
+/// Kademlia-like `random_k_out_symmetric`, the paper's Figure 1, and a
+/// survivor graph (`arb_digraph` minus a random vertex subset).
 fn arb_kernel_graph() -> impl Strategy<Value = DiGraph> {
-    (0u8..4, 6usize..26, any::<u64>(), arb_digraph(12)).prop_map(|(family, n, seed, sparse)| {
+    (0u8..5, 6usize..26, any::<u64>(), arb_digraph(12)).prop_map(|(family, n, seed, sparse)| {
         let mut rng = SmallRng::seed_from_u64(seed);
         match family {
             0 => sparse,
             1 => generators::gnp(n, 0.05 + 0.5 * (seed % 101) as f64 / 100.0, &mut rng),
             2 => generators::random_k_out_symmetric(n, 2 + (seed % 4) as usize, &mut rng),
-            _ => generators::paper_figure1(),
+            3 => generators::paper_figure1(),
+            _ => sparse.remove_vertices(&removed_subset(&sparse, seed)).0,
         }
     })
 }
@@ -214,9 +228,9 @@ proptest! {
         prop_assert!(is_strongly_connected(&cyc));
     }
 
-    /// All three solvers agree on random digraphs when driven through the
-    /// enum `Solver` and a shared, reused `FlowWorkspace` — the exact code
-    /// path the connectivity sweeps use.
+    /// Both selectable solvers agree on random digraphs when driven through
+    /// the enum `Solver` and a shared, reused `FlowWorkspace` — the exact
+    /// code path the explicit connectivity sweeps use.
     #[test]
     fn workspace_solvers_agree(g in arb_digraph(10)) {
         let mut workspace = FlowWorkspace::new();
@@ -232,7 +246,6 @@ proptest! {
                     })
                     .collect();
                 prop_assert_eq!(results[0], results[1], "dinic vs push-relabel ({}, {})", v, w);
-                prop_assert_eq!(results[1], results[2], "push-relabel vs edmonds-karp ({}, {})", v, w);
             }
         }
     }
@@ -268,49 +281,6 @@ proptest! {
         PushRelabel::new().max_flow(&mut work, s, t, None);
         work.reset();
         prop_assert_eq!(&work, &net);
-    }
-
-    /// The batched engine equals per-pair Dinic and push-relabel on raw
-    /// random flow networks — including the level-graph-reuse path, which a
-    /// source-major pair order exercises deliberately.
-    #[test]
-    fn batched_matches_per_pair_solvers((net, _, _) in arb_network(12)) {
-        let mut engine = BatchedDinic::new();
-        let mut ws = FlowWorkspace::new();
-        let n = net.node_count() as u32;
-        for s in 0..n {
-            for t in 0..n {
-                if s == t {
-                    continue;
-                }
-                let mut per_pair = net.clone();
-                let expected = Dinic::new().max_flow(&mut per_pair, s, t, None);
-                let mut pr = net.clone();
-                let pr_flow = PushRelabel::new().max_flow(&mut pr, s, t, None);
-                let mut shared = net.clone();
-                let got = engine.max_flow(&mut shared, s, t, None, &mut ws);
-                prop_assert_eq!(got, expected, "batched vs dinic ({}, {})", s, t);
-                prop_assert_eq!(got, pr_flow, "batched vs push-relabel ({}, {})", s, t);
-            }
-        }
-    }
-
-    /// Batched cutoff runs obey the same certified-lower-bound contract as
-    /// the per-pair solvers.
-    #[test]
-    fn batched_cutoff_is_sound((net, s, t) in arb_network(10), cutoff in 0u64..20) {
-        let mut exact_net = net.clone();
-        let exact = Dinic::new().max_flow(&mut exact_net, s, t, None);
-        let mut engine = BatchedDinic::new();
-        let mut ws = FlowWorkspace::new();
-        let mut work = net.clone();
-        let bounded = engine.max_flow(&mut work, s, t, Some(cutoff), &mut ws);
-        prop_assert!(bounded <= exact);
-        if exact >= cutoff {
-            prop_assert!(bounded >= cutoff);
-        } else {
-            prop_assert_eq!(bounded, exact, "below cutoff the value is exact");
-        }
     }
 
     /// The unit-vertex kernel equals push-relabel and explicit-network
@@ -377,6 +347,29 @@ proptest! {
                 // would show up in the original's next answer.
                 clone.connectivity(w, v, None);
                 prop_assert_eq!(clone.connectivity(v, w, cutoff), fresh, "clone ({}, {})", v, w);
+            }
+        }
+    }
+
+    /// `remove_vertices` keeps exactly the survivors, in order, and the
+    /// induced edges between them: `keep` is strictly increasing and
+    /// disjoint from the removed set, and `sub` has edge `(a, b)` iff `g`
+    /// has `(keep[a], keep[b])`.
+    #[test]
+    fn remove_vertices_induces_the_survivor_subgraph(g in arb_digraph(12), seed in any::<u64>()) {
+        let removed = removed_subset(&g, seed);
+        let (sub, keep) = g.remove_vertices(&removed);
+        prop_assert_eq!(sub.node_count(), keep.len());
+        prop_assert_eq!(keep.len() + removed.len(), g.node_count());
+        prop_assert!(keep.windows(2).all(|w| w[0] < w[1]));
+        prop_assert!(keep.iter().all(|v| !removed.contains(v)));
+        for a in 0..keep.len() as u32 {
+            for b in 0..keep.len() as u32 {
+                prop_assert_eq!(
+                    sub.has_edge(a, b),
+                    g.has_edge(keep[a as usize], keep[b as usize]),
+                    "({}, {})", a, b
+                );
             }
         }
     }

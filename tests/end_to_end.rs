@@ -70,14 +70,20 @@ fn connectivity_graph_is_near_undirected() {
 
 #[test]
 fn all_three_solvers_agree_on_a_real_snapshot() {
-    // HIPR vs Dinic vs Edmonds-Karp on an actual overlay graph, not just
-    // synthetic networks: all must report identical connectivity.
+    // The unit-vertex kernel vs HIPR vs explicit-network Dinic on an actual
+    // overlay graph, not just synthetic networks: all must report identical
+    // connectivity.
     let net = stabilized_network(40, 6, 3);
     let snap = net.snapshot();
     let mut reports = Vec::new();
-    for solver in SolverKind::ALL {
+    for (solver, batched) in [
+        (SolverKind::Dinic, true),
+        (SolverKind::PushRelabel, true),
+        (SolverKind::Dinic, false),
+    ] {
         let config = AnalysisConfig {
             solver,
+            batched,
             sample_fraction: 1.0,
             ..AnalysisConfig::default()
         };
