@@ -18,10 +18,6 @@
 //!
 //! The extraction micro-bench (`critical_path_extract`) times walking a
 //! deep caused-by chain — artifact-writer cost, never simulation cost.
-//!
-//! `criterion_main!` writes the machine-readable medians to
-//! `BENCH_perf_trace.json` (`BENCH_JSON_DIR` overrides the directory);
-//! `repro bench` folds them into `BENCH_summary.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kad_experiments::load::{load_grid, run_load, LoadScenario};
@@ -117,9 +113,9 @@ fn bench_trace(c: &mut Criterion) {
     group.finish();
 
     // Acceptance assert 1: tracing an observed load cell costs ≤ 5 %.
-    // Interleaved pairs decorrelate machine drift; comparing minima
-    // strips one-sided scheduler noise (see perf_telemetry for the
-    // method).
+    // Interleaved pairs decorrelate machine drift, and comparing the
+    // minima strips one-sided scheduler noise (a descheduled run can only
+    // inflate a time, never deflate it).
     const RUNS: usize = 9;
     let mut plain_best = f64::INFINITY;
     let mut traced_best = f64::INFINITY;

@@ -6,60 +6,11 @@
 //! the point is comparable before/after numbers from `cargo bench` in an
 //! offline container.
 //!
-//! Environment knobs: `CRITERION_MAX_SECS` caps the measured wall time per
-//! benchmark (default 3 seconds); `BENCH_JSON_DIR` picks the directory the
-//! machine-readable summary is written to (default: the working directory).
-//!
-//! Besides the human-readable report lines, every bench binary writes a
-//! `BENCH_<name>.json` next to its output on exit (via [`criterion_main!`]
-//! → [`write_bench_json`]): one entry per benchmark id with the **median**
-//! ns/iter, so the perf trajectory across PRs is machine-diffable.
+//! One environment knob: `CRITERION_MAX_SECS` caps the measured wall time
+//! per benchmark (default 3 seconds).
 
 use std::fmt;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Completed measurements of this process, drained by
-/// [`write_bench_json`]. (A process runs its benches sequentially; the
-/// mutex only guards library correctness.)
-static RESULTS: Mutex<Vec<BenchResult>> = Mutex::new(Vec::new());
-
-/// One benchmark's summary statistics.
-#[derive(Clone, Debug)]
-pub struct BenchResult {
-    /// `group/id` of the benchmark.
-    pub id: String,
-    /// Median time per iteration in nanoseconds.
-    pub median_ns: u128,
-    /// Mean time per iteration in nanoseconds.
-    pub mean_ns: u128,
-    /// Timed iterations.
-    pub iters: u64,
-}
-
-/// Writes `BENCH_<name>.json` — the machine-readable summary of every
-/// benchmark this process ran — into `BENCH_JSON_DIR` (default `.`).
-/// Called by [`criterion_main!`]'s generated `main` after the groups run;
-/// harmless to call manually in tests.
-pub fn write_bench_json(name: &str) {
-    let results = std::mem::take(&mut *RESULTS.lock().expect("bench results lock"));
-    let dir = std::env::var("BENCH_JSON_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&dir).join(format!("BENCH_{name}.json"));
-    let mut body = String::from("{\n");
-    body.push_str(&format!("  \"bench\": \"{name}\",\n  \"results\": [\n"));
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        body.push_str(&format!(
-            "    {{\"id\": \"{}\", \"median_ns\": {}, \"mean_ns\": {}, \"iters\": {}}}{comma}\n",
-            r.id, r.median_ns, r.mean_ns, r.iters
-        ));
-    }
-    body.push_str("  ]\n}\n");
-    match std::fs::write(&path, body) {
-        Ok(()) => println!("bench json: wrote {}", path.display()),
-        Err(err) => eprintln!("bench json: could not write {}: {err}", path.display()),
-    }
-}
 
 /// Returns its argument, preventing the optimizer from deleting the
 /// computation that produced it.
@@ -183,8 +134,8 @@ impl Bencher {
 
     /// Measures `routine`: a short warmup, then up to `sample_size`
     /// individually-timed iterations (capped by `CRITERION_MAX_SECS` wall
-    /// time, default 3s). Per-iteration timing is what makes the median
-    /// in `BENCH_<name>.json` meaningful.
+    /// time, default 3s). Per-iteration timing is what makes the reported
+    /// median meaningful.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
         let max_secs = std::env::var("CRITERION_MAX_SECS")
             .ok()
@@ -231,15 +182,6 @@ impl Bencher {
             format_duration(median),
             self.total
         );
-        RESULTS
-            .lock()
-            .expect("bench results lock")
-            .push(BenchResult {
-                id: format!("{group}/{id}"),
-                median_ns: median.as_nanos(),
-                mean_ns: mean.as_nanos(),
-                iters,
-            });
     }
 }
 
@@ -267,14 +209,12 @@ macro_rules! criterion_group {
     };
 }
 
-/// Emits `main` running the listed groups, then writing the process's
-/// `BENCH_<crate>.json` summary (median ns/iter per benchmark id).
+/// Emits `main` running the listed groups.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             $($group();)+
-            $crate::write_bench_json(env!("CARGO_CRATE_NAME"));
         }
     };
 }
@@ -297,36 +237,6 @@ mod tests {
         });
         group.finish();
         assert!(ran >= 5, "routine ran {ran} times");
-    }
-
-    #[test]
-    fn bench_json_contains_median_per_id() {
-        let dir = std::env::temp_dir().join("criterion-shim-json-test");
-        let _ = std::fs::create_dir_all(&dir);
-        // The registry is process-global: point the writer at a scratch
-        // dir, run one bench, drain.
-        std::env::set_var("BENCH_JSON_DIR", &dir);
-        let mut criterion = Criterion::default();
-        let mut group = criterion.benchmark_group("jsongroup");
-        group.sample_size(4);
-        group.bench_function("spin", |bencher| {
-            bencher.iter(|| std::hint::black_box((0..100u64).sum::<u64>()))
-        });
-        group.finish();
-        write_bench_json("shimtest");
-        std::env::remove_var("BENCH_JSON_DIR");
-        let body = std::fs::read_to_string(dir.join("BENCH_shimtest.json")).expect("json written");
-        assert!(body.contains("\"bench\": \"shimtest\""), "{body}");
-        assert!(body.contains("jsongroup/spin"), "{body}");
-        assert!(body.contains("median_ns"), "{body}");
-        assert!(body.contains("mean_ns"), "{body}");
-        // Drained: a second write has no stale entries.
-        write_bench_json("shimtest");
-        let body = std::fs::read_to_string(std::path::Path::new(".").join("BENCH_shimtest.json"))
-            .expect("second write lands in the default dir");
-        assert!(!body.contains("jsongroup/spin"), "registry drained: {body}");
-        let _ = std::fs::remove_file("BENCH_shimtest.json");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

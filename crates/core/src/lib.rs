@@ -78,8 +78,9 @@ pub struct AnalysisConfig {
     /// least 1). Roughly an order of magnitude faster, but the per-pair
     /// values become lower bounds, so the *average* connectivity is no
     /// longer meaningful — the minimum and the zero-pair count stay exact.
-    /// The paper computed full flows (no cutoff); benches quantify the
-    /// trade-off.
+    /// The paper computed full flows (no cutoff); kadbench's
+    /// `flowgraph.cutoff_flow_us_p50` against `flowgraph.full_flow_us_p50`
+    /// quantifies the trade-off.
     pub use_cutoff: bool,
     /// Compute pair flows on rayon worker threads.
     pub parallel: bool,
@@ -122,7 +123,15 @@ impl AnalysisConfig {
         AnalysisConfig::default()
     }
 
-    /// Fast minimum-only configuration (cutoff pruning enabled).
+    /// Fast minimum-only configuration: the paper's c = 0.02 sources
+    /// (§5.2) with cutoff pruning enabled.
+    ///
+    /// The minimum it reports is over the `max(⌈0.02·n⌉, 8)`
+    /// lowest-out-degree sources only, so it is an *upper bound* on κ(D),
+    /// the unsafe direction for Equation 2: on the bench-scale
+    /// Simulation G snapshots (`sim_gh(Bench, false, 10, 3)`, seed 2) it
+    /// reads 18 where κ(D) = 11. Use [`AnalysisConfig::exact`] when the
+    /// value must be exact.
     pub fn min_only() -> Self {
         AnalysisConfig {
             use_cutoff: true,

@@ -159,6 +159,36 @@ mod tests {
         assert_eq!(exact, 2);
     }
 
+    /// The kernel is the route every Dinic preset takes; only an explicit
+    /// opt-out or another solver builds the Even network.
+    #[test]
+    fn for_config_picks_the_kernel_unless_opted_out() {
+        let g = bidirected_cycle(6);
+        let engine = |config: AnalysisConfig| PairEvaluator::for_config(&g, &config).engine;
+        for (name, config) in [
+            ("default", AnalysisConfig::default()),
+            ("exact", AnalysisConfig::exact()),
+            ("paper_sampled", AnalysisConfig::paper_sampled()),
+            ("min_only", AnalysisConfig::min_only()),
+        ] {
+            assert!(
+                matches!(engine(config), Engine::Kernel(_)),
+                "{name} must run the kernel"
+            );
+        }
+        let per_pair = AnalysisConfig {
+            batched: false,
+            ..AnalysisConfig::default()
+        };
+        let push_relabel = AnalysisConfig {
+            solver: SolverKind::PushRelabel,
+            ..AnalysisConfig::default()
+        };
+        for config in [per_pair, push_relabel] {
+            assert!(matches!(engine(config), Engine::Explicit { .. }));
+        }
+    }
+
     #[test]
     fn clone_preserves_solver() {
         let g = bidirected_cycle(6);

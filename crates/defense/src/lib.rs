@@ -99,7 +99,9 @@ impl fmt::Display for PolicyKind {
 
 /// The baseline policy: admits everything, probes nothing, repairs
 /// nothing. Installing it (rather than no policy) exercises the hook
-/// dispatch itself, which is what the `perf_defense` bench pins.
+/// dispatch itself; grid cells labelled `none` install no policy at all,
+/// and kadbench's `kad_defense.policy_overhead_pct` (`defend-grid`)
+/// prices the real policies against them.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoDefense;
 

@@ -43,7 +43,6 @@ const USAGE: &str =
     load: production-traffic grid (offered rate × attack plan), latency percentiles under attack, two CSVs\n\
     defend: defense-policy grid (none/evict-unresponsive/diversify/self-heal × attacks × churn), two CSVs\n\
     sweep: mixed-phase attacker grid (strategy switches mid-campaign, e.g. eclipse→min-cut at the κ trough) × policies, one CSV\n\
-    bench: fold the criterion-shim BENCH_*.json reports (cwd, or --out DIR) into BENCH_summary.json\n\
     audit: diff two --observe runs' audit-chain.csv; exit 0 when the chains match, 1 naming the first divergent (cell, minute)\n\
     --scale large runs n=1000 overlays: the live κ feed switches to the sampled estimator\n\
     \x20   (kappa_est/kappa_ci_lo/kappa_ci_hi columns in load-timeseries.csv; na at smaller scales)\n\
@@ -144,7 +143,7 @@ const GRIDS: [Grid; 6] = {
 fn registered_subcommands() -> String {
     std::iter::once("all")
         .chain(GRIDS.iter().map(|g| g.name))
-        .chain(["bench", "audit"])
+        .chain(["audit"])
         .map(str::to_string)
         .chain(ExperimentId::ALL.iter().map(|i| i.to_string()))
         .collect::<Vec<_>>()
@@ -227,10 +226,6 @@ fn main() {
         .find(|g| args.experiment.eq_ignore_ascii_case(g.name))
     {
         run_grid(grid, &args);
-        return;
-    }
-    if args.experiment.eq_ignore_ascii_case("bench") {
-        run_bench_summary(&args);
         return;
     }
 
@@ -424,43 +419,6 @@ fn run_grid(grid: &Grid, args: &Args) {
     }
     finish_observation(args, grid.name);
     eprintln!("== {} done in {:.1?} ==", grid.name, started.elapsed());
-}
-
-/// Folds every criterion-shim `BENCH_*.json` report in the target
-/// directory (`--out DIR`, default the current directory — the repo root
-/// under `cargo run`) into `BENCH_summary.json` there: the committed
-/// performance snapshot, `<bench>/<group>/<id>` → median ns, sorted.
-fn run_bench_summary(args: &Args) {
-    use kad_experiments::bench_summary::{render_summary, summarize_dir};
-
-    let dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
-    let (summary, problems) = match summarize_dir(&dir) {
-        Ok(result) => result,
-        Err(err) => {
-            eprintln!("error scanning {}: {err}", dir.display());
-            std::process::exit(1);
-        }
-    };
-    for problem in &problems {
-        eprintln!("warning: skipped {problem}");
-    }
-    if summary.is_empty() {
-        eprintln!(
-            "no BENCH_*.json reports under {} — run `cargo bench` first",
-            dir.display()
-        );
-        std::process::exit(1);
-    }
-    let rendered = render_summary(&summary);
-    print!("{rendered}");
-    let path = dir.join("BENCH_summary.json");
-    match std::fs::write(&path, &rendered) {
-        Ok(()) => eprintln!("wrote {} ({} bench ids)", path.display(), summary.len()),
-        Err(err) => {
-            eprintln!("error writing {}: {err}", path.display());
-            std::process::exit(1);
-        }
-    }
 }
 
 /// Writes one output file into `dir` (created if absent); exits 1 on an

@@ -6,7 +6,7 @@
 //! Simulations A–L plus two tables. This crate encodes:
 //!
 //! * [`scale`] — three effort presets: `Bench` (seconds per experiment,
-//!   used by `cargo bench`), `Laptop` (minutes, the default for the
+//!   used by the tests and CI), `Laptop` (minutes, the default for the
 //!   `repro` CLI) and `Paper` (the original sizes: 250/2500 nodes and
 //!   full durations — hours to days of compute, as in the paper).
 //! * [`scenario`] — the [`scenario::Scenario`] type and constructors for
@@ -60,19 +60,16 @@
 //!   protocol counters, and the collector writes `run-manifest.json`,
 //!   `profile.csv`, `audit-chain.csv` and `metrics.prom`; `repro audit`
 //!   diffs two runs' chains via [`observe::compare_audit_chains`].
-//! * [`bench_summary`] — folds the criterion-shim `BENCH_*.json` reports
-//!   into the committed `BENCH_summary.json` snapshot; `repro bench`
-//!   drives it.
 //! * [`figures`] — the experiment registry: one entry per paper
-//!   figure/table, executable via `repro <experiment>` or the bench
-//!   harness.
+//!   figure/table, executable via `repro <experiment>` (`repro all` runs
+//!   every entry). The harness's own cost is timed by the `kadbench`
+//!   `defend-grid` workload and its `kad_experiments.*` metrics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ascii_chart;
 pub mod attack_plan;
-pub mod bench_summary;
 pub mod campaign;
 pub mod defense;
 pub mod figures;

@@ -184,7 +184,7 @@ fn json_escape(s: &str) -> String {
 
 /// Renders `run-manifest.json`: run identity plus one entry per cell
 /// with wall time, span count, and journal accounting. Hand-rolled JSON
-/// in the `BENCH_summary.json` idiom — the build has no JSON crate.
+/// with a fixed key order — the build has no JSON crate.
 pub fn render_manifest(meta: &RunMeta, observations: &[CellObservation]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(

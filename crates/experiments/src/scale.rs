@@ -27,8 +27,8 @@ use std::str::FromStr;
 /// Simulation effort preset.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Scale {
-    /// Tiny networks, short phases: seconds per experiment. Used by
-    /// `cargo bench` so the full harness stays runnable in CI.
+    /// Tiny networks, short phases: seconds per experiment. Used by the
+    /// tests and CI so the full harness stays runnable there.
     Bench,
     /// Mid-size networks (default): minutes per experiment on a laptop,
     /// large enough to show every qualitative effect the paper reports.
@@ -107,16 +107,6 @@ impl Scale {
                 stores_per_min: 1,
             },
         }
-    }
-
-    /// Reads `REPRO_SCALE` from the environment
-    /// (`bench`/`laptop`/`large`/`paper`), falling back to
-    /// `default_scale` when unset or unparsable.
-    pub fn from_env(default_scale: Scale) -> Scale {
-        std::env::var("REPRO_SCALE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default_scale)
     }
 }
 

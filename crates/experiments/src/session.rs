@@ -769,20 +769,23 @@ impl SnapshotGrid {
     }
 }
 
-/// The per-minute κ feed: publishes the honest subgraph's *true* `κ_min`
-/// into [`SessionShared`] at the end of **every** minute from
-/// `start_minute` on — not just at snapshot-grid instants. Trough-triggered
-/// attackers ([`crate::sweep::SwitchRule::KappaBelow`]) and defense
-/// feedback loops then react within one simulated minute of the
-/// connectivity actually dropping, instead of waiting for the next grid
-/// sample.
+/// The per-minute κ feed: publishes the honest subgraph's `κ_min` into
+/// [`SessionShared`] at the end of **every** minute from `start_minute`
+/// on — not just at snapshot-grid instants. Trough-triggered attackers
+/// ([`crate::sweep::SwitchRule::KappaBelow`]) and defense feedback loops
+/// then react within one simulated minute of the connectivity dropping,
+/// instead of waiting for the next grid sample.
 ///
 /// Each minute costs one minimum-only sweep
 /// ([`AnalysisConfig::min_only`](kad_resilience::AnalysisConfig::min_only):
-/// cutoff pruning, unit-vertex flow kernel) on the honest snapshot —
-/// the cheap exact-minimum path, which is what makes a per-minute feed
-/// affordable (`perf_kappa` pins the budget at n=1000). The full
-/// `(minute, κ_min)` series is kept for the outcome.
+/// cutoff pruning, unit-vertex flow kernel) on the honest snapshot. That
+/// sweep is the paper's c = 0.02 heuristic (§5.2): flows only from the
+/// `max(⌈0.02·n⌉, 8)` lowest-out-degree sources. The published value is
+/// therefore an *upper bound* on κ(D), not the exact minimum — on
+/// `paper::sim_gh(Scale::Bench, false, 10, 3)` at seed 2 it reads 18
+/// where κ(D) = 11. One sweep at n=1000 is what kadbench's `kappa-min-1k`
+/// workload times. The full `(minute, κ_min)` series is kept for the
+/// outcome.
 ///
 /// At [`SAMPLED_KAPPA_MIN_NODES`] honest nodes and above, the actor
 /// switches to the stratified sampled estimator
@@ -804,16 +807,16 @@ pub struct LiveKappaActor {
 }
 
 /// Honest-snapshot size at which [`LiveKappaActor`] switches from the
-/// exact minimum-only sweep to the sampled estimator. Matches the scale
-/// where `repro --scale large` starts (n=1000): below it the exact
-/// per-minute feed is affordable and keeps goldens byte-identical.
+/// minimum-only sweep to the sampled estimator. Matches the scale where
+/// `repro --scale large` starts (n=1000): below it the per-minute sweep
+/// is affordable and keeps goldens byte-identical.
 pub const SAMPLED_KAPPA_MIN_NODES: usize = 1_000;
 
 /// Per-minute pair budget of the live sampled feed. Deliberately far
 /// below [`SampledKappaConfig::default`]'s offline budget: the feed runs
 /// every simulated minute, and a couple hundred max-flows bound its cost
-/// to the same order as the exact sweep it replaces at n=1k while staying
-/// flat through n=10k.
+/// to the same order as the minimum-only sweep it replaces at n=1k while
+/// staying flat through n=10k.
 const LIVE_SAMPLED_PAIRS: usize = 256;
 
 impl LiveKappaActor {

@@ -25,8 +25,8 @@ fn unknown_subcommand_lists_the_registry_and_exits_2() {
     // Every registered subcommand appears in the error message, the grid
     // workloads included.
     for subcommand in [
-        "all", "matrix", "campaign", "service", "defend", "sweep", "load", "bench", "audit",
-        "tab1", "fig2", "sampling",
+        "all", "matrix", "campaign", "service", "defend", "sweep", "load", "audit", "tab1", "fig2",
+        "sampling",
     ] {
         assert!(
             stderr.contains(subcommand),
@@ -252,62 +252,6 @@ fn usage_documents_the_defend_grid_and_seed_flag() {
         jobs_line.contains("load"),
         "--jobs applies to the load grid too: {jobs_line}"
     );
-}
-
-#[test]
-fn bench_subcommand_aggregates_reports_into_summary() {
-    let dir = std::env::temp_dir().join(format!("repro-bench-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    std::fs::write(
-        dir.join("BENCH_perf_alpha.json"),
-        r#"{"bench":"perf_alpha","results":[{"id":"g/one/n8","median_ns":111,"mean_ns":120,"iters":5}]}"#,
-    )
-    .expect("write report");
-    std::fs::write(
-        dir.join("BENCH_perf_beta.json"),
-        r#"{"bench":"perf_beta","results":[{"id":"g/two/n8","median_ns":222,"mean_ns":230,"iters":5}]}"#,
-    )
-    .expect("write report");
-    let output = repro()
-        .args(["bench", "--out"])
-        .arg(&dir)
-        .output()
-        .expect("spawn repro");
-    assert!(
-        output.status.success(),
-        "repro bench failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let summary = std::fs::read_to_string(dir.join("BENCH_summary.json")).expect("summary file");
-    assert_eq!(
-        summary,
-        "{\n  \"perf_alpha/g/one/n8\": 111,\n  \"perf_beta/g/two/n8\": 222\n}\n"
-    );
-    // Idempotent: a second run re-reads the reports, not its own summary.
-    let rerun = repro()
-        .args(["bench", "--out"])
-        .arg(&dir)
-        .output()
-        .expect("spawn repro");
-    assert!(rerun.status.success());
-    let again = std::fs::read_to_string(dir.join("BENCH_summary.json")).expect("summary file");
-    assert_eq!(summary, again);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn bench_subcommand_with_no_reports_exits_1() {
-    let dir = std::env::temp_dir().join(format!("repro-bench-empty-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let output = repro()
-        .args(["bench", "--out"])
-        .arg(&dir)
-        .output()
-        .expect("spawn repro");
-    assert_eq!(output.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("no BENCH_"), "{stderr}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -276,4 +276,39 @@ fn matrix_slice_summary_and_audit_chain_are_byte_identical_to_goldens() {
         &observe::audit_chain_csv(&observations),
         include_str!("golden/matrix-slice-audit-chain.csv"),
     );
+    // The span profile explains each cell: ≥ 95 % of the root's wall time
+    // lands in named spans below it, every nanosecond is attributed once,
+    // and the session driver's phases are all present.
+    assert_eq!(observations.len(), slice.len(), "one observation per cell");
+    for obs in &observations {
+        let profile = &obs.profile;
+        let root = profile.get("cell").expect("root cell span");
+        assert!(
+            root.self_ns * 20 <= root.total_ns,
+            "{}: ≥95% of cell wall time must be attributed below the root: \
+             self {} of {} ns",
+            obs.cell,
+            root.self_ns,
+            root.total_ns
+        );
+        assert_eq!(
+            profile.attributed_ns(),
+            profile.root_total_ns(),
+            "{}",
+            obs.cell
+        );
+        for path in [
+            "cell/session",
+            "cell/session/on-minute",
+            "cell/session/actions",
+            "cell/session/drain",
+            "cell/session/minute-end",
+        ] {
+            assert!(
+                profile.get(path).is_some(),
+                "{}: expected span {path:?}",
+                obs.cell
+            );
+        }
+    }
 }
