@@ -8,18 +8,15 @@
 //! * `κ(v, w)` for vertex pairs ([`pair`]) via Even's transformation and a
 //!   max-flow solver (by default the unit-vertex kernel, which runs Dinic
 //!   on the transformed network without building it),
-//! * the exact graph connectivity `κ(D)` ([`graph`]) — minimum over all
-//!   non-adjacent ordered pairs, with the complete-graph shortcut and a
-//!   strong-connectivity pre-check,
-//! * the paper's sampled connectivity ([`sampled`]): flows from the `c·n`
-//!   vertices of smallest out-degree to all targets (`c = 0.02` was
-//!   validated by the authors on 20 full analyses; the [`sampled`] module
-//!   ships the same validation as a reproducible experiment),
-//! * minimum & average connectivity reports ([`report`]), the resilience
-//!   arithmetic of Equation 2 ([`resilience`]), and one-shot attack
-//!   simulations that empirically validate it ([`attack`]), plus the
-//!   min-cut scout the live campaign grid's attacker uses
-//!   ([`attack::probe_smallest_cut`]).
+//! * every graph-level κ ([`kappa`]) from one source sweep and one
+//!   trivial-graph rule: the connectivity report of the paper's full
+//!   analysis or its `c = 0.02` sample ([`analyze_graph`]), the exact
+//!   `κ(D)` ([`kappa::exact_min`]) and the stratified estimate of the mean
+//!   for large overlays ([`sampled_kappa`]),
+//! * the resilience arithmetic of Equation 2 ([`resilience`],
+//!   [`ConnectivityReport::resilience`]), and one-shot attack simulations
+//!   that empirically validate it ([`attack`]), plus the min-cut scout the
+//!   live campaign grid's attacker uses ([`attack::probe_smallest_cut`]).
 //!
 //! The per-pair flow computations parallelize with rayon — the stand-in for
 //! the 24-node Opteron cluster the authors used.
@@ -28,13 +25,11 @@
 //!
 //! ```
 //! use flowgraph::generators::bidirected_cycle;
-//! use kad_resilience::graph::exact_connectivity;
-//! use kad_resilience::AnalysisConfig;
+//! use kad_resilience::kappa::exact_min;
 //!
 //! // A bidirected ring: every non-adjacent pair is joined by exactly two
 //! // vertex-disjoint paths (clockwise and counter-clockwise).
-//! let g = bidirected_cycle(8);
-//! let kappa = exact_connectivity(&g, &AnalysisConfig::default());
+//! let kappa = exact_min(&bidirected_cycle(8));
 //! assert_eq!(kappa, 2);
 //! // An attacker must compromise 2 nodes to cut the ring: resilience r=1.
 //! assert_eq!(kad_resilience::resilience::resilience_from_connectivity(kappa), 1);
@@ -44,27 +39,22 @@
 #![warn(missing_docs)]
 
 pub mod attack;
-pub mod estimator;
-pub mod graph;
+pub mod kappa;
 pub mod pair;
-pub mod pipeline;
 pub mod report;
 pub mod resilience;
-pub mod sampled;
 pub mod solver;
 
-pub use estimator::{sampled_kappa, KappaEstimate, SampledKappaConfig};
-pub use pipeline::{analyze_graph, analyze_snapshot, snapshot_to_digraph};
+pub use kappa::{
+    analyze_graph, analyze_snapshot, sampled_kappa, snapshot_to_digraph, KappaEstimate,
+    SampledKappaConfig,
+};
 pub use report::ConnectivityReport;
 pub use solver::SolverKind;
 
-use serde::{Deserialize, Serialize};
-
-/// How the connectivity of a graph is measured.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+/// How [`analyze_graph`] measures the connectivity of a graph.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AnalysisConfig {
-    /// Max-flow solver to use.
-    pub solver: SolverKind,
     /// Fraction `c` of vertices (smallest out-degree first) used as flow
     /// sources; `1.0` reproduces the full `n(n−1)` analysis. The paper
     /// found `c = 0.02` sufficient on every graph it validated.
@@ -82,27 +72,23 @@ pub struct AnalysisConfig {
     /// `flowgraph.cutoff_flow_us_p50` against `flowgraph.full_flow_us_p50`
     /// quantifies the trade-off.
     pub use_cutoff: bool,
-    /// Compute pair flows on rayon worker threads.
-    pub parallel: bool,
-    /// Run Dinic pair flows on the unit-vertex kernel
+    /// Run the Dinic pair flows on the unit-vertex kernel
     /// (`flowgraph::vertex_flow::VertexFlow`): unit-capacity Dinic on the
     /// implicit Even network, straight over the graph's CSR rows, with a
     /// sink-stopped BFS, sink-side pruning of the level graph and a
     /// `min(outdeg, indeg)` early exit. Values are exact either way — this
-    /// is purely a speed lever, enabled by default and only honored for the
-    /// Dinic solver. Disable to run per-pair Dinic on the explicit Even
-    /// network instead: the measurement baseline and an independent check.
+    /// is purely a speed lever, enabled by default. Disable to run Dinic on
+    /// the explicit Even network instead: the measurement baseline and an
+    /// independent check.
     pub batched: bool,
 }
 
 impl Default for AnalysisConfig {
     fn default() -> Self {
         AnalysisConfig {
-            solver: SolverKind::Dinic,
             sample_fraction: 0.02,
             min_sources: 8,
             use_cutoff: false,
-            parallel: true,
             batched: true,
         }
     }
@@ -139,10 +125,11 @@ impl AnalysisConfig {
         }
     }
 
-    /// Number of source vertices to evaluate for an `n`-vertex graph.
+    /// Number of source vertices to evaluate for an `n`-vertex graph: at
+    /// least one, at most `n`.
     pub fn source_count(&self, n: usize) -> usize {
         let by_fraction = (self.sample_fraction * n as f64).ceil() as usize;
-        by_fraction.max(self.min_sources).min(n)
+        by_fraction.max(self.min_sources).max(1).min(n)
     }
 }
 

@@ -69,11 +69,10 @@ impl PairEvaluator {
         Self::build(g, solver, true)
     }
 
-    /// Builds the evaluator an analysis configuration asks for:
-    /// `config.solver`, and for Dinic the kernel unless `config.batched` is
-    /// off.
+    /// Builds the Dinic evaluator an analysis configuration asks for: the
+    /// kernel unless `config.batched` is off.
     pub fn for_config(g: &DiGraph, config: &AnalysisConfig) -> Self {
-        Self::build(g, config.solver, config.batched)
+        Self::build(g, SolverKind::Dinic, config.batched)
     }
 
     fn build(g: &DiGraph, solver: SolverKind, batched: bool) -> Self {
@@ -159,8 +158,8 @@ mod tests {
         assert_eq!(exact, 2);
     }
 
-    /// The kernel is the route every Dinic preset takes; only an explicit
-    /// opt-out or another solver builds the Even network.
+    /// The kernel is the route every preset takes; only an explicit opt-out
+    /// or another solver builds the Even network.
     #[test]
     fn for_config_picks_the_kernel_unless_opted_out() {
         let g = bidirected_cycle(6);
@@ -180,13 +179,9 @@ mod tests {
             batched: false,
             ..AnalysisConfig::default()
         };
-        let push_relabel = AnalysisConfig {
-            solver: SolverKind::PushRelabel,
-            ..AnalysisConfig::default()
-        };
-        for config in [per_pair, push_relabel] {
-            assert!(matches!(engine(config), Engine::Explicit { .. }));
-        }
+        assert!(matches!(engine(per_pair), Engine::Explicit { .. }));
+        let push_relabel = PairEvaluator::new(&g, SolverKind::PushRelabel).engine;
+        assert!(matches!(push_relabel, Engine::Explicit { .. }));
     }
 
     #[test]

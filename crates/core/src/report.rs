@@ -1,13 +1,12 @@
 //! Connectivity reports: the per-snapshot measurement record.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Everything the analysis pipeline measures about one connectivity graph.
 ///
 /// One of these is produced per snapshot; the experiment harness strings
 /// them into the time series that appear as the paper's figures.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ConnectivityReport {
     /// Vertices in the connectivity graph (= alive nodes).
     pub node_count: usize,

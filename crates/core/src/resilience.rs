@@ -40,25 +40,6 @@ pub fn tolerates(kappa: u64, attackers: u64) -> bool {
     kappa > attackers
 }
 
-/// Measures a graph's resilience directly: Equation 2 applied to the exact
-/// `κ(D)` computed by [`crate::graph::exact_connectivity`] — which runs
-/// its pair flows on the unit-vertex kernel whenever `config.batched` is
-/// set.
-///
-/// # Example
-///
-/// ```
-/// use flowgraph::generators::bidirected_cycle;
-/// use kad_resilience::resilience::graph_resilience;
-/// use kad_resilience::AnalysisConfig;
-///
-/// // κ = 2, so one compromised node can never partition the ring.
-/// assert_eq!(graph_resilience(&bidirected_cycle(8), &AnalysisConfig::default()), 1);
-/// ```
-pub fn graph_resilience(g: &flowgraph::DiGraph, config: &crate::AnalysisConfig) -> u64 {
-    resilience_from_connectivity(crate::graph::exact_connectivity(g, config))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,16 +80,20 @@ mod tests {
 
     #[test]
     fn graph_resilience_matches_exact_connectivity() {
+        use crate::kappa::{analyze_graph, exact_min};
+        use crate::AnalysisConfig;
         use flowgraph::generators::{bidirected_cycle, cycle};
-        let config = crate::AnalysisConfig::default();
         // κ = 2 ring → r = 1; κ = 1 directed cycle → r = 0; and the kernel
         // agrees with the explicit per-pair baseline.
-        assert_eq!(graph_resilience(&bidirected_cycle(9), &config), 1);
-        assert_eq!(graph_resilience(&cycle(9), &config), 0);
-        let per_pair = crate::AnalysisConfig {
-            batched: false,
-            ..config
-        };
-        assert_eq!(graph_resilience(&bidirected_cycle(9), &per_pair), 1);
+        for (g, r) in [(bidirected_cycle(9), 1), (cycle(9), 0)] {
+            assert_eq!(resilience_from_connectivity(exact_min(&g)), r);
+            for batched in [true, false] {
+                let config = AnalysisConfig {
+                    batched,
+                    ..AnalysisConfig::exact()
+                };
+                assert_eq!(analyze_graph(&g, &config).resilience(), r);
+            }
+        }
     }
 }

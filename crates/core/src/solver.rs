@@ -1,7 +1,7 @@
 //! Max-flow solver selection.
 //!
 //! [`SolverKind`] is the enum-dispatched [`flowgraph::maxflow::Solver`]:
-//! `Copy`, serializable, statically dispatched in the per-pair inner loop,
+//! `Copy`, statically dispatched in the per-pair inner loop,
 //! and runnable against a caller-owned [`flowgraph::maxflow::FlowWorkspace`]
 //! via [`flowgraph::maxflow::MaxFlow::max_flow_with`]. It replaced the old
 //! `Box<dyn MaxFlow>` factory (and with it the name-string `Clone`

@@ -42,12 +42,11 @@ use kademlia::bucket::KBucket;
 use kademlia::contact::Contact;
 use kademlia::id::NodeId;
 use kademlia::routing::RoutingTable;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The four policies the defense experiments cross with the attack
 /// strategies.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// No defense at all (baseline).
     #[default]

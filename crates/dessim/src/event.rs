@@ -1,7 +1,6 @@
 //! Event identifiers and queue entries.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Opaque handle identifying a scheduled event, used for cancellation.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// already fired or cancelled) miss cleanly, with no cancelled-id set to
 /// hash into on the delivery path. Identity, ordering and hashing are by
 /// sequence number alone.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EventId {
     pub(crate) seq: u64,
     pub(crate) key: u64,

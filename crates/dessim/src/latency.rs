@@ -2,7 +2,6 @@
 
 use crate::time::SimDuration;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How long a message spends in flight.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// by the experiment harness (documented in DESIGN.md). Latency only shifts
 /// *when* routing-table updates happen; connectivity results are driven by
 /// loss, churn and the protocol parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LatencyModel {
     /// Every message takes exactly this long.
     Constant(SimDuration),

@@ -13,11 +13,10 @@
 //! | high     | 29.3 %         | 50 %           |
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Per-message (one-way) loss model.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum LossModel {
     /// Every message arrives.
     #[default]
@@ -59,7 +58,7 @@ impl LossModel {
 }
 
 /// The paper's four loss scenarios (Table 1).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum LossScenario {
     /// No loss at all — the paper's default unless stated otherwise.
     #[default]

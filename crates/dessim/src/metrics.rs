@@ -4,7 +4,6 @@
 //! reports: the mean and the *relative variance* (variance divided by mean)
 //! of the minimum connectivity during the churn phase.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -24,7 +23,7 @@ use std::fmt;
 /// assert_eq!(s.variance(), 4.0); // population variance
 /// assert_eq!(s.relative_variance(), 0.8);
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -207,7 +206,7 @@ impl HotCounter {
 /// updated by [`Counters::incr_hot`]. Reads ([`Counters::get`],
 /// [`Counters::iter`]) always present the *sum* of both tiers per name, in
 /// name order — callers cannot tell which path an increment took.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
     counts: BTreeMap<String, u64>,
     hot: [u64; HOT_COUNTER_COUNT],

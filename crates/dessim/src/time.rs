@@ -7,7 +7,6 @@
 //! millisecond tick as `u64` covers both comfortably: ~584 million years of
 //! simulated time before overflow.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
@@ -23,15 +22,11 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 /// assert_eq!(t.as_millis(), 150_000);
 /// assert_eq!(t.as_minutes_f64(), 2.5);
 /// ```
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimTime(u64);
 
 /// A span of simulated time in milliseconds.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimDuration(u64);
 
 impl SimTime {

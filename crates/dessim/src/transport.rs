@@ -8,7 +8,6 @@ use crate::latency::LatencyModel;
 use crate::loss::LossModel;
 use crate::time::SimTime;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Delivery policy for simulated messages.
 ///
@@ -30,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// let arrival = t.delivery_time(&mut rng, SimTime::from_millis(100));
 /// assert_eq!(arrival, Some(SimTime::from_millis(120)));
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Transport {
     latency: LatencyModel,
     loss: LossModel,

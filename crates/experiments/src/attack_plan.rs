@@ -25,13 +25,12 @@ use kademlia::snapshot::RoutingSnapshot;
 use kademlia::NodeAddr;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
 /// The adversary's victim-selection policy, re-planned every attack minute
 /// against the current routing state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AttackPlan {
     /// Uniformly random honest victims.
     Random,

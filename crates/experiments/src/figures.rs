@@ -16,7 +16,6 @@ use crate::table::TableData;
 use dessim::loss::LossScenario;
 use dessim::rng::RngFactory;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -24,7 +23,7 @@ use std::str::FromStr;
 pub const K_SWEEP: [usize; 4] = [5, 10, 20, 30];
 
 /// Identifier of one reproducible experiment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ExperimentId {
     /// Table 1: message-loss scenarios (nominal vs empirical).
     Tab1,
@@ -123,7 +122,7 @@ impl FromStr for ExperimentId {
 }
 
 /// The output of one experiment run: figures, tables, free-form notes.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ExperimentResult {
     /// Experiment name (its id).
     pub name: String,
@@ -547,7 +546,7 @@ fn loss_figure(
 /// §5.2: sampling validation — sampled minimum vs exact minimum over
 /// Kademlia-like graphs for several sampling fractions.
 fn sampling_validation(_scale: Scale, base_seed: u64) -> ExperimentResult {
-    use kad_resilience::sampled::sampled_connectivity;
+    use kad_resilience::kappa::{analyze_graph, exact_min};
     use kad_resilience::AnalysisConfig;
 
     let mut table = TableData::new(
@@ -607,7 +606,7 @@ fn sampling_validation(_scale: Scale, base_seed: u64) -> ExperimentResult {
     }
 
     for (name, g) in &graphs {
-        let exact = sampled_connectivity(g, &AnalysisConfig::exact()).min;
+        let exact = exact_min(g);
         let mut cells = vec![name.clone(), g.node_count().to_string(), exact.to_string()];
         for c in [0.01, 0.02, 0.05, 0.10] {
             let config = AnalysisConfig {
@@ -615,7 +614,7 @@ fn sampling_validation(_scale: Scale, base_seed: u64) -> ExperimentResult {
                 min_sources: 1,
                 ..AnalysisConfig::default()
             };
-            let sampled = sampled_connectivity(g, &config).min;
+            let sampled = analyze_graph(g, &config).min_connectivity;
             total += 1;
             if sampled == exact {
                 agree += 1;

@@ -57,10 +57,9 @@ use crate::session::{
 use crate::sweep::{AttackPhase, PhasedAttackerActor};
 use dessim::metrics::Counters;
 use kad_defense::PolicyKind;
-use kad_resilience::{analyze_snapshot, ConnectivityReport};
+use kad_resilience::{analyze_snapshot, AnalysisConfig, ConnectivityReport};
 use kad_telemetry::{
-    DefenseAction, FanoutSink, LogHistogram, LookupRecord, MinuteSeries, TelemetrySink,
-    TracePurpose,
+    FanoutSink, LogHistogram, LookupRecord, MinuteSeries, TelemetrySink, TracePurpose,
 };
 use kademlia::id::NodeId;
 use std::cell::RefCell;
@@ -123,8 +122,9 @@ pub struct LiveCell {
     pub probe: Option<ProbeSpec>,
     /// Which nodes originate the scenario's data traffic.
     pub origins: TrafficOrigins,
-    /// First minute of the per-minute exact-κ feed ([`LiveKappaActor`]),
-    /// if it runs. Off by default: it costs a min-only sweep per minute.
+    /// First minute of the per-minute κ_min feed ([`LiveKappaActor`]), if
+    /// it runs: the paper's c = 0.02 heuristic, an *upper bound* on κ(D).
+    /// Off by default: it costs a min-only sweep per minute.
     pub live_kappa_from: Option<u64>,
     /// A production-load workload riding on the run ([`crate::load`]).
     pub load: Option<LoadSpec>,
@@ -188,7 +188,8 @@ pub struct CellPoint {
     /// Honest alive nodes at the snapshot — the alive network size when
     /// nothing is compromised (the figures' right-hand axis).
     pub honest_size: usize,
-    /// Connectivity analysis of the honest subgraph.
+    /// Connectivity analysis of the honest subgraph: the paper's c = 0.02
+    /// sample with full flows ([`AnalysisConfig::paper_sampled`]).
     pub report: ConnectivityReport,
     /// Data lookups (purpose `Locate`) completed in the window.
     pub lookups: u64,
@@ -277,16 +278,6 @@ struct CellTelemetry {
     retrieves_disjoint: MinuteSeries,
     /// Hop counts of converged locates, whole run.
     hops: LogHistogram,
-    /// Cumulative defense-action counts, indexed by
-    /// [`DefenseAction::ALL`] position.
-    actions: [u64; 5],
-}
-
-fn action_index(action: DefenseAction) -> usize {
-    DefenseAction::ALL
-        .iter()
-        .position(|a| *a == action)
-        .expect("action registered")
 }
 
 impl TelemetrySink for CellTelemetry {
@@ -305,14 +296,10 @@ impl TelemetrySink for CellTelemetry {
             TracePurpose::Retrieve => self.retrieves.record(minute, sample),
             TracePurpose::RetrieveDisjoint => self.retrieves_disjoint.record(minute, sample),
             // Maintenance, dissemination-control and repair traffic are
-            // not service observations (repairs surface through
-            // `on_defense` instead).
+            // not service observations (repairs surface through the
+            // network's `defense_repair` counter instead).
             _ => {}
         }
-    }
-
-    fn on_defense(&mut self, action: DefenseAction) {
-        self.actions[action_index(action)] += 1;
     }
 }
 
@@ -426,8 +413,9 @@ pub(crate) fn run_cell_reported(cell: &LiveCell) -> (CellOutcome, CellReport) {
         PhasedAttackerActor::new(inner, &cell.phases)
     });
     // The live feed runs before the grid sampler, so at grid instants the
-    // sampler's full-report κ (same exact minimum) is the one that stays
-    // published.
+    // sampler's full-report κ is the one that stays published. Both are
+    // the paper's c = 0.02 heuristic, an upper bound on κ(D); the live
+    // feed only skips the average.
     let mut live_kappa = cell.live_kappa_from.map(LiveKappaActor::new);
     let mut ledger = load
         .as_ref()
@@ -439,7 +427,6 @@ pub(crate) fn run_cell_reported(cell: &LiveCell) -> (CellOutcome, CellReport) {
                 load.spec.start_minute,
             )
         });
-    let analysis = base.analysis;
     let sink_handle = Rc::clone(&sink);
     let mut window_start = 0u64;
     let mut snapshots = ledger.is_none().then(|| {
@@ -451,7 +438,7 @@ pub(crate) fn run_cell_reported(cell: &LiveCell) -> (CellOutcome, CellReport) {
             },
             move |net, ctx| {
                 let snap = net.snapshot();
-                let report = analyze_snapshot(&snap, &analysis);
+                let report = analyze_snapshot(&snap, &AnalysisConfig::paper_sampled());
                 // The feedback loop: phased attackers read this κ to
                 // decide their trough-triggered switches.
                 ctx.shared
@@ -462,7 +449,7 @@ pub(crate) fn run_cell_reported(cell: &LiveCell) -> (CellOutcome, CellReport) {
                 let window = |series: &MinuteSeries| series.range_stats(from, to);
                 let (lookups, hops) = (window(&t.lookups), window(&t.hop_series));
                 let (retrieves, disjoint) = (window(&t.retrieves), window(&t.retrieves_disjoint));
-                let actions = |action| t.actions[action_index(action)];
+                let counters = net.counters();
                 CellPoint {
                     time_min: ctx.time_min,
                     phase: ctx.shared.attack_label,
@@ -477,12 +464,12 @@ pub(crate) fn run_cell_reported(cell: &LiveCell) -> (CellOutcome, CellReport) {
                     retrieves_disjoint: disjoint.count,
                     retrievability_disjoint: disjoint.mean(),
                     stored_objects: ctx.shared.stored_objects,
-                    probes: actions(DefenseAction::Probe),
-                    evictions: actions(DefenseAction::Eviction),
-                    repairs: actions(DefenseAction::Repair),
-                    diversity_rejects: actions(DefenseAction::DiversityReject),
-                    diversity_replaces: actions(DefenseAction::DiversityReplace),
-                    rpc_sent: net.counters().get("rpc_sent"),
+                    probes: counters.get("defense_probe"),
+                    evictions: counters.get("contact_evicted"),
+                    repairs: counters.get("defense_repair"),
+                    diversity_rejects: counters.get("defense_diversity_reject"),
+                    diversity_replaces: counters.get("defense_diversity_replace"),
+                    rpc_sent: counters.get("rpc_sent"),
                 }
             },
         )

@@ -20,12 +20,11 @@
 //! ```
 
 use kademlia::config::RefreshPolicy;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// Simulation effort preset.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// Tiny networks, short phases: seconds per experiment. Used by the
     /// tests and CI so the full harness stays runnable there.
@@ -46,7 +45,7 @@ pub enum Scale {
 }
 
 /// Concrete knobs derived from a [`Scale`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScaleConfig {
     /// The "small network" size (paper: 250).
     pub small_size: usize,

@@ -3,14 +3,12 @@
 use crate::scale::{Scale, ScaleConfig};
 use dessim::loss::LossScenario;
 use dessim::time::SimDuration;
-use kad_resilience::AnalysisConfig;
 use kademlia::config::{KademliaConfig, RefreshPolicy};
-use serde::{Deserialize, Serialize};
 
 /// Nodes removed/added per simulated minute during the churn phase.
 ///
 /// The paper's three scenarios: `0/1` (pure departure), `1/1` and `10/10`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ChurnRate {
     /// Nodes removed per minute.
     pub remove_per_min: u32,
@@ -53,7 +51,7 @@ impl ChurnRate {
 
 /// Per-node data traffic (paper: 10 lookups and 1 dissemination per node
 /// per minute); `None` on the scenario means maintenance traffic only.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TrafficModel {
     /// Lookup procedures per node per minute.
     pub lookups_per_min: u32,
@@ -62,7 +60,7 @@ pub struct TrafficModel {
 }
 
 /// A fully specified simulation scenario.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Scenario {
     /// Human-readable name (appears in reports and CSV files).
     pub name: String,
@@ -87,8 +85,6 @@ pub struct Scenario {
     pub snapshot_minutes: u64,
     /// Master seed for all randomness in this run.
     pub seed: u64,
-    /// Connectivity-analysis settings applied to each snapshot.
-    pub analysis: AnalysisConfig,
     /// Record observability artifacts for this run: the session driver
     /// keeps a [`kad_telemetry::Journal`] (determinism hash chain, event
     /// counts) and the runners install a span profile per cell. Off by
@@ -139,7 +135,6 @@ impl Default for ScenarioBuilder {
                 churn_minutes: scale.churn_minutes,
                 snapshot_minutes: scale.snapshot_minutes,
                 seed: 1,
-                analysis: AnalysisConfig::default(),
                 observe: false,
             },
         }
@@ -278,12 +273,6 @@ impl ScenarioBuilder {
     /// Sets the master seed.
     pub fn seed(&mut self, seed: u64) -> &mut Self {
         self.scenario.seed = seed;
-        self
-    }
-
-    /// Sets the analysis configuration.
-    pub fn analysis(&mut self, analysis: AnalysisConfig) -> &mut Self {
-        self.scenario.analysis = analysis;
         self
     }
 

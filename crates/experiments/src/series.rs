@@ -2,12 +2,11 @@
 
 use crate::runner::CellOutcome;
 use dessim::metrics::Summary;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// One point of a figure series.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SeriesPoint {
     /// Simulated minutes (x-axis).
     pub time_min: f64,
@@ -21,7 +20,7 @@ pub struct SeriesPoint {
 }
 
 /// The data behind one paper figure: labelled series over simulated time.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FigureData {
     /// Figure title, e.g. "Figure 2: Simulation A (size 250, churn 0/1)".
     pub title: String,

@@ -790,7 +790,7 @@ impl SnapshotGrid {
 /// At [`SAMPLED_KAPPA_MIN_NODES`] honest nodes and above, the actor
 /// switches to the stratified sampled estimator
 /// ([`kad_resilience::sampled_kappa`]): a fixed pair budget per minute
-/// instead of an exact sweep whose cost grows with the overlay. The
+/// instead of a min-only sweep whose cost grows with the overlay. The
 /// published scalar is then the sampled minimum (an *upper bound* on the
 /// true `κ_min`, exactly 0 whenever the strong-connectivity pre-check
 /// fails — never falsely healthy), and the full estimate (mean + CI)
@@ -839,7 +839,7 @@ impl LiveKappaActor {
     /// Like [`LiveKappaActor::new`] but with a custom sampled-mode
     /// threshold. `min_nodes: 0` forces the estimator on any overlay
     /// (used by tests to exercise the sampled path without building a
-    /// thousand-node network); `usize::MAX` pins the exact path.
+    /// thousand-node network); `usize::MAX` pins the min-only sweep.
     pub fn with_sampled_threshold(start_minute: u64, min_nodes: usize) -> LiveKappaActor {
         LiveKappaActor {
             sampled_min_nodes: min_nodes,
@@ -853,7 +853,7 @@ impl LiveKappaActor {
     }
 
     /// The `(minute, estimate)` series from sampled minutes, ascending.
-    /// Empty when every minute ran the exact path.
+    /// Empty when every minute ran the min-only sweep.
     pub fn estimates(&self) -> &[(u64, kad_resilience::KappaEstimate)] {
         &self.estimates
     }
@@ -1037,7 +1037,7 @@ mod tests {
     #[test]
     fn live_kappa_switches_to_the_sampled_estimator_past_the_threshold() {
         // Same overlay, two thresholds: above the overlay size the actor
-        // must run the exact sweep (no estimates), at 0 it must run the
+        // must run the min-only sweep (no estimates), at 0 it must run the
         // estimator every minute and publish both the scalar feed and the
         // full estimate. A 14-node network stands in for n=1000 — the
         // switch tests size against `sampled_min_nodes`, nothing else.
@@ -1057,8 +1057,11 @@ mod tests {
         };
 
         let (series, estimates, shared) = run(usize::MAX);
-        assert!(!series.is_empty(), "exact path publishes the scalar feed");
-        assert!(estimates.is_empty(), "exact path publishes no estimates");
+        assert!(
+            !series.is_empty(),
+            "min-only path publishes the scalar feed"
+        );
+        assert!(estimates.is_empty(), "min-only path publishes no estimates");
         assert!(shared.last_kappa.is_some());
         assert!(shared.last_kappa_estimate.is_none());
 

@@ -1,10 +1,9 @@
 //! Tabular experiment outputs (the paper's Tables 1 and 2).
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// A rendered table: headers plus string rows.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TableData {
     /// Table title, e.g. "Table 2: Means and Relative Variance".
     pub title: String,

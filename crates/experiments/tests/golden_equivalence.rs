@@ -59,43 +59,6 @@ fn campaign_csv_is_byte_identical_to_pre_refactor_golden() {
     );
 }
 
-/// The batched max-flow engine is a pure performance change: with it
-/// *disabled*, the campaign grid must still reproduce the golden κ columns
-/// byte-for-byte. Together with
-/// [`campaign_csv_is_byte_identical_to_pre_refactor_golden`] (which runs
-/// the default, batched configuration against the same golden) this pins
-/// exact batched ↔ per-pair equivalence on a full grid, not just on the
-/// property-test graphs.
-#[test]
-fn campaign_kappa_columns_survive_disabling_the_batched_engine() {
-    use kad_experiments::campaign::{campaign_csv, campaign_grid};
-    let mut grid = campaign_grid(Scale::Bench, SEED);
-    for scenario in &mut grid {
-        scenario.base.analysis.batched = false;
-    }
-    let outcomes = run(&grid);
-    let actual = campaign_csv(&outcomes);
-    let golden = include_str!("golden/campaign-timeseries.csv");
-    // Columns: strategy,churn,time_min,budget_spent,honest_size,kappa_min,
-    // kappa_avg,resilience,zero_pairs — κ lives at indices 5 and 6.
-    let kappa_columns = |csv: &str| -> Vec<(String, String)> {
-        csv.lines()
-            .map(|line| {
-                let cols: Vec<&str> = line.split(',').collect();
-                (cols[5].to_string(), cols[6].to_string())
-            })
-            .collect()
-    };
-    assert_eq!(
-        kappa_columns(&actual),
-        kappa_columns(golden),
-        "per-pair κ columns must match the golden grid byte-for-byte"
-    );
-    // The engine choice leaks into nothing else either: the whole CSV is
-    // still byte-identical.
-    assert_csv_identical("campaign-timeseries.csv (per-pair engine)", &actual, golden);
-}
-
 #[test]
 fn service_csvs_are_byte_identical_to_pre_refactor_goldens() {
     use kad_experiments::service::{service_grid, service_hops_csv, service_timeseries_csv};
@@ -239,6 +202,22 @@ fn load_csvs_are_byte_identical_to_goldens() {
         "load-summary.csv",
         &load_summary_csv(&outcomes),
         include_str!("golden/load-summary.csv"),
+    );
+}
+
+/// `repro sampling --scale bench --seed 1`: the §5.2 validation table,
+/// exact κ_min against the c ∈ {0.01, 0.02, 0.05, 0.10} source samples on
+/// three overlay snapshots and six symmetric k-out graphs. Pinned before
+/// the κ sweeps moved into one module.
+#[test]
+fn sampling_table_is_byte_identical_to_golden() {
+    use kad_experiments::figures::{run_experiment, ExperimentId};
+    let result = run_experiment(ExperimentId::Sampling, Scale::Bench, SEED);
+    assert_eq!(result.tables.len(), 1, "one validation table");
+    assert_csv_identical(
+        "sampling-table0.csv",
+        &result.tables[0].to_csv(),
+        include_str!("golden/sampling-table0.csv"),
     );
 }
 

@@ -7,7 +7,6 @@
 //! enforces both invariants by silently ignoring duplicates and rejecting
 //! loops.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -30,7 +29,7 @@ use std::fmt;
 /// assert!(g.has_edge(0, 1));
 /// assert!(!g.has_edge(1, 0));
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct DiGraph {
     n: usize,
     /// Sorted out-neighbor lists.

@@ -23,11 +23,10 @@
 
 use crate::digraph::DiGraph;
 use crate::maxflow::{FlowNetwork, FlowWorkspace, MaxFlow, INF_CAP};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Capacity assigned to transformed edge arcs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EdgeCapacity {
     /// Capacity 1, exactly as in the paper's construction (Figure 1).
     #[default]

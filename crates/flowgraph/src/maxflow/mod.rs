@@ -42,7 +42,7 @@
 //!   touched set is a tiny fraction of the arcs.
 //!
 //! [`Solver`] is the enum-dispatched selector used by the analysis crates:
-//! `Copy`, serializable, and statically dispatched in the inner loop.
+//! `Copy` and statically dispatched in the inner loop.
 
 mod dinic;
 mod edmonds_karp;
@@ -52,7 +52,6 @@ pub use dinic::Dinic;
 pub use edmonds_karp::EdmondsKarp;
 pub use push_relabel::PushRelabel;
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -87,7 +86,7 @@ pub const INF_CAP: u64 = u64::MAX / 4;
 /// let flow = Dinic::new().max_flow(&mut net, 0, 3, None);
 /// assert_eq!(flow, 2);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FlowNetwork {
     n: usize,
     head: Vec<u32>,
@@ -393,10 +392,10 @@ pub trait MaxFlow {
     fn name(&self) -> &'static str;
 }
 
-/// Enum-dispatched solver selection: `Copy`, serializable, and statically
-/// dispatched — the analysis crates use this instead of `Box<dyn MaxFlow>`
-/// so per-worker evaluators are trivially `Clone` and the per-pair inner
-/// loop has no virtual calls.
+/// Enum-dispatched solver selection: `Copy` and statically dispatched —
+/// the analysis crates use this instead of `Box<dyn MaxFlow>` so per-worker
+/// evaluators are trivially `Clone` and the per-pair inner loop has no
+/// virtual calls.
 ///
 /// The paper ran HIPR (highest-label push-relabel); [`Solver::Dinic`] is
 /// the default here because on the unit-capacity networks produced by
@@ -404,7 +403,7 @@ pub trait MaxFlow {
 /// (see the `perf_maxflow` bench) — and the one the analysis crates can run
 /// on [`crate::vertex_flow`] instead of an explicit network. All solvers
 /// produce identical values — that equivalence is property-tested.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Solver {
     /// Dinic's level-graph algorithm (default).
     #[default]

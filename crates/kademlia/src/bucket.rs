@@ -18,10 +18,9 @@
 use crate::contact::Contact;
 use crate::id::NodeId;
 use dessim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A bucket entry: a contact plus liveness bookkeeping.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BucketEntry {
     /// The stored contact.
     pub contact: Contact,
@@ -35,7 +34,7 @@ pub struct BucketEntry {
 /// The cold half of a routing-table entry: liveness bookkeeping that only
 /// refreshes, failures and probe scans touch — kept apart from the
 /// contacts so closest-contact reads and membership scans never load it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Liveness {
     /// See [`BucketEntry::last_seen`].
     pub(crate) last_seen: SimTime,

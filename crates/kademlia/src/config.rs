@@ -4,7 +4,6 @@
 use crate::id::MAX_BITS;
 use dessim::latency::LatencyModel;
 use dessim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which buckets a node refreshes at each refresh tick.
@@ -18,7 +17,7 @@ use std::fmt;
 /// every bucket from slightly below the lowest occupied index upwards —
 /// identical discovery dynamics on every range where nodes can exist, at a
 /// fraction of the cost. The substitution is documented in DESIGN.md.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RefreshPolicy {
     /// Refresh all `b` buckets (paper-faithful).
     #[default]
@@ -48,7 +47,7 @@ pub enum RefreshPolicy {
 /// assert_eq!(config.bits, 160);
 /// # Ok::<(), kademlia::config::ConfigError>(())
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KademliaConfig {
     /// Identifier bit-length `b` (paper: 160 and 80).
     pub bits: u16,

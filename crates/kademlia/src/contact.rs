@@ -2,14 +2,13 @@
 //! tables.
 
 use crate::id::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Simulated network address: a stable index into the simulation's node
 /// table. Addresses are never reused, so a dead node's address stays dead —
 /// exactly like the paper's model where a departed node silently stops
 /// answering.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeAddr(pub u32);
 
 impl NodeAddr {
@@ -26,7 +25,7 @@ impl fmt::Display for NodeAddr {
 }
 
 /// A routing-table contact: another node's identifier and address.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Contact {
     /// The contact's Kademlia identifier.
     pub id: NodeId,

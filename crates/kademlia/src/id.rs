@@ -7,7 +7,6 @@
 //! with the upper bits zeroed for smaller `b`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of bytes backing an identifier (160 bits).
@@ -34,7 +33,7 @@ pub const MAX_BITS: u16 = (ID_BYTES * 8) as u16;
 /// assert_eq!(d.to_u64(), 0b1100);
 /// assert_eq!(d.bucket_index(), Some(3)); // floor(log2(12))
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeId([u8; ID_BYTES]);
 
 /// XOR distance between two identifiers. Ordered as a big-endian integer.
@@ -45,7 +44,7 @@ pub struct NodeId([u8; ID_BYTES]);
 /// (every shortlist merge and closest-contact sort), and the word form
 /// makes each one plain integer compares with no byte-swapping loads. The
 /// derived field-order comparison is exactly big-endian integer order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Distance {
     hi: u64,
     mid: u64,

@@ -16,13 +16,12 @@
 use crate::config::KademliaConfig;
 use crate::contact::{Contact, NodeAddr};
 use crate::id::{Distance, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Unique id of a lookup within one simulation.
 pub type LookupId = u64;
 
 /// Why the lookup is running.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LookupPurpose {
     /// Locate a node / data object (the paper's "lookup procedure").
     Locate,
@@ -66,7 +65,7 @@ pub fn partition_seeds(seeds: Vec<Contact>, d: usize) -> Vec<Vec<Contact>> {
 }
 
 /// State of one shortlist candidate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum CandidateState {
     Untried,
     InFlight,
@@ -85,7 +84,7 @@ enum CandidateState {
 /// `target ^ distance` whenever a [`Contact`] must be handed out. The
 /// distance's three words are flattened into the struct so `addr`, `hop`
 /// and `state` fill what would otherwise be its tail padding.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 struct Candidate {
     /// XOR distance to the lookup target ([`Distance::words`]), cached at
     /// insertion so shortlist searches never recompute it.
@@ -216,7 +215,7 @@ impl LookupTable {
 }
 
 /// The iterative α-parallel lookup state machine.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LookupState {
     id: LookupId,
     target: NodeId,

@@ -7,13 +7,12 @@
 
 use crate::contact::Contact;
 use crate::id::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Correlates a response with its pending request.
 pub type RpcId = u64;
 
 /// Request payloads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RequestKind {
     /// Liveness probe.
     Ping,
@@ -30,7 +29,7 @@ pub enum RequestKind {
 }
 
 /// Response payloads.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ResponseBody {
     /// Answer to [`RequestKind::Ping`].
     Pong,
@@ -50,7 +49,7 @@ pub enum ResponseBody {
 }
 
 /// A simulated datagram.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Message {
     /// A request, awaiting a response within the RPC timeout.
     Request {

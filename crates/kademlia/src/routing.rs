@@ -31,7 +31,6 @@ use crate::contact::Contact;
 use crate::id::NodeId;
 use dessim::time::SimTime;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A Kademlia routing table.
 ///
@@ -55,7 +54,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(closest[0].addr, NodeAddr(1));
 /// # Ok::<(), kademlia::config::ConfigError>(())
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RoutingTable {
     own_id: NodeId,
     k: usize,

@@ -17,10 +17,9 @@ use crate::contact::NodeAddr;
 use crate::id::NodeId;
 use crate::node::KademliaNode;
 use dessim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A frozen view of the network's connectivity graph at one instant.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RoutingSnapshot {
     time: SimTime,
     addrs: Vec<NodeAddr>,

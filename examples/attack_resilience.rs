@@ -13,8 +13,7 @@
 use kademlia_resilience::flowgraph::generators::random_k_out_symmetric;
 use kademlia_resilience::flowgraph::mincut::{cut_disconnects, min_vertex_cut};
 use kademlia_resilience::kad_resilience::attack::{simulate_attack, AttackStrategy};
-use kademlia_resilience::kad_resilience::graph::exact_connectivity;
-use kademlia_resilience::kad_resilience::AnalysisConfig;
+use kademlia_resilience::kad_resilience::kappa::exact_min;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -29,8 +28,7 @@ fn main() {
         g.reciprocity()
     );
 
-    let config = AnalysisConfig::default();
-    let kappa = exact_connectivity(&g, &config);
+    let kappa = exact_min(&g);
     let resilience = kappa.saturating_sub(1);
     println!("exact connectivity κ(D) = {kappa} → resilience r = {resilience}");
 

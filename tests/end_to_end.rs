@@ -5,8 +5,9 @@ use kademlia_resilience::dessim::time::{SimDuration, SimTime};
 use kademlia_resilience::dessim::transport::Transport;
 use kademlia_resilience::flowgraph::even::EvenNetwork;
 use kademlia_resilience::flowgraph::maxflow::{Dinic, EdmondsKarp, MaxFlow, PushRelabel};
+use kademlia_resilience::kad_resilience::pair::PairEvaluator;
 use kademlia_resilience::kad_resilience::{
-    analyze_snapshot, snapshot_to_digraph, AnalysisConfig, SolverKind,
+    analyze_graph, analyze_snapshot, snapshot_to_digraph, AnalysisConfig, SolverKind,
 };
 use kademlia_resilience::kademlia::config::KademliaConfig;
 use kademlia_resilience::kademlia::network::SimNetwork;
@@ -70,33 +71,32 @@ fn connectivity_graph_is_near_undirected() {
 
 #[test]
 fn all_three_solvers_agree_on_a_real_snapshot() {
-    // The unit-vertex kernel vs HIPR vs explicit-network Dinic on an actual
-    // overlay graph, not just synthetic networks: all must report identical
-    // connectivity.
+    // The unit-vertex kernel vs HIPR's push-relabel vs Dinic on the explicit
+    // Even network (`batched: false`), pair by pair on an actual overlay
+    // graph rather than a synthetic one; then the sweep's report on each
+    // Dinic route.
     let net = stabilized_network(40, 6, 3);
-    let snap = net.snapshot();
-    let mut reports = Vec::new();
-    for (solver, batched) in [
-        (SolverKind::Dinic, true),
-        (SolverKind::PushRelabel, true),
-        (SolverKind::Dinic, false),
-    ] {
-        let config = AnalysisConfig {
-            solver,
-            batched,
-            sample_fraction: 1.0,
-            ..AnalysisConfig::default()
-        };
-        reports.push(analyze_snapshot(&snap, &config));
+    let g = snapshot_to_digraph(&net.snapshot());
+    let per_pair = AnalysisConfig {
+        batched: false,
+        ..AnalysisConfig::exact()
+    };
+    let mut kernel = PairEvaluator::new(&g, SolverKind::Dinic);
+    let mut push_relabel = PairEvaluator::new(&g, SolverKind::PushRelabel);
+    let mut explicit = PairEvaluator::for_config(&g, &per_pair);
+    let n = g.node_count() as u32;
+    let mut pairs = 0;
+    for v in 0..n {
+        for w in 0..n {
+            let flow = kernel.connectivity(v, w, None);
+            assert_eq!(push_relabel.connectivity(v, w, None), flow, "({v},{w})");
+            assert_eq!(explicit.connectivity(v, w, None), flow, "({v},{w})");
+            pairs += usize::from(flow.is_some());
+        }
     }
-    assert_eq!(reports[0].min_connectivity, reports[1].min_connectivity);
-    assert_eq!(reports[1].min_connectivity, reports[2].min_connectivity);
-    let avgs: Vec<f64> = reports
-        .iter()
-        .map(|r| r.avg_connectivity.expect("full sweep reports an average"))
-        .collect();
-    assert!((avgs[0] - avgs[1]).abs() < 1e-9);
-    assert!((avgs[1] - avgs[2]).abs() < 1e-9);
+    let report = analyze_graph(&g, &AnalysisConfig::exact());
+    assert_eq!(report.pairs_evaluated, pairs);
+    assert_eq!(report, analyze_graph(&g, &per_pair));
 }
 
 #[test]
