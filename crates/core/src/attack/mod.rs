@@ -30,8 +30,8 @@
 //! ```
 
 use crate::kappa::exact_min;
-use flowgraph::mincut::min_vertex_cut;
 use flowgraph::scc::is_strongly_connected;
+use flowgraph::vertex_flow::VertexFlow;
 use flowgraph::DiGraph;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -152,9 +152,10 @@ pub fn simulate_attack<R: Rng + ?Sized>(
 }
 
 /// The min-cut-guided adversary's scouting probe: samples `probes` random
-/// pairs from `candidates`, computes their minimum vertex cuts on `g`, and
-/// returns the smallest non-empty cut found (`None` when every probed pair
-/// was adjacent, identical, or already disconnected).
+/// pairs from `candidates`, reads their minimum vertex cuts off one
+/// [`VertexFlow`] built for `g`, and returns the smallest non-empty cut
+/// found (`None` when every probed pair was adjacent, identical, or already
+/// disconnected).
 ///
 /// The live `kad_experiments` campaign's min-cut attacker calls this on
 /// every minute's survivor snapshot.
@@ -167,22 +168,19 @@ pub fn probe_smallest_cut<R: Rng + ?Sized>(
     if candidates.len() < 3 {
         return None;
     }
+    let mut kernel = VertexFlow::new(g);
     let mut best: Option<Vec<u32>> = None;
     for _ in 0..probes {
         let v = candidates[rng.random_range(0..candidates.len())];
         let w = candidates[rng.random_range(0..candidates.len())];
-        let Some(cut) = min_vertex_cut(g, v, w) else {
+        let Some(cut) = kernel.min_cut(v, w) else {
             continue;
         };
-        if cut.vertices.is_empty() {
+        if cut.is_empty() {
             continue; // pair already disconnected
         }
-        if best
-            .as_ref()
-            .map(|b| cut.vertices.len() < b.len())
-            .unwrap_or(true)
-        {
-            best = Some(cut.vertices);
+        if best.as_ref().is_none_or(|b| cut.len() < b.len()) {
+            best = Some(cut);
         }
     }
     best

@@ -12,29 +12,16 @@
 //!   (Menger's theorem).
 //!
 //! The transformed network has `2n` vertices and `m + n` arcs, exactly as
-//! stated in the paper.
+//! stated in the paper, and every capacity is 1.
 //!
-//! The paper assigns capacity 1 to the transformed edge arcs; infinite
-//! capacity yields the same flow value for non-adjacent pairs (any unit of
-//! flow through an edge must also traverse an internal arc) but guarantees
-//! that minimum cuts consist of internal arcs only, which is what
-//! [`crate::mincut`] needs to read off the vertex cut. Both variants are
-//! offered via [`EdgeCapacity`]; their equivalence is property-tested.
+//! No analysis preset builds it: [`crate::vertex_flow`] runs the same flow
+//! on the implicit network and reads κ, minimum cuts and Menger paths off
+//! it. This explicit network has two jobs left: the push-relabel oracle runs
+//! on it, and so does explicit Dinic as the `batched: false` baseline.
 
 use crate::digraph::DiGraph;
-use crate::maxflow::{FlowNetwork, FlowWorkspace, MaxFlow, INF_CAP};
+use crate::maxflow::{FlowNetwork, FlowWorkspace, MaxFlow};
 use std::sync::Arc;
-
-/// Capacity assigned to transformed edge arcs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum EdgeCapacity {
-    /// Capacity 1, exactly as in the paper's construction (Figure 1).
-    #[default]
-    Unit,
-    /// Effectively unbounded capacity; minimum cuts then contain only
-    /// internal (vertex) arcs.
-    Infinite,
-}
 
 /// An Even-transformed flow network, remembering enough of the original
 /// graph to refuse adjacent pairs.
@@ -59,35 +46,23 @@ pub enum EdgeCapacity {
 pub struct EvenNetwork {
     net: FlowNetwork,
     graph: Arc<DiGraph>,
-    edge_cap: EdgeCapacity,
 }
 
 impl EvenNetwork {
-    /// Builds the transformation with unit edge capacities (the paper's
-    /// construction).
+    /// Builds the transformation (the paper's construction).
     pub fn from_graph(graph: &DiGraph) -> Self {
-        Self::with_edge_capacity(graph, EdgeCapacity::Unit)
-    }
-
-    /// Builds the transformation with a chosen edge-arc capacity.
-    pub fn with_edge_capacity(graph: &DiGraph, edge_cap: EdgeCapacity) -> Self {
         let n = graph.node_count();
         let mut net = FlowNetwork::new(2 * n);
         // Internal arcs x' -> x'' with capacity 1 (vertex capacity).
         for x in 0..n as u32 {
             net.add_arc(Self::in_vertex(x), Self::out_vertex(x), 1);
         }
-        let cap = match edge_cap {
-            EdgeCapacity::Unit => 1,
-            EdgeCapacity::Infinite => INF_CAP,
-        };
         for (u, x) in graph.edges() {
-            net.add_arc(Self::out_vertex(u), Self::in_vertex(x), cap);
+            net.add_arc(Self::out_vertex(u), Self::in_vertex(x), 1);
         }
         EvenNetwork {
             net,
             graph: Arc::new(graph.clone()),
-            edge_cap,
         }
     }
 
@@ -97,34 +72,10 @@ impl EvenNetwork {
         2 * x
     }
 
-    /// Arc id of the internal arc `x' -> x''` in the transformed network.
-    ///
-    /// Internal arcs are created first during construction, one per original
-    /// vertex in ascending order, and every arc consumes two residual slots
-    /// (forward + reverse), so vertex `x`'s internal arc is id `2x`. The
-    /// mapping is an invariant of the constructor and is asserted by tests;
-    /// it reads which vertices a computed flow crossed.
-    #[inline]
-    pub fn internal_arc(x: u32) -> u32 {
-        2 * x
-    }
-
     /// Outgoing copy `x''` of original vertex `x`.
     #[inline]
     pub fn out_vertex(x: u32) -> u32 {
         2 * x + 1
-    }
-
-    /// Maps a transformed vertex back to its original vertex.
-    #[inline]
-    pub fn original_vertex(transformed: u32) -> u32 {
-        transformed / 2
-    }
-
-    /// Whether a transformed vertex is an incoming copy (`x'`).
-    #[inline]
-    pub fn is_in_copy(transformed: u32) -> bool {
-        transformed.is_multiple_of(2)
     }
 
     /// Number of vertices in the *original* graph.
@@ -132,25 +83,9 @@ impl EvenNetwork {
         self.graph.node_count()
     }
 
-    /// The edge-arc capacity mode this network was built with.
-    pub fn edge_capacity(&self) -> EdgeCapacity {
-        self.edge_cap
-    }
-
     /// The underlying flow network (`2n` vertices, `m + n` arcs).
     pub fn network(&self) -> &FlowNetwork {
         &self.net
-    }
-
-    /// Mutable access to the underlying flow network, e.g. to run a solver
-    /// manually or to inspect arc flows after a computation.
-    pub fn network_mut(&mut self) -> &mut FlowNetwork {
-        &mut self.net
-    }
-
-    /// The original connectivity graph.
-    pub fn graph(&self) -> &DiGraph {
-        &self.graph
     }
 
     /// Restores residual capacities so another pair can be computed.
@@ -281,56 +216,6 @@ mod tests {
         assert!(even
             .vertex_connectivity(&Dinic::new(), 2, 0, None)
             .is_some());
-    }
-
-    #[test]
-    fn unit_and_infinite_caps_agree_on_non_adjacent_pairs() {
-        let g = paper_figure1();
-        let mut unit = EvenNetwork::from_graph(&g);
-        let mut inf = EvenNetwork::with_edge_capacity(&g, EdgeCapacity::Infinite);
-        for v in 0..9u32 {
-            for w in 0..9u32 {
-                let a = unit.vertex_connectivity(&Dinic::new(), v, w, None);
-                let b = inf.vertex_connectivity(&Dinic::new(), v, w, None);
-                assert_eq!(a, b, "pair ({v},{w})");
-            }
-        }
-    }
-
-    #[test]
-    fn vertex_index_mapping_roundtrip() {
-        for x in 0..100u32 {
-            assert_eq!(EvenNetwork::original_vertex(EvenNetwork::in_vertex(x)), x);
-            assert_eq!(EvenNetwork::original_vertex(EvenNetwork::out_vertex(x)), x);
-            assert!(EvenNetwork::is_in_copy(EvenNetwork::in_vertex(x)));
-            assert!(!EvenNetwork::is_in_copy(EvenNetwork::out_vertex(x)));
-        }
-    }
-
-    #[test]
-    fn internal_arc_ids_match_construction() {
-        let g = paper_figure1();
-        let even = EvenNetwork::from_graph(&g);
-        for x in 0..g.node_count() as u32 {
-            let arc = EvenNetwork::internal_arc(x);
-            // The internal arc runs x' -> x'' with unit capacity.
-            assert_eq!(even.network().arc_head(arc), EvenNetwork::out_vertex(x));
-            assert_eq!(even.network().residual(arc), 1, "unit vertex capacity");
-        }
-    }
-
-    #[test]
-    fn internal_arcs_witness_disjoint_paths() {
-        // Two vertex-disjoint paths 0 -> 1 -> 3 and 0 -> 2 -> 3: after the
-        // flow, exactly the interior vertices 1 and 2 carry flow through
-        // their internal arcs.
-        let g = DiGraph::from_edges(4, [(0, 1), (1, 3), (0, 2), (2, 3)]);
-        let mut even = EvenNetwork::from_graph(&g);
-        assert_eq!(even.vertex_connectivity(&Dinic::new(), 0, 3, None), Some(2));
-        let crossed: Vec<u32> = (0..4u32)
-            .filter(|&x| even.network().flow(EvenNetwork::internal_arc(x)) > 0)
-            .collect();
-        assert_eq!(crossed, vec![1, 2]);
     }
 
     #[test]

@@ -9,15 +9,15 @@
 //!   re-implementation of HIPR (Cherkassky & Goldberg 1995), and the
 //!   independent oracle every κ path is tested against.
 //! * [`Dinic`] — level-graph blocking flow. On the unit-capacity networks
-//!   produced by Even's transform this runs in `O(E·√V)`; it is what
-//!   [`crate::mincut`], [`crate::paths`] and the `batched: false` sweep
-//!   baseline run on explicit networks.
+//!   produced by Even's transform this runs in `O(E·√V)`; it is the
+//!   `batched: false` sweep baseline.
 //! * [`EdmondsKarp`] — BFS augmenting paths; not selectable through
 //!   [`Solver`], kept only as a direct [`MaxFlow`] cross-check in tests.
 //!
-//! None of these is what a κ *sweep* runs by default: on the all-unit
-//! networks of Even's transform, [`crate::vertex_flow`] runs Dinic without
-//! materialising a [`FlowNetwork`] at all.
+//! None of these is what production code runs: on the all-unit networks of
+//! Even's transform, [`crate::vertex_flow`] runs Dinic without materialising
+//! a [`FlowNetwork`] at all, and reads κ, minimum cuts and Menger paths off
+//! that one flow.
 //!
 //! All solvers implement [`MaxFlow`] and support an optional **cutoff**: the
 //! solver may stop as soon as it can prove the flow value is at least the
@@ -54,12 +54,6 @@ pub use push_relabel::PushRelabel;
 
 use std::collections::VecDeque;
 use std::fmt;
-
-/// Residual capacity value treated as "infinite".
-///
-/// Large enough that no accumulation over a graph of any realistic size can
-/// overflow `u64` arithmetic.
-pub const INF_CAP: u64 = u64::MAX / 4;
 
 /// A flow network in residual-arc representation.
 ///

@@ -35,8 +35,25 @@
 //! restored in `O(vertices touched)` before returning, so calls are
 //! independent and a clone is always a clean evaluator.
 //!
+//! # Witnesses
+//!
+//! Menger's theorem says the maximum flow also carries both certificates of
+//! `κ(v, w)`, and the kernel reads them off `pred`/`succ` before restoring:
+//!
+//! * [`VertexFlow::paths`]: each out-neighbour `y` of `v` with
+//!   `pred[y] == v` starts one path, which follows `succ` to `w`.
+//! * [`VertexFlow::min_cut`]: a walk of the residual network from `v''`
+//!   that treats edge arcs as uncapacitated. Forward edge arcs are always
+//!   open, an in-copy leaves by its one residual arc (above), and an
+//!   out-copy reaches its own in-copy while it carries a unit. The cut is
+//!   every `x` whose `x'` is reached and whose `x''` is not. With edge arcs
+//!   unbounded, every minimum cut crosses internal arcs only, and the set
+//!   the walk reaches is the source side of the minimum cut closest to `v`,
+//!   which is the same for every maximum flow.
+//!
 //! The explicit [`crate::EvenNetwork`] + [`crate::maxflow`] route stays as
-//! the independent oracle; the two are property-tested equal pair by pair.
+//! the independent oracle; the two are property-tested equal pair by pair,
+//! and the witnesses are checked by [`crate::witness`].
 
 use crate::digraph::DiGraph;
 use std::sync::Arc;
@@ -204,6 +221,124 @@ impl VertexFlow {
     ///
     /// Panics if `v` or `w` is out of range.
     pub fn connectivity(&mut self, v: u32, w: u32, cutoff: Option<u64>) -> Option<u64> {
+        let flow = self.route(v, w, cutoff)?;
+        self.restore();
+        Some(flow)
+    }
+
+    /// A minimum `v`-`w` vertex cut: the vertices an attacker must remove to
+    /// sever every `v → w` path, ascending, `κ(v, w)` of them. `None` when
+    /// `v == w` or `(v, w)` is an edge.
+    ///
+    /// It is the cut closest to `v`, which is the same for every maximum
+    /// flow, so the answer depends on the graph and the pair only.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use flowgraph::generators::paper_figure1;
+    /// use flowgraph::vertex_flow::VertexFlow;
+    ///
+    /// let mut kernel = VertexFlow::new(&paper_figure1());
+    /// // Vertex e is the articulation point between a and i.
+    /// assert_eq!(kernel.min_cut(0, 8), Some(vec![4]));
+    /// assert_eq!(kernel.min_cut(0, 1), None);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` or `w` is out of range.
+    pub fn min_cut(&mut self, v: u32, w: u32) -> Option<Vec<u32>> {
+        self.route(v, w, None)?;
+        let VertexFlow {
+            csr,
+            pred,
+            succ,
+            level,
+            queue,
+            ..
+        } = self;
+        // Residual walk from v'' with edge arcs uncapacitated, as if the
+        // split network gave edges infinite capacity: then every minimum
+        // cut crosses internal arcs only.
+        let mut reach = |b: u32, queue: &mut Vec<u32>| {
+            if level[b as usize] == NONE {
+                level[b as usize] = 0;
+                queue.push(b);
+            }
+        };
+        queue.clear();
+        reach(out_copy(v), queue);
+        let mut head = 0;
+        while let Some(&a) = queue.get(head) {
+            head += 1;
+            if a & 1 == 0 {
+                reach(sole_exit(pred, a), queue);
+                continue;
+            }
+            let x = a >> 1;
+            for &y in csr.out_row(x) {
+                reach(in_copy(y), queue);
+            }
+            if succ[x as usize] != NONE {
+                reach(a & !1, queue);
+            }
+        }
+        let mut cut: Vec<u32> = queue
+            .iter()
+            .filter(|&&a| a & 1 == 0 && level[(a | 1) as usize] == NONE)
+            .map(|&a| a >> 1)
+            .collect();
+        cut.sort_unstable();
+        for &a in queue.iter() {
+            level[a as usize] = NONE;
+        }
+        self.restore();
+        Some(cut)
+    }
+
+    /// A maximum set of internally vertex-disjoint `v → w` paths (Menger's
+    /// witnesses), `κ(v, w)` of them, each listed from `v` to `w` and
+    /// ordered by first hop. `None` when `v == w` or `(v, w)` is an edge.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use flowgraph::DiGraph;
+    /// use flowgraph::vertex_flow::VertexFlow;
+    ///
+    /// let g = DiGraph::from_edges(4, [(0, 1), (1, 3), (0, 2), (2, 3)]);
+    /// let paths = VertexFlow::new(&g).paths(0, 3).expect("non-adjacent");
+    /// assert_eq!(paths, vec![vec![0, 1, 3], vec![0, 2, 3]]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` or `w` is out of range.
+    pub fn paths(&mut self, v: u32, w: u32) -> Option<Vec<Vec<u32>>> {
+        self.route(v, w, None)?;
+        let paths = self
+            .csr
+            .out_row(v)
+            .iter()
+            .filter(|&&y| self.pred[y as usize] == v)
+            .map(|&y| {
+                let (mut path, mut x) = (vec![v, y], y);
+                while x != w {
+                    x = self.succ[x as usize];
+                    path.push(x);
+                }
+                path
+            })
+            .collect();
+        self.restore();
+        Some(paths)
+    }
+
+    /// Routes a maximum flow (at most `cutoff` units) from `v''` to `w'` and
+    /// leaves it in `pred`/`succ` for the caller to read; [`Self::restore`]
+    /// must follow. `None` for equal or adjacent pairs, with nothing routed.
+    fn route(&mut self, v: u32, w: u32, cutoff: Option<u64>) -> Option<u64> {
         let n = self.node_count();
         assert!((v as usize) < n && (w as usize) < n, "vertex out of range");
         if v == w || self.csr.out_row(v).binary_search(&w).is_ok() {
@@ -229,12 +364,16 @@ impl VertexFlow {
                 self.layer[a as usize] = NONE;
             }
         }
+        Some(flow)
+    }
+
+    /// Clears the flow [`Self::route`] left behind, in `O(vertices touched)`.
+    fn restore(&mut self) {
         for &x in &self.touched {
             self.pred[x as usize] = NONE;
             self.succ[x as usize] = NONE;
         }
         self.touched.clear();
-        Some(flow)
     }
 
     /// BFS over the residual network from `v''`, returning as soon as `w'`
@@ -451,6 +590,7 @@ impl VertexFlow {
 mod tests {
     use super::*;
     use crate::generators::{bidirected_cycle, complete, cycle, gnp, paper_figure1};
+    use crate::witness::{cut_disconnects, validate_disjoint_paths};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -532,6 +672,143 @@ mod tests {
                 }
             }
         }
+        assert_clean(&kernel);
+    }
+
+    #[test]
+    fn figure1_cut_is_vertex_e() {
+        let g = paper_figure1();
+        let mut kernel = VertexFlow::new(&g);
+        let cut = kernel.min_cut(0, 8).expect("non-adjacent pair");
+        assert_eq!(cut, vec![4]);
+        assert!(cut_disconnects(&g, 0, 8, &cut));
+        assert_clean(&kernel);
+    }
+
+    #[test]
+    fn adjacent_pair_has_no_cut() {
+        let mut kernel = VertexFlow::new(&DiGraph::from_edges(2, [(0, 1)]));
+        assert!(kernel.min_cut(0, 1).is_none());
+        assert!(kernel.min_cut(0, 0).is_none());
+    }
+
+    #[test]
+    fn complete_graph_pairs_are_all_adjacent() {
+        let mut kernel = VertexFlow::new(&complete(4));
+        for v in 0..4 {
+            for w in 0..4 {
+                assert!(kernel.min_cut(v, w).is_none());
+                assert!(kernel.paths(v, w).is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn two_disjoint_paths_cut_has_two_vertices() {
+        let g = DiGraph::from_edges(4, [(0, 1), (1, 3), (0, 2), (2, 3)]);
+        let cut = VertexFlow::new(&g).min_cut(0, 3).expect("non-adjacent");
+        assert_eq!(cut, vec![1, 2]);
+        assert!(cut_disconnects(&g, 0, 3, &cut));
+    }
+
+    #[test]
+    fn disconnected_pair_has_empty_cut() {
+        let g = DiGraph::from_edges(3, [(1, 0)]);
+        let mut kernel = VertexFlow::new(&g);
+        assert_eq!(kernel.min_cut(0, 2), Some(vec![]));
+        assert!(cut_disconnects(&g, 0, 2, &[]));
+        assert_clean(&kernel);
+    }
+
+    #[test]
+    fn no_paths_when_disconnected() {
+        let g = DiGraph::from_edges(3, [(1, 0)]);
+        let mut kernel = VertexFlow::new(&g);
+        assert_eq!(kernel.paths(0, 2), Some(vec![]));
+        assert_clean(&kernel);
+    }
+
+    #[test]
+    fn cut_is_the_one_closest_to_the_source() {
+        // Two lanes 0 → 1 → 3 → 5 and 0 → 2 → 4 → 5: {1, 2}, {1, 4},
+        // {3, 2} and {3, 4} are all minimum cuts, and {1, 2} is the one
+        // nearest 0.
+        let lanes = DiGraph::from_edges(6, [(0, 1), (1, 3), (3, 5), (0, 2), (2, 4), (4, 5)]);
+        assert_eq!(VertexFlow::new(&lanes).min_cut(0, 5), Some(vec![1, 2]));
+        let chain = DiGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(VertexFlow::new(&chain).min_cut(0, 3), Some(vec![1]));
+    }
+
+    #[test]
+    fn figure1_single_path_through_e() {
+        let g = paper_figure1();
+        let mut kernel = VertexFlow::new(&g);
+        let paths = kernel.paths(0, 8).expect("non-adjacent");
+        assert_eq!(paths.len(), 1);
+        assert!(paths[0].contains(&4), "every a->i path passes e");
+        validate_disjoint_paths(&g, 0, 8, &paths).expect("valid");
+        assert_clean(&kernel);
+    }
+
+    #[test]
+    fn diamond_two_paths() {
+        let g = DiGraph::from_edges(4, [(0, 1), (1, 3), (0, 2), (2, 3)]);
+        let paths = VertexFlow::new(&g).paths(0, 3).expect("non-adjacent");
+        assert_eq!(paths, vec![vec![0, 1, 3], vec![0, 2, 3]]);
+        validate_disjoint_paths(&g, 0, 3, &paths).expect("valid");
+    }
+
+    #[test]
+    fn adjacent_pair_returns_none() {
+        let mut kernel = VertexFlow::new(&DiGraph::from_edges(2, [(0, 1)]));
+        assert!(kernel.paths(0, 1).is_none());
+        assert!(kernel.paths(1, 1).is_none());
+    }
+
+    #[test]
+    fn longer_graph_three_paths() {
+        // Three internally disjoint paths of different lengths.
+        let g = DiGraph::from_edges(
+            8,
+            [
+                (0, 1),
+                (1, 7),
+                (0, 2),
+                (2, 3),
+                (3, 7),
+                (0, 4),
+                (4, 5),
+                (5, 6),
+                (6, 7),
+            ],
+        );
+        let paths = VertexFlow::new(&g).paths(0, 7).expect("non-adjacent");
+        assert_eq!(paths.len(), 3);
+        validate_disjoint_paths(&g, 0, 7, &paths).expect("valid");
+    }
+
+    #[test]
+    fn rerouted_flow_reads_back_as_paths() {
+        // The second phase reroutes around 1 → 4 (see above); the paths and
+        // the cut must come from the final flow, not the first phase.
+        let g = DiGraph::from_edges(
+            7,
+            [
+                (0, 1),
+                (1, 4),
+                (4, 6),
+                (0, 2),
+                (2, 3),
+                (3, 4),
+                (1, 5),
+                (5, 6),
+            ],
+        );
+        let mut kernel = VertexFlow::new(&g);
+        let paths = kernel.paths(0, 6).expect("non-adjacent");
+        assert_eq!(paths, vec![vec![0, 1, 5, 6], vec![0, 2, 3, 4, 6]]);
+        validate_disjoint_paths(&g, 0, 6, &paths).expect("valid");
+        assert_eq!(kernel.min_cut(0, 6), Some(vec![1, 2]));
         assert_clean(&kernel);
     }
 

@@ -1,20 +1,20 @@
 //! Property-based tests for the flow/connectivity machinery.
 //!
 //! The central property: every max-flow solver — and the unit-vertex
-//! kernel — is interchangeable, and the Even-transform connectivity obeys
-//! Menger's theorem — the number of vertex-disjoint paths found equals the
-//! flow value equals the size of a verified vertex cut.
+//! kernel — is interchangeable, and the kernel's witnesses obey Menger's
+//! theorem — the number of vertex-disjoint paths found equals the oracle's
+//! flow value equals the size of a verified vertex cut, and that cut is the
+//! one closest to the source.
 
 use flowgraph::digraph::DiGraph;
-use flowgraph::even::{EdgeCapacity, EvenNetwork};
+use flowgraph::even::EvenNetwork;
 use flowgraph::generators;
 use flowgraph::maxflow::{
     Dinic, EdmondsKarp, FlowNetwork, FlowWorkspace, MaxFlow, PushRelabel, Solver,
 };
-use flowgraph::mincut::{cut_disconnects, min_vertex_cut};
-use flowgraph::paths::{validate_disjoint_paths, vertex_disjoint_paths};
 use flowgraph::scc::{is_strongly_connected, strongly_connected_components};
 use flowgraph::vertex_flow::VertexFlow;
+use flowgraph::witness::{cut_disconnects, validate_disjoint_paths};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -44,7 +44,14 @@ fn removed_subset(g: &DiGraph, seed: u64) -> HashSet<u32> {
 /// Kademlia-like `random_k_out_symmetric`, the paper's Figure 1, and a
 /// survivor graph (`arb_digraph` minus a random vertex subset).
 fn arb_kernel_graph() -> impl Strategy<Value = DiGraph> {
-    (0u8..5, 6usize..26, any::<u64>(), arb_digraph(12)).prop_map(|(family, n, seed, sparse)| {
+    kernel_graphs(25, 12)
+}
+
+/// [`arb_kernel_graph`]'s families with at most `max_n` vertices from the
+/// generators (at least 6) and at most `max_sparse` in the sparse ones.
+fn kernel_graphs(max_n: usize, max_sparse: usize) -> impl Strategy<Value = DiGraph> {
+    let families = (0u8..5, 6..=max_n, any::<u64>(), arb_digraph(max_sparse));
+    families.prop_map(|(family, n, seed, sparse)| {
         let mut rng = SmallRng::seed_from_u64(seed);
         match family {
             0 => sparse,
@@ -54,6 +61,41 @@ fn arb_kernel_graph() -> impl Strategy<Value = DiGraph> {
             _ => sparse.remove_vertices(&removed_subset(&sparse, seed)).0,
         }
     })
+}
+
+/// What `v` still reaches in `g` once `removed` is gone.
+fn source_side(g: &DiGraph, v: u32, removed: &[u32]) -> Vec<bool> {
+    let mut blocked = vec![false; g.node_count()];
+    for &x in removed {
+        blocked[x as usize] = true;
+    }
+    let mut side = vec![false; g.node_count()];
+    let mut stack = vec![v];
+    side[v as usize] = true;
+    while let Some(u) = stack.pop() {
+        for &x in g.out_neighbors(u) {
+            if !blocked[x as usize] && !side[x as usize] {
+                side[x as usize] = true;
+                stack.push(x);
+            }
+        }
+    }
+    side
+}
+
+/// Every `k`-subset of `items`, in lexicographic order.
+fn subsets(items: &[u32], k: usize) -> Vec<Vec<u32>> {
+    if k == 0 {
+        return vec![vec![]];
+    }
+    let mut all = Vec::new();
+    for (i, &first) in items.iter().enumerate() {
+        for mut rest in subsets(&items[i + 1..], k - 1) {
+            rest.insert(0, first);
+            all.push(rest);
+        }
+    }
+    all
 }
 
 /// Strategy: a random flow network with capacities.
@@ -128,43 +170,6 @@ proptest! {
         }
     }
 
-    /// Even-transform: unit and infinite edge capacities give the same
-    /// κ(v,w) for every non-adjacent pair.
-    #[test]
-    fn even_edge_capacity_equivalence(g in arb_digraph(9)) {
-        let mut unit = EvenNetwork::from_graph(&g);
-        let mut inf = EvenNetwork::with_edge_capacity(&g, EdgeCapacity::Infinite);
-        for v in 0..g.node_count() as u32 {
-            for w in 0..g.node_count() as u32 {
-                prop_assert_eq!(
-                    unit.vertex_connectivity(&Dinic::new(), v, w, None),
-                    inf.vertex_connectivity(&Dinic::new(), v, w, None)
-                );
-            }
-        }
-    }
-
-    /// Menger's theorem end-to-end: κ(v,w) == number of vertex-disjoint
-    /// paths == size of a verified vertex cut.
-    #[test]
-    fn menger_chain(g in arb_digraph(9)) {
-        let mut even = EvenNetwork::from_graph(&g);
-        for v in 0..g.node_count() as u32 {
-            for w in 0..g.node_count() as u32 {
-                let Some(kappa) = even.vertex_connectivity(&Dinic::new(), v, w, None) else {
-                    continue;
-                };
-                let paths = vertex_disjoint_paths(&g, v, w).expect("same adjacency");
-                prop_assert_eq!(paths.len() as u64, kappa);
-                prop_assert!(validate_disjoint_paths(&g, v, w, &paths).is_ok());
-                let cut = min_vertex_cut(&g, v, w).expect("same adjacency");
-                prop_assert_eq!(cut.connectivity, kappa);
-                prop_assert_eq!(cut.vertices.len() as u64, kappa);
-                prop_assert!(cut_disconnects(&g, v, w, &cut.vertices));
-            }
-        }
-    }
-
     /// κ(v,w) is bounded by out-degree of v and in-degree of w.
     #[test]
     fn kappa_degree_bounds(g in arb_digraph(10)) {
@@ -196,20 +201,6 @@ proptest! {
                 prop_assert_eq!(same, vw && wv, "pair ({}, {})", v, w);
             }
         }
-    }
-
-    /// DIMACS write→parse roundtrips preserve the max-flow value.
-    #[test]
-    fn dimacs_roundtrip_preserves_flow((net, s, t) in arb_network(10)) {
-        let mut original = net.clone();
-        let expected = Dinic::new().max_flow(&mut original, s, t, None);
-        let text = flowgraph::dimacs::write(&net, s, t, "prop roundtrip");
-        let parsed = flowgraph::dimacs::parse(&text).expect("own output parses");
-        let mut rebuilt = parsed.to_network();
-        prop_assert_eq!(
-            Dinic::new().max_flow(&mut rebuilt, parsed.source, parsed.sink, None),
-            expected
-        );
     }
 
     /// Generators produce what they promise.
@@ -299,6 +290,70 @@ proptest! {
                 let dinic = even.vertex_connectivity_with(&Dinic::new(), v, w, None, &mut ws);
                 prop_assert_eq!(got, pr, "kernel vs push-relabel ({}, {})", v, w);
                 prop_assert_eq!(got, dinic, "kernel vs dinic ({}, {})", v, w);
+            }
+        }
+    }
+
+    /// Menger's theorem end-to-end on the kernel's witnesses: the oracle's
+    /// κ(v,w) == number of vertex-disjoint paths == size of a verified
+    /// vertex cut.
+    #[test]
+    fn menger_chain(g in arb_kernel_graph()) {
+        let mut kernel = VertexFlow::new(&g);
+        // What `PairEvaluator::new(g, SolverKind::PushRelabel)` runs.
+        let mut oracle = EvenNetwork::from_graph(&g);
+        let mut ws = FlowWorkspace::new();
+        for v in 0..g.node_count() as u32 {
+            for w in 0..g.node_count() as u32 {
+                let kappa = oracle.vertex_connectivity_with(&PushRelabel::new(), v, w, None, &mut ws);
+                let (paths, cut) = (kernel.paths(v, w), kernel.min_cut(v, w));
+                let Some(kappa) = kappa else {
+                    prop_assert!(paths.is_none() && cut.is_none(), "pair ({}, {})", v, w);
+                    continue;
+                };
+                let (paths, cut) = (paths.expect("same adjacency"), cut.expect("same adjacency"));
+                prop_assert_eq!(paths.len() as u64, kappa, "paths ({}, {})", v, w);
+                prop_assert_eq!(cut.len() as u64, kappa, "cut ({}, {})", v, w);
+                prop_assert!(validate_disjoint_paths(&g, v, w, &paths).is_ok(), "({}, {})", v, w);
+                prop_assert!(cut_disconnects(&g, v, w, &cut), "({}, {})", v, w);
+                prop_assert!(cut.windows(2).all(|c| c[0] < c[1]), "cut not ascending");
+            }
+        }
+    }
+
+    /// Brute-force oracle for the cut the attacker removes: among all
+    /// κ-vertex sets that separate `v` from `w`, the kernel's cut leaves `v`
+    /// the smallest side — contained in every other one's — so it is the
+    /// unique source-closest minimum cut, whichever maximum flow found it.
+    #[test]
+    fn kernel_cut_is_the_source_closest_minimum_cut(g in kernel_graphs(9, 9)) {
+        let n = g.node_count() as u32;
+        let mut kernel = VertexFlow::new(&g);
+        for v in 0..n {
+            for w in 0..n {
+                let Some(cut) = kernel.min_cut(v, w) else { continue };
+                let closest = source_side(&g, v, &cut);
+                let interior: Vec<u32> = (0..n).filter(|&x| x != v && x != w).collect();
+                let mut minimum_cuts = 0;
+                for other in subsets(&interior, cut.len()) {
+                    if !cut_disconnects(&g, v, w, &other) {
+                        continue;
+                    }
+                    minimum_cuts += 1;
+                    let side = source_side(&g, v, &other);
+                    prop_assert!(
+                        (0..n as usize).all(|x| !closest[x] || side[x]),
+                        "({}, {}): cut {:?} is not closer to the source than {:?}", v, w, cut, other
+                    );
+                }
+                // The kernel's own cut is one of them, and none is smaller.
+                prop_assert!(minimum_cuts >= 1, "({}, {}): {:?} does not separate", v, w, cut);
+                if let Some(k) = cut.len().checked_sub(1) {
+                    prop_assert!(
+                        subsets(&interior, k).iter().all(|c| !cut_disconnects(&g, v, w, c)),
+                        "({}, {}): a smaller cut than {:?} exists", v, w, cut
+                    );
+                }
             }
         }
     }

@@ -11,7 +11,8 @@
 //! ```
 
 use kademlia_resilience::flowgraph::generators::random_k_out_symmetric;
-use kademlia_resilience::flowgraph::mincut::{cut_disconnects, min_vertex_cut};
+use kademlia_resilience::flowgraph::vertex_flow::VertexFlow;
+use kademlia_resilience::flowgraph::witness::cut_disconnects;
 use kademlia_resilience::kad_resilience::attack::{simulate_attack, AttackStrategy};
 use kademlia_resilience::kad_resilience::kappa::exact_min;
 use rand::rngs::SmallRng;
@@ -47,11 +48,12 @@ fn main() {
 
     // (b) The bound is tight: a minimum vertex cut of size κ disconnects
     // some pair.
+    let mut kernel = VertexFlow::new(&g);
     let mut tight = None;
     for v in 0..g.node_count() as u32 {
         for w in 0..g.node_count() as u32 {
-            if let Some(cut) = min_vertex_cut(&g, v, w) {
-                if cut.connectivity == kappa {
+            if let Some(cut) = kernel.min_cut(v, w) {
+                if cut.len() as u64 == kappa {
                     tight = Some((v, w, cut));
                     break;
                 }
@@ -64,9 +66,9 @@ fn main() {
     let (v, w, cut) = tight.expect("some pair realizes the minimum");
     println!(
         "optimal attack: removing the {} nodes {:?} severs every path {v} → {w}",
-        cut.vertices.len(),
-        cut.vertices
+        cut.len(),
+        cut
     );
-    assert!(cut_disconnects(&g, v, w, &cut.vertices));
+    assert!(cut_disconnects(&g, v, w, &cut));
     println!("verified: the pair is disconnected after the cut — the κ bound is tight");
 }

@@ -10,12 +10,10 @@
 //! cargo run --release --example even_transform
 //! ```
 
-use kademlia_resilience::flowgraph::dimacs;
 use kademlia_resilience::flowgraph::even::{unit_flow_network, EvenNetwork};
 use kademlia_resilience::flowgraph::generators::paper_figure1;
-use kademlia_resilience::flowgraph::maxflow::{Dinic, MaxFlow};
-use kademlia_resilience::flowgraph::mincut::min_vertex_cut;
-use kademlia_resilience::flowgraph::paths::vertex_disjoint_paths;
+use kademlia_resilience::flowgraph::maxflow::{Dinic, MaxFlow, PushRelabel};
+use kademlia_resilience::flowgraph::vertex_flow::VertexFlow;
 
 fn main() {
     let g = paper_figure1();
@@ -37,10 +35,11 @@ fn main() {
     let edge_flow = Dinic::new().max_flow(&mut unit, a, i, None);
     println!("max flow a→i in the original graph D:      {edge_flow}");
 
-    // (b) the transformed graph: max flow equals vertex connectivity = 1.
+    // (b) the transformed graph: max flow equals vertex connectivity = 1,
+    // here with the HIPR-style push-relabel the authors ran.
     let mut even = EvenNetwork::from_graph(&g);
     let kappa = even
-        .vertex_connectivity(&Dinic::new(), a, i, None)
+        .vertex_connectivity(&PushRelabel::new(), a, i, None)
         .expect("a and i are non-adjacent");
     println!("max flow a''→i' in the transformed D':     {kappa}");
     println!(
@@ -49,24 +48,19 @@ fn main() {
         even.network().arc_count()
     );
 
-    // Which vertex is the bottleneck?
-    let cut = min_vertex_cut(&g, a, i).expect("non-adjacent");
-    let cut_names: Vec<&str> = cut.vertices.iter().map(|&v| names[v as usize]).collect();
+    // The kernel runs the same flow on the implicit split network and reads
+    // both Menger witnesses off it. Which vertex is the bottleneck?
+    let mut kernel = VertexFlow::new(&g);
+    assert_eq!(kernel.connectivity(a, i, None), Some(kappa));
+    let cut = kernel.min_cut(a, i).expect("non-adjacent");
+    let cut_names: Vec<&str> = cut.iter().map(|&v| names[v as usize]).collect();
     println!("minimum vertex cut: {{{}}}", cut_names.join(", "));
 
     // And the Menger witness: the single vertex-disjoint path.
-    let paths = vertex_disjoint_paths(&g, a, i).expect("non-adjacent");
+    let paths = kernel.paths(a, i).expect("non-adjacent");
     for path in &paths {
         let p: Vec<&str> = path.iter().map(|&v| names[v as usize]).collect();
         println!("node-disjoint path: {}", p.join(" → "));
     }
-
-    // The DIMACS file the authors would have fed to HIPR.
-    let problem = dimacs::write(
-        even.network(),
-        EvenNetwork::out_vertex(a),
-        EvenNetwork::in_vertex(i),
-        "Figure 1 transformed graph (Even)",
-    );
-    println!("\nDIMACS max-flow problem for HIPR:\n{problem}");
+    assert_eq!((cut.len(), paths.len()), (1, 1), "Figure 1: κ(a, i) = 1");
 }

@@ -3,8 +3,6 @@
 
 use kademlia_resilience::dessim::time::{SimDuration, SimTime};
 use kademlia_resilience::dessim::transport::Transport;
-use kademlia_resilience::flowgraph::even::EvenNetwork;
-use kademlia_resilience::flowgraph::maxflow::{Dinic, EdmondsKarp, MaxFlow, PushRelabel};
 use kademlia_resilience::kad_resilience::pair::PairEvaluator;
 use kademlia_resilience::kad_resilience::{
     analyze_graph, analyze_snapshot, snapshot_to_digraph, AnalysisConfig, SolverKind,
@@ -162,50 +160,6 @@ fn scenario_runner_full_pipeline() {
     assert_eq!(last.honest_size, 32);
     assert!(last.report.min_connectivity > 0);
     assert!(outcome.counters.get("msg_sent") > 1000);
-}
-
-#[test]
-fn dimacs_roundtrip_of_real_snapshot() {
-    // The interchange path the authors used: snapshot → Even → DIMACS →
-    // (external solver) — parse it back and solve with all three solvers.
-    use kademlia_resilience::flowgraph::dimacs;
-    let net = stabilized_network(20, 4, 6);
-    let g = snapshot_to_digraph(&net.snapshot());
-    let mut even = EvenNetwork::from_graph(&g);
-    // Find a non-adjacent pair.
-    let (mut v, mut w) = (0u32, 1u32);
-    'outer: for a in 0..g.node_count() as u32 {
-        for b in 0..g.node_count() as u32 {
-            if a != b && !g.has_edge(a, b) {
-                v = a;
-                w = b;
-                break 'outer;
-            }
-        }
-    }
-    let expected = even
-        .vertex_connectivity(&Dinic::new(), v, w, None)
-        .expect("non-adjacent pair");
-    let text = dimacs::write(
-        even.network(),
-        EvenNetwork::out_vertex(v),
-        EvenNetwork::in_vertex(w),
-        "snapshot roundtrip",
-    );
-    let problem = dimacs::parse(&text).expect("roundtrip parse");
-    for solver in [
-        &Dinic::new() as &dyn MaxFlow,
-        &EdmondsKarp::new(),
-        &PushRelabel::new(),
-    ] {
-        let mut netflow = problem.to_network();
-        assert_eq!(
-            solver.max_flow(&mut netflow, problem.source, problem.sink, None),
-            expected,
-            "solver {} disagrees after DIMACS roundtrip",
-            solver.name()
-        );
-    }
 }
 
 #[test]
