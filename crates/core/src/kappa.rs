@@ -234,9 +234,11 @@ fn sweep(g: &DiGraph, sources: &[u32], config: &AnalysisConfig) -> Sweep {
 /// Configuration for [`sampled_kappa`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SampledKappaConfig {
-    /// Total pair budget. The estimator never evaluates more flows than
-    /// this, independent of `n` — the property that makes live per-minute
-    /// estimation affordable at 1k–10k nodes.
+    /// Total pair budget. The estimator evaluates at most
+    /// `target_pairs + 2·strata` flows, independent of `n` — the property
+    /// that makes live per-minute estimation affordable at 1k–10k nodes.
+    /// The slack is the floor of two pairs per stratum, which a budget
+    /// smaller than that floor cannot pay for.
     pub target_pairs: usize,
     /// Number of out-degree quantile strata. Clamped to the vertex count.
     pub strata: usize,
@@ -792,8 +794,9 @@ mod tests {
 
     #[test]
     fn solvers_agree_on_sampled_sweeps() {
-        // A sampled sweep on the kernel, on the explicit Even network, and
-        // pair by pair with push-relabel from the same sources.
+        // A sampled sweep on the kernel, the same sweep on the push-relabel
+        // oracle (`batched: false`), and the oracle pair by pair from the
+        // same sources.
         let mut rng = SmallRng::seed_from_u64(17);
         let g = gnp(18, 0.3, &mut rng);
         let config = AnalysisConfig {
@@ -1143,5 +1146,34 @@ mod tests {
             est.pairs_sampled
         );
         assert!(est.strata_used >= 2);
+    }
+
+    #[test]
+    fn pair_budget_bound_includes_the_stratum_floor() {
+        // Each stratum draws at least two pairs, so a tiny budget is
+        // overshot by up to `2·strata`; a large one is met exactly.
+        let mut rng = SmallRng::seed_from_u64(3);
+        let g = random_k_out_symmetric(200, 6, &mut rng);
+        for target_pairs in [1, 3, 5, 256] {
+            let config = SampledKappaConfig {
+                target_pairs,
+                ..SampledKappaConfig::default()
+            };
+            let est = sampled_kappa(&g, &config);
+            assert!(!est.exact);
+            assert!(
+                est.pairs_sampled <= target_pairs + 2 * config.strata,
+                "budget {target_pairs}: {} pairs",
+                est.pairs_sampled
+            );
+            if target_pairs == 256 {
+                assert_eq!(est.pairs_sampled, 256);
+            }
+        }
+        let tiny = SampledKappaConfig {
+            target_pairs: 1,
+            ..SampledKappaConfig::default()
+        };
+        assert_eq!(sampled_kappa(&g, &tiny).pairs_sampled, 8, "2 per stratum");
     }
 }

@@ -43,14 +43,13 @@ pub mod kappa;
 pub mod pair;
 pub mod report;
 pub mod resilience;
-pub mod solver;
 
 pub use kappa::{
     analyze_graph, analyze_snapshot, sampled_kappa, snapshot_to_digraph, KappaEstimate,
     SampledKappaConfig,
 };
+pub use pair::SolverKind;
 pub use report::ConnectivityReport;
-pub use solver::SolverKind;
 
 /// How [`analyze_graph`] measures the connectivity of a graph.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -72,14 +71,14 @@ pub struct AnalysisConfig {
     /// `flowgraph.cutoff_flow_us_p50` against `flowgraph.full_flow_us_p50`
     /// quantifies the trade-off.
     pub use_cutoff: bool,
-    /// Run the Dinic pair flows on the unit-vertex kernel
+    /// Run the pair flows on the unit-vertex kernel
     /// (`flowgraph::vertex_flow::VertexFlow`): unit-capacity Dinic on the
     /// implicit Even network, straight over the graph's CSR rows, with a
     /// sink-stopped BFS, sink-side pruning of the level graph and a
     /// `min(outdeg, indeg)` early exit. Values are exact either way — this
-    /// is purely a speed lever, enabled by default. Disable to run Dinic on
-    /// the explicit Even network instead: the measurement baseline and an
-    /// independent check.
+    /// is purely a speed lever, enabled by default. `false` runs the
+    /// push-relabel oracle on the explicit Even network instead: the
+    /// measurement baseline and an independent check.
     pub batched: bool,
 }
 

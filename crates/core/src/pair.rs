@@ -1,11 +1,40 @@
 //! Pairwise vertex connectivity `κ(v, w)`.
 
-use crate::solver::SolverKind;
 use crate::AnalysisConfig;
 use flowgraph::even::EvenNetwork;
-use flowgraph::maxflow::FlowWorkspace;
+use flowgraph::maxflow::{FlowWorkspace, PushRelabel};
 use flowgraph::vertex_flow::VertexFlow;
 use flowgraph::DiGraph;
+use std::fmt;
+
+/// Which exact max-flow route a [`PairEvaluator`] runs. Both return the
+/// same `κ(v, w)` on every pair (property-tested); `Copy`, so per-worker
+/// evaluators stay trivially `Clone`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum SolverKind {
+    /// Unit-capacity Dinic on the implicit Even network: the
+    /// [`VertexFlow`] kernel every analysis preset runs (default).
+    #[default]
+    Dinic,
+    /// HIPR-style highest-label push-relabel — the paper's solver — on the
+    /// explicit [`EvenNetwork`]: the independent oracle and the
+    /// `batched: false` route.
+    PushRelabel,
+}
+
+impl SolverKind {
+    /// Both solver kinds, for cross-checking tests.
+    pub const ALL: [SolverKind; 2] = [SolverKind::Dinic, SolverKind::PushRelabel];
+}
+
+impl fmt::Display for SolverKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            SolverKind::Dinic => "dinic",
+            SolverKind::PushRelabel => "push-relabel-hi",
+        })
+    }
+}
 
 /// Computes `κ(v, w)` for a single pair: the number of node-disjoint
 /// `v -> w` paths, equivalently the size of a minimum `v`-`w` vertex cut.
@@ -36,7 +65,7 @@ pub fn pair_connectivity(g: &DiGraph, v: u32, w: u32, solver: SolverKind) -> Opt
 enum Engine {
     /// The unit-vertex kernel on the graph's CSR rows — no Even network.
     Kernel(VertexFlow),
-    /// A trait solver on the materialised Even network.
+    /// Push-relabel on the materialised Even network.
     Explicit {
         even: EvenNetwork,
         workspace: FlowWorkspace,
@@ -47,11 +76,11 @@ enum Engine {
 /// per-pair allocation.
 ///
 /// [`SolverKind::Dinic`] evaluators run [`VertexFlow`], the unit-capacity
-/// Dinic kernel that works on the *implicit* Even network; the other
-/// solvers — and Dinic under `batched: false` — build the explicit
-/// [`EvenNetwork`] and run the trait solver on it. The two routes return
-/// identical values (property-tested), so the explicit one serves as the
-/// measurement baseline and the independent oracle.
+/// Dinic kernel that works on the *implicit* Even network;
+/// [`SolverKind::PushRelabel`] evaluators — which `batched: false` selects —
+/// build the explicit [`EvenNetwork`] and run push-relabel on it. The two
+/// routes return identical values (property-tested), so the explicit one
+/// serves as the independent oracle.
 ///
 /// Cloning is cheap and exact: the kernel's rows (or the explicit route's
 /// graph) are shared behind an `Arc`, only the per-worker scratch — or the
@@ -59,36 +88,41 @@ enum Engine {
 /// hands each rayon worker its own evaluator.
 #[derive(Clone)]
 pub struct PairEvaluator {
-    solver: SolverKind,
     engine: Engine,
 }
 
 impl PairEvaluator {
-    /// Builds the evaluator for a graph; Dinic gets the unit-vertex kernel.
+    /// Builds the evaluator for a graph: the unit-vertex kernel for Dinic,
+    /// push-relabel on the explicit Even network otherwise.
     pub fn new(g: &DiGraph, solver: SolverKind) -> Self {
-        Self::build(g, solver, true)
-    }
-
-    /// Builds the Dinic evaluator an analysis configuration asks for: the
-    /// kernel unless `config.batched` is off.
-    pub fn for_config(g: &DiGraph, config: &AnalysisConfig) -> Self {
-        Self::build(g, SolverKind::Dinic, config.batched)
-    }
-
-    fn build(g: &DiGraph, solver: SolverKind, batched: bool) -> Self {
-        let engine = if batched && solver == SolverKind::Dinic {
-            Engine::Kernel(VertexFlow::new(g))
-        } else {
-            let even = EvenNetwork::from_graph(g);
-            let workspace = FlowWorkspace::for_network(even.network());
-            Engine::Explicit { even, workspace }
+        let engine = match solver {
+            SolverKind::Dinic => Engine::Kernel(VertexFlow::new(g)),
+            SolverKind::PushRelabel => {
+                let even = EvenNetwork::from_graph(g);
+                let workspace = FlowWorkspace::for_network(even.network());
+                Engine::Explicit { even, workspace }
+            }
         };
-        PairEvaluator { solver, engine }
+        PairEvaluator { engine }
+    }
+
+    /// Builds the evaluator an analysis configuration asks for: the kernel,
+    /// or the push-relabel oracle when `config.batched` is off.
+    pub fn for_config(g: &DiGraph, config: &AnalysisConfig) -> Self {
+        let solver = if config.batched {
+            SolverKind::Dinic
+        } else {
+            SolverKind::PushRelabel
+        };
+        Self::new(g, solver)
     }
 
     /// The solver this evaluator runs.
     pub fn solver(&self) -> SolverKind {
-        self.solver
+        match self.engine {
+            Engine::Kernel(_) => SolverKind::Dinic,
+            Engine::Explicit { .. } => SolverKind::PushRelabel,
+        }
     }
 
     /// `κ(v, w)`, or `None` for adjacent/equal pairs. With a cutoff the
@@ -97,7 +131,7 @@ impl PairEvaluator {
         match &mut self.engine {
             Engine::Kernel(kernel) => kernel.connectivity(v, w, cutoff),
             Engine::Explicit { even, workspace } => {
-                even.vertex_connectivity_with(&self.solver, v, w, cutoff, workspace)
+                even.vertex_connectivity_with(&PushRelabel::new(), v, w, cutoff, workspace)
             }
         }
     }
@@ -159,7 +193,7 @@ mod tests {
     }
 
     /// The kernel is the route every preset takes; only an explicit opt-out
-    /// or another solver builds the Even network.
+    /// or the push-relabel oracle builds the Even network.
     #[test]
     fn for_config_picks_the_kernel_unless_opted_out() {
         let g = bidirected_cycle(6);
@@ -180,6 +214,8 @@ mod tests {
             ..AnalysisConfig::default()
         };
         assert!(matches!(engine(per_pair), Engine::Explicit { .. }));
+        let oracle = PairEvaluator::for_config(&g, &per_pair);
+        assert_eq!(oracle.solver(), SolverKind::PushRelabel);
         let push_relabel = PairEvaluator::new(&g, SolverKind::PushRelabel).engine;
         assert!(matches!(push_relabel, Engine::Explicit { .. }));
     }
@@ -212,5 +248,23 @@ mod tests {
                 assert_eq!(cloned.connectivity(v, w, None), expected, "clone ({v},{w})");
             }
         }
+    }
+
+    #[test]
+    fn display_matches_solver_names() {
+        assert_eq!(SolverKind::Dinic.to_string(), "dinic");
+        assert_eq!(SolverKind::PushRelabel.to_string(), "push-relabel-hi");
+    }
+
+    #[test]
+    fn default_is_dinic() {
+        assert_eq!(SolverKind::default(), SolverKind::Dinic);
+    }
+
+    #[test]
+    fn kinds_are_trivially_copyable() {
+        let kind = SolverKind::PushRelabel;
+        let copy = kind;
+        assert_eq!(kind, copy);
     }
 }

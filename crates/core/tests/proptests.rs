@@ -155,8 +155,9 @@ proptest! {
         prop_assert_eq!(exact, full_again, "exact sweep is deterministic");
     }
 
-    /// The unit-vertex kernel sweeps to the same aggregates as Dinic on the
-    /// explicit Even network (both exact; only the engine differs).
+    /// The unit-vertex kernel sweeps to the same aggregates as the
+    /// push-relabel oracle on the explicit Even network (both exact; only
+    /// the engine differs).
     #[test]
     fn batched_sweep_matches_per_pair(g in arb_digraph(12)) {
         let batched = analyze_graph(&g, &AnalysisConfig::exact());

@@ -16,8 +16,8 @@
 //!
 //! No analysis preset builds it: [`crate::vertex_flow`] runs the same flow
 //! on the implicit network and reads κ, minimum cuts and Menger paths off
-//! it. This explicit network has two jobs left: the push-relabel oracle runs
-//! on it, and so does explicit Dinic as the `batched: false` baseline.
+//! it. This explicit network runs only push-relabel: the independent oracle
+//! and the `batched: false` route.
 
 use crate::digraph::DiGraph;
 use crate::maxflow::{FlowNetwork, FlowWorkspace, MaxFlow};
@@ -30,14 +30,15 @@ use std::sync::Arc;
 ///
 /// ```
 /// use flowgraph::{DiGraph, EvenNetwork};
-/// use flowgraph::maxflow::{Dinic, MaxFlow};
+/// use flowgraph::maxflow::PushRelabel;
 ///
 /// // 0 -> 1 -> 2 and 0 -> 3 -> 2: two vertex-disjoint paths.
 /// let g = DiGraph::from_edges(4, [(0, 1), (1, 2), (0, 3), (3, 2)]);
 /// let mut even = EvenNetwork::from_graph(&g);
-/// assert_eq!(even.vertex_connectivity(&Dinic::new(), 0, 2, None), Some(2));
+/// let solver = PushRelabel::new();
+/// assert_eq!(even.vertex_connectivity(&solver, 0, 2, None), Some(2));
 /// // Adjacent pairs have no defined vertex connectivity.
-/// assert_eq!(even.vertex_connectivity(&Dinic::new(), 0, 1, None), None);
+/// assert_eq!(even.vertex_connectivity(&solver, 0, 1, None), None);
 /// ```
 /// Cloning an `EvenNetwork` — e.g. to hand each sweep worker its own
 /// mutable residual state — shares the original graph behind an [`Arc`]
@@ -166,7 +167,7 @@ pub fn unit_flow_network(graph: &DiGraph) -> FlowNetwork {
 mod tests {
     use super::*;
     use crate::generators::paper_figure1;
-    use crate::maxflow::{Dinic, EdmondsKarp, PushRelabel};
+    use crate::maxflow::{EdmondsKarp, PushRelabel};
 
     #[test]
     fn figure1_edge_flow_is_3() {
@@ -174,7 +175,7 @@ mod tests {
         // connectivity graph is 3.
         let g = paper_figure1();
         let mut net = unit_flow_network(&g);
-        assert_eq!(Dinic::new().max_flow(&mut net, 0, 8, None), 3);
+        assert_eq!(PushRelabel::new().max_flow(&mut net, 0, 8, None), 3);
     }
 
     #[test]
@@ -182,11 +183,7 @@ mod tests {
         // Paper, Figure 1(b): in the transformed graph the max flow from a''
         // to i' equals the vertex connectivity of 1 (cut vertex e).
         let g = paper_figure1();
-        for solver in [
-            &Dinic::new() as &dyn MaxFlow,
-            &EdmondsKarp::new(),
-            &PushRelabel::new(),
-        ] {
+        for solver in [&EdmondsKarp::new() as &dyn MaxFlow, &PushRelabel::new()] {
             let mut even = EvenNetwork::from_graph(&g);
             assert_eq!(
                 even.vertex_connectivity(solver, 0, 8, None),
@@ -210,12 +207,11 @@ mod tests {
     fn adjacent_pairs_are_undefined() {
         let g = DiGraph::from_edges(3, [(0, 1), (1, 2), (0, 2)]);
         let mut even = EvenNetwork::from_graph(&g);
-        assert_eq!(even.vertex_connectivity(&Dinic::new(), 0, 1, None), None);
-        assert_eq!(even.vertex_connectivity(&Dinic::new(), 0, 0, None), None);
+        let solver = PushRelabel::new();
+        assert_eq!(even.vertex_connectivity(&solver, 0, 1, None), None);
+        assert_eq!(even.vertex_connectivity(&solver, 0, 0, None), None);
         // 2 -> 0 does not exist, so that direction is defined.
-        assert!(even
-            .vertex_connectivity(&Dinic::new(), 2, 0, None)
-            .is_some());
+        assert!(even.vertex_connectivity(&solver, 2, 0, None).is_some());
     }
 
     #[test]
@@ -224,7 +220,7 @@ mod tests {
         let mut even = EvenNetwork::from_graph(&g);
         for v in 0..9u32 {
             for w in 0..9u32 {
-                if let Some(k) = even.vertex_connectivity(&Dinic::new(), v, w, None) {
+                if let Some(k) = even.vertex_connectivity(&PushRelabel::new(), v, w, None) {
                     assert!(k <= g.out_degree(v) as u64, "κ({v},{w}) > dout");
                     assert!(k <= g.in_degree(w) as u64, "κ({v},{w}) > din");
                 }

@@ -14,13 +14,12 @@
 //!   transformed network is built). One flow gives `κ(v, w)`, the minimum
 //!   vertex cut (the nodes an optimal attacker removes) and the Menger paths
 //!   (the node-disjoint channels whose count *is* the resilience).
-//! * [`maxflow`] — max-flow solvers on the explicit network:
+//! * [`maxflow`] — max-flow on the explicit network:
 //!   [`maxflow::PushRelabel`] (a faithful re-implementation of the HIPR
-//!   highest-label push-relabel code the authors used, and the independent
-//!   oracle), [`maxflow::Dinic`] (the `batched: false` sweep baseline) and
-//!   [`maxflow::EdmondsKarp`] (a test-only reference). All support *early
-//!   cutoff*, the key trick that makes minimum-connectivity search
-//!   tractable.
+//!   highest-label push-relabel code the authors used), the independent
+//!   oracle and the `batched: false` route, with [`maxflow::EdmondsKarp`]
+//!   as its test-only reference. Both support *early cutoff*, the key trick
+//!   that makes minimum-connectivity search tractable.
 //! * [`witness`] — independent checkers for the kernel's cuts and paths.
 //! * [`scc`] — strong-connectivity pre-checks (a graph that is not strongly
 //!   connected has vertex connectivity zero).
@@ -62,5 +61,5 @@ pub mod witness;
 
 pub use digraph::DiGraph;
 pub use even::EvenNetwork;
-pub use maxflow::{Dinic, EdmondsKarp, FlowNetwork, FlowWorkspace, MaxFlow, PushRelabel, Solver};
+pub use maxflow::{EdmondsKarp, FlowNetwork, FlowWorkspace, MaxFlow, PushRelabel};
 pub use vertex_flow::VertexFlow;

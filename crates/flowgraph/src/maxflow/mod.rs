@@ -2,26 +2,26 @@
 //!
 //! The paper computes vertex connectivity by running a max-flow solver (the
 //! C program HIPR) on Even-transformed connectivity graphs. This module
-//! provides two selectable solvers and one reference implementation:
+//! provides that solver and one reference implementation:
 //!
 //! * [`PushRelabel`] — the *hi-level* (highest-label) push-relabel variant
 //!   with gap and global-relabeling heuristics; a faithful Rust
-//!   re-implementation of HIPR (Cherkassky & Goldberg 1995), and the
-//!   independent oracle every κ path is tested against.
-//! * [`Dinic`] — level-graph blocking flow. On the unit-capacity networks
-//!   produced by Even's transform this runs in `O(E·√V)`; it is the
-//!   `batched: false` sweep baseline.
-//! * [`EdmondsKarp`] — BFS augmenting paths; not selectable through
-//!   [`Solver`], kept only as a direct [`MaxFlow`] cross-check in tests.
+//!   re-implementation of HIPR (Cherkassky & Goldberg 1995). It is the
+//!   independent oracle every κ path is tested against, and the route
+//!   `batched: false` sweeps take.
+//! * [`EdmondsKarp`] — BFS augmenting paths; test-only, the reference
+//!   push-relabel is checked against on general capacities, and the solver
+//!   that leaves a genuine flow (push-relabel's first stage leaves only a
+//!   preflow) for the conservation and min-cut checks.
 //!
-//! None of these is what production code runs: on the all-unit networks of
+//! Neither is what production code runs: on the all-unit networks of
 //! Even's transform, [`crate::vertex_flow`] runs Dinic without materialising
 //! a [`FlowNetwork`] at all, and reads κ, minimum cuts and Menger paths off
 //! that one flow.
 //!
-//! All solvers implement [`MaxFlow`] and support an optional **cutoff**: the
-//! solver may stop as soon as it can prove the flow value is at least the
-//! cutoff. When scanning thousands of vertex pairs for the *minimum*
+//! Both solvers implement [`MaxFlow`] and support an optional **cutoff**:
+//! the solver may stop as soon as it can prove the flow value is at least
+//! the cutoff. When scanning thousands of vertex pairs for the *minimum*
 //! connectivity, pairs that cannot lower the current minimum are abandoned
 //! almost immediately.
 //!
@@ -31,7 +31,7 @@
 //! so per-run allocation dominates once the flows themselves are cheap.
 //! Two mechanisms remove it:
 //!
-//! * [`FlowWorkspace`] owns every scratch buffer a solver needs (levels,
+//! * [`FlowWorkspace`] owns every scratch buffer a solver needs (labels,
 //!   BFS queues, excess arrays, label buckets). Passing one through
 //!   [`MaxFlow::max_flow_with`] makes repeated runs allocation-free; the
 //!   plain [`MaxFlow::max_flow`] entry point allocates a fresh workspace
@@ -40,20 +40,14 @@
 //!   so [`FlowNetwork::reset`] restores residual capacities in `O(touched)`
 //!   instead of `O(m)` — on sparse connectivity graphs with small cuts the
 //!   touched set is a tiny fraction of the arcs.
-//!
-//! [`Solver`] is the enum-dispatched selector used by the analysis crates:
-//! `Copy` and statically dispatched in the inner loop.
 
-mod dinic;
 mod edmonds_karp;
 mod push_relabel;
 
-pub use dinic::Dinic;
 pub use edmonds_karp::EdmondsKarp;
 pub use push_relabel::PushRelabel;
 
 use std::collections::VecDeque;
-use std::fmt;
 
 /// A flow network in residual-arc representation.
 ///
@@ -69,7 +63,7 @@ use std::fmt;
 /// # Example
 ///
 /// ```
-/// use flowgraph::maxflow::{FlowNetwork, Dinic, MaxFlow};
+/// use flowgraph::maxflow::{FlowNetwork, MaxFlow, PushRelabel};
 ///
 /// // Two disjoint paths 0 -> 1 -> 3 and 0 -> 2 -> 3.
 /// let mut net = FlowNetwork::new(4);
@@ -77,7 +71,7 @@ use std::fmt;
 /// net.add_arc(1, 3, 1);
 /// net.add_arc(0, 2, 1);
 /// net.add_arc(2, 3, 1);
-/// let flow = Dinic::new().max_flow(&mut net, 0, 3, None);
+/// let flow = PushRelabel::new().max_flow(&mut net, 0, 3, None);
 /// assert_eq!(flow, 2);
 /// ```
 #[derive(Clone, Debug)]
@@ -272,13 +266,13 @@ impl FlowNetwork {
 /// # Example
 ///
 /// ```
-/// use flowgraph::maxflow::{Dinic, FlowNetwork, FlowWorkspace, MaxFlow};
+/// use flowgraph::maxflow::{FlowNetwork, FlowWorkspace, MaxFlow, PushRelabel};
 ///
 /// let mut net = FlowNetwork::new(3);
 /// net.add_arc(0, 1, 2);
 /// net.add_arc(1, 2, 1);
 /// let mut ws = FlowWorkspace::new();
-/// let solver = Dinic::new();
+/// let solver = PushRelabel::new();
 /// // Many runs, zero allocation after the first:
 /// for _ in 0..10 {
 ///     net.reset();
@@ -287,18 +281,13 @@ impl FlowNetwork {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FlowWorkspace {
-    /// Vertex labels: Dinic levels, Edmonds–Karp predecessor arcs,
-    /// push-relabel distance labels.
+    /// Vertex labels: push-relabel distance labels, Edmonds–Karp
+    /// predecessor arcs.
     pub(crate) label: Vec<u32>,
     /// Current-arc pointers.
     pub(crate) cur: Vec<usize>,
     /// BFS queue.
     pub(crate) queue: VecDeque<u32>,
-    /// Dinic's partial augmenting path (arc ids).
-    pub(crate) path: Vec<u32>,
-    /// Bitset (one bit per vertex, `u64` words) marking vertices in the
-    /// current level graph; clearing a bit removes a dead-end vertex.
-    pub(crate) visited: Vec<u64>,
     /// Push-relabel per-vertex excess.
     pub(crate) excess: Vec<u64>,
     /// Push-relabel active-vertex buckets by label (lazy deletion).
@@ -313,15 +302,12 @@ impl FlowWorkspace {
         FlowWorkspace::default()
     }
 
-    /// Creates a workspace pre-sized for `net`: the buffers every solver
-    /// uses are allocated up front, so the first Dinic/Edmonds–Karp run
-    /// allocates nothing. Push-relabel's extra buffers (excess, label
-    /// buckets) are sized lazily on its first run instead of here — most
-    /// evaluators never run it, and per-worker workspace clones would
-    /// duplicate the dead weight.
+    /// Creates a workspace pre-sized for `net`: push-relabel's buffers
+    /// (labels, current arcs, excess, label buckets) are allocated up
+    /// front rather than on the first run.
     pub fn for_network(net: &FlowNetwork) -> Self {
         let mut ws = FlowWorkspace::new();
-        ws.ensure_basic(net.node_count());
+        ws.ensure_push_relabel(net.node_count());
         ws
     }
 
@@ -330,10 +316,6 @@ impl FlowWorkspace {
         if self.label.len() < n {
             self.label.resize(n, u32::MAX);
             self.cur.resize(n, 0);
-        }
-        let words = words_for(n);
-        if self.visited.len() < words {
-            self.visited.resize(words, 0);
         }
     }
 
@@ -386,81 +368,6 @@ pub trait MaxFlow {
     fn name(&self) -> &'static str;
 }
 
-/// Enum-dispatched solver selection: `Copy` and statically dispatched —
-/// the analysis crates use this instead of `Box<dyn MaxFlow>` so per-worker
-/// evaluators are trivially `Clone` and the per-pair inner loop has no
-/// virtual calls.
-///
-/// The paper ran HIPR (highest-label push-relabel); [`Solver::Dinic`] is
-/// the default here because on the unit-capacity networks produced by
-/// Even's transform it is both asymptotically right and empirically fastest
-/// (see the `perf_maxflow` bench) — and the one the analysis crates can run
-/// on [`crate::vertex_flow`] instead of an explicit network. All solvers
-/// produce identical values — that equivalence is property-tested.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Solver {
-    /// Dinic's level-graph algorithm (default).
-    #[default]
-    Dinic,
-    /// HIPR-style highest-label push-relabel — the paper's solver.
-    PushRelabel,
-}
-
-impl Solver {
-    /// All solver kinds, for cross-checking tests and benches.
-    pub const ALL: [Solver; 2] = [Solver::Dinic, Solver::PushRelabel];
-}
-
-impl MaxFlow for Solver {
-    fn max_flow_with(
-        &self,
-        net: &mut FlowNetwork,
-        s: u32,
-        t: u32,
-        cutoff: Option<u64>,
-        workspace: &mut FlowWorkspace,
-    ) -> u64 {
-        match self {
-            Solver::Dinic => Dinic::new().max_flow_with(net, s, t, cutoff, workspace),
-            Solver::PushRelabel => PushRelabel::new().max_flow_with(net, s, t, cutoff, workspace),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            Solver::Dinic => "dinic",
-            Solver::PushRelabel => "push-relabel-hi",
-        }
-    }
-}
-
-impl fmt::Display for Solver {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(MaxFlow::name(self))
-    }
-}
-
-/// Number of `u64` words needed for an `n`-bit vertex bitset.
-#[inline]
-pub(crate) fn words_for(n: usize) -> usize {
-    n.div_ceil(64)
-}
-
-#[inline]
-pub(crate) fn bit_test(words: &[u64], v: u32) -> bool {
-    words[(v >> 6) as usize] & (1u64 << (v & 63)) != 0
-}
-
-#[inline]
-pub(crate) fn bit_set(words: &mut [u64], v: u32) {
-    words[(v >> 6) as usize] |= 1u64 << (v & 63);
-}
-
-#[inline]
-pub(crate) fn bit_clear(words: &mut [u64], v: u32) {
-    words[(v >> 6) as usize] &= !(1u64 << (v & 63));
-}
-
 pub(crate) fn check_endpoints(net: &FlowNetwork, s: u32, t: u32) {
     assert!(
         (s as usize) < net.node_count() && (t as usize) < net.node_count(),
@@ -490,11 +397,7 @@ mod tests {
     }
 
     fn solvers() -> Vec<Box<dyn MaxFlow>> {
-        vec![
-            Box::new(EdmondsKarp::new()),
-            Box::new(Dinic::new()),
-            Box::new(PushRelabel::new()),
-        ]
+        vec![Box::new(EdmondsKarp::new()), Box::new(PushRelabel::new())]
     }
 
     #[test]
@@ -632,53 +535,36 @@ mod tests {
     }
 
     #[test]
-    fn solver_enum_matches_concrete_solvers() {
-        for kind in Solver::ALL {
-            let mut via_enum = clrs_network();
-            let mut direct = clrs_network();
-            let expected = match kind {
-                Solver::Dinic => Dinic::new().max_flow(&mut direct, 0, 5, None),
-                Solver::PushRelabel => PushRelabel::new().max_flow(&mut direct, 0, 5, None),
-            };
-            assert_eq!(kind.max_flow(&mut via_enum, 0, 5, None), expected, "{kind}");
-        }
-    }
-
-    #[test]
     fn conservation_after_flow() {
         // Push-relabel stage 1 only guarantees a preflow inside the graph,
-        // but Dinic and Edmonds-Karp produce genuine flows.
-        for solver in [&EdmondsKarp::new() as &dyn MaxFlow, &Dinic::new()] {
-            let mut net = clrs_network();
-            let flow = solver.max_flow(&mut net, 0, 5, None);
-            assert!(net.conservation_holds(0, 5), "solver {}", solver.name());
-            assert_eq!(net.net_out_flow(0) as u64, flow);
-            assert_eq!((-net.net_out_flow(5)) as u64, flow);
-        }
+        // but Edmonds-Karp produces a genuine flow.
+        let mut net = clrs_network();
+        let flow = EdmondsKarp::new().max_flow(&mut net, 0, 5, None);
+        assert!(net.conservation_holds(0, 5));
+        assert_eq!(net.net_out_flow(0) as u64, flow);
+        assert_eq!((-net.net_out_flow(5)) as u64, flow);
     }
 
     #[test]
     fn min_cut_matches_flow_value() {
-        for solver in [&EdmondsKarp::new() as &dyn MaxFlow, &Dinic::new()] {
-            let mut net = clrs_network();
-            let flow = solver.max_flow(&mut net, 0, 5, None);
-            let reach = net.residual_reachable(0);
-            assert!(reach[0] && !reach[5]);
-            // Sum of original capacities crossing the cut equals the flow.
-            let mut cut = 0u64;
-            for u in 0..net.node_count() as u32 {
-                if !reach[u as usize] {
-                    continue;
-                }
-                for &a in net.arcs_from(u) {
-                    let v = net.arc_head(a);
-                    if !reach[v as usize] && net.orig_cap[a as usize] > 0 {
-                        cut += net.orig_cap[a as usize];
-                    }
+        let mut net = clrs_network();
+        let flow = EdmondsKarp::new().max_flow(&mut net, 0, 5, None);
+        let reach = net.residual_reachable(0);
+        assert!(reach[0] && !reach[5]);
+        // Sum of original capacities crossing the cut equals the flow.
+        let mut cut = 0u64;
+        for u in 0..net.node_count() as u32 {
+            if !reach[u as usize] {
+                continue;
+            }
+            for &a in net.arcs_from(u) {
+                let v = net.arc_head(a);
+                if !reach[v as usize] && net.orig_cap[a as usize] > 0 {
+                    cut += net.orig_cap[a as usize];
                 }
             }
-            assert_eq!(cut, flow, "solver {}", solver.name());
         }
+        assert_eq!(cut, flow);
     }
 
     #[test]
@@ -686,6 +572,84 @@ mod tests {
     fn same_source_sink_panics() {
         let mut net = FlowNetwork::new(2);
         net.add_arc(0, 1, 1);
-        Dinic::new().max_flow(&mut net, 0, 0, None);
+        PushRelabel::new().max_flow(&mut net, 0, 0, None);
+    }
+
+    /// Source fans out to 50 middles, all feeding the sink: flow 50.
+    fn wide_network() -> FlowNetwork {
+        let mut net = FlowNetwork::new(52);
+        for mid in 1..51 {
+            net.add_arc(0, mid, 1);
+            net.add_arc(mid, 51, 1);
+        }
+        net
+    }
+
+    #[test]
+    fn diamond_with_cross_edge() {
+        for solver in solvers() {
+            let mut net = FlowNetwork::new(4);
+            net.add_arc(0, 1, 2);
+            net.add_arc(0, 2, 2);
+            net.add_arc(1, 2, 1);
+            net.add_arc(1, 3, 1);
+            net.add_arc(2, 3, 3);
+            assert_eq!(
+                solver.max_flow(&mut net, 0, 3, None),
+                4,
+                "{}",
+                solver.name()
+            );
+        }
+    }
+
+    #[test]
+    fn long_chain() {
+        let n = 100;
+        for solver in solvers() {
+            let mut net = FlowNetwork::new(n);
+            for v in 0..n as u32 - 1 {
+                net.add_arc(v, v + 1, 3);
+            }
+            let flow = solver.max_flow(&mut net, 0, n as u32 - 1, None);
+            assert_eq!(flow, 3, "{}", solver.name());
+        }
+    }
+
+    #[test]
+    fn wide_unit_network() {
+        for solver in solvers() {
+            let flow = solver.max_flow(&mut wide_network(), 0, 51, None);
+            assert_eq!(flow, 50, "{}", solver.name());
+        }
+    }
+
+    #[test]
+    fn cutoff_stops_after_enough_paths() {
+        for solver in solvers() {
+            let flow = solver.max_flow(&mut wide_network(), 0, 51, Some(7));
+            assert!((7..=50).contains(&flow), "{}: {flow}", solver.name());
+        }
+    }
+
+    #[test]
+    fn repeated_phases_with_cancellation() {
+        // Needs more than one shortest-path round to finish.
+        for solver in solvers() {
+            let mut net = FlowNetwork::new(6);
+            net.add_arc(0, 1, 1);
+            net.add_arc(0, 2, 1);
+            net.add_arc(1, 3, 1);
+            net.add_arc(2, 3, 1);
+            net.add_arc(3, 4, 1);
+            net.add_arc(3, 5, 1);
+            net.add_arc(4, 5, 1);
+            assert_eq!(
+                solver.max_flow(&mut net, 0, 5, None),
+                2,
+                "{}",
+                solver.name()
+            );
+        }
     }
 }

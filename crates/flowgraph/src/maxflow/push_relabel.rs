@@ -7,8 +7,8 @@
 //! first stage, [`PushRelabel::max_flow`] computes a *maximum preflow*: the
 //! excess accumulated at the sink equals the max-flow value, which is all
 //! connectivity analysis needs. (The arc flows inside the network are a
-//! preflow, not necessarily a flow — use [`super::Dinic`] when you need a
-//! decomposable flow, e.g. to extract Menger paths.)
+//! preflow, not necessarily a flow — use [`super::EdmondsKarp`] when you
+//! need a genuine flow, e.g. to check conservation.)
 //!
 //! Heuristics implemented, matching the original:
 //!

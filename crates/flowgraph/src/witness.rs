@@ -38,8 +38,9 @@ pub fn cut_disconnects(graph: &DiGraph, v: u32, w: u32, cut: &[u32]) -> bool {
 }
 
 /// Checks that a set of paths is internally vertex-disjoint and that each
-/// path is a real `v -> w` walk in the graph. Returns a human-readable error
-/// for diagnostics.
+/// path is a real `v -> w` walk in the graph. A bare `[v, w]` path has no
+/// interior but uses the edge `(v, w)`, so at most one may appear. Returns
+/// a human-readable error for diagnostics.
 pub fn validate_disjoint_paths(
     graph: &DiGraph,
     v: u32,
@@ -47,6 +48,7 @@ pub fn validate_disjoint_paths(
     paths: &[Vec<u32>],
 ) -> Result<(), String> {
     let mut interior_seen: HashSet<u32> = HashSet::new();
+    let mut direct_seen = false;
     for (i, path) in paths.iter().enumerate() {
         if path.len() < 2 {
             return Err(format!("path {i} has fewer than two vertices"));
@@ -61,6 +63,12 @@ pub fn validate_disjoint_paths(
                     pair[0], pair[1]
                 ));
             }
+        }
+        if path.len() == 2 {
+            if direct_seen {
+                return Err(format!("path {i} reuses the edge ({v}, {w})"));
+            }
+            direct_seen = true;
         }
         for &x in &path[1..path.len() - 1] {
             if x == v || x == w {
@@ -107,5 +115,12 @@ mod tests {
         let g = DiGraph::from_edges(2, [(0, 1)]);
         assert!(validate_disjoint_paths(&g, 0, 0, &[vec![0]]).is_err());
         assert!(validate_disjoint_paths(&g, 0, 1, &[vec![]]).is_err());
+    }
+
+    #[test]
+    fn validator_rejects_one_edge_as_two_paths() {
+        let g = DiGraph::from_edges(2, [(0, 1)]);
+        assert!(validate_disjoint_paths(&g, 0, 1, &[vec![0, 1]]).is_ok());
+        assert!(validate_disjoint_paths(&g, 0, 1, &[vec![0, 1], vec![0, 1]]).is_err());
     }
 }

@@ -1,17 +1,15 @@
 //! Property-based tests for the flow/connectivity machinery.
 //!
-//! The central property: every max-flow solver — and the unit-vertex
-//! kernel — is interchangeable, and the kernel's witnesses obey Menger's
-//! theorem — the number of vertex-disjoint paths found equals the oracle's
-//! flow value equals the size of a verified vertex cut, and that cut is the
-//! one closest to the source.
+//! The central property: the unit-vertex kernel, push-relabel and its
+//! Edmonds–Karp reference are interchangeable, and the kernel's witnesses
+//! obey Menger's theorem — the number of vertex-disjoint paths found equals
+//! the oracle's flow value equals the size of a verified vertex cut, and
+//! that cut is the one closest to the source.
 
 use flowgraph::digraph::DiGraph;
 use flowgraph::even::EvenNetwork;
 use flowgraph::generators;
-use flowgraph::maxflow::{
-    Dinic, EdmondsKarp, FlowNetwork, FlowWorkspace, MaxFlow, PushRelabel, Solver,
-};
+use flowgraph::maxflow::{EdmondsKarp, FlowNetwork, FlowWorkspace, MaxFlow, PushRelabel};
 use flowgraph::scc::{is_strongly_connected, strongly_connected_components};
 use flowgraph::vertex_flow::VertexFlow;
 use flowgraph::witness::{cut_disconnects, validate_disjoint_paths};
@@ -117,24 +115,22 @@ fn arb_network(max_n: usize) -> impl Strategy<Value = (FlowNetwork, u32, u32)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// All solvers compute the same max-flow value on arbitrary networks.
+    /// Push-relabel computes the same max-flow value as its Edmonds–Karp
+    /// reference on arbitrary networks.
     #[test]
     fn solvers_agree((net, s, t) in arb_network(12)) {
         let mut a = net.clone();
-        let mut b = net.clone();
-        let mut c = net;
-        let fa = Dinic::new().max_flow(&mut a, s, t, None);
-        let fb = EdmondsKarp::new().max_flow(&mut b, s, t, None);
-        let fc = PushRelabel::new().max_flow(&mut c, s, t, None);
+        let mut b = net;
+        let fa = EdmondsKarp::new().max_flow(&mut a, s, t, None);
+        let fb = PushRelabel::new().max_flow(&mut b, s, t, None);
         prop_assert_eq!(fa, fb);
-        prop_assert_eq!(fb, fc);
     }
 
     /// Max flow equals the capacity across the residual-reachability cut.
     #[test]
     fn max_flow_equals_min_cut((net, s, t) in arb_network(12)) {
         let mut work = net.clone();
-        let flow = Dinic::new().max_flow(&mut work, s, t, None);
+        let flow = EdmondsKarp::new().max_flow(&mut work, s, t, None);
         let reach = work.residual_reachable(s);
         prop_assert!(reach[s as usize]);
         // If the sink were still reachable there would be an augmenting
@@ -157,8 +153,8 @@ proptest! {
     #[test]
     fn cutoff_is_sound((net, s, t) in arb_network(10), cutoff in 0u64..20) {
         let mut exact_net = net.clone();
-        let exact = Dinic::new().max_flow(&mut exact_net, s, t, None);
-        for solver in [&Dinic::new() as &dyn MaxFlow, &EdmondsKarp::new(), &PushRelabel::new()] {
+        let exact = EdmondsKarp::new().max_flow(&mut exact_net, s, t, None);
+        for solver in [&EdmondsKarp::new() as &dyn MaxFlow, &PushRelabel::new()] {
             let mut work = net.clone();
             let bounded = solver.max_flow(&mut work, s, t, Some(cutoff));
             prop_assert!(bounded <= exact, "{}: {} > {}", solver.name(), bounded, exact);
@@ -176,7 +172,7 @@ proptest! {
         let mut even = EvenNetwork::from_graph(&g);
         for v in 0..g.node_count() as u32 {
             for w in 0..g.node_count() as u32 {
-                if let Some(kappa) = even.vertex_connectivity(&Dinic::new(), v, w, None) {
+                if let Some(kappa) = even.vertex_connectivity(&PushRelabel::new(), v, w, None) {
                     prop_assert!(kappa <= g.out_degree(v) as u64);
                     prop_assert!(kappa <= g.in_degree(w) as u64);
                 }
@@ -193,10 +189,11 @@ proptest! {
         for v in 0..g.node_count() as u32 {
             for w in 0..g.node_count() as u32 {
                 if v == w { continue; }
-                let vw = g.has_edge(v, w)
-                    || even.vertex_connectivity(&Dinic::new(), v, w, None).expect("non-adjacent") > 0;
-                let wv = g.has_edge(w, v)
-                    || even.vertex_connectivity(&Dinic::new(), w, v, None).expect("non-adjacent") > 0;
+                let mut positive = |a, b| {
+                    even.vertex_connectivity(&PushRelabel::new(), a, b, None).expect("non-adjacent") > 0
+                };
+                let vw = g.has_edge(v, w) || positive(v, w);
+                let wv = g.has_edge(w, v) || positive(w, v);
                 let same = scc.component[v as usize] == scc.component[w as usize];
                 prop_assert_eq!(same, vw && wv, "pair ({}, {})", v, w);
             }
@@ -219,24 +216,19 @@ proptest! {
         prop_assert!(is_strongly_connected(&cyc));
     }
 
-    /// Both selectable solvers agree on random digraphs when driven through
-    /// the enum `Solver` and a shared, reused `FlowWorkspace` — the exact
-    /// code path the explicit connectivity sweeps use.
+    /// Push-relabel and Edmonds–Karp agree on random digraphs when they
+    /// take turns on one shared, reused `FlowWorkspace`: neither leaves
+    /// scratch state behind that the other reads.
     #[test]
     fn workspace_solvers_agree(g in arb_digraph(10)) {
         let mut workspace = FlowWorkspace::new();
-        let mut evens: Vec<EvenNetwork> =
-            Solver::ALL.iter().map(|_| EvenNetwork::from_graph(&g)).collect();
+        let mut pr_even = EvenNetwork::from_graph(&g);
+        let mut ek_even = EvenNetwork::from_graph(&g);
         for v in 0..g.node_count() as u32 {
             for w in 0..g.node_count() as u32 {
-                let results: Vec<Option<u64>> = Solver::ALL
-                    .iter()
-                    .zip(evens.iter_mut())
-                    .map(|(solver, even)| {
-                        even.vertex_connectivity_with(solver, v, w, None, &mut workspace)
-                    })
-                    .collect();
-                prop_assert_eq!(results[0], results[1], "dinic vs push-relabel ({}, {})", v, w);
+                let pr = pr_even.vertex_connectivity_with(&PushRelabel::new(), v, w, None, &mut workspace);
+                let ek = ek_even.vertex_connectivity_with(&EdmondsKarp::new(), v, w, None, &mut workspace);
+                prop_assert_eq!(pr, ek, "push-relabel vs edmonds-karp ({}, {})", v, w);
             }
         }
     }
@@ -251,11 +243,11 @@ proptest! {
         for v in 0..g.node_count() as u32 {
             for w in 0..g.node_count() as u32 {
                 let reused =
-                    reused_net.vertex_connectivity_with(&Solver::Dinic, v, w, None, &mut reused_ws);
+                    reused_net.vertex_connectivity_with(&PushRelabel::new(), v, w, None, &mut reused_ws);
                 let mut fresh_net = EvenNetwork::from_graph(&g);
                 let mut fresh_ws = FlowWorkspace::new();
                 let fresh =
-                    fresh_net.vertex_connectivity_with(&Solver::Dinic, v, w, None, &mut fresh_ws);
+                    fresh_net.vertex_connectivity_with(&PushRelabel::new(), v, w, None, &mut fresh_ws);
                 prop_assert_eq!(reused, fresh, "pair ({}, {})", v, w);
             }
         }
@@ -266,7 +258,7 @@ proptest! {
     #[test]
     fn journaled_reset_is_exact((net, s, t) in arb_network(12)) {
         let mut work = net.clone();
-        Dinic::new().max_flow(&mut work, s, t, None);
+        EdmondsKarp::new().max_flow(&mut work, s, t, None);
         work.reset();
         prop_assert_eq!(&work, &net);
         PushRelabel::new().max_flow(&mut work, s, t, None);
@@ -274,9 +266,9 @@ proptest! {
         prop_assert_eq!(&work, &net);
     }
 
-    /// The unit-vertex kernel equals push-relabel and explicit-network
-    /// Dinic pair by pair, and agrees with them on which pairs are
-    /// undefined (adjacent or equal).
+    /// The unit-vertex kernel equals push-relabel on the explicit network
+    /// pair by pair, and agrees with it on which pairs are undefined
+    /// (adjacent or equal).
     #[test]
     fn kernel_matches_explicit_solvers(g in arb_kernel_graph()) {
         let mut kernel = VertexFlow::new(&g);
@@ -287,9 +279,7 @@ proptest! {
                 let got = kernel.connectivity(v, w, None);
                 prop_assert_eq!(got.is_none(), v == w || g.has_edge(v, w));
                 let pr = even.vertex_connectivity_with(&PushRelabel::new(), v, w, None, &mut ws);
-                let dinic = even.vertex_connectivity_with(&Dinic::new(), v, w, None, &mut ws);
                 prop_assert_eq!(got, pr, "kernel vs push-relabel ({}, {})", v, w);
-                prop_assert_eq!(got, dinic, "kernel vs dinic ({}, {})", v, w);
             }
         }
     }

@@ -12,7 +12,7 @@
 
 use kademlia_resilience::flowgraph::even::{unit_flow_network, EvenNetwork};
 use kademlia_resilience::flowgraph::generators::paper_figure1;
-use kademlia_resilience::flowgraph::maxflow::{Dinic, MaxFlow, PushRelabel};
+use kademlia_resilience::flowgraph::maxflow::{MaxFlow, PushRelabel};
 use kademlia_resilience::flowgraph::vertex_flow::VertexFlow;
 
 fn main() {
@@ -32,11 +32,11 @@ fn main() {
 
     // (a) the original graph: maximum flow (edge connectivity) is 3.
     let mut unit = unit_flow_network(&g);
-    let edge_flow = Dinic::new().max_flow(&mut unit, a, i, None);
+    let edge_flow = PushRelabel::new().max_flow(&mut unit, a, i, None);
     println!("max flow a→i in the original graph D:      {edge_flow}");
 
-    // (b) the transformed graph: max flow equals vertex connectivity = 1,
-    // here with the HIPR-style push-relabel the authors ran.
+    // (b) the transformed graph: max flow equals vertex connectivity = 1.
+    // Both flows run the HIPR-style push-relabel the authors ran.
     let mut even = EvenNetwork::from_graph(&g);
     let kappa = even
         .vertex_connectivity(&PushRelabel::new(), a, i, None)
