@@ -10,7 +10,12 @@
 //! same grid in-process and asserts the rendered CSVs are
 //! **byte-identical** to those pinned outputs. A diff in any of these
 //! tests means a change altered the event order, an RNG draw, or a
-//! format string somewhere.
+//! format string somewhere. The `<grid>-counters.csv` files pin the
+//! simulator counters of the same runs (`cell,name,value`, from
+//! `Counters::iter`), generated before the counter table became one
+//! typed array.
+
+use std::fmt::Write as _;
 
 use kad_experiments::matrix::MatrixRunner;
 use kad_experiments::runner::{run_cell, CellOutcome, LiveCell};
@@ -47,6 +52,19 @@ fn assert_csv_identical(kind: &str, actual: &str, golden: &str) {
     );
 }
 
+/// `cell,name,value` rows from every outcome's simulator counters, in
+/// grid order and then name order. No grid CSV prints the counters, so
+/// these rows pin their names, values and iteration order.
+fn counters_csv(outcomes: &[CellOutcome]) -> String {
+    let mut out = String::from("cell,name,value\n");
+    for o in outcomes {
+        for (name, value) in o.counters.iter() {
+            writeln!(out, "{},{name},{value}", o.scenario.base.name).expect("write to String");
+        }
+    }
+    out
+}
+
 #[test]
 fn campaign_csv_is_byte_identical_to_pre_refactor_golden() {
     use kad_experiments::campaign::{campaign_csv, campaign_grid};
@@ -56,6 +74,11 @@ fn campaign_csv_is_byte_identical_to_pre_refactor_golden() {
         "campaign-timeseries.csv",
         &campaign_csv(&outcomes),
         include_str!("golden/campaign-timeseries.csv"),
+    );
+    assert_csv_identical(
+        "campaign-counters.csv",
+        &counters_csv(&outcomes),
+        include_str!("golden/campaign-counters.csv"),
     );
 }
 
@@ -73,6 +96,11 @@ fn service_csvs_are_byte_identical_to_pre_refactor_goldens() {
         "service-hops.csv",
         &service_hops_csv(&outcomes),
         include_str!("golden/service-hops.csv"),
+    );
+    assert_csv_identical(
+        "service-counters.csv",
+        &counters_csv(&outcomes),
+        include_str!("golden/service-counters.csv"),
     );
 }
 
@@ -123,6 +151,11 @@ fn defense_csvs_are_byte_identical_to_pre_refactor_goldens() {
         &defense_summary_csv(&outcomes),
         include_str!("golden/defense-summary.csv"),
     );
+    assert_csv_identical(
+        "defense-counters.csv",
+        &counters_csv(&outcomes),
+        include_str!("golden/defense-counters.csv"),
+    );
 }
 
 /// The flight recorder must be a pure observer: running a grid with
@@ -144,6 +177,11 @@ fn observed_campaign_csv_is_byte_identical_to_golden() {
         "campaign-timeseries.csv (observed)",
         &campaign_csv(&outcomes),
         include_str!("golden/campaign-timeseries.csv"),
+    );
+    assert_csv_identical(
+        "campaign-counters.csv (observed)",
+        &counters_csv(&outcomes),
+        include_str!("golden/campaign-counters.csv"),
     );
 }
 
@@ -168,6 +206,11 @@ fn observed_defense_csvs_are_byte_identical_to_goldens() {
         &defense_summary_csv(&outcomes),
         include_str!("golden/defense-summary.csv"),
     );
+    assert_csv_identical(
+        "defense-counters.csv (observed)",
+        &counters_csv(&outcomes),
+        include_str!("golden/defense-counters.csv"),
+    );
 }
 
 /// `repro sweep --scale bench --seed 1`, generated at the last commit
@@ -182,6 +225,11 @@ fn sweep_csv_is_byte_identical_to_golden() {
         "sweep-timeseries.csv",
         &sweep_timeseries_csv(&outcomes),
         include_str!("golden/sweep-timeseries.csv"),
+    );
+    assert_csv_identical(
+        "sweep-counters.csv",
+        &counters_csv(&outcomes),
+        include_str!("golden/sweep-counters.csv"),
     );
 }
 
@@ -202,6 +250,11 @@ fn load_csvs_are_byte_identical_to_goldens() {
         "load-summary.csv",
         &load_summary_csv(&outcomes),
         include_str!("golden/load-summary.csv"),
+    );
+    assert_csv_identical(
+        "load-counters.csv",
+        &counters_csv(&outcomes),
+        include_str!("golden/load-counters.csv"),
     );
 }
 
