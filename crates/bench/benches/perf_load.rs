@@ -1,17 +1,14 @@
-//! Metric-family recording overhead on the load engine's hot path.
+//! Recording overhead of the load engine's telemetry sink.
 //!
 //! The load engine installs a [`kad_experiments::load::LoadTelemetry`]
-//! sink that fans every completed lookup out into labelled metric
-//! families — a `(purpose, outcome, phase)` counter, a per-minute latency
-//! histogram family and a found-rate minute series. That is strictly more
-//! bookkeeping per record than the service grid's single-histogram sink,
-//! and it runs once per request at production rates, so its cost must be
-//! measured, not assumed. Two benches drive the *same* FIND_VALUE
+//! sink that records every completed retrieval into a per-minute latency
+//! histogram and a found-rate minute series. It runs once per request at
+//! production rates, so its cost must be measured, not assumed. Two benches drive the *same* FIND_VALUE
 //! retrieval workload (the load engine's traffic):
 //!
 //! * `retrieve_noop_sink` — the floor: [`kad_telemetry::NoopSink`]
 //!   installed, so the run pays the sink seam but records nothing;
-//! * `retrieve_family_sink` — the full family-recording path.
+//! * `retrieve_load_sink` — the full load-telemetry recording path.
 //!
 //! Retrievals run at 60 per simulated minute, the load grid's base rate,
 //! in the quiet stretch between two bucket-refresh rounds, so each
@@ -20,9 +17,10 @@
 //!
 //! The bench then gates itself: batches on two identical networks whose
 //! sinks swap every round, best batch of each sink compared, and it fails
-//! if the family path costs more than 10 % over the noop floor. The families are O(1) BTreeMap
-//! updates per completed lookup; the design contract is ≤ 5 %, the gate's
-//! extra 5 % absorbs shared-machine noise.
+//! if the load sink costs more than 10 % over the noop floor. Recording is
+//! two BTreeMap updates keyed by minute per completed retrieval; the
+//! design contract is ≤ 5 %, the gate's extra 5 % absorbs shared-machine
+//! noise.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dessim::time::{SimDuration, SimTime};
@@ -65,9 +63,9 @@ impl Retriever {
         }
     }
 
-    /// Installs a fresh family-recording sink, or the noop floor.
-    fn install(&mut self, family: bool) {
-        let sink: Box<dyn TelemetrySink> = if family {
+    /// Installs a fresh load-telemetry sink, or the noop floor.
+    fn install(&mut self, load: bool) {
+        let sink: Box<dyn TelemetrySink> = if load {
             Box::new(LoadTelemetry::new(u64::MAX))
         } else {
             Box::new(NoopSink)
@@ -90,13 +88,10 @@ fn bench_load_sink(c: &mut Criterion) {
     // The recording delta is small against per-iteration noise; a larger
     // sample keeps the median meaningful.
     group.sample_size(40);
-    for (id, family) in [
-        ("retrieve_noop_sink", false),
-        ("retrieve_family_sink", true),
-    ] {
+    for (id, load) in [("retrieve_noop_sink", false), ("retrieve_load_sink", true)] {
         group.bench_function(id, |bencher| {
             let mut retriever = Retriever::new();
-            retriever.install(family);
+            retriever.install(load);
             bencher.iter(|| black_box(retriever.retrieve()));
         });
     }
@@ -111,31 +106,31 @@ fn bench_load_sink(c: &mut Criterion) {
     const RUNS: usize = 12;
     const BATCH: usize = 150;
     let mut nets = [Retriever::new(), Retriever::new()];
-    let mut best = [f64::INFINITY; 2]; // [noop, family]
+    let mut best = [f64::INFINITY; 2]; // [noop, load]
     for run in 0..RUNS {
         for (i, retriever) in nets.iter_mut().enumerate() {
-            let family = (run + i) % 2 == 1;
-            retriever.install(family);
+            let load = (run + i) % 2 == 1;
+            retriever.install(load);
             let started = Instant::now();
             for _ in 0..BATCH {
                 black_box(retriever.retrieve());
             }
-            let side = &mut best[usize::from(family)];
+            let side = &mut best[usize::from(load)];
             *side = side.min(started.elapsed().as_secs_f64());
         }
     }
-    let [noop_best, family_best] = best;
-    let overhead = family_best / noop_best - 1.0;
+    let [noop_best, load_best] = best;
+    let overhead = load_best / noop_best - 1.0;
     println!(
-        "  {BATCH} retrievals: noop {:.3} ms, family sink {:.3} ms \
+        "  {BATCH} retrievals: noop {:.3} ms, load sink {:.3} ms \
          ({:+.2}% overhead, best of {RUNS} each, interleaved)",
         noop_best * 1e3,
-        family_best * 1e3,
+        load_best * 1e3,
         overhead * 100.0
     );
     assert!(
         overhead <= 0.10,
-        "family-recording sink must cost ≤10% over the noop floor: {:+.1}%",
+        "load-telemetry sink must cost ≤10% over the noop floor: {:+.1}%",
         overhead * 100.0
     );
 }

@@ -9,7 +9,8 @@
 //!
 //! Do **not** use these aliases for any map whose iteration order reaches
 //! a serialized artifact; golden outputs must come from ordered containers
-//! (see `metrics::Counters`, which stays a `BTreeMap` for that reason).
+//! or fixed orders (see `metrics::Counters`, whose slots are in name
+//! order for that reason).
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -2,9 +2,9 @@
 //!
 //! [`Summary`] implements exactly the aggregation the paper's Table 2
 //! reports: the mean and the *relative variance* (variance divided by mean)
-//! of the minimum connectivity during the churn phase.
+//! of the minimum connectivity during the churn phase. [`Counters`] is the
+//! simulator's event tally: one fixed slot per [`Counter`].
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Streaming summary statistics over `f64` samples (Welford's algorithm,
@@ -104,28 +104,6 @@ impl Summary {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Merges another summary into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl fmt::Display for Summary {
@@ -142,74 +120,70 @@ impl fmt::Display for Summary {
     }
 }
 
-/// Number of [`HotCounter`] variants.
-pub const HOT_COUNTER_COUNT: usize = 10;
+/// Declares [`Counter`] and its name table from one list: the variant at
+/// position `i` has discriminant `i` and the name `NAMES[i]`.
+macro_rules! counter_table {
+    ($($variant:ident => $name:literal,)*) => {
+        /// Every event the simulator counts. The discriminant indexes
+        /// [`Counters`]' array, so an increment is a single add.
+        ///
+        /// Variants are listed in ascending byte order of their names
+        /// (checked by a test): [`Counters::iter`] walks the array in index
+        /// order and so yields names in ascending order.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Counter {
+            $(
+                #[doc = concat!("`", $name, "`")]
+                $variant,
+            )*
+        }
 
-/// Counters incremented several times per simulated message — the ones
-/// whose BTreeMap probes would otherwise dominate the event loop. Each
-/// variant indexes a fixed slot in [`Counters::incr_hot`]'s array, so a
-/// hot increment is a single add with no string hashing or tree walk.
-///
-/// Variant order **must** match the ascending byte order of the names in
-/// `HOT_NAMES`: the discriminant is the array index, and `Counters::iter`
-/// merge-sorts the hot slots against the BTreeMap stream by that order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HotCounter {
-    /// `late_response`
-    LateResponse = 0,
-    /// `lookup_finished`
-    LookupFinished,
-    /// `msg_lost`
-    MsgLost,
-    /// `msg_sent`
-    MsgSent,
-    /// `msg_to_dead`
-    MsgToDead,
-    /// `request_handled`
-    RequestHandled,
-    /// `response_received`
-    ResponseReceived,
-    /// `rpc_sent`
-    RpcSent,
-    /// `rpc_timeout`
-    RpcTimeout,
-    /// `value_hit`
-    ValueHit,
+        /// Counter names; index `i` names the [`Counter`] with
+        /// discriminant `i`.
+        const NAMES: &[&str] = &[$($name),*];
+    };
 }
 
-/// Hot-counter names in ascending byte order (checked by a test); index
-/// `i` is the name of the `HotCounter` with discriminant `i`.
-const HOT_NAMES: [&str; HOT_COUNTER_COUNT] = [
-    "late_response",
-    "lookup_finished",
-    "msg_lost",
-    "msg_sent",
-    "msg_to_dead",
-    "request_handled",
-    "response_received",
-    "rpc_sent",
-    "rpc_timeout",
-    "value_hit",
-];
-
-impl HotCounter {
-    /// The counter name this variant stands for.
-    pub fn name(self) -> &'static str {
-        HOT_NAMES[self as usize]
-    }
+counter_table! {
+    BootstrapReseed => "bootstrap_reseed",
+    CompromiseScheduled => "compromise_scheduled",
+    ContactEvicted => "contact_evicted",
+    DefenseDiversityReject => "defense_diversity_reject",
+    DefenseDiversityReplace => "defense_diversity_replace",
+    DefenseProbe => "defense_probe",
+    DefenseRepair => "defense_repair",
+    DefenseTick => "defense_tick",
+    DisjointValueHit => "disjoint_value_hit",
+    LateResponse => "late_response",
+    LookupFinished => "lookup_finished",
+    LookupStarted => "lookup_started",
+    MsgLost => "msg_lost",
+    MsgSent => "msg_sent",
+    MsgToDead => "msg_to_dead",
+    NodeCompromised => "node_compromised",
+    NodeJoined => "node_joined",
+    NodeRemoved => "node_removed",
+    NodeSpawned => "node_spawned",
+    RefreshLookup => "refresh_lookup",
+    RefreshTick => "refresh_tick",
+    RequestHandled => "request_handled",
+    ResponseReceived => "response_received",
+    RetrieveDisjointStarted => "retrieve_disjoint_started",
+    RetrieveStarted => "retrieve_started",
+    RpcSent => "rpc_sent",
+    RpcTimeout => "rpc_timeout",
+    StoreRpcSent => "store_rpc_sent",
+    StoreStarted => "store_started",
+    ValueHit => "value_hit",
 }
 
-/// Named event counters (messages sent, lookups started, …).
-///
-/// Two storage tiers share one namespace: arbitrary names live in a
-/// `BTreeMap`, and the fixed [`HotCounter`] set lives in a plain array
-/// updated by [`Counters::incr_hot`]. Reads ([`Counters::get`],
-/// [`Counters::iter`]) always present the *sum* of both tiers per name, in
-/// name order — callers cannot tell which path an increment took.
+const COUNTER_COUNT: usize = NAMES.len();
+
+/// Named event counters (messages sent, lookups started, …): one `u64`
+/// per [`Counter`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
-    counts: BTreeMap<String, u64>,
-    hot: [u64; HOT_COUNTER_COUNT],
+    counts: [u64; COUNTER_COUNT],
 }
 
 impl Counters {
@@ -218,97 +192,26 @@ impl Counters {
         Counters::default()
     }
 
-    /// Adds `n` to counter `name`, creating it at zero if absent.
-    ///
-    /// Hot path for the simulator (several increments per event), so the
-    /// existing-key case must not allocate: the `String` key is built only
-    /// on the first touch of a name, never on subsequent increments.
-    pub fn add(&mut self, name: &str, n: u64) {
-        if let Some(count) = self.counts.get_mut(name) {
-            *count += n;
-        } else {
-            self.counts.insert(name.to_owned(), n);
-        }
-    }
-
-    /// Increments counter `name` by one.
-    pub fn incr(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Increments a hot counter by one: a single array add, the per-message
-    /// fast path. Equivalent to `incr(c.name())` as far as any reader can
-    /// observe.
+    /// Increments counter `c` by one.
     #[inline]
-    pub fn incr_hot(&mut self, c: HotCounter) {
-        self.hot[c as usize] += 1;
+    pub fn incr(&mut self, c: Counter) {
+        self.counts[c as usize] += 1;
     }
 
-    /// Adds `n` to a hot counter. See [`Counters::incr_hot`].
-    #[inline]
-    pub fn add_hot(&mut self, c: HotCounter, n: u64) {
-        self.hot[c as usize] += n;
-    }
-
-    /// Current value of `name` (0 if never touched).
+    /// Current value of the counter called `name` (0 if never incremented
+    /// or if no counter has that name).
     pub fn get(&self, name: &str) -> u64 {
-        let base = self.counts.get(name).copied().unwrap_or(0);
-        match HOT_NAMES.binary_search(&name) {
-            Ok(i) => base + self.hot[i],
-            Err(_) => base,
-        }
+        NAMES.binary_search(&name).map_or(0, |i| self.counts[i])
     }
 
-    /// Iterates `(name, count)` pairs in name order. Hot counters that were
-    /// never incremented stay invisible, exactly like untouched map names.
+    /// Iterates `(name, count)` pairs in ascending name order, skipping
+    /// counters that were never incremented.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        MergedCounters {
-            map: self.counts.iter().peekable(),
-            hot: &self.hot,
-            hot_idx: 0,
-        }
-    }
-}
-
-/// Merge-sorted view over the two counter tiers: the BTreeMap stream and
-/// the statically name-sorted hot array. Names present in both tiers are
-/// emitted once with the summed value.
-struct MergedCounters<'a> {
-    map: std::iter::Peekable<std::collections::btree_map::Iter<'a, String, u64>>,
-    hot: &'a [u64; HOT_COUNTER_COUNT],
-    hot_idx: usize,
-}
-
-impl<'a> Iterator for MergedCounters<'a> {
-    type Item = (&'a str, u64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while self.hot_idx < HOT_COUNTER_COUNT && self.hot[self.hot_idx] == 0 {
-            self.hot_idx += 1;
-        }
-        let hot_name = (self.hot_idx < HOT_COUNTER_COUNT).then(|| HOT_NAMES[self.hot_idx]);
-        match (self.map.peek(), hot_name) {
-            (Some(&(k, _)), Some(h)) if k.as_str() < h => {
-                let (k, &v) = self.map.next().expect("peeked");
-                Some((k.as_str(), v))
-            }
-            (Some(&(k, _)), Some(h)) if k.as_str() == h => {
-                let (k, &v) = self.map.next().expect("peeked");
-                let hv = self.hot[self.hot_idx];
-                self.hot_idx += 1;
-                Some((k.as_str(), v + hv))
-            }
-            (_, Some(h)) => {
-                let v = self.hot[self.hot_idx];
-                self.hot_idx += 1;
-                Some((h, v))
-            }
-            (Some(_), None) => {
-                let (k, &v) = self.map.next().expect("peeked");
-                Some((k.as_str(), v))
-            }
-            (None, None) => None,
-        }
+        NAMES
+            .iter()
+            .zip(&self.counts)
+            .filter(|&(_, &count)| count > 0)
+            .map(|(&name, &count)| (name, count))
     }
 }
 
@@ -357,98 +260,48 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = Summary::new();
-        for &x in &data {
-            all.record(x);
-        }
-        let mut left = Summary::new();
-        let mut right = Summary::new();
-        for &x in &data[..37] {
-            left.record(x);
-        }
-        for &x in &data[37..] {
-            right.record(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), all.count());
-        assert!((left.mean() - all.mean()).abs() < 1e-9);
-        assert!((left.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(left.min(), all.min());
-        assert_eq!(left.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Summary::new();
-        a.record(1.0);
-        a.record(2.0);
-        let before = a;
-        a.merge(&Summary::new());
-        assert_eq!(a, before);
-        let mut empty = Summary::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
     fn counters_accumulate() {
         let mut c = Counters::new();
-        c.incr("msg");
-        c.add("msg", 4);
-        c.incr("lookup");
-        assert_eq!(c.get("msg"), 5);
-        assert_eq!(c.get("lookup"), 1);
-        assert_eq!(c.get("absent"), 0);
-        let names: Vec<&str> = c.iter().map(|(k, _)| k).collect();
-        assert_eq!(names, vec!["lookup", "msg"]);
-    }
-
-    #[test]
-    fn hot_names_are_sorted_and_match_discriminants() {
-        assert!(HOT_NAMES.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(HotCounter::LateResponse.name(), "late_response");
-        assert_eq!(HotCounter::ValueHit.name(), "value_hit");
-        assert_eq!(HotCounter::ValueHit as usize, HOT_COUNTER_COUNT - 1);
-    }
-
-    #[test]
-    fn hot_counters_are_indistinguishable_from_named() {
-        let mut c = Counters::new();
-        c.incr_hot(HotCounter::MsgSent);
-        c.add_hot(HotCounter::MsgSent, 4);
-        c.incr_hot(HotCounter::RpcTimeout);
+        assert_eq!(c.iter().count(), 0, "a fresh table yields nothing");
+        for _ in 0..5 {
+            c.incr(Counter::MsgSent);
+        }
+        c.incr(Counter::LookupStarted);
+        c.incr(Counter::BootstrapReseed);
+        c.incr(Counter::ValueHit);
         assert_eq!(c.get("msg_sent"), 5);
-        assert_eq!(c.get("rpc_timeout"), 1);
-        assert_eq!(c.get("msg_lost"), 0);
-        // Untouched hot slots stay invisible to iteration.
-        let pairs: Vec<(&str, u64)> = c.iter().collect();
-        assert_eq!(pairs, vec![("msg_sent", 5), ("rpc_timeout", 1)]);
-    }
-
-    #[test]
-    fn iter_merges_hot_and_map_tiers_in_name_order() {
-        let mut c = Counters::new();
-        c.incr("aardvark"); // before every hot name
-        c.incr("node_spawned"); // between msg_to_dead and request_handled
-        c.incr("zzz"); // after every hot name
-        c.add("msg_sent", 2); // same name via both tiers: values sum
-        c.add_hot(HotCounter::MsgSent, 3);
-        c.incr_hot(HotCounter::LateResponse);
-        c.incr_hot(HotCounter::ValueHit);
+        assert_eq!(c.get("lookup_started"), 1);
+        assert_eq!(c.get("msg_lost"), 0, "never incremented");
+        assert_eq!(c.get("absent"), 0, "no such counter");
+        // Ascending name order; untouched counters stay invisible.
         let pairs: Vec<(&str, u64)> = c.iter().collect();
         assert_eq!(
             pairs,
             vec![
-                ("aardvark", 1),
-                ("late_response", 1),
+                ("bootstrap_reseed", 1),
+                ("lookup_started", 1),
                 ("msg_sent", 5),
-                ("node_spawned", 1),
                 ("value_hit", 1),
-                ("zzz", 1),
             ]
         );
-        assert_eq!(c.get("msg_sent"), 5);
+        let copy = c.clone();
+        assert_eq!(copy, c);
+        c.incr(Counter::MsgLost);
+        assert_ne!(copy, c);
+    }
+
+    #[test]
+    fn counter_names_are_sorted_and_match_discriminants() {
+        assert_eq!(COUNTER_COUNT, 30);
+        assert!(NAMES.windows(2).all(|w| w[0] < w[1]), "{NAMES:?}");
+        assert_eq!(NAMES[Counter::BootstrapReseed as usize], "bootstrap_reseed");
+        assert_eq!(NAMES[Counter::MsgSent as usize], "msg_sent");
+        assert_eq!(Counter::ValueHit as usize, COUNTER_COUNT - 1);
+        assert_eq!(NAMES[Counter::ValueHit as usize], "value_hit");
+        for (i, &name) in NAMES.iter().enumerate() {
+            let mut c = Counters::new();
+            c.counts[i] = 1;
+            assert_eq!(c.get(name), 1, "{name} resolves to slot {i}");
+        }
     }
 }

@@ -93,31 +93,6 @@ proptest! {
         prop_assert_eq!(s.max(), data.iter().cloned().fold(f64::NEG_INFINITY, f64::max));
     }
 
-    /// Merging summaries over any split equals the sequential summary.
-    #[test]
-    fn summary_merge_any_split(
-        data in proptest::collection::vec(-1e3f64..1e3, 2..200),
-        split_frac in 0.0f64..1.0,
-    ) {
-        let split = ((data.len() as f64 * split_frac) as usize).min(data.len());
-        let mut whole = Summary::new();
-        for &x in &data {
-            whole.record(x);
-        }
-        let mut left = Summary::new();
-        let mut right = Summary::new();
-        for &x in &data[..split] {
-            left.record(x);
-        }
-        for &x in &data[split..] {
-            right.record(x);
-        }
-        left.merge(&right);
-        prop_assert_eq!(left.count(), whole.count());
-        prop_assert!((left.mean() - whole.mean()).abs() < 1e-8 * (1.0 + whole.mean().abs()));
-        prop_assert!((left.variance() - whole.variance()).abs() < 1e-6 * (1.0 + whole.variance().abs()));
-    }
-
     /// Time arithmetic: conversions and ordering are consistent.
     #[test]
     fn time_arithmetic(a in 0u64..1_000_000, b in 0u64..1_000_000) {

@@ -43,7 +43,7 @@
 //!   test suite (`tests/traffic_stats.rs`).
 //! * [`load`] — the production-load engine: a [`load::LoadActor`] driving
 //!   sustained request volumes with admission-window backpressure, per-
-//!   minute latency percentiles from [`kad_telemetry`] metric families,
+//!   minute latency percentiles from [`kad_telemetry`] histograms,
 //!   and the (offered rate × attack plan) grid behind `repro load`.
 //! * [`defense`] — the defense side of the ledger: cells with a
 //!   [`kad_defense`] routing-table hardening policy installed and single-

@@ -9,10 +9,8 @@
 //! pluggable [`ArrivalProcess`] (Poisson, bursty on/off, diurnal) over a
 //! Zipf-skewed hot-key set, with a bounded in-flight window and a finite
 //! backlog queue (overflow is *shed* and counted). Every retrieval's
-//! simulated latency lands in a [`HistogramFamily`] keyed by completed
-//! minute, and every lookup outcome in a [`CounterFamily`] keyed by
-//! `(purpose, outcome, phase)` — the libp2p `metrics/src/kad.rs` label
-//! scheme, with lossless merge.
+//! simulated latency lands in a [`LogHistogram`] per completed minute,
+//! and whether it found the value in a per-minute found series.
 //!
 //! The grid ([`load_grid`]) crosses offered rate with the attack plans
 //! (plus a baseline per rate); `repro load` runs it and emits
@@ -64,8 +62,8 @@ use crate::session::{
 };
 use crate::traffic::{ArrivalProcess, ZipfSampler};
 use kad_telemetry::{
-    Cell, CounterFamily, ExemplarReservoir, HistogramFamily, LogHistogram, LookupOutcome,
-    LookupRecord, MinuteSeries, Recorder, TelemetrySink, TracePurpose, TraceTree,
+    Cell, ExemplarReservoir, LogHistogram, LookupRecord, MinuteSeries, Recorder, TelemetrySink,
+    TracePurpose, TraceTree,
 };
 use kademlia::id::NodeId;
 use kademlia::network::SimNetwork;
@@ -143,8 +141,9 @@ impl LoadSpec {
     }
 }
 
-/// Which attack phase a completion belongs to, for the outcome counter
-/// family. `Ord` so the tuple key iterates deterministically.
+/// Which attack phase a completion belongs to, for the per-phase
+/// exemplar reservoirs. `Ord` so the reservoir map iterates
+/// deterministically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LoadPhase {
     /// Completed before the cell's phase-split minute.
@@ -169,10 +168,8 @@ impl LoadPhase {
 #[derive(Clone, Debug, PartialEq)]
 pub struct LoadTelemetry {
     phase_split: u64,
-    /// Every lookup outcome, keyed `(purpose, outcome, phase)`.
-    pub outcomes: CounterFamily<(TracePurpose, LookupOutcome, LoadPhase)>,
     /// Retrieval latency (ms) keyed by completed minute.
-    pub latency_by_minute: HistogramFamily<u64>,
+    pub latency_by_minute: BTreeMap<u64, LogHistogram>,
     /// Per-minute retrieval hits: 1.0 = value found.
     pub found: MinuteSeries,
     /// Retrievals completed so far (the in-flight accounting feed).
@@ -187,8 +184,7 @@ impl LoadTelemetry {
     pub fn new(phase_split: u64) -> LoadTelemetry {
         LoadTelemetry {
             phase_split,
-            outcomes: CounterFamily::new(),
-            latency_by_minute: HistogramFamily::new(),
+            latency_by_minute: BTreeMap::new(),
             found: MinuteSeries::new(),
             completed_retrievals: 0,
             exemplars: None,
@@ -207,8 +203,11 @@ impl LoadTelemetry {
 
     /// Retrieval latency over completed minutes in `[from, to)`.
     pub fn latency_window(&self, from: u64, to: u64) -> LogHistogram {
-        self.latency_by_minute
-            .merged_where(|&minute| minute >= from && minute < to)
+        let mut window = LogHistogram::new();
+        for (_, h) in self.latency_by_minute.range(from..to.max(from)) {
+            window.merge(h);
+        }
+        window
     }
 
     /// Pre-attack retrieval latency (`load_start` to the phase split).
@@ -242,12 +241,13 @@ impl LoadTelemetry {
 
 impl TelemetrySink for LoadTelemetry {
     fn on_lookup(&mut self, record: &LookupRecord) {
-        let minute = record.completed_minute();
-        let phase = self.phase_of(minute);
-        self.outcomes.inc((record.purpose, record.outcome, phase));
         if record.purpose == TracePurpose::Retrieve {
+            let minute = record.completed_minute();
             self.completed_retrievals += 1;
-            self.latency_by_minute.record(minute, record.latency_ms());
+            self.latency_by_minute
+                .entry(minute)
+                .or_default()
+                .record(record.latency_ms());
             self.found.record(
                 minute,
                 if record.outcome.is_success() {
@@ -506,7 +506,7 @@ pub struct LoadReport {
     /// One point per load-phase minute, ascending (ledger cells only —
     /// see [`LoadSpec::ledger_split`]).
     pub points: Vec<LoadPoint>,
-    /// The run's telemetry aggregates (outcome counters, latency family).
+    /// The run's telemetry aggregates (per-minute latency and found rate).
     pub telemetry: LoadTelemetry,
     /// The admission ledger.
     pub stats: LoadStats,
@@ -744,13 +744,14 @@ pub fn load_summary_csv(outcomes: &[LoadOutcome]) -> String {
     for (outcome, spec, report) in loaded(outcomes) {
         let pre = report.telemetry.latency_pre(spec.start_minute);
         let attack = report.telemetry.latency_attack();
-        let found: u64 = report
+        // Each completed retrieval put a 1.0 (value found) or a 0.0 into
+        // the found series, so its sum is the found count.
+        let found = report
             .telemetry
-            .outcomes
+            .found
             .iter()
-            .filter(|((p, o, _), _)| *p == TracePurpose::Retrieve && o.is_success())
-            .map(|(_, n)| n)
-            .sum();
+            .map(|(_, w)| w.sum)
+            .sum::<f64>() as u64;
         let completed = report.telemetry.completed_retrievals;
         let delta = baseline_p99(spec.arrival)
             .map(|b| attack.percentile(0.99) as i64 - b as i64)
@@ -836,13 +837,52 @@ mod tests {
             outcome.points.is_empty(),
             "ledger cells take no κ snapshots"
         );
-        // The outcome family saw load retrievals and background traffic.
-        assert!(report.telemetry.outcomes.total() > 0);
-        assert!(report
-            .telemetry
-            .outcomes
-            .iter()
-            .any(|((p, _, _), _)| *p == TracePurpose::Retrieve));
+        // Every completed retrieval landed in both per-minute aggregates.
+        let t = &report.telemetry;
+        assert_eq!(t.found.total_count(), t.completed_retrievals);
+        let latencies: u64 = t.latency_by_minute.values().map(LogHistogram::count).sum();
+        assert_eq!(latencies, t.completed_retrievals);
+    }
+
+    #[test]
+    fn latency_window_merges_the_half_open_minute_range() {
+        let mut t = LoadTelemetry::new(5);
+        for (minute, latency_ms, found) in [
+            (3u64, 10u64, true),
+            (3, 20, false),
+            (4, 30, true),
+            (5, 40, true),
+            (9, 50, false),
+        ] {
+            let completed_ms = minute * 60_000 + 59_000;
+            t.on_lookup(&LookupRecord {
+                lookup_id: minute,
+                target: [0; kad_telemetry::trace::TARGET_BYTES],
+                purpose: TracePurpose::Retrieve,
+                outcome: if found {
+                    kad_telemetry::LookupOutcome::ValueFound
+                } else {
+                    kad_telemetry::LookupOutcome::ValueMissing
+                },
+                hops: 1,
+                messages: 1,
+                responded: 1,
+                started_ms: completed_ms - latency_ms,
+                completed_ms,
+            });
+        }
+        assert_eq!(t.completed_retrievals, 5);
+        assert_eq!(t.latency_by_minute[&3].count(), 2);
+        let pre = t.latency_pre(3);
+        assert_eq!((pre.count(), pre.min(), pre.max()), (3, 10, 30));
+        let attack = t.latency_attack();
+        assert_eq!((attack.count(), attack.min(), attack.max()), (2, 40, 50));
+        assert_eq!(t.latency_window(4, 5).count(), 1, "[4, 5) is minute 4 only");
+        assert!(
+            t.latency_window(6, 3).is_empty(),
+            "a reversed range is empty"
+        );
+        assert_eq!(t.found.range_stats(0, 10).sum, 3.0, "three values found");
     }
 
     #[test]
@@ -944,7 +984,11 @@ mod tests {
         let (observed, unobserved) = (ledger(&outcome), ledger(&unobserved));
         assert!(unobserved.telemetry.exemplars.is_none());
         assert_eq!(observed.points, unobserved.points);
-        assert_eq!(observed.telemetry.outcomes, unobserved.telemetry.outcomes);
+        assert_eq!(observed.telemetry.found, unobserved.telemetry.found);
+        assert_eq!(
+            observed.telemetry.latency_by_minute,
+            unobserved.telemetry.latency_by_minute
+        );
         // Same seed, same exemplars (the determinism contract the proptest
         // suite pins at the reservoir level).
         let (_, report2) = run_cell_reported(&scenario);

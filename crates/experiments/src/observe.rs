@@ -663,6 +663,7 @@ pub fn compare_audit_chains(a: &AuditChains, b: &AuditChains) -> AuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dessim::metrics::Counter;
     use kad_telemetry::journal::JournalEvent;
     use kad_telemetry::{LookupOutcome, LookupRecord, RpcSpan, TracePurpose};
 
@@ -676,10 +677,15 @@ mod tests {
             journal.seal_minute(minute);
         }
         let mut counters = Counters::new();
-        counters.add("msg_sent", 5 + seed);
-        let mut profile = SpanProfile::new();
-        profile.record("cell", 1_000, 400);
-        profile.record("cell/session", 600, 600);
+        for _ in 0..5 + seed {
+            counters.incr(Counter::MsgSent);
+        }
+        span::install();
+        {
+            let _cell = span::span("cell");
+            let _session = span::span("session");
+        }
+        let profile = span::take().expect("installed above");
         CellObservation {
             cell: name.to_string(),
             profile,
@@ -794,7 +800,11 @@ mod tests {
         assert!(manifest.contains("\"journal_events\": 3"));
         let profile = profile_csv(&observations);
         assert!(profile.starts_with("cell,path,calls,total_ns,self_ns"));
-        assert!(profile.contains("alpha,cell/session,1,600,600"));
+        let session = observations[0].profile.get("cell/session").unwrap();
+        assert!(profile.contains(&format!(
+            "alpha,cell/session,1,{},{}",
+            session.total_ns, session.self_ns
+        )));
         let prom = metrics_prom(&observations);
         assert!(prom.contains("kad_journal_events_total{cell=\"alpha\",kind=\"join\"} 3"));
         assert!(prom.contains("kad_sim_events_total{cell=\"beta\",name=\"msg_sent\"} 7"));

@@ -649,9 +649,9 @@ mod tests {
                 scenario.end_minutes(),
                 "one seal per minute"
             );
-            assert!(j.counts().get(&"join") >= scenario.size as u64);
-            assert!(j.counts().get(&"action") > 0, "traffic actions journaled");
-            assert!(j.counts().get(&"lookup") > 0, "completed lookups journaled");
+            assert!(j.counts()["join"] >= scenario.size as u64);
+            assert!(j.counts()["action"] > 0, "traffic actions journaled");
+            assert!(j.counts()["lookup"] > 0, "completed lookups journaled");
         }
         // Journaling is observation only: the run itself is unchanged.
         let unjournaled = run_scenario(&scenario);

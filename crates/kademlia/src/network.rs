@@ -55,7 +55,7 @@ use crate::messages::{Message, RequestKind, ResponseBody, RpcId};
 use crate::node::KademliaNode;
 use crate::snapshot::RoutingSnapshot;
 use dessim::event::EventId;
-use dessim::metrics::{Counters, HotCounter};
+use dessim::metrics::{Counter, Counters};
 use dessim::rng::RngFactory;
 use dessim::scheduler::EventQueue;
 use dessim::slab::GenSlab;
@@ -501,7 +501,7 @@ impl SimNetwork {
         self.nodes
             .push(KademliaNode::new(contact, &self.config, self.now()));
         self.alive_count += 1;
-        self.counters.incr("node_spawned");
+        self.counters.incr(Counter::NodeSpawned);
         // Pre-mint pooled response buffers in proportion to network size:
         // peak buffers-in-flight tracks the minute-start lookup burst
         // (every node firing α queries at once), and minting here — in
@@ -536,7 +536,7 @@ impl SimNetwork {
             self.config.refresh_interval,
             SimEvent::RefreshTick { node: addr },
         );
-        self.counters.incr("node_joined");
+        self.counters.incr(Counter::NodeJoined);
     }
 
     /// Removes a node silently (churn / failure): it stops answering but
@@ -572,7 +572,7 @@ impl SimNetwork {
             // against the attacker's live foothold.
             self.compromised_count -= 1;
         }
-        self.counters.incr("node_removed");
+        self.counters.incr(Counter::NodeRemoved);
         true
     }
 
@@ -591,7 +591,7 @@ impl SimNetwork {
         }
         node.compromised = true;
         self.compromised_count += 1;
-        self.counters.incr("node_compromised");
+        self.counters.incr(Counter::NodeCompromised);
         true
     }
 
@@ -604,7 +604,7 @@ impl SimNetwork {
     ///
     /// Panics if `at` lies in the past of the simulation clock.
     pub fn schedule_compromise(&mut self, at: SimTime, addr: NodeAddr) -> EventId {
-        self.counters.incr("compromise_scheduled");
+        self.counters.incr(Counter::CompromiseScheduled);
         self.queue
             .schedule_at(at, SimEvent::Compromise { node: addr })
     }
@@ -621,7 +621,7 @@ impl SimNetwork {
         if !self.nodes[addr.index()].alive {
             return None;
         }
-        self.counters.incr("lookup_started");
+        self.counters.incr(Counter::LookupStarted);
         Some(self.start_lookup_internal(addr, target, LookupPurpose::Locate))
     }
 
@@ -631,7 +631,7 @@ impl SimNetwork {
         if !self.nodes[addr.index()].alive {
             return None;
         }
-        self.counters.incr("store_started");
+        self.counters.incr(Counter::StoreStarted);
         Some(self.start_lookup_internal(addr, key, LookupPurpose::Disseminate))
     }
 
@@ -659,7 +659,7 @@ impl SimNetwork {
         if !self.nodes[addr.index()].alive {
             return None;
         }
-        self.counters.incr("retrieve_started");
+        self.counters.incr(Counter::RetrieveStarted);
         if self.traces_on {
             self.trace.pending_queue_wait_ms = queue_wait_ms;
         }
@@ -695,13 +695,13 @@ impl SimNetwork {
         if !self.nodes[addr.index()].alive {
             return None;
         }
-        self.counters.incr("retrieve_disjoint_started");
+        self.counters.incr(Counter::RetrieveDisjointStarted);
         let node = &mut self.nodes[addr.index()];
         let mut seeds = node.routing.closest(&key, self.config.shortlist_capacity());
         if seeds.is_empty() {
             if let Some(b) = node.bootstrap {
                 seeds.push(b);
-                self.counters.incr("bootstrap_reseed");
+                self.counters.incr(Counter::BootstrapReseed);
             }
         }
         let mut paths = partition_seeds(seeds, d);
@@ -794,7 +794,7 @@ impl SimNetwork {
             // the node keeps retrying instead of staying isolated forever.
             if let Some(b) = bootstrap {
                 seeds.push(b);
-                self.counters.incr("bootstrap_reseed");
+                self.counters.incr(Counter::BootstrapReseed);
             }
         }
         let id = self.create_lookup(addr, target, purpose, &seeds, true);
@@ -863,7 +863,7 @@ impl SimNetwork {
                 .lookups
                 .remove(lookup_id)
                 .expect("finished lookup present");
-            self.counters.incr_hot(HotCounter::LookupFinished);
+            self.counters.incr(Counter::LookupFinished);
             self.finalize_lookup(&state);
             if state.purpose() == LookupPurpose::Disseminate {
                 let key = state.target();
@@ -871,7 +871,7 @@ impl SimNetwork {
                 state.closest_responded_into(self.config.k, &mut targets);
                 for &c in &targets {
                     self.send_request(addr, c, RequestKind::Store(key), None);
-                    self.counters.incr("store_rpc_sent");
+                    self.counters.incr(Counter::StoreRpcSent);
                 }
                 targets.clear();
                 self.scratch.store_targets = targets;
@@ -933,7 +933,7 @@ impl SimNetwork {
         if newly_found {
             group.value_found = true;
             group.hops = state.result_hops();
-            self.counters.incr("disjoint_value_hit");
+            self.counters.incr(Counter::DisjointValueHit);
         } else if !group.value_found {
             let hops = state.result_hops();
             if hops > 0 && (group.hops == 0 || hops < group.hops) {
@@ -1066,7 +1066,7 @@ impl SimNetwork {
                     match policy.decide_insert(&own, &node.routing.bucket(idx), idx, &contact) {
                         InsertDecision::Admit => {}
                         InsertDecision::Reject => {
-                            self.counters.incr("defense_diversity_reject");
+                            self.counters.incr(Counter::DefenseDiversityReject);
                             if let Some(sink) = self.sink.0.as_mut() {
                                 sink.on_defense(DefenseAction::DiversityReject);
                             }
@@ -1074,7 +1074,7 @@ impl SimNetwork {
                         }
                         InsertDecision::Replace(old) => {
                             node.routing.remove(&old);
-                            self.counters.incr("defense_diversity_replace");
+                            self.counters.incr(Counter::DefenseDiversityReplace);
                             if let Some(sink) = self.sink.0.as_mut() {
                                 sink.on_defense(DefenseAction::DiversityReplace);
                             }
@@ -1105,9 +1105,9 @@ impl SimNetwork {
             let targets = policy.probe_targets(&self.nodes[addr.index()].routing, now);
             (interval, targets)
         };
-        self.counters.incr("defense_tick");
+        self.counters.incr(Counter::DefenseTick);
         for contact in targets {
-            self.counters.incr("defense_probe");
+            self.counters.incr(Counter::DefenseProbe);
             if let Some(sink) = self.sink.0.as_mut() {
                 sink.on_defense(DefenseAction::Probe);
             }
@@ -1159,7 +1159,7 @@ impl SimNetwork {
             trace_slot,
         });
         debug_assert_eq!(assigned, rpc_id, "next_key predicted the slab key");
-        self.counters.incr_hot(HotCounter::RpcSent);
+        self.counters.incr(Counter::RpcSent);
         let msg = Message::Request {
             rpc_id,
             from: self.nodes[from.index()].contact,
@@ -1174,10 +1174,10 @@ impl SimNetwork {
         match dt {
             Some(at) => {
                 self.queue.schedule_at(at, SimEvent::Deliver { to, msg });
-                self.counters.incr_hot(HotCounter::MsgSent);
+                self.counters.incr(Counter::MsgSent);
             }
             None => {
-                self.counters.incr_hot(HotCounter::MsgLost);
+                self.counters.incr(Counter::MsgLost);
                 self.reclaim_message(msg);
             }
         }
@@ -1216,7 +1216,7 @@ impl SimNetwork {
 
     fn on_deliver(&mut self, to: NodeAddr, msg: Message) {
         if !self.nodes[to.index()].alive {
-            self.counters.incr_hot(HotCounter::MsgToDead);
+            self.counters.incr(Counter::MsgToDead);
             self.reclaim_message(msg);
             return;
         }
@@ -1238,7 +1238,7 @@ impl SimNetwork {
                 // (capacity travels inside the message and comes back on
                 // the consumption side); otherwise it returns to the pool.
                 self.scratch.recycle_body(buf);
-                self.counters.incr_hot(HotCounter::RequestHandled);
+                self.counters.incr(Counter::RequestHandled);
                 self.send_message(
                     from.addr,
                     Message::Response {
@@ -1251,7 +1251,7 @@ impl SimNetwork {
             Message::Response { rpc_id, from, body } => {
                 let Some(pending) = self.pending.remove(rpc_id) else {
                     // The timeout already declared this RPC failed.
-                    self.counters.incr_hot(HotCounter::LateResponse);
+                    self.counters.incr(Counter::LateResponse);
                     self.reclaim_body(body);
                     return;
                 };
@@ -1262,7 +1262,7 @@ impl SimNetwork {
                 // with failures reset; one the table dropped has no entry
                 // to update.
                 self.offer_contact(to, from);
-                self.counters.incr_hot(HotCounter::ResponseReceived);
+                self.counters.incr(Counter::ResponseReceived);
                 if let Some(lookup_id) = pending.lookup {
                     if self.traces_on {
                         self.close_trace_span(&pending, lookup_id, SpanOutcome::Responded);
@@ -1283,7 +1283,7 @@ impl SimNetwork {
                     if let Some(state) = self.nodes[to.index()].lookups.get_mut(lookup_id) {
                         state.on_response(&from.id, &contacts);
                         if value_found {
-                            self.counters.incr_hot(HotCounter::ValueHit);
+                            self.counters.incr(Counter::ValueHit);
                             state.mark_value_found();
                         }
                     }
@@ -1301,7 +1301,7 @@ impl SimNetwork {
         let Some(pending) = self.pending.remove(rpc_id) else {
             return; // response arrived first
         };
-        self.counters.incr_hot(HotCounter::RpcTimeout);
+        self.counters.incr(Counter::RpcTimeout);
         let requester = pending.requester;
         if !self.nodes[requester.index()].alive {
             return;
@@ -1310,7 +1310,7 @@ impl SimNetwork {
             .routing
             .record_failure(&pending.to.id);
         if evicted {
-            self.counters.incr("contact_evicted");
+            self.counters.incr(Counter::ContactEvicted);
             if let Some(sink) = self.sink.0.as_mut() {
                 sink.on_defense(DefenseAction::Eviction);
             }
@@ -1325,7 +1325,7 @@ impl SimNetwork {
                     .and_then(|p| p.repair_target(&own, &pending.to))
             };
             if let Some(target) = repair {
-                self.counters.incr("defense_repair");
+                self.counters.incr(Counter::DefenseRepair);
                 if let Some(sink) = self.sink.0.as_mut() {
                     sink.on_defense(DefenseAction::Repair);
                 }
@@ -1373,7 +1373,7 @@ impl SimNetwork {
         if !self.nodes[addr.index()].alive {
             return;
         }
-        self.counters.incr("refresh_tick");
+        self.counters.incr(Counter::RefreshTick);
         let bits = self.config.bits as usize;
         let first_bucket = match self.config.refresh_policy {
             RefreshPolicy::AllBuckets => 0,
@@ -1389,7 +1389,7 @@ impl SimNetwork {
             let target = self.nodes[addr.index()]
                 .routing
                 .random_id_in_bucket(&mut self.refresh_rng, i);
-            self.counters.incr("refresh_lookup");
+            self.counters.incr(Counter::RefreshLookup);
             self.start_lookup_internal(addr, target, LookupPurpose::Refresh);
         }
         self.queue.schedule_after(

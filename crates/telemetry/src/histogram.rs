@@ -13,8 +13,8 @@
 //!
 //! Histograms [`merge`](LogHistogram::merge) losslessly: recording a stream
 //! into one histogram equals recording its parts into several and merging
-//! them (bucket counts are additive), which is what lets parallel scenario
-//! runners aggregate per-worker instruments. This equality and percentile
+//! them (bucket counts are additive), which is what lets the load harness
+//! roll per-minute histograms up into phase windows. This equality and percentile
 //! monotonicity are property-tested in `tests/proptests.rs`.
 //!
 //! # Example

@@ -48,9 +48,8 @@
 //! assert_ne!(a.seals()[1], b.seals()[1], "divergence shows in minute 1");
 //! ```
 
-use crate::family::CounterFamily;
 use crate::trace::{DefenseAction, LookupOutcome, LookupRecord, TelemetrySink, TracePurpose};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Default raw-event ring capacity (the chain and counts are unaffected
 /// by capacity — see module docs).
@@ -196,7 +195,7 @@ pub struct Journal {
     ring: VecDeque<JournalEvent>,
     recorded_events: u64,
     dropped_events: u64,
-    counts: CounterFamily<&'static str>,
+    counts: BTreeMap<&'static str, u64>,
     chain: u64,
     seals: Vec<MinuteSeal>,
 }
@@ -220,7 +219,7 @@ impl Journal {
             ring: VecDeque::new(),
             recorded_events: 0,
             dropped_events: 0,
-            counts: CounterFamily::new(),
+            counts: BTreeMap::new(),
             chain: FNV_OFFSET,
             seals: Vec::new(),
         }
@@ -232,7 +231,7 @@ impl Journal {
     pub fn record(&mut self, event: JournalEvent) {
         self.chain = event.fold_into(self.chain);
         self.recorded_events += 1;
-        self.counts.inc(event.kind());
+        *self.counts.entry(event.kind()).or_insert(0) += 1;
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.dropped_events += 1;
@@ -270,8 +269,8 @@ impl Journal {
         self.dropped_events
     }
 
-    /// Per-kind event counts (covers dropped events too).
-    pub fn counts(&self) -> &CounterFamily<&'static str> {
+    /// Per-kind event counts in kind order (covers dropped events too).
+    pub fn counts(&self) -> &BTreeMap<&'static str, u64> {
         &self.counts
     }
 
@@ -400,7 +399,7 @@ mod tests {
             big.chain(),
             "the fingerprint covers every event ever recorded"
         );
-        assert_eq!(small.counts().get(&"join"), 10, "counts cover drops too");
+        assert_eq!(small.counts()["join"], 10, "counts cover drops too");
         assert_eq!(big.dropped_events(), 0);
     }
 
@@ -420,8 +419,8 @@ mod tests {
         });
         j.on_defense(DefenseAction::Probe);
         assert_eq!(j.recorded_events(), 2);
-        assert_eq!(j.counts().get(&"lookup"), 1);
-        assert_eq!(j.counts().get(&"defense"), 1);
+        let counts: Vec<(&str, u64)> = j.counts().iter().map(|(&k, &n)| (k, n)).collect();
+        assert_eq!(counts, [("defense", 1), ("lookup", 1)], "kind order");
         let kinds: Vec<&'static str> = j.events().map(JournalEvent::kind).collect();
         assert_eq!(kinds, ["lookup", "defense"]);
     }

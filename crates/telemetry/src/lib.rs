@@ -8,28 +8,22 @@
 //! reads:
 //!
 //! * [`histogram::LogHistogram`] — a log-bucketed histogram with exact
-//!   counts for small values, percentile queries, and a
-//!   [`histogram::LogHistogram::merge`] so parallel scenario runners can
-//!   combine per-worker histograms without loss.
+//!   counts for small values, percentile queries, and a lossless
+//!   [`histogram::LogHistogram::merge`] for windowed rollups.
 //! * [`trace`] — per-lookup trace records ([`trace::LookupRecord`]: target,
 //!   purpose, hops, messages, simulated latency, outcome) and the
 //!   [`trace::TelemetrySink`] hook the simulator emits them through. The
 //!   default is a no-op ([`trace::NoopSink`]); simulations that do not
 //!   install a sink pay one `Option` discriminant check per lookup.
 //! * [`timeseries::MinuteSeries`] — windowed aggregation keyed by simulated
-//!   minute, with the same merge-for-parallel-runners contract.
-//! * [`family`] — labelled metric families in the Prometheus/libp2p
-//!   `metrics` spirit: [`family::CounterFamily`] and
-//!   [`family::HistogramFamily`] fan one logical metric out over a label
-//!   set such as `(purpose, outcome, phase)`, with deterministic
-//!   iteration order and the same lossless `merge()`.
+//!   minute.
 //! * [`recorder::Recorder`] — schema-checked CSV emission: column names
 //!   declared once, every row typed and arity-checked against them, so the
 //!   header and the rows of an experiment's output can never drift apart.
 //! * [`span`] — the observability side's wall-clock instrument: a
 //!   hierarchical span profiler ([`span::SpanTimer`] guards aggregating
 //!   into a [`span::SpanProfile`] keyed by static label paths, self/total
-//!   time, lossless merge) that costs one thread-local `Option` check
+//!   time) that costs one thread-local `Option` check
 //!   when no profile is installed.
 //! * [`journal`] — a bounded structured event journal whose FNV-1a hash
 //!   chain fingerprints the per-minute event sequence of a run
@@ -42,8 +36,7 @@
 //!   rtt/timeout/queue attribution provably sums to the end-to-end
 //!   latency ([`tracetree::TraceTree::critical_path`]), and the
 //!   deterministic p99 exemplar reservoir
-//!   ([`tracetree::ExemplarReservoir`]) with the same lossless
-//!   order-independent merge contract.
+//!   ([`tracetree::ExemplarReservoir`]).
 //!
 //! The crate is dependency-free (std only) on purpose: the instruments sit
 //! on the lookup hot path, and keeping them self-contained makes the
@@ -53,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod family;
 pub mod histogram;
 pub mod journal;
 pub mod recorder;
@@ -62,7 +54,6 @@ pub mod timeseries;
 pub mod trace;
 pub mod tracetree;
 
-pub use family::{CounterFamily, HistogramFamily};
 pub use histogram::LogHistogram;
 pub use journal::{Journal, JournalEvent, MinuteSeal};
 pub use recorder::{Cell, Recorder};

@@ -3,9 +3,8 @@
 //! The scale-leap and sharding items on the roadmap both start with the
 //! same question — how much of a grid cell's wall-time is actor logic,
 //! how much is the event kernel, how much is the κ engine — and the
-//! existing instruments (families, histograms, counters) only count
-//! *simulated* quantities. This module measures the host clock, with the
-//! same contracts the families pin:
+//! existing instruments (histograms, series, counters) only count
+//! *simulated* quantities. This module measures the host clock:
 //!
 //! * **Guard-based spans.** [`span("label")`](span) returns a
 //!   [`SpanTimer`]; dropping it (normal exit, early `return`, or a panic
@@ -20,12 +19,8 @@
 //! * **Opt-in and cheap when off.** Recording only happens after
 //!   [`install`] on the *current thread*; without it a [`span`] call is
 //!   one thread-local `Option` discriminant check, the same contract as
-//!   the network's telemetry sink. Grid workers each install their own
-//!   profile per cell and the per-cell [`SpanProfile`]s
-//!   [`merge`](SpanProfile::merge)
-//!   losslessly (property-tested like the families), so parallel
-//!   [`MatrixRunner`](../../kad_experiments/matrix/struct.MatrixRunner.html)
-//!   sweeps aggregate exactly.
+//!   the network's telemetry sink. Grid workers install one profile per
+//!   cell, and each cell reports its own profile.
 //!
 //! Wall-clock numbers are **non-deterministic by nature** and therefore
 //! live only in observe artifacts (`profile.csv`), never in golden CSVs.
@@ -69,8 +64,7 @@ impl SpanStats {
 }
 
 /// Aggregation of closed spans keyed by slash-joined label path (see
-/// module docs). Deterministic iteration order (`BTreeMap`), lossless
-/// [`merge`](SpanProfile::merge).
+/// module docs). Deterministic iteration order (`BTreeMap`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SpanProfile {
     spans: BTreeMap<String, SpanStats>,
@@ -117,28 +111,6 @@ impl SpanProfile {
             .filter(|(p, _)| !p.contains('/'))
             .map(|(_, s)| s.total_ns)
             .sum()
-    }
-
-    /// Low-level recording of one closed span (used directly by the
-    /// merge-equivalence property tests; instrumented code goes through
-    /// [`span`] guards instead).
-    pub fn record(&mut self, path: &str, total_ns: u64, self_ns: u64) {
-        self.spans
-            .entry(path.to_string())
-            .or_default()
-            .accumulate(total_ns, self_ns);
-    }
-
-    /// Merges another profile into this one: per-path calls and
-    /// nanoseconds add, so merging per-worker profiles equals recording
-    /// the same spans into a single profile.
-    pub fn merge(&mut self, other: &SpanProfile) {
-        for (path, stats) in &other.spans {
-            let slot = self.spans.entry(path.clone()).or_default();
-            slot.calls += stats.calls;
-            slot.total_ns += stats.total_ns;
-            slot.self_ns += stats.self_ns;
-        }
     }
 }
 
@@ -341,12 +313,23 @@ mod tests {
                 }
                 let _second = span("inner");
             }
+            {
+                let _root = span("second-root");
+            }
             let profile = take().expect("installed");
             assert!(!is_installed(), "take removes the profile");
             assert_eq!(profile.get("outer").unwrap().calls, 1);
             assert_eq!(profile.get("outer/inner").unwrap().calls, 2);
             assert_eq!(profile.get("outer/inner/leaf").unwrap().calls, 1);
-            assert_eq!(profile.len(), 3);
+            assert_eq!(profile.get("second-root").unwrap().calls, 1);
+            assert_eq!(profile.len(), 4);
+            // Every nanosecond of both roots is attributed exactly once.
+            assert_eq!(
+                profile.root_total_ns(),
+                profile.get("outer").unwrap().total_ns
+                    + profile.get("second-root").unwrap().total_ns
+            );
+            assert_eq!(profile.attributed_ns(), profile.root_total_ns());
         });
     }
 
@@ -412,29 +395,6 @@ mod tests {
                 "unwinding dropped the guard and recorded the span"
             );
         });
-    }
-
-    #[test]
-    fn merge_adds_per_path() {
-        let mut a = SpanProfile::new();
-        a.record("cell", 100, 40);
-        a.record("cell/solve", 60, 60);
-        let mut b = SpanProfile::new();
-        b.record("cell", 50, 20);
-        b.record("cell/probe", 30, 30);
-        a.merge(&b);
-        assert_eq!(
-            a.get("cell").copied().unwrap(),
-            SpanStats {
-                calls: 2,
-                total_ns: 150,
-                self_ns: 60
-            }
-        );
-        assert_eq!(a.get("cell/solve").unwrap().calls, 1);
-        assert_eq!(a.get("cell/probe").unwrap().calls, 1);
-        assert_eq!(a.attributed_ns(), 150);
-        assert_eq!(a.root_total_ns(), 150);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! service metrics (lookup successes, retrieval probes) arrive as events at
 //! arbitrary simulated instants. [`MinuteSeries`] buckets those events into
 //! per-minute windows so the harness can align both series on the same
-//! x-axis, and [`MinuteSeries::merge`] combines per-worker series from
-//! parallel runners (windows are additive, like histogram buckets).
+//! x-axis.
 //!
 //! # Example
 //!
@@ -115,14 +114,6 @@ impl MinuteSeries {
     pub fn iter(&self) -> impl Iterator<Item = (u64, &WindowStats)> {
         self.windows.iter().map(|(&m, w)| (m, w))
     }
-
-    /// Merges another series into this one (windows are additive — same
-    /// contract as [`crate::LogHistogram::merge`]).
-    pub fn merge(&mut self, other: &MinuteSeries) {
-        for (&minute, w) in &other.windows {
-            self.windows.entry(minute).or_default().absorb(w);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -156,25 +147,5 @@ mod tests {
         assert_eq!(r.max, 4.0);
         assert_eq!(s.range_stats(5, 5).count, 0);
         assert_eq!(s.range_stats(5, 5).mean(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_single_stream() {
-        let mut all = MinuteSeries::new();
-        let mut a = MinuteSeries::new();
-        let mut b = MinuteSeries::new();
-        for (i, (m, v)) in [(0u64, 1.0f64), (0, 3.0), (5, -2.0), (5, 8.0), (6, 0.0)]
-            .iter()
-            .enumerate()
-        {
-            all.record(*m, *v);
-            if i % 2 == 0 {
-                a.record(*m, *v);
-            } else {
-                b.record(*m, *v);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
     }
 }

@@ -11,7 +11,7 @@
 
 /// Why a lookup ran. Mirrors the protocol layer's lookup purposes but
 /// stays independent of it so this crate remains dependency-free.
-/// `Ord` (declaration order) so purposes can key metric families.
+/// `Ord` (declaration order) so purposes sort deterministically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TracePurpose {
     /// Data-traffic lookup: locate the k closest nodes to a target.
@@ -88,8 +88,8 @@ impl DefenseAction {
     }
 }
 
-/// How a lookup ended. `Ord` (declaration order) so outcomes can key
-/// metric families.
+/// How a lookup ended. `Ord` (declaration order) so outcomes sort
+/// deterministically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LookupOutcome {
     /// `k` nodes responded — the lookup fully converged.

@@ -20,8 +20,7 @@
 //! [`ExemplarReservoir`] keeps the worst-latency trees per cell and phase
 //! without randomness: a bounded top-K ordered by end-to-end latency
 //! (ties broken by lookup id, then start instant), so same-seed runs pick
-//! byte-identical exemplars and [`ExemplarReservoir::merge`] across
-//! matrix workers is a lossless, order-independent union-then-truncate.
+//! byte-identical exemplars.
 
 use crate::trace::LookupRecord;
 
@@ -196,17 +195,6 @@ impl TraceTree {
     }
 }
 
-/// Identity of a tree inside a reservoir: the simulator never emits two
-/// trees with the same (lookup id, start, completion) triple in one run,
-/// and merging shards that saw the same tree must not double-count it.
-fn tree_key(t: &TraceTree) -> (u64, u64, u64) {
-    (
-        t.record.lookup_id,
-        t.record.started_ms,
-        t.record.completed_ms,
-    )
-}
-
 /// Ordering key: worst end-to-end latency first, ties broken by lookup
 /// id then start instant so selection is deterministic under any offer
 /// order.
@@ -224,9 +212,7 @@ fn rank_key(t: &TraceTree) -> (std::cmp::Reverse<u64>, u64, u64) {
 /// trees with the highest end-to-end latency (stable tiebreaks), so the
 /// trees backing a histogram's high-percentile buckets — the p99
 /// offenders — survive while the bulk is dropped. Same-seed runs pick
-/// byte-identical exemplars, and [`merge`](ExemplarReservoir::merge) is a
-/// deduplicating union-then-truncate: lossless (merging shards equals the
-/// single-stream result), commutative and idempotent.
+/// byte-identical exemplars whatever order the trees arrive in.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExemplarReservoir {
     capacity: usize,
@@ -278,19 +264,6 @@ impl ExemplarReservoir {
         }
         self.entries.insert(pos, tree.clone());
         self.entries.truncate(self.capacity);
-    }
-
-    /// Merges another reservoir in: deduplicating union, re-ranked and
-    /// truncated to this reservoir's capacity. Order-independent and
-    /// lossless — `merge(shard_a, shard_b)` equals offering both shards'
-    /// full streams to one reservoir.
-    pub fn merge(&mut self, other: &ExemplarReservoir) {
-        for tree in &other.entries {
-            if self.entries.iter().any(|t| tree_key(t) == tree_key(tree)) {
-                continue;
-            }
-            self.offer(tree);
-        }
     }
 }
 
@@ -402,33 +375,6 @@ mod tests {
         r.offer(&quick_tree(8, 100));
         r.offer(&quick_tree(5, 100));
         assert_eq!(r.exemplars()[0].record.lookup_id, 5);
-    }
-
-    #[test]
-    fn merge_is_union_dedup_and_order_independent() {
-        let trees: Vec<TraceTree> = (0..6).map(|i| quick_tree(i, i * 100)).collect();
-        let mut single = ExemplarReservoir::new(3);
-        for t in &trees {
-            single.offer(t);
-        }
-        let mut a = ExemplarReservoir::new(3);
-        let mut b = ExemplarReservoir::new(3);
-        for (i, t) in trees.iter().enumerate() {
-            if i % 2 == 0 {
-                a.offer(t);
-            } else {
-                b.offer(t);
-            }
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, single, "merge of shards equals the single stream");
-        assert_eq!(ab, ba, "merge commutes");
-        let mut aa = a.clone();
-        aa.merge(&a);
-        assert_eq!(aa, a, "merge is idempotent (dedup by identity)");
     }
 
     #[test]

@@ -1,19 +1,18 @@
 //! Property tests for the telemetry instruments.
 //!
-//! The two contracts the experiment harness leans on:
+//! The contracts the experiment harness leans on:
 //!
-//! * **merge is lossless** — recording a stream into one instrument equals
-//!   splitting the stream across several instruments and merging them
-//!   (this is what makes per-worker aggregation in parallel runners exact);
+//! * **histogram merge is lossless** — recording a stream into one
+//!   histogram equals splitting it across two and merging them (this is
+//!   what makes the load harness's phase-window rollups exact);
 //! * **percentiles are monotone** in the quantile, and exact in the
-//!   small-value region where hop and message counts live.
+//!   small-value region where hop and message counts live;
+//! * the journal chain, the exemplar reservoir and minute-series ranges
+//!   are deterministic functions of the recorded stream.
 
 use kad_telemetry::journal::{Journal, JournalEvent};
 use kad_telemetry::trace::{LookupOutcome, LookupRecord, TracePurpose, TARGET_BYTES};
-use kad_telemetry::{
-    CounterFamily, ExemplarReservoir, HistogramFamily, LogHistogram, MinuteSeries, SpanProfile,
-    TraceTree,
-};
+use kad_telemetry::{ExemplarReservoir, LogHistogram, MinuteSeries, TraceTree};
 use proptest::prelude::*;
 
 /// Decodes a generated `(selector, a, b)` triple into a journal event —
@@ -145,166 +144,6 @@ proptest! {
         prop_assert!((h.mean() - expected).abs() < 1e-9);
     }
 
-    /// MinuteSeries merge() equals single-stream recording. Values are
-    /// small integers so f64 summation is exact in any order.
-    #[test]
-    fn minute_series_merge_equals_single_stream(
-        samples in proptest::collection::vec((0u64..50, 0u64..1000), 0..150),
-        split in any::<u64>(),
-    ) {
-        let cut = (split % (samples.len() as u64 + 1)) as usize;
-        let mut all = MinuteSeries::new();
-        for &(m, v) in &samples {
-            all.record(m, v as f64);
-        }
-        let mut left = MinuteSeries::new();
-        let mut right = MinuteSeries::new();
-        for &(m, v) in &samples[..cut] {
-            left.record(m, v as f64);
-        }
-        for &(m, v) in &samples[cut..] {
-            right.record(m, v as f64);
-        }
-        left.merge(&right);
-        prop_assert_eq!(&left, &all);
-    }
-
-    /// Label-set lookup in a counter family is stable: after any recording
-    /// sequence, `get(l)` equals the sum of the increments recorded under
-    /// exactly `l`, and the total equals the sum over all increments.
-    #[test]
-    fn counter_family_lookup_is_stable(
-        increments in proptest::collection::vec((0u8..6, 0u8..6, 1u64..50), 0..200),
-    ) {
-        let mut family: CounterFamily<(u8, u8)> = CounterFamily::new();
-        for &(a, b, n) in &increments {
-            family.add((a, b), n);
-        }
-        for a in 0u8..6 {
-            for b in 0u8..6 {
-                let expected: u64 = increments
-                    .iter()
-                    .filter(|&&(x, y, _)| (x, y) == (a, b))
-                    .map(|&(_, _, n)| n)
-                    .sum();
-                prop_assert_eq!(family.get(&(a, b)), expected);
-            }
-        }
-        let total: u64 = increments.iter().map(|&(_, _, n)| n).sum();
-        prop_assert_eq!(family.total(), total);
-    }
-
-    /// Counter-family merge() of sharded recording equals single-stream
-    /// recording, for an arbitrary split point.
-    #[test]
-    fn counter_family_merge_equals_single_stream(
-        increments in proptest::collection::vec((0u8..8, 1u64..100), 0..150),
-        split in any::<u64>(),
-    ) {
-        let cut = (split % (increments.len() as u64 + 1)) as usize;
-        let mut all: CounterFamily<u8> = CounterFamily::new();
-        for &(l, n) in &increments {
-            all.add(l, n);
-        }
-        let mut left: CounterFamily<u8> = CounterFamily::new();
-        let mut right: CounterFamily<u8> = CounterFamily::new();
-        for &(l, n) in &increments[..cut] {
-            left.add(l, n);
-        }
-        for &(l, n) in &increments[cut..] {
-            right.add(l, n);
-        }
-        left.merge(&right);
-        prop_assert_eq!(&left, &all);
-        // Commutative: merging in the opposite order is identical.
-        let mut flipped: CounterFamily<u8> = CounterFamily::new();
-        for &(l, n) in &increments[cut..] {
-            flipped.add(l, n);
-        }
-        for &(l, n) in &increments[..cut] {
-            flipped.add(l, n);
-        }
-        prop_assert_eq!(&flipped, &all);
-    }
-
-    /// Histogram-family merge() of sharded recording equals single-stream
-    /// recording, per label and on the merged rollup.
-    #[test]
-    fn histogram_family_merge_equals_single_stream(
-        samples in proptest::collection::vec((0u8..6, any::<u64>()), 0..200),
-        split in any::<u64>(),
-    ) {
-        let cut = (split % (samples.len() as u64 + 1)) as usize;
-        let mut all: HistogramFamily<u8> = HistogramFamily::new();
-        for &(l, v) in &samples {
-            all.record(l, v);
-        }
-        let mut left: HistogramFamily<u8> = HistogramFamily::new();
-        let mut right: HistogramFamily<u8> = HistogramFamily::new();
-        for &(l, v) in &samples[..cut] {
-            left.record(l, v);
-        }
-        for &(l, v) in &samples[cut..] {
-            right.record(l, v);
-        }
-        left.merge(&right);
-        prop_assert_eq!(&left, &all);
-        // The rollup is lossless too: one histogram over the whole stream.
-        let mut flat = LogHistogram::new();
-        for &(_, v) in &samples {
-            flat.record(v);
-        }
-        prop_assert_eq!(left.merged(), flat);
-    }
-
-    /// SpanProfile merge() of sharded recording equals single-stream
-    /// recording, for arbitrary paths and an arbitrary split point —
-    /// the same contract as the metric families, so parallel grid
-    /// workers can aggregate per-cell profiles exactly.
-    #[test]
-    fn span_profile_merge_equals_single_stream(
-        spans in proptest::collection::vec(
-            (0u8..5, 0u8..4, 1u64..1_000_000, 0u64..1_000_000), 0..200),
-        split in any::<u64>(),
-    ) {
-        const ROOTS: [&str; 5] = ["cell", "session", "actions", "drain", "probe"];
-        const LEAVES: [&str; 4] = ["", "/solve", "/layering", "/repair"];
-        let rows: Vec<(String, u64, u64)> = spans
-            .iter()
-            .map(|&(root, leaf, total, self_raw)| {
-                let path = format!("{}{}", ROOTS[root as usize], LEAVES[leaf as usize]);
-                // self-time never exceeds total time.
-                (path, total, self_raw % (total + 1))
-            })
-            .collect();
-        let cut = (split % (rows.len() as u64 + 1)) as usize;
-        let mut all = SpanProfile::new();
-        for (path, total, self_ns) in &rows {
-            all.record(path, *total, *self_ns);
-        }
-        let mut left = SpanProfile::new();
-        let mut right = SpanProfile::new();
-        for (path, total, self_ns) in &rows[..cut] {
-            left.record(path, *total, *self_ns);
-        }
-        for (path, total, self_ns) in &rows[cut..] {
-            right.record(path, *total, *self_ns);
-        }
-        left.merge(&right);
-        prop_assert_eq!(&left, &all);
-        // Commutative: merging in the opposite order is identical.
-        let mut flipped = SpanProfile::new();
-        for (path, total, self_ns) in &rows[cut..] {
-            flipped.record(path, *total, *self_ns);
-        }
-        let mut other = SpanProfile::new();
-        for (path, total, self_ns) in &rows[..cut] {
-            other.record(path, *total, *self_ns);
-        }
-        flipped.merge(&other);
-        prop_assert_eq!(&flipped, &all);
-    }
-
     /// The journal's hash chain is capacity-independent: a ring that
     /// truncates aggressively fingerprints the same event stream
     /// identically to an unbounded one, with every truncation accounted.
@@ -415,46 +254,6 @@ proptest! {
             reversed.offer(t);
         }
         prop_assert_eq!(&reversed, &forward);
-    }
-
-    /// Reservoir merge() across matrix workers is lossless and
-    /// order-independent: merging per-shard reservoirs equals offering
-    /// the whole stream to one reservoir, whichever shard merges first,
-    /// and re-merging a shard changes nothing (dedup by tree identity).
-    #[test]
-    fn exemplar_reservoir_merge_equals_single_stream(
-        raw in proptest::collection::vec((0u64..1_000_000, 0u64..10_000), 0..80),
-        capacity in 1usize..8,
-        split in any::<u64>(),
-    ) {
-        let trees: Vec<TraceTree> = raw
-            .iter()
-            .enumerate()
-            .map(|(i, &(started, latency))| decode_tree((i as u64, started, latency)))
-            .collect();
-        let cut = (split % (trees.len() as u64 + 1)) as usize;
-        let mut all = ExemplarReservoir::new(capacity);
-        for t in &trees {
-            all.offer(t);
-        }
-        let mut left = ExemplarReservoir::new(capacity);
-        let mut right = ExemplarReservoir::new(capacity);
-        for t in &trees[..cut] {
-            left.offer(t);
-        }
-        for t in &trees[cut..] {
-            right.offer(t);
-        }
-        let mut ab = left.clone();
-        ab.merge(&right);
-        prop_assert_eq!(&ab, &all, "sharded merge equals the single stream");
-        let mut ba = right.clone();
-        ba.merge(&left);
-        prop_assert_eq!(&ba, &all, "merge commutes");
-        let mut twice = ab.clone();
-        twice.merge(&right);
-        twice.merge(&left);
-        prop_assert_eq!(&twice, &all, "re-merging shards is idempotent");
     }
 
     /// Range aggregation equals the sum of the per-window aggregates.
