@@ -812,6 +812,53 @@ mod tests {
         assert_clean(&kernel);
     }
 
+    /// FNV-1a over the little-endian bytes of `words`, continuing `hash`.
+    fn fnv1a(mut hash: u64, words: impl IntoIterator<Item = u32>) -> u64 {
+        for word in words {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// Folds `paths` and `min_cut` of every ordered pair of `g`, in pair
+    /// order, into one FNV-1a digest. Each path and cut is prefixed by
+    /// its length; equal and adjacent pairs fold a `u32::MAX` marker.
+    fn witness_digest(g: &DiGraph) -> u64 {
+        let n = g.node_count() as u32;
+        let mut kernel = VertexFlow::new(g);
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        for v in 0..n {
+            for w in 0..n {
+                let (Some(paths), Some(cut)) = (kernel.paths(v, w), kernel.min_cut(v, w)) else {
+                    hash = fnv1a(hash, [u32::MAX]);
+                    continue;
+                };
+                hash = fnv1a(hash, [paths.len() as u32]);
+                for path in &paths {
+                    hash = fnv1a(hash, [path.len() as u32]);
+                    hash = fnv1a(hash, path.iter().copied());
+                }
+                hash = fnv1a(hash, [cut.len() as u32]);
+                hash = fnv1a(hash, cut);
+            }
+        }
+        assert_clean(&kernel);
+        hash
+    }
+
+    #[test]
+    fn witnesses_are_pinned_pair_by_pair() {
+        // Which maximum flow the kernel routes decides which Menger paths
+        // come back; these digests pin that choice on a sparse graph and
+        // on a dense one shaped like the n = 75 defense overlays.
+        let sparse = gnp(40, 0.3, &mut SmallRng::seed_from_u64(40));
+        let dense = gnp(60, 0.7, &mut SmallRng::seed_from_u64(60));
+        assert_eq!(witness_digest(&sparse), 0xe589_d0b1_f315_77f0);
+        assert_eq!(witness_digest(&dense), 0x230c_feb7_c33f_6243);
+    }
+
     #[test]
     #[should_panic(expected = "vertex out of range")]
     fn out_of_range_vertex_panics() {
