@@ -73,9 +73,9 @@ pub struct AnalysisConfig {
     pub use_cutoff: bool,
     /// Run the pair flows on the unit-vertex kernel
     /// (`flowgraph::vertex_flow::VertexFlow`): unit-capacity Dinic on the
-    /// implicit Even network, straight over the graph's CSR rows, with a
-    /// sink-stopped BFS, sink-side pruning of the level graph and a
-    /// `min(outdeg, indeg)` early exit. Values are exact either way — this
+    /// implicit Even network, straight over the graph's CSR rows, with one
+    /// sink-rooted BFS per phase (it labels residual distances to the sink
+    /// and stops at the source) and a `min(outdeg, indeg)` early exit. Values are exact either way — this
     /// is purely a speed lever, enabled by default. `false` runs the
     /// push-relabel oracle on the explicit Even network instead: the
     /// measurement baseline and an independent check.

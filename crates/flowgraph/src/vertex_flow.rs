@@ -17,15 +17,20 @@
 //! [`VertexFlow`] runs Dinic phases on that implicit network over a CSR
 //! copy of the graph's out- and in-neighbour rows:
 //!
-//! 1. **Sink-stopped BFS.** Labelling returns the moment the sink is
-//!    labelled. Every vertex of a lower level is labelled by then, which is
-//!    all a level graph towards *this* sink needs; on overlay graphs (sink
-//!    two or three hops away) that is a few rows, not the whole network.
-//! 2. **Sink-side marking.** Walking the in-neighbour rows backwards from
-//!    the sink keeps only the vertices that lie on a shortest residual
-//!    `s → t` path. The blocking-flow DFS is confined to them, so it never
-//!    wanders into the part of the level graph that cannot reach the sink.
-//! 3. **Unit blocking flow.** Each interior vertex of an augmenting path
+//! 1. **Sink-rooted BFS.** Labelling walks residual arcs backwards from
+//!    the sink `w'`, so each label is a copy's residual distance *to* the
+//!    sink, and returns the moment the source `v''` is labelled. Every copy
+//!    nearer the sink is labelled by then, which is all the blocking flow
+//!    reads; on overlay graphs (sink two or three hops away) that is a few
+//!    rows, not the whole network. The residual in-arcs come off the
+//!    in-rows: `x''` has one, from `x'` while `x` is idle and from
+//!    `succ[x]'` otherwise; `x'` has one from `z''` for every in-neighbour
+//!    `z ≠ pred[x]`, plus one from `x''` while `x` carries a unit; the sink
+//!    has one from `z''` for every in-neighbour with `succ[z] ≠ w`.
+//! 2. **Unit blocking flow.** The DFS from `v''` steps only along arcs one
+//!    nearer the sink, so every copy it reaches lies on a shortest residual
+//!    `v'' → w'` path and it never wanders into the part of the network
+//!    that cannot reach the sink. Each interior vertex of an augmenting path
 //!    has a single residual in- or out-arc and the path saturates it, so
 //!    the vertex leaves the level graph and the DFS restarts at the source.
 //!
@@ -58,7 +63,7 @@
 use crate::digraph::DiGraph;
 use std::sync::Arc;
 
-/// "No vertex" in `pred`/`succ`, "not labelled" in `level`/`layer`.
+/// "No vertex" in `pred`/`succ`, "not labelled" in `level`.
 const NONE: u32 = u32::MAX;
 
 /// In-copy `x'` of vertex `x` (same numbering as [`crate::EvenNetwork`]).
@@ -163,17 +168,13 @@ pub struct VertexFlow {
     succ: Vec<u32>,
     /// Vertices whose `pred`/`succ` were written (duplicates allowed).
     touched: Vec<u32>,
-    /// BFS labels of the current phase, indexed by copy id.
+    /// Residual distance to the sink in the current phase, indexed by copy
+    /// id; the DFS clears entries as copies die.
     level: Vec<u32>,
-    /// The pruned level graph: `level` restricted to vertices on a shortest
-    /// residual `s → t` path; the DFS clears entries as vertices die.
-    layer: Vec<u32>,
     /// Current-arc pointer into the out-row, per vertex (out-copies only).
     cur: Vec<usize>,
     /// BFS queue; doubles as the list of labelled copies to unlabel.
     queue: Vec<u32>,
-    /// Marked copies in discovery order; the list to unmark.
-    marked: Vec<u32>,
     /// The DFS's partial path, as copy ids starting at the source.
     path: Vec<u32>,
 }
@@ -197,10 +198,8 @@ impl VertexFlow {
             succ: vec![NONE; n],
             touched: Vec::new(),
             level: vec![NONE; 2 * n],
-            layer: vec![NONE; 2 * n],
             cur: vec![0; n],
             queue: Vec::new(),
-            marked: Vec::new(),
             path: Vec::new(),
         }
     }
@@ -349,19 +348,15 @@ impl VertexFlow {
         let stop = cutoff.map_or(bound, |c| c.min(bound));
         let mut flow = 0;
         while flow < stop {
-            let reached = self.label_until_sink(v, w);
+            let reached = self.label_from_sink(v, w);
             if reached {
-                self.mark_shortest_paths(w);
+                flow += self.blocking_flow(v, w, stop - flow);
             }
             for &a in &self.queue {
                 self.level[a as usize] = NONE;
             }
             if !reached {
                 break;
-            }
-            flow += self.blocking_flow(v, w, stop - flow);
-            for &a in &self.marked {
-                self.layer[a as usize] = NONE;
             }
         }
         Some(flow)
@@ -376,105 +371,45 @@ impl VertexFlow {
         self.touched.clear();
     }
 
-    /// BFS over the residual network from `v''`, returning as soon as `w'`
-    /// is labelled (`true`) or the reachable set is exhausted (`false`).
-    /// Every labelled copy is left in `queue`.
-    fn label_until_sink(&mut self, v: u32, w: u32) -> bool {
+    /// BFS over residual arcs walked backwards from `w'`, labelling each
+    /// copy with its residual distance to the sink; returns as soon as `v''`
+    /// is labelled (`true`) or every copy that reaches the sink is
+    /// (`false`). Resets `cur` of each labelled out-copy and leaves every
+    /// labelled copy in `queue`.
+    fn label_from_sink(&mut self, v: u32, w: u32) -> bool {
         let VertexFlow {
             csr,
             pred,
             succ,
             level,
+            cur,
             queue,
             ..
         } = self;
-        let (s, t) = (out_copy(v), in_copy(w));
-        queue.clear();
-        level[s as usize] = 0;
-        queue.push(s);
-        // The source is the one out-copy whose used edges are not in `succ`
-        // (it feeds many paths): edge (v, y) carries a unit iff pred[y] == v.
-        // The sink is not among its out-neighbours — the pair is non-adjacent.
-        for &y in csr.out_row(v) {
-            if pred[y as usize] != v {
-                level[in_copy(y) as usize] = 1;
-                queue.push(in_copy(y));
-            }
-        }
-        let mut head = 1;
-        while head < queue.len() {
-            let a = queue[head];
-            head += 1;
-            let next = level[a as usize] + 1;
-            let x = a >> 1;
-            if a & 1 == 0 {
-                let b = sole_exit(pred, a);
-                if level[b as usize] == NONE {
-                    level[b as usize] = next;
-                    queue.push(b);
-                }
-                continue;
-            }
-            let used = succ[x as usize];
-            for &y in csr.out_row(x) {
-                let b = in_copy(y);
-                if level[b as usize] == NONE && y != used {
-                    level[b as usize] = next;
-                    queue.push(b);
-                    if b == t {
-                        return true;
-                    }
-                }
-            }
-            if used != NONE && level[(a & !1) as usize] == NONE {
-                level[(a & !1) as usize] = next;
-                queue.push(a & !1);
-            }
-        }
-        false
-    }
-
-    /// Copies into `layer` the labels of exactly those copies that lie on a
-    /// shortest residual path to `w'`, walking residual arcs backwards from
-    /// the sink one level at a time. Call right after a successful
-    /// [`Self::label_until_sink`]; every marked copy is left in `marked`.
-    fn mark_shortest_paths(&mut self, w: u32) {
-        let VertexFlow {
-            csr,
-            pred,
-            succ,
-            level,
-            layer,
-            cur,
-            marked,
-            ..
-        } = self;
-        let mut mark = |a: u32, at: u32, marked: &mut Vec<u32>| {
-            if level[a as usize] == at && layer[a as usize] == NONE {
-                layer[a as usize] = at;
-                cur[(a >> 1) as usize] = 0;
-                marked.push(a);
+        let mut label_out = |z: u32, at: u32, level: &mut [u32], queue: &mut Vec<u32>| {
+            let b = out_copy(z);
+            if level[b as usize] == NONE {
+                level[b as usize] = at;
+                cur[z as usize] = 0;
+                queue.push(b);
             }
         };
         let t = in_copy(w);
-        let depth = level[t as usize];
-        marked.clear();
-        mark(t, depth, marked);
-        // Into the sink: edges (z, w) without flow, i.e. succ[z] != w.
+        queue.clear();
+        level[t as usize] = 0;
+        queue.push(t);
+        // Into the sink: edges (z, w) without flow, i.e. succ[z] != w. The
+        // source is not among them — the pair is non-adjacent.
         for &z in csr.in_row(w) {
             if succ[z as usize] != w {
-                mark(out_copy(z), depth - 1, marked);
+                label_out(z, 1, level, queue);
             }
         }
         let mut head = 1;
-        while head < marked.len() {
-            let b = marked[head];
+        while let Some(&b) = queue.get(head) {
             head += 1;
+            let next = level[b as usize] + 1;
             let x = b >> 1;
-            // The source sits at level 0 and is the only copy there.
-            let Some(at) = level[b as usize].checked_sub(1) else {
-                continue;
-            };
             if b & 1 == 1 {
                 // One residual in-arc: from x' while idle, else the reverse
                 // of the edge its unit leaves over.
@@ -482,30 +417,40 @@ impl VertexFlow {
                     NONE => b & !1,
                     y => in_copy(y),
                 };
-                mark(a, at, marked);
+                if level[a as usize] == NONE {
+                    level[a as usize] = next;
+                    queue.push(a);
+                }
                 continue;
             }
+            // Edge arcs from every in-neighbour but the one feeding x's
+            // unit (for the source: pred[x] == v iff edge (v, x) is used),
+            // and the reversed internal arc while x carries a unit.
             let feeder = pred[x as usize];
             for &z in csr.in_row(x) {
-                if z != feeder {
-                    mark(out_copy(z), at, marked);
+                if z != feeder && level[out_copy(z) as usize] == NONE {
+                    label_out(z, next, level, queue);
+                    if z == v {
+                        return true;
+                    }
                 }
             }
             if feeder != NONE {
-                mark(b | 1, at, marked);
+                label_out(x, next, level, queue);
             }
         }
+        false
     }
 
-    /// Routes up to `budget` units through the marked level graph and
-    /// returns how many it routed (at least one after a successful BFS).
+    /// Routes up to `budget` units along arcs that step one nearer the sink
+    /// and returns how many it routed (at least one after a successful BFS).
     fn blocking_flow(&mut self, v: u32, w: u32, budget: u64) -> u64 {
         let VertexFlow {
             csr,
             pred,
             succ,
             touched,
-            layer,
+            level,
             cur,
             path,
             ..
@@ -542,7 +487,7 @@ impl VertexFlow {
                 // each interior copy: none can carry a second path this
                 // phase.
                 for &b in &path[1..path.len() - 1] {
-                    layer[b as usize] = NONE;
+                    level[b as usize] = NONE;
                 }
                 sent += 1;
                 if sent == budget {
@@ -552,24 +497,27 @@ impl VertexFlow {
                 continue;
             }
             let x = a >> 1;
-            let next = layer[a as usize] + 1;
+            // `a` is not the sink, so it sits at distance 1 or more.
+            let next = level[a as usize] - 1;
             let step = if a & 1 == 0 {
                 let b = sole_exit(pred, a);
-                (layer[b as usize] == next).then_some(b)
+                (level[b as usize] == next).then_some(b)
             } else {
-                // Edges out of the source into level 1 are residual by
-                // construction; elsewhere the used edge is succ[x].
+                // Edges out of the source onto labelled copies are residual:
+                // y' with pred[y] == v leaves only to the source, and the BFS
+                // stops before expanding it. Elsewhere the used edge is
+                // succ[x].
                 let row = csr.out_row(x);
                 let used = succ[x as usize];
                 let at = &mut cur[x as usize];
                 while *at < row.len()
-                    && (layer[in_copy(row[*at]) as usize] != next || row[*at] == used)
+                    && (level[in_copy(row[*at]) as usize] != next || row[*at] == used)
                 {
                     *at += 1;
                 }
                 match row.get(*at) {
                     Some(&y) => Some(in_copy(y)),
-                    None => (used != NONE && layer[(a & !1) as usize] == next).then_some(a & !1),
+                    None => (used != NONE && level[(a & !1) as usize] == next).then_some(a & !1),
                 }
             };
             match step {
@@ -577,7 +525,7 @@ impl VertexFlow {
                 None => {
                     // Dead end: drop it from the level graph; the parent's
                     // scan skips it from now on.
-                    layer[a as usize] = NONE;
+                    level[a as usize] = NONE;
                     path.pop();
                 }
             }
@@ -598,7 +546,6 @@ mod tests {
         assert!(kernel.pred.iter().all(|&p| p == NONE));
         assert!(kernel.succ.iter().all(|&s| s == NONE));
         assert!(kernel.level.iter().all(|&l| l == NONE));
-        assert!(kernel.layer.iter().all(|&l| l == NONE));
         assert!(kernel.touched.is_empty());
     }
 
