@@ -4,9 +4,16 @@
 //! the paper's §5.2 heuristic, which runs flows only from the
 //! lowest-out-degree sources. That is an *upper bound* on κ(D), so at
 //! every snapshot it must be at least `exact_min` of the same graph. On
-//! `paper::sim_gh(Scale::Bench, false, 10, 3)` at seed 2 the bound is
-//! loose: it publishes 18 where κ(D) = 11 for t = 40–120. This test pins
-//! that gap; a sweep that certifies κ_min is expected to turn it into
+//! three bench cells the bound is loose, and this test pins each gap:
+//!
+//! * `paper::sim_gh(Scale::Bench, false, 10, 3)` at seed 2 publishes 18
+//!   where κ(D) = 11 for t = 40–120;
+//! * `paper::sim_ef(Scale::Bench, true, 10)` at seed 2 publishes 15 where
+//!   κ(D) = 11 at t = 140;
+//! * `paper::sim_ef(Scale::Bench, true, 20)` at seed 1 publishes 35 where
+//!   κ(D) = 34 at t = 160.
+//!
+//! A sweep that certifies κ_min is expected to turn all three into
 //! equality.
 
 use kad_experiments::runner::run_scenario;
@@ -48,43 +55,86 @@ fn published_and_exact(base: &Scenario) -> Vec<(f64, u64, u64)> {
     sampler.into_points()
 }
 
+/// `(time_min, published κ_min, exact κ_min)` pinned at every snapshot of
+/// one cell.
+type Rows = [(f64, u64, u64); 8];
+
+/// The three cells whose published κ_min overstates κ(D) somewhere.
+fn gap_cells() -> [(&'static str, Scenario, u64, Rows); 3] {
+    [
+        (
+            "sim_gh(Bench, false, 10, 3)",
+            paper::sim_gh(Scale::Bench, false, 10, 3),
+            2,
+            [
+                (20.0, 11, 11),
+                (40.0, 18, 11),
+                (60.0, 18, 11),
+                (80.0, 18, 11),
+                (100.0, 18, 11),
+                (120.0, 18, 11),
+                (140.0, 9, 9),
+                (160.0, 10, 10),
+            ],
+        ),
+        (
+            "sim_ef(Bench, true, 10)",
+            paper::sim_ef(Scale::Bench, true, 10),
+            2,
+            [
+                (20.0, 10, 10),
+                (40.0, 12, 12),
+                (60.0, 12, 12),
+                (80.0, 12, 12),
+                (100.0, 12, 12),
+                (120.0, 12, 12),
+                (140.0, 15, 11),
+                (160.0, 13, 13),
+            ],
+        ),
+        (
+            "sim_ef(Bench, true, 20)",
+            paper::sim_ef(Scale::Bench, true, 20),
+            1,
+            [
+                (20.0, 24, 24),
+                (40.0, 22, 22),
+                (60.0, 22, 22),
+                (80.0, 22, 22),
+                (100.0, 22, 22),
+                (120.0, 22, 22),
+                (140.0, 29, 29),
+                (160.0, 35, 34),
+            ],
+        ),
+    ]
+}
+
 #[test]
 fn paper_sampled_kappa_min_is_an_upper_bound_with_a_known_gap() {
-    let mut base = paper::sim_gh(Scale::Bench, false, 10, 3);
-    base.seed = 2;
-    let rows = published_and_exact(&base);
+    for (cell, mut base, seed, pinned) in gap_cells() {
+        base.seed = seed;
+        let rows = published_and_exact(&base);
 
-    // The re-driven session is the one the grids run: same snapshots,
-    // same published values.
-    let grid: Vec<(f64, u64)> = run_scenario(&base)
-        .points
-        .iter()
-        .map(|p| (p.time_min, p.report.min_connectivity))
-        .collect();
-    let redriven: Vec<(f64, u64)> = rows
-        .iter()
-        .map(|&(t, published, _)| (t, published))
-        .collect();
-    assert_eq!(redriven, grid);
+        // The re-driven session is the one the grids run: same snapshots,
+        // same published values.
+        let grid: Vec<(f64, u64)> = run_scenario(&base)
+            .points
+            .iter()
+            .map(|p| (p.time_min, p.report.min_connectivity))
+            .collect();
+        let redriven: Vec<(f64, u64)> = rows
+            .iter()
+            .map(|&(t, published, _)| (t, published))
+            .collect();
+        assert_eq!(redriven, grid, "{cell} seed {seed}");
 
-    for &(t, published, exact) in &rows {
-        assert!(
-            published >= exact,
-            "t = {t}: published κ_min {published} below exact {exact}"
-        );
+        for &(t, published, exact) in &rows {
+            assert!(
+                published >= exact,
+                "{cell} seed {seed}, t = {t}: published κ_min {published} below exact {exact}"
+            );
+        }
+        assert_eq!(rows, pinned, "{cell} seed {seed}");
     }
-    assert_eq!(
-        rows,
-        [
-            (20.0, 11, 11),
-            (40.0, 18, 11),
-            (60.0, 18, 11),
-            (80.0, 18, 11),
-            (100.0, 18, 11),
-            (120.0, 18, 11),
-            (140.0, 9, 9),
-            (160.0, 10, 10),
-        ],
-        "the heuristic overstates κ(D) = 11 as 18 for t = 40–120"
-    );
 }
