@@ -166,6 +166,9 @@ impl Sweep {
 /// rayon workers. `g` must have a non-adjacent pair from the first source,
 /// which holds for the smallest-out-degree vertex of a non-complete graph.
 fn sweep(g: &DiGraph, sources: &[u32], config: &AnalysisConfig) -> Sweep {
+    // One span for the whole sweep, on the calling thread: rayon workers
+    // have no span collector, so a span opened on one would be lost.
+    let _span = kad_telemetry::span::span("kappa-sweep");
     let n = g.node_count();
     let global_min = AtomicU64::new(u64::MAX);
     let use_cutoff = config.use_cutoff;
@@ -176,9 +179,6 @@ fn sweep(g: &DiGraph, sources: &[u32], config: &AnalysisConfig) -> Sweep {
     let prototype = PairEvaluator::for_config(g, config);
 
     let sweep_source = |eval: &mut PairEvaluator, v: u32| -> (u64, u128, usize, usize) {
-        // One span per source, not per pair: a pair flow is tens of
-        // microseconds, the same order as opening and closing a span.
-        let _span = kad_telemetry::span::span("source-sweep");
         let mut local_min = u64::MAX;
         let mut sum: u128 = 0;
         let mut count = 0usize;
@@ -781,6 +781,25 @@ mod tests {
                 "trial {trial}"
             );
         }
+    }
+
+    #[test]
+    fn sweep_span_does_not_depend_on_the_thread_budget() {
+        let g = gnp(30, 0.2, &mut SmallRng::seed_from_u64(5));
+        let span_calls = |budget: usize| {
+            rayon::with_thread_budget(budget, || {
+                kad_telemetry::span::install();
+                analyze_graph(&g, &AnalysisConfig::exact());
+                let profile = kad_telemetry::span::take().expect("installed above");
+                profile
+                    .iter()
+                    .map(|(path, stats)| (path.to_owned(), stats.calls))
+                    .collect::<Vec<_>>()
+            })
+        };
+        let serial = span_calls(1);
+        assert_eq!(serial, [("kappa-sweep".to_owned(), 1)]);
+        assert_eq!(span_calls(2), serial);
     }
 
     #[test]
