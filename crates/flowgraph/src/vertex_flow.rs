@@ -428,7 +428,7 @@ impl VertexFlow {
             // and the reversed internal arc while x carries a unit.
             let feeder = pred[x as usize];
             for &z in csr.in_row(x) {
-                if z != feeder && level[out_copy(z) as usize] == NONE {
+                if z != feeder {
                     label_out(z, next, level, queue);
                     if z == v {
                         return true;
