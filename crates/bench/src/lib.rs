@@ -1,5 +1,5 @@
-//! Micro-probe harness crate. The `benches/` targets time what the
-//! end-to-end benchmark (`kadbench/`) cannot isolate, and `tests/` holds
-//! the zero-allocation gates; this library only hosts their shared
-//! fixtures.
+//! Gate-test crate. `tests/` holds the zero-allocation gates (tier 1) and
+//! the two release-profile overhead gates (`overhead_gates`); this library
+//! only hosts their shared fixtures. Every speed figure lives in the
+//! end-to-end benchmark (`kadbench/`).
 pub mod support;

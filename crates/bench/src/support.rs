@@ -1,4 +1,4 @@
-//! Shared fixtures for bench targets.
+//! Shared fixtures for the gate tests.
 
 use dessim::time::{SimDuration, SimTime};
 use dessim::transport::Transport;
@@ -8,8 +8,8 @@ use kademlia::config::{KademliaConfig, RefreshPolicy};
 use kademlia::network::SimNetwork;
 
 /// Builds a stabilized overlay of `n` nodes with bucket size `k` and
-/// returns its connectivity graph — the realistic workload for max-flow
-/// and connectivity benches.
+/// returns its connectivity graph — the realistic workload for the κ
+/// kernel gates.
 pub fn overlay_graph(n: usize, k: usize, seed: u64) -> DiGraph {
     snapshot_to_digraph(&stabilized_network(n, k, seed).snapshot())
 }

@@ -47,7 +47,7 @@ const USAGE: &str =
     --scale large runs n=1000 overlays: the live κ feed switches to the sampled estimator\n\
     \x20   (kappa_est/kappa_ci_lo/kappa_ci_hi columns in load-timeseries.csv; na at smaller scales)\n\
     --seed N makes every CSV bit-identically reproducible (all subcommands)\n\
-    --jobs sets the cell-level worker count of every grid (matrix/campaign/service/defend/sweep/load);\n\
+    --jobs N (at least 1) sets the cell-level worker count of every grid (matrix/campaign/service/defend/sweep/load);\n\
     \x20   outputs are byte-identical for any value; the figure/table registry auto-splits\n\
     --observe DIR writes run-manifest.json, profile.csv, audit-chain.csv, metrics.prom,\n\
     \x20   traces.json (Chrome trace-event p99 exemplar trees) and latency-attribution.csv\n\
@@ -177,11 +177,10 @@ fn parse_args() -> Result<Args, String> {
             }
             "--jobs" => {
                 let value = raw.next().ok_or("--jobs needs a value")?;
-                args.jobs = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad job count {value:?}"))?,
-                );
+                args.jobs = match value.parse::<usize>() {
+                    Ok(jobs) if jobs > 0 => Some(jobs),
+                    _ => return Err(format!("bad job count {value:?}")),
+                };
             }
             "--observe" => {
                 let value = raw.next().ok_or("--observe needs a value")?;
@@ -225,6 +224,7 @@ fn main() {
         .iter()
         .find(|g| args.experiment.eq_ignore_ascii_case(g.name))
     {
+        create_output_dirs(&args);
         run_grid(grid, &args);
         return;
     }
@@ -241,6 +241,7 @@ fn main() {
             }
         }
     };
+    create_output_dirs(&args);
 
     // Under `repro all --observe DIR`, each workload gets its own
     // artifact subdirectory (the registry included); a single subcommand
@@ -419,6 +420,18 @@ fn run_grid(grid: &Grid, args: &Args) {
     }
     finish_observation(args, grid.name);
     eprintln!("== {} done in {:.1?} ==", grid.name, started.elapsed());
+}
+
+/// Creates the `--out` and `--observe` directories before any cell runs,
+/// so an unusable path fails at once instead of after the whole run;
+/// exits 1 on an I/O error.
+fn create_output_dirs(args: &Args) {
+    for dir in [&args.out, &args.observe].into_iter().flatten() {
+        if let Err(err) = std::fs::create_dir_all(dir) {
+            eprintln!("error writing {}: {err}", dir.display());
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Writes one output file into `dir` (created if absent); exits 1 on an

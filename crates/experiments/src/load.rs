@@ -1000,6 +1000,42 @@ mod tests {
     }
 
     #[test]
+    fn pinned_bench_cell_exemplars_conserve_and_render() {
+        // The cell the headline attribution decomposes: Poisson 60 req/min
+        // × eclipse at bench scale, seed 1, observed.
+        let mut cell = load_grid(Scale::Bench, 1)
+            .into_iter()
+            .find(|cell| {
+                cell.load
+                    .is_some_and(|spec| spec.arrival.mean_rate() == 60.0)
+                    && cell.attack.is_some_and(|a| a.plan == AttackPlan::Eclipse)
+            })
+            .expect("grid cell");
+        cell.base.observe = true;
+        let (_, report) = run_cell_reported(&cell);
+        assert!(!report.exemplars.is_empty(), "exemplar reservoirs filled");
+        for ex in &report.exemplars {
+            assert!(
+                ex.tree.conserves(),
+                "attribution must conserve on {:?}",
+                ex.tree.record
+            );
+        }
+        let observations = [crate::observe::CellObservation {
+            cell: cell.base.name.clone(),
+            profile: Default::default(),
+            journal: None,
+            counters: report.counters,
+            exemplars: report.exemplars,
+        }];
+        let csv = crate::observe::latency_attribution_csv(&observations);
+        assert!(csv.lines().count() > 1, "attribution rows rendered");
+        let json = crate::observe::render_traces_json(&observations);
+        assert!(json.contains("\"traceEvents\""));
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
     fn eclipse_attack_phase_delta_decomposes_onto_compromised_nodes() {
         let observed = |plan| {
             let mut scenario = quick_load(plan, 30.0, 11);

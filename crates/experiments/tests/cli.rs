@@ -256,11 +256,33 @@ fn usage_documents_the_defend_grid_and_seed_flag() {
 
 #[test]
 fn bad_flag_exits_2() {
-    let output = repro()
-        .args(["service", "--scale", "galaxy"])
-        .output()
-        .expect("spawn repro");
-    assert_eq!(output.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("unknown scale"), "{stderr}");
+    for (args, problem) in [
+        (["service", "--scale", "galaxy"], "unknown scale"),
+        (["load", "--jobs", "0"], "bad job count"),
+    ] {
+        let output = repro().args(args).output().expect("spawn repro");
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(problem), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn unusable_output_dir_exits_1_before_any_cell_runs() {
+    // A directory cannot be created under a regular file, so both output
+    // flags must fail up front instead of after the whole grid.
+    let file = std::env::temp_dir().join(format!("repro-out-file-{}", std::process::id()));
+    std::fs::write(&file, "not a directory").expect("temp file");
+    for flag in ["--out", "--observe"] {
+        let output = repro()
+            .args(["load", "--scale", "bench", flag])
+            .arg(file.join("x"))
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(stderr.contains("error writing"), "{flag}: {stderr}");
+        assert!(!stderr.contains("[1/"), "{flag}: a cell ran: {stderr}");
+    }
+    let _ = std::fs::remove_file(&file);
 }

@@ -40,8 +40,8 @@
 //!
 //! The crate is dependency-free (std only) on purpose: the instruments sit
 //! on the lookup hot path, and keeping them self-contained makes the
-//! overhead measurable (see the `perf_lookup` bench) and the arithmetic
-//! auditable in isolation.
+//! overhead measurable (kadbench's `kad_telemetry.*` metrics) and the
+//! arithmetic auditable in isolation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
