@@ -398,7 +398,7 @@ fn run_grid(grid: &Grid, args: &Args) {
             .points
             .last()
             .map(|p| p.report.min_connectivity)
-            .or(outcome.live_kappa.last().map(|&(_, kappa)| kappa));
+            .or_else(|| Some(outcome.load.as_ref()?.points.last()?.kappa_min));
         eprintln!(
             "[{}/{}] {}: final κ_min={} spent {} compromises",
             index + 1,

@@ -40,10 +40,10 @@
 //! ```
 
 use crate::attack_plan::{grid_base_scenario, AttackPlan, AttackSpec};
+use crate::runner::CellPoint;
 pub use crate::runner::{
     run_cell as run_defense, CellOutcome as DefenseOutcome, LiveCell as DefenseScenario,
 };
-use crate::runner::{CellPoint, ProbeSpec};
 use crate::scale::Scale;
 use crate::scenario::{ChurnRate, TrafficModel};
 use kad_defense::PolicyKind;
@@ -105,10 +105,6 @@ pub fn defense_grid(scale: Scale, base_seed: u64) -> Vec<DefenseScenario> {
                         budget,
                         compromises_per_min: 2,
                         start_minute,
-                    }),
-                    probe: Some(ProbeSpec {
-                        store_every_min: 8,
-                        ..ProbeSpec::DEFENSE
                     }),
                     live_kappa_from: Some(start_minute),
                     ..DefenseScenario::undefended(base)
@@ -358,6 +354,7 @@ pub fn defense_summary_csv(outcomes: &[DefenseOutcome]) -> String {
 mod tests {
     use super::*;
     use crate::matrix::MatrixRunner;
+    use crate::runner::ProbeSpec;
     use crate::scenario::ScenarioBuilder;
     use std::collections::HashSet;
 
@@ -382,9 +379,7 @@ mod tests {
                 start_minute: 40,
             }),
             probe: Some(ProbeSpec {
-                objects_per_round: 3,
                 store_every_min: 5,
-                probe_every_min: 5,
                 ..ProbeSpec::DEFENSE
             }),
             live_kappa_from: attack.map(|_| 40),

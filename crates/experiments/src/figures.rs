@@ -576,8 +576,7 @@ fn sampling_validation(_scale: Scale, base_seed: u64) -> ExperimentResult {
                 .seed(seed_for(base_seed, "sampling-net"));
             b.build()
         };
-        let transport =
-            dessim::transport::Transport::new(scenario.protocol.latency, scenario.loss.to_model());
+        let transport = dessim::transport::Transport::default().with_loss(scenario.loss.to_model());
         let mut net = SimNetwork::new(scenario.protocol, transport, scenario.seed);
         let mut rng = RngFactory::new(scenario.seed).stream("sampling-joins");
         let mut prev = None;

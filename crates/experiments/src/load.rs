@@ -40,16 +40,17 @@
 //!
 //! 1. `in_flight = issued_total − completed_total` (completions read from
 //!    the run's own telemetry sink);
-//! 2. up to `window − in_flight` requests admit: backlogged requests
+//! 2. up to [`WINDOW`] `− in_flight` requests admit: backlogged requests
 //!    first (oldest load drains first, at the minute boundary), then the
 //!    minute's new arrivals at their sampled instants;
-//! 3. arrivals beyond that queue up to `queue_capacity`; the rest is
+//! 3. arrivals beyond that queue up to [`QUEUE_CAPACITY`]; the rest is
 //!    **shed** and counted — sheds are load the overlay refused, not
 //!    load that failed.
 //!
 //! A silent spec (rate 0) is fully inert: no key stores, no stream draws,
-//! no actions — the golden-equivalence suite pins that wiring a rate-0
-//! [`LoadActor`] into the service grid leaves its CSVs byte-identical.
+//! no actions, no eclipse anchor — the golden-equivalence suite pins that
+//! wiring a rate-0 [`LoadActor`] into the service grid leaves its
+//! simulator counters and hop histogram byte-identical.
 
 use crate::attack_plan::{grid_base_scenario, AttackPlan, AttackSpec};
 pub use crate::runner::{
@@ -81,51 +82,40 @@ const STORE_LEAD_MINUTES: u64 = 5;
 /// enough to name a phase's p99 offenders without ballooning artifacts.
 pub const EXEMPLARS_PER_PHASE: usize = 5;
 
-/// The load workload: arrival shape, key skew, and backpressure bounds.
+/// Distinct hot keys a load cell stores once and retrieves forever.
+pub const HOT_KEYS: usize = 16;
+
+/// Zipf exponent of the hot-key popularity (rank 0 hottest).
+pub const ZIPF_EXPONENT: f64 = 1.1;
+
+/// Maximum retrievals in flight at a minute boundary.
+pub const WINDOW: u64 = 64;
+
+/// Maximum backlogged requests; overflow is shed.
+pub const QUEUE_CAPACITY: u64 = 256;
+
+/// The load workload: arrival shape, start and phase split. The key skew
+/// and backpressure bounds are [`HOT_KEYS`], [`ZIPF_EXPONENT`],
+/// [`WINDOW`] and [`QUEUE_CAPACITY`].
+///
+/// A cell carrying a load reports one [`LoadPoint`] per load minute (its
+/// ledger) instead of κ snapshots. When the load is not silent, the
+/// cell's eclipse attacker anchors on the Zipf-hottest key
+/// ([`crate::session::AttackerActor::with_anchor`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LoadSpec {
     /// Offered-load model (requests per minute across the network).
     pub arrival: ArrivalProcess,
-    /// Number of distinct hot keys (stored once, retrieved forever).
-    pub hot_keys: usize,
-    /// Zipf exponent of the key popularity (rank 0 hottest).
-    pub zipf_exponent: f64,
-    /// Maximum requests in flight at a minute boundary.
-    pub window: usize,
-    /// Maximum backlogged requests; overflow is shed.
-    pub queue_capacity: usize,
     /// First minute requests are issued. Must leave the store lead
     /// (`STORE_LEAD_MINUTES`) after the setup phase for the key stores.
     pub start_minute: u64,
-    /// `Some(minute)` makes the cell a *ledger* cell: it reports one
-    /// [`LoadPoint`] per load minute instead of κ snapshots, with the
-    /// telemetry's pre-attack/attack phases split at this minute
-    /// (baseline cells carry their attacked siblings' attack start, so
-    /// phase windows align across a rate). `None` — a workload merely
-    /// riding on a snapshot cell — splits at the cell's own attack start.
-    pub ledger_split: Option<u64>,
-    /// Anchor the cell's eclipse attacker on the Zipf-hottest key
-    /// ([`crate::session::AttackerActor::with_anchor`]) instead of a
-    /// random id.
-    pub anchor_eclipse: bool,
+    /// Minute the telemetry's pre-attack/attack phases split at. Baseline
+    /// cells carry their attacked siblings' attack start, so phase
+    /// windows align across a rate.
+    pub phase_split: u64,
 }
 
 impl LoadSpec {
-    /// A spec with the grid's default skew and backpressure bounds,
-    /// riding on a snapshot cell (no ledger, random eclipse anchor).
-    pub fn new(arrival: ArrivalProcess, start_minute: u64) -> LoadSpec {
-        LoadSpec {
-            arrival,
-            hot_keys: 16,
-            zipf_exponent: 1.1,
-            window: 64,
-            queue_capacity: 256,
-            start_minute,
-            ledger_split: None,
-            anchor_eclipse: false,
-        }
-    }
-
     /// The minute the hot keys are disseminated.
     pub fn store_minute(&self) -> u64 {
         self.start_minute.saturating_sub(STORE_LEAD_MINUTES)
@@ -310,12 +300,14 @@ pub struct LoadStats {
     pub shed_total: u64,
 }
 
-/// Draws the run's hot keys from the session's `load-keys` stream
+/// Draws the run's [`HOT_KEYS`] from the session's `load-keys` stream
 /// (label-keyed, so drawing them shifts no other stream).
-pub fn draw_hot_keys(driver: &SessionDriver<'_>, n: usize) -> Vec<NodeId> {
+pub fn draw_hot_keys(driver: &SessionDriver<'_>) -> Vec<NodeId> {
     let bits = driver.base().protocol.bits;
     let mut rng = driver.factory().stream("load-keys");
-    (0..n).map(|_| NodeId::random(&mut rng, bits)).collect()
+    (0..HOT_KEYS)
+        .map(|_| NodeId::random(&mut rng, bits))
+        .collect()
 }
 
 /// The load generator (see the module docs for the backpressure
@@ -349,7 +341,7 @@ impl LoadActor {
         sink: Rc<RefCell<LoadTelemetry>>,
         stats: Rc<RefCell<LoadStats>>,
     ) -> LoadActor {
-        let zipf = ZipfSampler::new(keys.len().max(1), spec.zipf_exponent);
+        let zipf = ZipfSampler::new(keys.len().max(1), ZIPF_EXPONENT);
         LoadActor {
             spec,
             keys,
@@ -406,7 +398,7 @@ impl MinuteActor for LoadActor {
         let offered = arrivals.len() as u64;
         let completed = self.sink.borrow().completed_retrievals;
         let in_flight = self.issued.saturating_sub(completed);
-        let mut capacity = (self.spec.window as u64).saturating_sub(in_flight);
+        let mut capacity = WINDOW.saturating_sub(in_flight);
         let origins = net.honest_addrs();
         let mut admitted = 0u64;
         let shed;
@@ -432,8 +424,7 @@ impl MinuteActor for LoadActor {
             }
             admitted += admit_new as u64;
             let leftover = offered - admit_new as u64;
-            let to_queue =
-                leftover.min((self.spec.queue_capacity as u64) - self.backlog.len() as u64);
+            let to_queue = leftover.min(QUEUE_CAPACITY - self.backlog.len() as u64);
             for &offset in &arrivals[admit_new..admit_new + to_queue as usize] {
                 self.backlog.push_back(ctx.minute_start_ms + offset);
             }
@@ -486,14 +477,15 @@ pub struct LoadPoint {
     pub p90_ms: u64,
     /// 99th percentile, ms.
     pub p99_ms: u64,
-    /// The honest subgraph's κ_min at the minute end. On sampled minutes
-    /// (overlays at [`crate::session::SAMPLED_KAPPA_MIN_NODES`] and above)
-    /// this is the sampled minimum — an upper bound, not exact κ.
+    /// The honest subgraph's κ_min at the minute end: the live feed's
+    /// min-only c = 0.02 sweep, or on sampled minutes (overlays at
+    /// [`crate::session::SAMPLED_KAPPA_MIN_NODES`] and above) the sampled
+    /// minimum. Either way an upper bound on κ(D), not exact κ.
     pub kappa_min: u64,
     /// The sampled κ estimate for the minute, when the live feed ran the
-    /// estimator instead of the exact sweep. `None` on exact minutes, so
-    /// the CSV renders `na` and downstream parsing can never mistake a
-    /// sampled mean for exact κ.
+    /// estimator instead of the min-only sweep. `None` on min-only
+    /// minutes, so the CSV renders `na` and downstream parsing can never
+    /// mistake a sampled mean for a sweep minimum.
     pub kappa_estimate: Option<kad_resilience::KappaEstimate>,
     /// Compromises scheduled so far.
     pub budget_spent: usize,
@@ -503,8 +495,7 @@ pub struct LoadPoint {
 /// [`CellOutcome`](crate::runner::CellOutcome).
 #[derive(Clone, Debug, PartialEq)]
 pub struct LoadReport {
-    /// One point per load-phase minute, ascending (ledger cells only —
-    /// see [`LoadSpec::ledger_split`]).
+    /// One point per load-phase minute, ascending.
     pub points: Vec<LoadPoint>,
     /// The run's telemetry aggregates (per-minute latency and found rate).
     pub telemetry: LoadTelemetry,
@@ -512,7 +503,7 @@ pub struct LoadReport {
     pub stats: LoadStats,
 }
 
-/// The sampler of a ledger cell: one [`LoadPoint`] per completed minute
+/// The sampler of a load cell: one [`LoadPoint`] per completed minute
 /// from the load start on (`None` before it).
 pub(crate) fn ledger_sampler(
     sink: Rc<RefCell<LoadTelemetry>>,
@@ -591,12 +582,12 @@ pub fn load_grid(scale: Scale, base_seed: u64) -> Vec<LoadScenario> {
     let budget = (size / 4).max(2);
     let mut grid = Vec::new();
     let push = |arrival: ArrivalProcess, plan: Option<AttackPlan>, grid: &mut Vec<_>| {
-        // Ledger cells; the eclipse anchors on the hottest key, so the
-        // replica set it wipes is the one the skewed traffic depends on.
+        // The eclipse anchors on the hottest key, so the replica set it
+        // wipes is the one the skewed traffic depends on.
         let spec = LoadSpec {
-            ledger_split: Some(LOAD_ATTACK_START_MIN),
-            anchor_eclipse: true,
-            ..LoadSpec::new(arrival, LOAD_START_MIN)
+            arrival,
+            start_minute: LOAD_START_MIN,
+            phase_split: LOAD_ATTACK_START_MIN,
         };
         let strategy = plan.map_or("baseline", |p| p.label());
         let name = format!("load-{}-{}", spec.rate_label(), strategy);
@@ -792,10 +783,9 @@ mod tests {
         .stabilization_minutes(40)
         .churn_minutes(20);
         let spec = LoadSpec {
-            hot_keys: 4,
-            ledger_split: Some(48),
-            anchor_eclipse: true,
-            ..LoadSpec::new(ArrivalProcess::Poisson { rate_per_min: rate }, 42)
+            arrival: ArrivalProcess::Poisson { rate_per_min: rate },
+            start_minute: 42,
+            phase_split: 48,
         };
         LoadScenario {
             attack: plan.map(|plan| AttackSpec {
@@ -907,14 +897,13 @@ mod tests {
 
     #[test]
     fn tiny_window_sheds_overload() {
-        let mut scenario = quick_load(None, 120.0, 9);
-        spec_mut(&mut scenario).window = 4;
-        spec_mut(&mut scenario).queue_capacity = 8;
-        let outcome = run_load(&scenario);
+        // The window admits 64 per minute; 400 req/min overfill the
+        // 256-deep backlog within two minutes.
+        let outcome = run_load(&quick_load(None, 400.0, 9));
         let report = ledger(&outcome);
         assert!(
             report.stats.shed_total > 0,
-            "a 4-wide window cannot carry 120 req/min: {:?}",
+            "a {WINDOW}-wide window cannot carry 400 req/min: {:?}",
             report.stats
         );
         // Conservation: every offered request was admitted, queued or shed.
@@ -1077,7 +1066,7 @@ mod tests {
 
     #[test]
     fn timeseries_csv_labels_sampled_kappa_distinctly_from_exact() {
-        // One exact minute (no estimate: the `kappa_*` estimator columns
+        // One min-only minute (no estimate: the `kappa_*` estimator columns
         // must render `na`) and one sampled minute (the estimate lands in
         // its own columns, never in `kappa_min`).
         let point = |minute: u64, estimate| LoadPoint {
@@ -1113,7 +1102,6 @@ mod tests {
             hops: LogHistogram::default(),
             victims: Vec::new(),
             phase_switches: Vec::new(),
-            live_kappa: Vec::new(),
             load: Some(LoadReport {
                 points: vec![point(50, None), point(51, Some(est))],
                 telemetry: LoadTelemetry::new(48),
@@ -1130,7 +1118,7 @@ mod tests {
         );
         assert!(
             csv.contains(",3,na,na,na,0"),
-            "exact minutes render na estimator cells: {csv}"
+            "min-only minutes render na estimator cells: {csv}"
         );
         assert!(
             csv.contains(",3,4.250,3.900,4.600,0"),
@@ -1148,9 +1136,9 @@ mod tests {
         assert_eq!(seeds.len(), 12, "unique seed per cell");
         for cell in &grid {
             let spec = cell.load.expect("load cell");
-            let split = spec.ledger_split.expect("ledger cell");
             assert!(spec.start_minute >= cell.base.setup_minutes + STORE_LEAD_MINUTES);
-            assert!(split > spec.start_minute && split < cell.base.end_minutes());
+            assert!(spec.phase_split > spec.start_minute);
+            assert!(spec.phase_split < cell.base.end_minutes());
         }
         // Smoke-run two cheap cells (low-rate baseline + eclipse) and
         // render both CSVs.

@@ -197,19 +197,15 @@ pub fn render_manifest(meta: &RunMeta, observations: &[CellObservation]) -> Stri
     let _ = writeln!(out, "  \"cells\": {},", observations.len());
     out.push_str("  \"cell_reports\": [\n");
     for (i, obs) in observations.iter().enumerate() {
-        let (events, dropped, sealed) = obs.journal.as_ref().map_or((0, 0, 0), |j| {
-            (
-                j.recorded_events(),
-                j.dropped_events(),
-                j.seals().len() as u64,
-            )
-        });
+        let (events, sealed) = obs
+            .journal
+            .as_ref()
+            .map_or((0, 0), |j| (j.recorded_events(), j.seals().len() as u64));
         let comma = if i + 1 < observations.len() { "," } else { "" };
         let _ = writeln!(
             out,
             "    {{\"cell\": \"{}\", \"wall_ns\": {}, \"spans\": {}, \
-             \"journal_events\": {events}, \"journal_dropped\": {dropped}, \
-             \"sealed_minutes\": {sealed}}}{comma}",
+             \"journal_events\": {events}, \"sealed_minutes\": {sealed}}}{comma}",
             json_escape(&obs.cell),
             obs.wall_ns(),
             obs.profile.len(),
@@ -287,23 +283,6 @@ pub fn metrics_prom(observations: &[CellObservation]) -> String {
                 obs.cell
             );
         }
-    }
-    prom_family(
-        &mut out,
-        "kad_journal_dropped_total",
-        "counter",
-        "Journal events lost to ring truncation, by cell.",
-    );
-    for obs in observations {
-        let Some(journal) = &obs.journal else {
-            continue;
-        };
-        let _ = writeln!(
-            out,
-            "kad_journal_dropped_total{{cell=\"{}\"}} {}",
-            obs.cell,
-            journal.dropped_events()
-        );
     }
     prom_family(
         &mut out,

@@ -69,34 +69,30 @@ use std::rc::Rc;
 /// the base grid so the series resolves each budget increment.
 const ATTACK_SNAPSHOT_MINUTES: u64 = 2;
 
-/// Cadence of the dissemination-durability probe.
+/// Cadence of the dissemination-durability probe. Every probe stores
+/// [`PROBE_OBJECTS_PER_ROUND`](crate::session::PROBE_OBJECTS_PER_ROUND)
+/// objects per store round and retrieves every
+/// [`PROBE_EVERY_MIN`](crate::session::PROBE_EVERY_MIN) minutes (the
+/// attack-phase snapshot spacing, so every attack-phase window holds a
+/// retrievability sample).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProbeSpec {
-    /// Objects disseminated per store round.
-    pub objects_per_round: usize,
     /// Minutes between store rounds (first at the end of setup).
     pub store_every_min: u64,
-    /// Minutes between retrieval probe rounds.
-    pub probe_every_min: u64,
     /// Disjoint paths per disjoint probe retrieval (`d`); values ≤ 1
     /// disable the disjoint probe column.
     pub disjoint_paths: usize,
 }
 
 impl ProbeSpec {
-    /// The service cadence: single-path retrievals every 5 minutes.
+    /// The service cadence: single-path retrievals.
     pub const SERVICE: ProbeSpec = ProbeSpec {
-        objects_per_round: 4,
         store_every_min: 10,
-        probe_every_min: 5,
         disjoint_paths: 1,
     };
-    /// The defense cadence: single- and 3-disjoint-path retrievals every
-    /// 2 minutes.
+    /// The defense cadence: single- and 3-disjoint-path retrievals.
     pub const DEFENSE: ProbeSpec = ProbeSpec {
-        objects_per_round: 4,
-        store_every_min: 10,
-        probe_every_min: 2,
+        store_every_min: 8,
         disjoint_paths: 3,
     };
 }
@@ -126,7 +122,8 @@ pub struct LiveCell {
     /// it runs: the paper's c = 0.02 heuristic, an *upper bound* on κ(D).
     /// Off by default: it costs a min-only sweep per minute.
     pub live_kappa_from: Option<u64>,
-    /// A production-load workload riding on the run ([`crate::load`]).
+    /// A production-load workload ([`crate::load`]). A load cell reports
+    /// its per-minute ledger instead of κ snapshots.
     pub load: Option<LoadSpec>,
 }
 
@@ -229,8 +226,8 @@ pub struct CellPoint {
 pub struct CellOutcome {
     /// The cell that ran.
     pub scenario: LiveCell,
-    /// Snapshot series, ascending in time (empty for load-ledger cells,
-    /// whose per-minute rows are in `load`).
+    /// Snapshot series, ascending in time (empty for load cells, whose
+    /// per-minute rows are in `load`).
     pub points: Vec<CellPoint>,
     /// Hop-count distribution of all converged data lookups.
     pub hops: LogHistogram,
@@ -239,11 +236,8 @@ pub struct CellOutcome {
     pub victims: Vec<(u64, u32)>,
     /// Phase transitions: `(minute, label of the plan switched to)`.
     pub phase_switches: Vec<(u64, &'static str)>,
-    /// The per-minute `κ_min` feed (`(minute, κ_min)`, ascending; empty
-    /// when the cell did not run it).
-    pub live_kappa: Vec<(u64, u64)>,
-    /// The load engine's ledger and telemetry, when a workload rode on
-    /// the run.
+    /// The load engine's ledger and telemetry, when the cell carried a
+    /// load. Each ledger point holds that minute's live κ.
     pub load: Option<LoadReport>,
     /// Total compromises the attacker scheduled (≤ configured budget
     /// when it ran out of honest victims).
@@ -341,23 +335,19 @@ pub(crate) fn run_cell_reported(cell: &LiveCell) -> (CellOutcome, CellReport) {
     let journal = driver.journal();
     let sink = Rc::new(RefCell::new(CellTelemetry::default()));
     let load = cell.load.map(|spec| {
-        let phase_split = spec
-            .ledger_split
-            .or(cell.attack.map(|a| a.start_minute))
-            .unwrap_or(base.end_minutes());
         // Observed runs capture p99 exemplar trace trees; unobserved
         // runs keep `wants_traces` false so the simulator records no
         // spans at all.
         let telemetry = if base.observe {
-            LoadTelemetry::with_exemplars(phase_split)
+            LoadTelemetry::with_exemplars(spec.phase_split)
         } else {
-            LoadTelemetry::new(phase_split)
+            LoadTelemetry::new(spec.phase_split)
         };
         LoadWiring {
             spec,
             sink: Rc::new(RefCell::new(telemetry)),
             stats: Rc::new(RefCell::new(LoadStats::default())),
-            keys: draw_hot_keys(&driver, spec.hot_keys),
+            keys: draw_hot_keys(&driver),
         }
     });
     let mut sinks: Vec<Box<dyn TelemetrySink>> = vec![Box::new(Rc::clone(&sink))];
@@ -377,15 +367,9 @@ pub(crate) fn run_cell_reported(cell: &LiveCell) -> (CellOutcome, CellReport) {
 
     // Probe rounds fire at the minute boundary *before* fresh stores and
     // before the minute's actions.
-    let mut probe = cell.probe.map(|p| {
-        ProbeActor::new(
-            &driver,
-            p.objects_per_round,
-            p.store_every_min,
-            p.probe_every_min,
-            p.disjoint_paths,
-        )
-    });
+    let mut probe = cell
+        .probe
+        .map(|p| ProbeActor::new(&driver, p.store_every_min, p.disjoint_paths));
     let mut joins = JoinSchedule::new(&mut driver);
     let mut churn = ChurnActor;
     let mut traffic = TrafficActor::new(cell.origins);
@@ -399,12 +383,12 @@ pub(crate) fn run_cell_reported(cell: &LiveCell) -> (CellOutcome, CellReport) {
         )
     });
     let mut attacker = cell.attack.map(|spec| {
-        // A load cell may anchor the eclipse on its hottest key: the
+        // A non-silent load anchors the eclipse on its hottest key: the
         // replica set the attacker wipes is then the one the skewed
         // retrieval traffic depends on.
         let hottest = load
             .as_ref()
-            .filter(|load| load.spec.anchor_eclipse)
+            .filter(|load| !load.spec.arrival.is_silent())
             .and_then(|load| load.keys.first());
         let inner = match hottest {
             Some(&key) => AttackerActor::with_anchor(spec, &driver, key),
@@ -417,16 +401,13 @@ pub(crate) fn run_cell_reported(cell: &LiveCell) -> (CellOutcome, CellReport) {
     // the paper's c = 0.02 heuristic, an upper bound on κ(D); the live
     // feed only skips the average.
     let mut live_kappa = cell.live_kappa_from.map(LiveKappaActor::new);
-    let mut ledger = load
-        .as_ref()
-        .filter(|load| load.spec.ledger_split.is_some())
-        .map(|load| {
-            ledger_sampler(
-                Rc::clone(&load.sink),
-                Rc::clone(&load.stats),
-                load.spec.start_minute,
-            )
-        });
+    let mut ledger = load.as_ref().map(|load| {
+        ledger_sampler(
+            Rc::clone(&load.sink),
+            Rc::clone(&load.stats),
+            load.spec.start_minute,
+        )
+    });
     let sink_handle = Rc::clone(&sink);
     let mut window_start = 0u64;
     let mut snapshots = ledger.is_none().then(|| {
@@ -491,10 +472,8 @@ pub(crate) fn run_cell_reported(cell: &LiveCell) -> (CellOutcome, CellReport) {
     let (net, shared) = driver.finish();
     let counters = net.counters().clone();
     let telemetry = sink.take();
-    let load = load.map(|load| LoadReport {
-        points: ledger.map_or_else(Vec::new, |s| {
-            s.into_points().into_iter().flatten().collect()
-        }),
+    let load = load.zip(ledger).map(|(load, ledger)| LoadReport {
+        points: ledger.into_points().into_iter().flatten().collect(),
         telemetry: load.sink.replace(LoadTelemetry::new(0)),
         stats: load.stats.take(),
     });
@@ -514,7 +493,6 @@ pub(crate) fn run_cell_reported(cell: &LiveCell) -> (CellOutcome, CellReport) {
         hops: telemetry.hops,
         victims: shared.victims,
         phase_switches: shared.phase_switches,
-        live_kappa: live_kappa.map_or_else(Vec::new, LiveKappaActor::into_series),
         load,
         budget_spent: shared.budget_spent,
         counters: counters.clone(),

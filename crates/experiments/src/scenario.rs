@@ -234,18 +234,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the RPC timeout.
-    pub fn rpc_timeout(&mut self, timeout: dessim::time::SimDuration) -> &mut Self {
-        self.scenario.protocol.rpc_timeout = timeout;
-        self
-    }
-
-    /// Sets the per-message latency model.
-    pub fn latency(&mut self, latency: dessim::latency::LatencyModel) -> &mut Self {
-        self.scenario.protocol.latency = latency;
-        self
-    }
-
     /// Sets the end of the setup phase in minutes.
     pub fn setup_minutes(&mut self, minutes: u64) -> &mut Self {
         self.scenario.setup_minutes = minutes;
@@ -297,11 +285,7 @@ impl ScenarioBuilder {
             .k(p.k)
             .alpha(p.alpha)
             .staleness_limit(p.staleness_limit)
-            .refresh_interval(p.refresh_interval)
-            .rpc_timeout(p.rpc_timeout)
-            .shortlist_factor(p.shortlist_factor)
-            .refresh_policy(p.refresh_policy)
-            .latency(p.latency);
+            .refresh_policy(p.refresh_policy);
         let validated = protocol_builder.build().expect("invalid protocol config");
         let mut scenario = self.scenario.clone();
         scenario.protocol = validated;

@@ -36,7 +36,6 @@
 //! ```
 
 use crate::attack_plan::{grid_base_scenario, AttackPlan, AttackSpec};
-use crate::runner::ProbeSpec;
 pub use crate::runner::{
     run_cell as run_service, CellOutcome as ServiceOutcome, LiveCell as ServiceScenario,
 };
@@ -122,14 +121,6 @@ pub fn service_grid(scale: Scale, base_seed: u64) -> Vec<ServiceScenario> {
                     compromises_per_min: 1,
                     start_minute,
                 }),
-                // Probe every 2 minutes: the attack-phase snapshot grid is
-                // 2 minutes, so every window contains a retrievability
-                // sample (a sparser cadence leaves hollow `retrieves = 0`
-                // windows in the series).
-                probe: Some(ProbeSpec {
-                    probe_every_min: 2,
-                    ..ProbeSpec::SERVICE
-                }),
                 ..ServiceScenario::unattacked(base)
             });
         }
@@ -212,6 +203,7 @@ pub fn service_hops_csv(outcomes: &[ServiceOutcome]) -> String {
 mod tests {
     use super::*;
     use crate::matrix::MatrixRunner;
+    use crate::runner::ProbeSpec;
     use crate::scenario::ScenarioBuilder;
     use std::collections::HashSet;
 
@@ -234,7 +226,6 @@ mod tests {
                 start_minute: 40,
             }),
             probe: Some(ProbeSpec {
-                objects_per_round: 3,
                 store_every_min: 5,
                 ..ProbeSpec::SERVICE
             }),

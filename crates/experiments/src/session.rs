@@ -132,12 +132,14 @@ pub struct SessionShared {
     /// sample minute travels with the value so consumers can reject
     /// stale feedback (e.g. a pre-attack snapshot).
     pub last_kappa: Option<(u64, u64)>,
-    /// The most recent *sampled* κ estimate a sampler published, as
+    /// The live feed's *sampled* κ estimate for the latest fed minute, as
     /// `(at_minute, estimate)`. Only the sampled live feed
     /// ([`LiveKappaActor`] at [`SAMPLED_KAPPA_MIN_NODES`] and above)
-    /// writes this; small-overlay runs leave it `None`, which is how the
-    /// CSV emitters know to render `na` in the `kappa_est`/`kappa_ci_*`
-    /// columns instead of a number that could be mistaken for exact κ.
+    /// writes this; a min-only minute clears it, so it is `None` whenever
+    /// the latest `κ_min` came from the sweep. That is how the CSV
+    /// emitters know to render `na` in the `kappa_est`/`kappa_ci_*`
+    /// columns instead of a number that could be mistaken for the sweep's
+    /// bound, or for an earlier minute's estimate.
     pub last_kappa_estimate: Option<(u64, kad_resilience::KappaEstimate)>,
     /// Label of the attack phase currently active (phased attackers).
     pub attack_label: &'static str,
@@ -159,17 +161,6 @@ impl SessionShared {
     /// [`MinuteActor::at_minute_end`] hook).
     pub fn publish_kappa(&mut self, at_minute: u64, kappa_min: u64) {
         self.last_kappa = Some((at_minute, kappa_min));
-    }
-
-    /// Publishes a sampled κ estimate (mean + confidence interval)
-    /// alongside the scalar feed. Samplers running the estimator call
-    /// this in addition to [`SessionShared::publish_kappa`].
-    pub fn publish_kappa_estimate(
-        &mut self,
-        at_minute: u64,
-        estimate: kad_resilience::KappaEstimate,
-    ) {
-        self.last_kappa_estimate = Some((at_minute, estimate));
     }
 
     /// The latest published `κ_min` sampled strictly *after* `minute` —
@@ -249,8 +240,7 @@ impl<'s> SessionDriver<'s> {
     /// the harness streams for `base`.
     pub fn new(base: &'s Scenario) -> SessionDriver<'s> {
         let factory = RngFactory::new(base.seed);
-        let transport =
-            dessim::transport::Transport::new(base.protocol.latency, base.loss.to_model());
+        let transport = dessim::transport::Transport::default().with_loss(base.loss.to_model());
         let net = SimNetwork::new(base.protocol, transport, base.seed);
         let rngs = HarnessRngs {
             schedule: factory.stream("harness-schedule"),
@@ -686,16 +676,21 @@ impl MinuteActor for AttackerActor {
     }
 }
 
+/// Objects the durability probe disseminates per store round.
+pub const PROBE_OBJECTS_PER_ROUND: usize = 4;
+
+/// Minutes between the durability probe's retrieval rounds.
+pub const PROBE_EVERY_MIN: u64 = 2;
+
 /// The dissemination-durability probe as an actor: retrieval rounds fire
-/// at the minute boundary *before* fresh stores, so a probe never races
-/// the dissemination it just scheduled. Publishes the tracked-object
-/// count into [`SessionShared::stored_objects`].
+/// every [`PROBE_EVERY_MIN`] minutes at the minute boundary *before*
+/// fresh stores, so a probe never races the dissemination it just
+/// scheduled. Publishes the tracked-object count into
+/// [`SessionShared::stored_objects`].
 pub struct ProbeActor {
     probe: kademlia::probe::DurabilityProbe,
     rng: SmallRng,
-    objects_per_round: usize,
     store_every_min: u64,
-    probe_every_min: u64,
     /// Paths per disjoint retrieval; ≤ 1 disables the disjoint column.
     disjoint_paths: usize,
 }
@@ -704,17 +699,13 @@ impl ProbeActor {
     /// Wires the probe's `service-probe` stream from the session factory.
     pub fn new(
         driver: &SessionDriver<'_>,
-        objects_per_round: usize,
         store_every_min: u64,
-        probe_every_min: u64,
         disjoint_paths: usize,
     ) -> ProbeActor {
         ProbeActor {
             probe: kademlia::probe::DurabilityProbe::new(),
             rng: driver.factory().stream("service-probe"),
-            objects_per_round,
             store_every_min,
-            probe_every_min,
             disjoint_paths,
         }
     }
@@ -727,9 +718,7 @@ impl MinuteActor for ProbeActor {
 
     fn on_minute(&mut self, net: &mut SimNetwork, ctx: &mut MinuteCtx<'_>) {
         if ctx.minute >= ctx.base.setup_minutes {
-            if ctx.minute.is_multiple_of(self.probe_every_min.max(1))
-                && !self.probe.keys().is_empty()
-            {
+            if ctx.minute.is_multiple_of(PROBE_EVERY_MIN) && !self.probe.keys().is_empty() {
                 self.probe.probe_round(net, &mut self.rng);
                 if self.disjoint_paths > 1 {
                     self.probe
@@ -738,7 +727,7 @@ impl MinuteActor for ProbeActor {
             }
             if ctx.minute.is_multiple_of(self.store_every_min.max(1)) {
                 self.probe
-                    .store_round(net, self.objects_per_round, &mut self.rng);
+                    .store_round(net, PROBE_OBJECTS_PER_ROUND, &mut self.rng);
             }
         }
         ctx.shared.stored_objects = self.probe.keys().len();
@@ -784,8 +773,9 @@ impl SnapshotGrid {
 /// therefore an *upper bound* on κ(D), not the exact minimum — on
 /// `paper::sim_gh(Scale::Bench, false, 10, 3)` at seed 2 it reads 18
 /// where κ(D) = 11. One sweep at n=1000 is what kadbench's `kappa-min-1k`
-/// workload times. The full `(minute, κ_min)` series is kept for the
-/// outcome.
+/// workload times. The actor keeps no series: consumers read the feed
+/// through [`SessionShared`] (a load cell's ledger records each minute's
+/// value).
 ///
 /// At [`SAMPLED_KAPPA_MIN_NODES`] honest nodes and above, the actor
 /// switches to the stratified sampled estimator
@@ -795,15 +785,15 @@ impl SnapshotGrid {
 /// true `κ_min`, exactly 0 whenever the strong-connectivity pre-check
 /// fails — never falsely healthy), and the full estimate (mean + CI)
 /// additionally lands in [`SessionShared::last_kappa_estimate`] for the
-/// `kappa_est`/`kappa_ci_*` CSV columns. Below the threshold nothing
-/// changes, so bench- and laptop-scale outputs stay byte-identical.
+/// `kappa_est`/`kappa_ci_*` CSV columns. A min-only minute clears that
+/// estimate, so an overlay that shrinks below the threshold stops
+/// reporting one. Below the threshold nothing else changes, so bench- and
+/// laptop-scale outputs stay byte-identical.
 pub struct LiveKappaActor {
     start_minute: u64,
     analysis: kad_resilience::AnalysisConfig,
     sampled: kad_resilience::SampledKappaConfig,
     sampled_min_nodes: usize,
-    series: Vec<(u64, u64)>,
-    estimates: Vec<(u64, kad_resilience::KappaEstimate)>,
 }
 
 /// Honest-snapshot size at which [`LiveKappaActor`] switches from the
@@ -831,8 +821,6 @@ impl LiveKappaActor {
                 ..Default::default()
             },
             sampled_min_nodes: SAMPLED_KAPPA_MIN_NODES,
-            series: Vec::new(),
-            estimates: Vec::new(),
         }
     }
 
@@ -846,22 +834,6 @@ impl LiveKappaActor {
             ..LiveKappaActor::new(start_minute)
         }
     }
-
-    /// The `(minute, κ_min)` series observed so far, ascending.
-    pub fn series(&self) -> &[(u64, u64)] {
-        &self.series
-    }
-
-    /// The `(minute, estimate)` series from sampled minutes, ascending.
-    /// Empty when every minute ran the min-only sweep.
-    pub fn estimates(&self) -> &[(u64, kad_resilience::KappaEstimate)] {
-        &self.estimates
-    }
-
-    /// Consumes the actor into its per-minute series.
-    pub fn into_series(self) -> Vec<(u64, u64)> {
-        self.series
-    }
 }
 
 impl MinuteActor for LiveKappaActor {
@@ -874,17 +846,16 @@ impl MinuteActor for LiveKappaActor {
             return;
         }
         let snap = net.snapshot();
-        let kappa = if snap.node_count() >= self.sampled_min_nodes {
+        let estimate = (snap.node_count() >= self.sampled_min_nodes).then(|| {
             let g = kad_resilience::snapshot_to_digraph(&snap);
-            let est = kad_resilience::sampled_kappa(&g, &self.sampled);
-            ctx.shared.publish_kappa_estimate(ctx.at_minute, est);
-            self.estimates.push((ctx.at_minute, est));
-            est.min_sampled
-        } else {
-            kad_resilience::analyze_snapshot(&snap, &self.analysis).min_connectivity
+            kad_resilience::sampled_kappa(&g, &self.sampled)
+        });
+        let kappa = match estimate {
+            Some(est) => est.min_sampled,
+            None => kad_resilience::analyze_snapshot(&snap, &self.analysis).min_connectivity,
         };
+        ctx.shared.last_kappa_estimate = estimate.map(|est| (ctx.at_minute, est));
         ctx.shared.publish_kappa(ctx.at_minute, kappa);
-        self.series.push((ctx.at_minute, kappa));
     }
 }
 
@@ -941,6 +912,7 @@ where
 mod tests {
     use super::*;
     use crate::scenario::{ChurnRate, ScenarioBuilder};
+    use kad_resilience::KappaEstimate;
 
     #[test]
     fn driver_with_join_actor_builds_the_overlay() {
@@ -1040,47 +1012,88 @@ mod tests {
         // must run the min-only sweep (no estimates), at 0 it must run the
         // estimator every minute and publish both the scalar feed and the
         // full estimate. A 14-node network stands in for n=1000 — the
-        // switch tests size against `sampled_min_nodes`, nothing else.
-        let run = |min_nodes: usize| {
+        // switch tests size against `sampled_min_nodes`, nothing else. The
+        // feed is read the way a load ledger reads it: through a sampler
+        // over `SessionShared` at every minute end.
+        type Fed = (u64, usize, Option<(u64, u64)>, Option<(u64, KappaEstimate)>);
+        let run = |min_nodes: usize, churn: ChurnRate| -> Vec<Fed> {
             let mut b = ScenarioBuilder::quick(14, 4);
             b.name("session-live-kappa")
                 .seed(5)
-                .stabilization_minutes(35);
+                .stabilization_minutes(35)
+                .churn(churn)
+                .churn_minutes(4);
             let base = b.build();
             let mut driver = SessionDriver::new(&base);
             let mut joins = JoinSchedule::new(&mut driver);
+            let mut churn = ChurnActor;
             let mut traffic = TrafficActor::new(TrafficOrigins::AllAlive);
             let mut kappa = LiveKappaActor::with_sampled_threshold(30, min_nodes);
-            driver.run(&mut [&mut joins, &mut traffic, &mut kappa]);
-            let (_net, shared) = driver.finish();
-            (kappa.series().to_vec(), kappa.estimates().to_vec(), shared)
+            let every_minute = SnapshotGrid {
+                base_minutes: 1,
+                attack_start: None,
+                attack_minutes: 1,
+            };
+            let mut feed = Sampler::new(
+                every_minute,
+                |net: &mut SimNetwork, ctx: &mut EndCtx<'_>| {
+                    (
+                        ctx.at_minute,
+                        net.snapshot().node_count(),
+                        ctx.shared.last_kappa,
+                        ctx.shared.last_kappa_estimate,
+                    )
+                },
+            );
+            driver.run(&mut [&mut joins, &mut churn, &mut traffic, &mut kappa, &mut feed]);
+            feed.into_points()
+                .into_iter()
+                .filter(|&(at, ..)| at >= 30)
+                .collect()
         };
 
-        let (series, estimates, shared) = run(usize::MAX);
-        assert!(
-            !series.is_empty(),
-            "min-only path publishes the scalar feed"
-        );
-        assert!(estimates.is_empty(), "min-only path publishes no estimates");
-        assert!(shared.last_kappa.is_some());
-        assert!(shared.last_kappa_estimate.is_none());
-
-        let (series, estimates, shared) = run(0);
-        assert_eq!(
-            series.len(),
-            estimates.len(),
-            "sampled path estimates every fed minute"
-        );
-        for ((min_s, kappa), (min_e, est)) in series.iter().zip(estimates.iter()) {
-            assert_eq!(min_s, min_e);
+        let fed = run(usize::MAX, ChurnRate::NONE);
+        assert!(!fed.is_empty());
+        for &(at, _, kappa, estimate) in &fed {
             assert_eq!(
-                *kappa, est.min_sampled,
+                kappa.map(|(k_at, _)| k_at),
+                Some(at),
+                "scalar feed every minute"
+            );
+            assert!(estimate.is_none(), "min-only path publishes no estimates");
+        }
+
+        for &(at, _, kappa, estimate) in &run(0, ChurnRate::NONE) {
+            let (est_at, est) = estimate.expect("sampled path estimates every fed minute");
+            assert_eq!(est_at, at);
+            assert_eq!(
+                kappa,
+                Some((at, est.min_sampled)),
                 "the scalar feed is the sampled minimum"
             );
             assert!(est.ci_lo <= est.ci_hi);
             assert!(est.brackets(est.kappa_est));
         }
-        let (at, est) = shared.last_kappa_estimate.expect("estimate published");
-        assert_eq!(shared.last_kappa, Some((at, est.min_sampled)));
+
+        // A shrinking overlay at the threshold: 0/1 churn takes the
+        // 14-node overlay below 14 from minute 36 on. Every minute at the
+        // threshold carries its own estimate; every minute below it ran
+        // the min-only sweep and must carry none — not the last estimate
+        // from before the overlay shrank.
+        let fed = run(14, ChurnRate::ZERO_ONE);
+        assert!(fed.iter().any(|&(_, n, ..)| n >= 14), "sampled minutes ran");
+        assert!(fed.iter().any(|&(_, n, ..)| n < 14), "the overlay shrank");
+        for &(at, n, _, estimate) in &fed {
+            if n >= 14 {
+                assert_eq!(estimate.map(|(est_at, _)| est_at), Some(at), "minute {at}");
+            } else {
+                assert!(
+                    estimate.is_none(),
+                    "minute {at} ({n} honest nodes) ran the min-only sweep \
+                     but carries the estimate from minute {:?}",
+                    estimate.map(|(est_at, _)| est_at)
+                );
+            }
+        }
     }
 }

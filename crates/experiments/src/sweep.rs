@@ -225,7 +225,6 @@ pub fn sweep_grid(scale: Scale, base_seed: u64) -> Vec<SweepScenario> {
                 phases: phases.clone(),
                 probe: Some(ProbeSpec {
                     store_every_min: 8,
-                    probe_every_min: 2,
                     ..ProbeSpec::SERVICE
                 }),
                 live_kappa_from: Some(start_minute),
@@ -302,9 +301,7 @@ mod tests {
             }),
             phases,
             probe: Some(ProbeSpec {
-                objects_per_round: 3,
                 store_every_min: 5,
-                probe_every_min: 2,
                 ..ProbeSpec::SERVICE
             }),
             live_kappa_from: Some(40),

@@ -27,9 +27,7 @@ fn cell(policy: PolicyKind, plan: AttackPlan, seed: u64) -> DefenseScenario {
             start_minute: 40,
         }),
         probe: Some(ProbeSpec {
-            objects_per_round: 2,
             store_every_min: 6,
-            probe_every_min: 4,
             ..ProbeSpec::DEFENSE
         }),
         live_kappa_from: Some(40),

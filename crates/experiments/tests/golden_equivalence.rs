@@ -107,27 +107,32 @@ fn service_csvs_are_byte_identical_to_pre_refactor_goldens() {
 /// The load engine must be *inert* when its arrival process is silent: a
 /// rate-0 [`kad_experiments::LoadSpec`] wired into every service cell —
 /// fanout sink installed, hot keys drawn, actor in the minute loop — must
-/// leave both service CSVs byte-identical to the pre-load goldens. This
-/// pins the two halves of the opt-in contract: the load actor's own RNG
-/// streams (`load-keys`, `load-arrivals`) are label-isolated from the
-/// harness streams, and a silent process draws nothing and issues nothing.
+/// leave every simulator counter and the hop histogram byte-identical to
+/// the pre-load goldens. This pins the two halves of the opt-in contract:
+/// the load actor's own RNG streams (`load-keys`, `load-arrivals`) are
+/// label-isolated from the harness streams, and a silent process draws
+/// nothing, issues nothing and anchors no eclipse. (A load cell reports
+/// its ledger instead of κ snapshots, so the service time series has no
+/// rows to compare.)
 #[test]
 fn rate_zero_load_actor_leaves_service_csvs_byte_identical() {
-    use kad_experiments::service::{service_grid, service_hops_csv, service_timeseries_csv};
+    use kad_experiments::service::{service_grid, service_hops_csv};
     use kad_experiments::traffic::ArrivalProcess;
     use kad_experiments::LoadSpec;
     let mut grid = service_grid(Scale::Bench, SEED);
     for scenario in &mut grid {
-        scenario.load = Some(LoadSpec::new(
-            ArrivalProcess::Poisson { rate_per_min: 0.0 },
-            scenario.base.stabilization_minutes,
-        ));
+        let start = scenario.base.stabilization_minutes;
+        scenario.load = Some(LoadSpec {
+            arrival: ArrivalProcess::Poisson { rate_per_min: 0.0 },
+            start_minute: start,
+            phase_split: start,
+        });
     }
     let outcomes = run(&grid);
     assert_csv_identical(
-        "service-timeseries.csv (rate-0 load)",
-        &service_timeseries_csv(&outcomes),
-        include_str!("golden/service-timeseries.csv"),
+        "service-counters.csv (rate-0 load)",
+        &counters_csv(&outcomes),
+        include_str!("golden/service-counters.csv"),
     );
     assert_csv_identical(
         "service-hops.csv (rate-0 load)",

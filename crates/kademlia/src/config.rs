@@ -1,10 +1,35 @@
 //! Protocol configuration: the four parameters the paper studies plus
-//! simulation timing knobs.
+//! the refresh coverage policy. Timing is fixed: [`REFRESH_INTERVAL`],
+//! [`RPC_TIMEOUT`] and the transport's 10–100 ms uniform latency window.
 
 use crate::id::MAX_BITS;
-use dessim::latency::LatencyModel;
 use dessim::time::SimDuration;
 use std::fmt;
+
+/// Interval between bucket refreshes (paper: 60 minutes).
+pub const REFRESH_INTERVAL: SimDuration = SimDuration::from_minutes(60);
+
+/// How long a node waits for an RPC response before declaring failure.
+pub const RPC_TIMEOUT: SimDuration = SimDuration::from_secs(1);
+
+/// Upper bound on tracked lookup candidates, as a multiple of `k`. Bounds
+/// memory per lookup; 3 is generous (a lookup terminates once the `k`
+/// best candidates are exhausted).
+pub const SHORTLIST_FACTOR: usize = 3;
+
+/// The RPC timeout as a config field: zero-sized, so it can only ever be
+/// [`RPC_TIMEOUT`]. It exists so `config.rpc_timeout.as_millis()` keeps
+/// reading the timeout in the benchmark package, which builds against
+/// this crate but changes only in its own commits.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RpcTimeout;
+
+impl RpcTimeout {
+    /// [`RPC_TIMEOUT`] in milliseconds.
+    pub const fn as_millis(self) -> u64 {
+        RPC_TIMEOUT.as_millis()
+    }
+}
 
 /// Which buckets a node refreshes at each refresh tick.
 ///
@@ -60,21 +85,10 @@ pub struct KademliaConfig {
     /// Staleness limit `s` — consecutive failed communications before a
     /// contact is evicted (paper: 1 and 5).
     pub staleness_limit: u32,
-    /// Interval between bucket refreshes (paper: 60 minutes).
-    pub refresh_interval: SimDuration,
-    /// How long a node waits for an RPC response before declaring failure.
-    pub rpc_timeout: SimDuration,
-    /// Upper bound on tracked lookup candidates, as a multiple of `k`.
-    /// Bounds memory per lookup; 3 is generous (a lookup terminates once
-    /// the `k` best candidates are exhausted).
-    pub shortlist_factor: usize,
     /// Bucket-refresh coverage policy.
     pub refresh_policy: RefreshPolicy,
-    /// Per-message simulated latency model the harness builds transports
-    /// from (default: the documented 10–100 ms uniform window). Living on
-    /// the config makes per-lookup latency a sweepable knob next to `α`
-    /// and the RPC timeout — the load grid crosses them.
-    pub latency: LatencyModel,
+    /// Always [`RPC_TIMEOUT`] (see [`RpcTimeout`]).
+    pub rpc_timeout: RpcTimeout,
 }
 
 impl KademliaConfig {
@@ -85,7 +99,7 @@ impl KademliaConfig {
 
     /// Maximum number of shortlist entries per lookup.
     pub fn shortlist_capacity(&self) -> usize {
-        self.shortlist_factor.max(1) * self.k
+        SHORTLIST_FACTOR * self.k
     }
 }
 
@@ -96,11 +110,8 @@ impl Default for KademliaConfig {
             k: 20,
             alpha: 3,
             staleness_limit: 5,
-            refresh_interval: SimDuration::from_minutes(60),
-            rpc_timeout: SimDuration::from_secs(1),
-            shortlist_factor: 3,
             refresh_policy: RefreshPolicy::AllBuckets,
-            latency: LatencyModel::default_uniform(),
+            rpc_timeout: RpcTimeout,
         }
     }
 }
@@ -159,33 +170,9 @@ impl KademliaConfigBuilder {
         self
     }
 
-    /// Sets the bucket-refresh interval.
-    pub fn refresh_interval(&mut self, interval: SimDuration) -> &mut Self {
-        self.config_mut().refresh_interval = interval;
-        self
-    }
-
-    /// Sets the RPC timeout.
-    pub fn rpc_timeout(&mut self, timeout: SimDuration) -> &mut Self {
-        self.config_mut().rpc_timeout = timeout;
-        self
-    }
-
-    /// Sets the shortlist capacity factor.
-    pub fn shortlist_factor(&mut self, factor: usize) -> &mut Self {
-        self.config_mut().shortlist_factor = factor;
-        self
-    }
-
     /// Sets the bucket-refresh coverage policy.
     pub fn refresh_policy(&mut self, policy: RefreshPolicy) -> &mut Self {
         self.config_mut().refresh_policy = policy;
-        self
-    }
-
-    /// Sets the per-message simulated latency model.
-    pub fn latency(&mut self, latency: LatencyModel) -> &mut Self {
-        self.config_mut().latency = latency;
         self
     }
 
@@ -195,7 +182,7 @@ impl KademliaConfigBuilder {
     ///
     /// Returns [`ConfigError`] if any parameter is out of range: `bits`
     /// outside `1..=160`, `k = 0`, `bits · k` beyond the routing table's
-    /// 16-bit offsets, `α = 0`, `s = 0`, or a zero RPC timeout.
+    /// 16-bit offsets, `α = 0` or `s = 0`.
     pub fn build(&self) -> Result<KademliaConfig, ConfigError> {
         let config = self.config.unwrap_or_default();
         if config.bits == 0 || config.bits > MAX_BITS {
@@ -219,21 +206,6 @@ impl KademliaConfigBuilder {
         if config.staleness_limit == 0 {
             return Err(ConfigError("staleness limit must be at least 1".into()));
         }
-        if config.rpc_timeout == SimDuration::ZERO {
-            return Err(ConfigError("rpc timeout must be positive".into()));
-        }
-        if config.shortlist_factor == 0 {
-            return Err(ConfigError("shortlist factor must be at least 1".into()));
-        }
-        if let LatencyModel::Uniform { min, max } = config.latency {
-            if min > max {
-                return Err(ConfigError(format!(
-                    "latency window inverted: min {} ms > max {} ms",
-                    min.as_millis(),
-                    max.as_millis()
-                )));
-            }
-        }
         Ok(config)
     }
 }
@@ -249,7 +221,8 @@ mod tests {
         assert_eq!(c.k, 20);
         assert_eq!(c.alpha, 3);
         assert_eq!(c.staleness_limit, 5);
-        assert_eq!(c.refresh_interval, SimDuration::from_minutes(60));
+        assert_eq!(REFRESH_INTERVAL, SimDuration::from_minutes(60));
+        assert_eq!(c.rpc_timeout.as_millis(), 1_000);
     }
 
     #[test]
@@ -276,30 +249,11 @@ mod tests {
             .staleness_limit(0)
             .build()
             .is_err());
-        assert!(KademliaConfig::builder()
-            .rpc_timeout(SimDuration::ZERO)
-            .build()
-            .is_err());
-        assert!(KademliaConfig::builder()
-            .shortlist_factor(0)
-            .build()
-            .is_err());
-        assert!(KademliaConfig::builder()
-            .latency(LatencyModel::Uniform {
-                min: SimDuration::from_millis(50),
-                max: SimDuration::from_millis(10),
-            })
-            .build()
-            .is_err());
     }
 
     #[test]
     fn shortlist_capacity_scales_with_k() {
-        let c = KademliaConfig::builder()
-            .k(10)
-            .shortlist_factor(3)
-            .build()
-            .unwrap();
+        let c = KademliaConfig::builder().k(10).build().unwrap();
         assert_eq!(c.shortlist_capacity(), 30);
     }
 

@@ -749,13 +749,7 @@ mod tests {
 
     #[test]
     fn shortlist_capacity_prunes_farthest_untried() {
-        let cfg = KademliaConfig::builder()
-            .bits(32)
-            .k(2)
-            .alpha(1)
-            .shortlist_factor(2)
-            .build()
-            .expect("valid");
+        let cfg = config(2, 1);
         let mut s = LookupState::new(
             1,
             NodeId::from_u64(0, 32),
@@ -764,9 +758,10 @@ mod tests {
             &(1..=10).map(contact).collect::<Vec<_>>(),
             &cfg,
         );
-        // Capacity is 4; merging kept only the closest 4 untried.
+        // Capacity is 3k = 6; merging kept only the closest 6 of the 10.
+        assert_eq!(cfg.shortlist_capacity(), 6);
         assert_eq!(s.next_queries().len(), 1);
-        let untried_or_inflight = 4;
+        let untried_or_inflight = 6;
         let total: usize = s.shortlist.len();
         assert_eq!(total, untried_or_inflight);
     }

@@ -46,7 +46,7 @@
 //! enabling it cannot change outcomes — and costs nothing when the sink
 //! keeps the default `wants_traces() == false`.
 
-use crate::config::{KademliaConfig, RefreshPolicy};
+use crate::config::{KademliaConfig, RefreshPolicy, REFRESH_INTERVAL, RPC_TIMEOUT};
 use crate::contact::{Contact, NodeAddr};
 use crate::defense::{DefensePolicy, InsertDecision};
 use crate::id::NodeId;
@@ -532,10 +532,8 @@ impl SimNetwork {
         }
         let own_id = self.nodes[addr.index()].id();
         self.start_lookup_internal(addr, own_id, LookupPurpose::Bootstrap);
-        self.queue.schedule_after(
-            self.config.refresh_interval,
-            SimEvent::RefreshTick { node: addr },
-        );
+        self.queue
+            .schedule_after(REFRESH_INTERVAL, SimEvent::RefreshTick { node: addr });
         self.counters.incr(Counter::NodeJoined);
     }
 
@@ -1129,7 +1127,7 @@ impl SimNetwork {
         let rpc_id = self.pending.next_key();
         let timeout_event = self
             .queue
-            .schedule_after(self.config.rpc_timeout, SimEvent::RpcTimeout { rpc_id });
+            .schedule_after(RPC_TIMEOUT, SimEvent::RpcTimeout { rpc_id });
         let mut trace_slot = NO_TRACE_SLOT;
         if self.traces_on {
             if let Some(lookup_id) = lookup {
@@ -1392,10 +1390,8 @@ impl SimNetwork {
             self.counters.incr(Counter::RefreshLookup);
             self.start_lookup_internal(addr, target, LookupPurpose::Refresh);
         }
-        self.queue.schedule_after(
-            self.config.refresh_interval,
-            SimEvent::RefreshTick { node: addr },
-        );
+        self.queue
+            .schedule_after(REFRESH_INTERVAL, SimEvent::RefreshTick { node: addr });
     }
 }
 

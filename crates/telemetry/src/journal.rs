@@ -1,4 +1,4 @@
-//! Bounded structured event journal with a per-minute determinism
+//! Structured event journal folded into a per-minute determinism
 //! fingerprint.
 //!
 //! Two supposedly-identical runs that diverge somewhere in a 90-minute
@@ -17,12 +17,10 @@
 //!   so far, chain)` as a [`MinuteSeal`]; the seals become
 //!   `audit-chain.csv`, and diffing two runs' seal sequences names the
 //!   first divergent (cell, minute) exactly — `repro audit` is that diff.
-//! * **Bounded ring, accounted truncation.** The journal keeps at most
-//!   `capacity` raw events (a debugging tail, not an unbounded log).
-//!   Overflow drops the *oldest* event **after** it was folded into the
-//!   chain and counted, and increments [`Journal::dropped_events`] — the
-//!   fingerprint and the per-kind counts cover every event ever
-//!   recorded; only the raw tail is truncated, and never silently.
+//! * **Counts, not a log.** Besides the chain the journal keeps only the
+//!   per-kind event counts (`metrics.prom`'s `kad_journal_events_total`).
+//!   The raw events themselves are folded and let go: nothing reads them
+//!   back, and the seals already name where two runs diverge.
 //!
 //! The journal implements [`TelemetrySink`], so installing
 //! `Rc<RefCell<Journal>>` (via the blanket sink impl) captures lookup
@@ -49,11 +47,7 @@
 //! ```
 
 use crate::trace::{DefenseAction, LookupOutcome, LookupRecord, TelemetrySink, TracePurpose};
-use std::collections::{BTreeMap, VecDeque};
-
-/// Default raw-event ring capacity (the chain and counts are unaffected
-/// by capacity — see module docs).
-pub const DEFAULT_CAPACITY: usize = 4096;
+use std::collections::BTreeMap;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -188,13 +182,10 @@ pub struct MinuteSeal {
     pub chain: u64,
 }
 
-/// The bounded journal (see module docs).
+/// The journal: chain, per-kind counts and seals (see module docs).
 #[derive(Clone, Debug)]
 pub struct Journal {
-    capacity: usize,
-    ring: VecDeque<JournalEvent>,
     recorded_events: u64,
-    dropped_events: u64,
     counts: BTreeMap<&'static str, u64>,
     chain: u64,
     seals: Vec<MinuteSeal>,
@@ -207,36 +198,21 @@ impl Default for Journal {
 }
 
 impl Journal {
-    /// Creates a journal with the [`DEFAULT_CAPACITY`] raw-event ring.
+    /// Creates an empty journal.
     pub fn new() -> Self {
-        Journal::with_capacity(DEFAULT_CAPACITY)
-    }
-
-    /// Creates a journal keeping at most `capacity` raw events.
-    pub fn with_capacity(capacity: usize) -> Self {
         Journal {
-            capacity: capacity.max(1),
-            ring: VecDeque::new(),
             recorded_events: 0,
-            dropped_events: 0,
             counts: BTreeMap::new(),
             chain: FNV_OFFSET,
             seals: Vec::new(),
         }
     }
 
-    /// Records one event: folds it into the chain, counts it per kind,
-    /// then appends it to the ring (dropping — and accounting — the
-    /// oldest raw event on overflow).
+    /// Records one event: folds it into the chain and counts it per kind.
     pub fn record(&mut self, event: JournalEvent) {
         self.chain = event.fold_into(self.chain);
         self.recorded_events += 1;
         *self.counts.entry(event.kind()).or_insert(0) += 1;
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped_events += 1;
-        }
-        self.ring.push_back(event);
     }
 
     /// Checkpoints the chain at the end of `minute`.
@@ -258,25 +234,14 @@ impl Journal {
         self.chain
     }
 
-    /// Events recorded since creation (never decreases on truncation).
+    /// Events recorded since creation.
     pub fn recorded_events(&self) -> u64 {
         self.recorded_events
     }
 
-    /// Raw events evicted from the ring. `recorded - dropped` events are
-    /// still inspectable through [`Journal::events`].
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped_events
-    }
-
-    /// Per-kind event counts in kind order (covers dropped events too).
+    /// Per-kind event counts in kind order.
     pub fn counts(&self) -> &BTreeMap<&'static str, u64> {
         &self.counts
-    }
-
-    /// The retained raw-event tail, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &JournalEvent> + '_ {
-        self.ring.iter()
     }
 }
 
@@ -375,35 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn truncation_is_accounted_and_chain_covers_dropped_events() {
-        let mut big = Journal::new();
-        let mut small = Journal::with_capacity(2);
-        for minute in 0..10u64 {
-            let event = JournalEvent::Join {
-                minute,
-                node: minute as u32,
-            };
-            big.record(event.clone());
-            small.record(event);
-        }
-        assert_eq!(small.recorded_events(), 10);
-        assert_eq!(small.dropped_events(), 8, "overflow surfaced, not silent");
-        assert_eq!(small.events().count(), 2, "only the tail retained");
-        assert_eq!(
-            small.events().next(),
-            Some(&JournalEvent::Join { minute: 8, node: 8 }),
-            "oldest events were the ones dropped"
-        );
-        assert_eq!(
-            small.chain(),
-            big.chain(),
-            "the fingerprint covers every event ever recorded"
-        );
-        assert_eq!(small.counts()["join"], 10, "counts cover drops too");
-        assert_eq!(big.dropped_events(), 0);
-    }
-
-    #[test]
     fn sink_impl_records_lookups_and_defense_actions() {
         let mut j = Journal::new();
         j.on_lookup(&LookupRecord {
@@ -421,7 +357,17 @@ mod tests {
         assert_eq!(j.recorded_events(), 2);
         let counts: Vec<(&str, u64)> = j.counts().iter().map(|(&k, &n)| (k, n)).collect();
         assert_eq!(counts, [("defense", 1), ("lookup", 1)], "kind order");
-        let kinds: Vec<&'static str> = j.events().map(JournalEvent::kind).collect();
-        assert_eq!(kinds, ["lookup", "defense"]);
+        // The sink records exactly these two events, in this order.
+        let mut direct = Journal::new();
+        direct.record(JournalEvent::Lookup {
+            purpose: TracePurpose::Retrieve,
+            outcome: LookupOutcome::ValueFound,
+            hops: 2,
+            completed_ms: 450,
+        });
+        direct.record(JournalEvent::Defense {
+            action: DefenseAction::Probe,
+        });
+        assert_eq!(j.chain(), direct.chain());
     }
 }

@@ -25,11 +25,10 @@
 //!   into a [`span::SpanProfile`] keyed by static label paths, self/total
 //!   time) that costs one thread-local `Option` check
 //!   when no profile is installed.
-//! * [`journal`] — a bounded structured event journal whose FNV-1a hash
-//!   chain fingerprints the per-minute event sequence of a run
+//! * [`journal`] — a structured event journal whose FNV-1a hash chain
+//!   fingerprints the per-minute event sequence of a run
 //!   ([`journal::MinuteSeal`] → `audit-chain.csv` → `repro audit`), with
-//!   ring truncation always surfaced through
-//!   [`journal::Journal::dropped_events`].
+//!   per-kind event counts beside it.
 //! * [`tracetree`] — full simulated-time trace trees behind the flat
 //!   records: per-RPC spans with causal parents
 //!   ([`tracetree::RpcSpan`]), critical-path extraction whose

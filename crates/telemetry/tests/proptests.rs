@@ -144,31 +144,6 @@ proptest! {
         prop_assert!((h.mean() - expected).abs() < 1e-9);
     }
 
-    /// The journal's hash chain is capacity-independent: a ring that
-    /// truncates aggressively fingerprints the same event stream
-    /// identically to an unbounded one, with every truncation accounted.
-    #[test]
-    fn journal_chain_is_capacity_independent(
-        events in proptest::collection::vec((0u8..=255, 0u64..100, 0u32..64), 0..150),
-        capacity in 1usize..8,
-    ) {
-        let mut big = Journal::new();
-        let mut small = Journal::with_capacity(capacity);
-        for raw in &events {
-            let event = decode_event(*raw);
-            big.record(event.clone());
-            small.record(event);
-        }
-        prop_assert_eq!(small.chain(), big.chain());
-        prop_assert_eq!(small.recorded_events(), events.len() as u64);
-        prop_assert_eq!(
-            small.dropped_events(),
-            events.len().saturating_sub(capacity) as u64,
-            "every truncated event is accounted"
-        );
-        prop_assert_eq!(small.counts(), big.counts());
-    }
-
     /// Prefix property: two runs recording the same event prefix carry
     /// identical seals up to the divergence point and different chains
     /// from the first divergent event on — what `repro audit` relies on
