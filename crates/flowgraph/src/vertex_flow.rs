@@ -40,6 +40,36 @@
 //! restored in `O(vertices touched)` before returning, so calls are
 //! independent and a clone is always a clean evaluator.
 //!
+//! # Bit rows
+//!
+//! On dense graphs both scans read a row as a bitset, one `u64` word per 64
+//! vertices, instead of entry by entry:
+//!
+//! * the BFS expands `x'` with `in_bits(x) & !out_seen`, where `out_seen`
+//!   holds the out-copies labelled so far (the feeder `pred[x]` among
+//!   them: `x'` is labelled from `pred[x]''`);
+//! * the DFS takes the next candidate out of `x''` from
+//!   `out_bits(x) & in_alive[next / 2]`, starting at bit `cur[x]`.
+//!
+//! One `in_alive` bitset per *even* level is enough: every residual arc
+//! joins an in-copy to an out-copy and the sink `w'` sits at level 0, so
+//! in-copies only ever sit at even distances from the sink (and out-copies
+//! at odd ones). Bit `y` of bitset `L / 2` is set while `y'` is labelled
+//! `L` and alive; the DFS clears it as `y'` dies.
+//!
+//! The word scans visit new bits in ascending vertex id, which is the
+//! order of the sorted rows, and skip exactly the entries the entry scans
+//! skip. So every label, the queue order, the early exit at `v''`, every
+//! augmenting path and `pred`/`succ` come out identical under both forms,
+//! and so do κ, [`VertexFlow::paths`] and [`VertexFlow::min_cut`].
+//!
+//! A bit scan costs `⌈n/64⌉` words per row whatever the row's length, so
+//! it pays only where rows are long. Bit rows are built when
+//! `m ≥ 2·n·⌈n/64⌉`, i.e. when a mean row has at least twice as many
+//! entries as a bit row has words; sparser graphs keep the entry scan.
+//! Under that rule the two bit rows per vertex (`16·n·⌈n/64⌉` bytes) cost
+//! at most the `8m` bytes of the CSR's own adjacency arrays.
+//!
 //! # Witnesses
 //!
 //! Menger's theorem says the maximum flow also carries both certificates of
@@ -61,6 +91,7 @@
 //! and the witnesses are checked by [`crate::witness`].
 
 use crate::digraph::DiGraph;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// "No vertex" in `pred`/`succ`, "not labelled" in `level`.
@@ -89,18 +120,30 @@ fn sole_exit(pred: &[u32], a: u32) -> u32 {
     }
 }
 
+/// Whether a graph with `n` vertices and `m` edges gets bit rows: when a
+/// mean row has at least twice as many entries as a bit row has words.
+fn wants_bit_rows(n: usize, m: usize) -> bool {
+    m >= 2 * n * n.div_ceil(64)
+}
+
 /// Out- and in-neighbour rows in compressed sparse row form, both sorted
-/// ascending within a row.
+/// ascending within a row, and on dense graphs the same rows as bitsets.
 #[derive(Debug)]
 struct Csr {
     out_off: Vec<usize>,
     out_adj: Vec<u32>,
     in_off: Vec<usize>,
     in_adj: Vec<u32>,
+    /// `u64` words per bit row; 0 when the rows are scanned entry by entry.
+    words: usize,
+    /// Bit `y` of row `x` is set iff `(x, y)` is an edge (`words` per row).
+    out_bits: Vec<u64>,
+    /// Bit `z` of row `x` is set iff `(z, x)` is an edge (`words` per row).
+    in_bits: Vec<u64>,
 }
 
 impl Csr {
-    fn new(g: &DiGraph) -> Self {
+    fn new(g: &DiGraph, bit_rows: bool) -> Self {
         let n = g.node_count();
         let mut out_off = Vec::with_capacity(n + 1);
         let mut out_adj = Vec::with_capacity(g.edge_count());
@@ -118,11 +161,23 @@ impl Csr {
             in_adj[fill[y as usize]] = x;
             fill[y as usize] += 1;
         }
+        let words = if bit_rows { n.div_ceil(64) } else { 0 };
+        let mut out_bits = vec![0u64; n * words];
+        let mut in_bits = vec![0u64; n * words];
+        if words > 0 {
+            for (x, y) in g.edges() {
+                set_bit(&mut out_bits[x as usize * words..], y);
+                set_bit(&mut in_bits[y as usize * words..], x);
+            }
+        }
         Csr {
             out_off,
             out_adj,
             in_off,
             in_adj,
+            words,
+            out_bits,
+            in_bits,
         }
     }
 
@@ -134,6 +189,57 @@ impl Csr {
     #[inline]
     fn in_row(&self, x: u32) -> &[u32] {
         &self.in_adj[self.in_off[x as usize]..self.in_off[x as usize + 1]]
+    }
+
+    #[inline]
+    fn out_bits(&self, x: u32) -> &[u64] {
+        &self.out_bits[x as usize * self.words..][..self.words]
+    }
+
+    #[inline]
+    fn in_bits(&self, x: u32) -> &[u64] {
+        &self.in_bits[x as usize * self.words..][..self.words]
+    }
+}
+
+/// Sets bit `x` of `bits`.
+#[inline]
+fn set_bit(bits: &mut [u64], x: u32) {
+    bits[x as usize / 64] |= 1 << (x % 64);
+}
+
+/// Clears bit `x` of `bits`.
+#[inline]
+fn clear_bit(bits: &mut [u64], x: u32) {
+    bits[x as usize / 64] &= !(1 << (x % 64));
+}
+
+/// The first vertex `y ≥ from` whose bit is set in both `row` and `alive`.
+#[inline]
+fn first_common(row: &[u64], alive: &[u64], from: usize) -> Option<u32> {
+    let mut i = from / 64;
+    let mut word = row.get(i)? & alive[i] & (!0 << (from % 64));
+    while word == 0 {
+        i += 1;
+        word = row.get(i)? & alive[i];
+    }
+    Some((i * 64) as u32 + word.trailing_zeros())
+}
+
+/// Where the `in_alive` bitset of even level `level` sits.
+#[inline]
+fn alive_words(words: usize, level: u32) -> Range<usize> {
+    let start = (level / 2) as usize * words;
+    start..start + words
+}
+
+/// Drops copy `a` from the level graph: unlabels it and, with bit rows
+/// (`BITS`), clears an in-copy's bit in the `in_alive` set of its level.
+#[inline]
+fn unlabel<const BITS: bool>(level: &mut [u32], in_alive: &mut [u64], words: usize, a: u32) {
+    let at = std::mem::replace(&mut level[a as usize], NONE);
+    if BITS && a & 1 == 0 && at != NONE {
+        clear_bit(&mut in_alive[alive_words(words, at)], a >> 1);
     }
 }
 
@@ -171,8 +277,16 @@ pub struct VertexFlow {
     /// Residual distance to the sink in the current phase, indexed by copy
     /// id; the DFS clears entries as copies die.
     level: Vec<u32>,
-    /// Current-arc pointer into the out-row, per vertex (out-copies only).
+    /// Current-arc pointer per vertex (out-copies only): an index into the
+    /// out-row, or with bit rows the vertex id the bit scan resumes at.
     cur: Vec<usize>,
+    /// With bit rows, the out-copies labelled this phase (bit `z` for
+    /// `z''`), cleared as each BFS starts; empty otherwise.
+    out_seen: Vec<u64>,
+    /// With bit rows, one bitset per even level `L`: bit `y` of bitset
+    /// `L / 2` is set while `y'` is labelled `L` and alive. Grows to the
+    /// deepest level any phase reaches; empty without bit rows.
+    in_alive: Vec<u64>,
     /// BFS queue; doubles as the list of labelled copies to unlabel.
     queue: Vec<u32>,
     /// The DFS's partial path, as copy ids starting at the source.
@@ -180,25 +294,36 @@ pub struct VertexFlow {
 }
 
 impl VertexFlow {
-    /// Builds the kernel for `g`: one `O(n + m)` pass to lay out the rows.
+    /// Builds the kernel for `g`: one `O(n + m)` pass to lay out the rows,
+    /// plus bit rows when `g` is dense enough for them (module docs).
     ///
     /// # Panics
     ///
     /// Panics if `g` has more than `u32::MAX / 2` vertices (copy ids must
     /// fit a `u32`).
     pub fn new(g: &DiGraph) -> Self {
+        Self::with_row_form(g, wants_bit_rows(g.node_count(), g.edge_count()))
+    }
+
+    /// [`Self::new`] with the row form chosen by the caller; tests use it
+    /// to run one graph under both forms.
+    fn with_row_form(g: &DiGraph, bit_rows: bool) -> Self {
         let n = g.node_count();
         assert!(
             n <= (u32::MAX / 2) as usize,
             "graph too large for u32 copy ids"
         );
+        let csr = Csr::new(g, bit_rows);
+        let words = csr.words;
         VertexFlow {
-            csr: Arc::new(Csr::new(g)),
+            csr: Arc::new(csr),
             pred: vec![NONE; n],
             succ: vec![NONE; n],
             touched: Vec::new(),
             level: vec![NONE; 2 * n],
             cur: vec![0; n],
+            out_seen: vec![0; words],
+            in_alive: vec![0; words],
             queue: Vec::new(),
             path: Vec::new(),
         }
@@ -346,20 +471,34 @@ impl VertexFlow {
         // Every path leaves v over its own edge and enters w over its own.
         let bound = self.csr.out_row(v).len().min(self.csr.in_row(w).len()) as u64;
         let stop = cutoff.map_or(bound, |c| c.min(bound));
+        // One copy of the phase loop per row form, so the entry scan
+        // carries no bit-row branch.
+        Some(if self.csr.words > 0 {
+            self.phases::<true>(v, w, stop)
+        } else {
+            self.phases::<false>(v, w, stop)
+        })
+    }
+
+    /// Dinic phases until `stop` units are routed or a BFS fails; `BITS`
+    /// says whether the CSR has bit rows.
+    fn phases<const BITS: bool>(&mut self, v: u32, w: u32, stop: u64) -> u64 {
         let mut flow = 0;
         while flow < stop {
-            let reached = self.label_from_sink(v, w);
+            let reached = self.label_from_sink::<BITS>(v, w);
             if reached {
-                flow += self.blocking_flow(v, w, stop - flow);
+                let sent = self.blocking_flow::<BITS>(v, w, stop - flow);
+                debug_assert!(sent > 0, "a phase that reached the source routed nothing");
+                flow += sent;
             }
             for &a in &self.queue {
-                self.level[a as usize] = NONE;
+                unlabel::<BITS>(&mut self.level, &mut self.in_alive, self.csr.words, a);
             }
             if !reached {
                 break;
             }
         }
-        Some(flow)
+        flow
     }
 
     /// Clears the flow [`Self::route`] left behind, in `O(vertices touched)`.
@@ -376,33 +515,54 @@ impl VertexFlow {
     /// is labelled (`true`) or every copy that reaches the sink is
     /// (`false`). Resets `cur` of each labelled out-copy and leaves every
     /// labelled copy in `queue`.
-    fn label_from_sink(&mut self, v: u32, w: u32) -> bool {
+    fn label_from_sink<const BITS: bool>(&mut self, v: u32, w: u32) -> bool {
         let VertexFlow {
             csr,
             pred,
             succ,
             level,
             cur,
+            out_seen,
+            in_alive,
             queue,
             ..
         } = self;
-        let mut label_out = |z: u32, at: u32, level: &mut [u32], queue: &mut Vec<u32>| {
-            let b = out_copy(z);
-            if level[b as usize] == NONE {
-                level[b as usize] = at;
-                cur[z as usize] = 0;
-                queue.push(b);
+        let words = csr.words;
+        let mut label_out =
+            |z: u32, at: u32, level: &mut [u32], out_seen: &mut [u64], queue: &mut Vec<u32>| {
+                let b = out_copy(z);
+                if level[b as usize] == NONE {
+                    level[b as usize] = at;
+                    cur[z as usize] = 0;
+                    if BITS {
+                        set_bit(out_seen, z);
+                    }
+                    queue.push(b);
+                }
+            };
+        // In-copies sit at even levels only (module docs), each in the
+        // `in_alive` bitset of its level.
+        let mut label_in = |a: u32, at: u32, level: &mut [u32], queue: &mut Vec<u32>| {
+            if level[a as usize] == NONE {
+                level[a as usize] = at;
+                queue.push(a);
+                if BITS {
+                    let bits = alive_words(words, at);
+                    if in_alive.len() < bits.end {
+                        in_alive.resize(bits.end, 0);
+                    }
+                    set_bit(&mut in_alive[bits], a >> 1);
+                }
             }
         };
-        let t = in_copy(w);
         queue.clear();
-        level[t as usize] = 0;
-        queue.push(t);
+        out_seen.fill(0);
+        label_in(in_copy(w), 0, level, queue);
         // Into the sink: edges (z, w) without flow, i.e. succ[z] != w. The
         // source is not among them — the pair is non-adjacent.
         for &z in csr.in_row(w) {
             if succ[z as usize] != w {
-                label_out(z, 1, level, queue);
+                label_out(z, 1, level, out_seen, queue);
             }
         }
         let mut head = 1;
@@ -417,26 +577,38 @@ impl VertexFlow {
                     NONE => b & !1,
                     y => in_copy(y),
                 };
-                if level[a as usize] == NONE {
-                    level[a as usize] = next;
-                    queue.push(a);
-                }
+                label_in(a, next, level, queue);
                 continue;
             }
             // Edge arcs from every in-neighbour but the one feeding x's
-            // unit (for the source: pred[x] == v iff edge (v, x) is used),
-            // and the reversed internal arc while x carries a unit.
-            let feeder = pred[x as usize];
-            for &z in csr.in_row(x) {
-                if z != feeder {
-                    label_out(z, next, level, queue);
+            // unit, and the reversed internal arc while x carries a unit.
+            // The feeder needs no test: pred[x]'' is the one residual
+            // successor of x', so x' was labelled from it and it is labelled
+            // already (and for pred[x] == v the BFS has returned).
+            if BITS {
+                // Only the in-neighbours whose out-copy is still unlabelled,
+                // in ascending id like the row.
+                for (i, &edges) in csr.in_bits(x).iter().enumerate() {
+                    let mut fresh = edges & !out_seen[i];
+                    while fresh != 0 {
+                        let z = (i * 64) as u32 + fresh.trailing_zeros();
+                        fresh &= fresh - 1;
+                        label_out(z, next, level, out_seen, queue);
+                        if z == v {
+                            return true;
+                        }
+                    }
+                }
+            } else {
+                for &z in csr.in_row(x) {
+                    label_out(z, next, level, out_seen, queue);
                     if z == v {
                         return true;
                     }
                 }
             }
-            if feeder != NONE {
-                label_out(x, next, level, queue);
+            if pred[x as usize] != NONE {
+                label_out(x, next, level, out_seen, queue);
             }
         }
         false
@@ -444,7 +616,7 @@ impl VertexFlow {
 
     /// Routes up to `budget` units along arcs that step one nearer the sink
     /// and returns how many it routed (at least one after a successful BFS).
-    fn blocking_flow(&mut self, v: u32, w: u32, budget: u64) -> u64 {
+    fn blocking_flow<const BITS: bool>(&mut self, v: u32, w: u32, budget: u64) -> u64 {
         let VertexFlow {
             csr,
             pred,
@@ -452,9 +624,11 @@ impl VertexFlow {
             touched,
             level,
             cur,
+            in_alive,
             path,
             ..
         } = self;
+        let words = csr.words;
         let (s, t) = (out_copy(v), in_copy(w));
         let mut sent = 0;
         path.clear();
@@ -487,7 +661,7 @@ impl VertexFlow {
                 // each interior copy: none can carry a second path this
                 // phase.
                 for &b in &path[1..path.len() - 1] {
-                    level[b as usize] = NONE;
+                    unlabel::<BITS>(level, in_alive, words, b);
                 }
                 sent += 1;
                 if sent == budget {
@@ -503,21 +677,33 @@ impl VertexFlow {
                 let b = sole_exit(pred, a);
                 (level[b as usize] == next).then_some(b)
             } else {
-                // Edges out of the source onto labelled copies are residual:
-                // y' with pred[y] == v leaves only to the source, and the BFS
-                // stops before expanding it. Elsewhere the used edge is
-                // succ[x].
-                let row = csr.out_row(x);
-                let used = succ[x as usize];
+                // Every edge onto a copy one nearer the sink is residual. A
+                // used edge's head (succ[x]', or y' with pred[y] == v out of
+                // the source) leaves only back to x'', so it is labelled one
+                // farther from the sink than x'' or not at all; and x'' with
+                // succ[x] == w has no arc into the sink, so it sits at
+                // distance 3 or more.
                 let at = &mut cur[x as usize];
-                while *at < row.len()
-                    && (level[in_copy(row[*at]) as usize] != next || row[*at] == used)
-                {
-                    *at += 1;
-                }
-                match row.get(*at) {
-                    Some(&y) => Some(in_copy(y)),
-                    None => (used != NONE && level[(a & !1) as usize] == next).then_some(a & !1),
+                let found = if BITS {
+                    let alive = &in_alive[alive_words(words, next)];
+                    let y = first_common(csr.out_bits(x), alive, *at);
+                    debug_assert!(
+                        y.is_none_or(|y| level[in_copy(y) as usize] == next),
+                        "in_alive out of step with level"
+                    );
+                    *at = y.map_or(words * 64, |y| y as usize);
+                    y
+                } else {
+                    let row = csr.out_row(x);
+                    while *at < row.len() && level[in_copy(row[*at]) as usize] != next {
+                        *at += 1;
+                    }
+                    row.get(*at).copied()
+                };
+                match found {
+                    Some(y) => Some(in_copy(y)),
+                    None => (succ[x as usize] != NONE && level[(a & !1) as usize] == next)
+                        .then_some(a & !1),
                 }
             };
             match step {
@@ -525,7 +711,7 @@ impl VertexFlow {
                 None => {
                     // Dead end: drop it from the level graph; the parent's
                     // scan skips it from now on.
-                    level[a as usize] = NONE;
+                    unlabel::<BITS>(level, in_alive, words, a);
                     path.pop();
                 }
             }
@@ -537,7 +723,7 @@ impl VertexFlow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{bidirected_cycle, complete, cycle, gnp, paper_figure1};
+    use crate::generators::{bidirected_cycle, complete, cycle, gnp, paper_figure1, random_k_out};
     use crate::witness::{cut_disconnects, validate_disjoint_paths};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -547,16 +733,81 @@ mod tests {
         assert!(kernel.succ.iter().all(|&s| s == NONE));
         assert!(kernel.level.iter().all(|&l| l == NONE));
         assert!(kernel.touched.is_empty());
+        assert!(kernel.in_alive.iter().all(|&word| word == 0));
+    }
+
+    /// The vertices whose bits are set in `bits`, ascending.
+    fn members(bits: &[u64]) -> Vec<u32> {
+        (0..bits.len() as u32 * 64)
+            .filter(|&x| bits[x as usize / 64] >> (x % 64) & 1 == 1)
+            .collect()
     }
 
     #[test]
     fn csr_rows_mirror_the_graph() {
-        let g = paper_figure1();
-        let csr = Csr::new(&g);
-        let reverse = g.reverse();
-        for x in 0..g.node_count() as u32 {
-            assert_eq!(csr.out_row(x), g.out_neighbors(x));
-            assert_eq!(csr.in_row(x), reverse.out_neighbors(x));
+        let mut rng = SmallRng::seed_from_u64(70);
+        for g in [paper_figure1(), gnp(70, 0.3, &mut rng)] {
+            let csr = Csr::new(&g, true);
+            assert_eq!(csr.words, g.node_count().div_ceil(64));
+            let reverse = g.reverse();
+            for x in 0..g.node_count() as u32 {
+                assert_eq!(csr.out_row(x), g.out_neighbors(x));
+                assert_eq!(csr.in_row(x), reverse.out_neighbors(x));
+                assert_eq!(members(csr.out_bits(x)), csr.out_row(x));
+                assert_eq!(members(csr.in_bits(x)), csr.in_row(x));
+            }
+            let entries = Csr::new(&g, false);
+            assert_eq!(entries.words, 0);
+            assert!(entries.out_bits.is_empty() && entries.in_bits.is_empty());
+        }
+    }
+
+    #[test]
+    fn row_form_follows_the_density_rule() {
+        // m ≥ 2·n·⌈n/64⌉: a ring of 200 has m = 400 < 1,600, the dense
+        // gnp about 2,480 ≥ 120, and the rule's edge sits at n = 64.
+        let form = |g: &DiGraph| VertexFlow::new(g).csr.words > 0;
+        assert!(!form(&bidirected_cycle(200)));
+        assert!(form(&gnp(60, 0.7, &mut SmallRng::seed_from_u64(60))));
+        assert!(form(&bidirected_cycle(64)));
+        assert!(!form(&bidirected_cycle(65)));
+        assert!(!form(&cycle(40)));
+    }
+
+    #[test]
+    fn bit_rows_route_like_entry_rows() {
+        // Sparse and deep graphs the density rule leaves on the entry
+        // scan, forced onto bit rows, and dense ones forced the other way:
+        // values, cutoffs, paths and cuts agree pair by pair.
+        let mut rng = SmallRng::seed_from_u64(41);
+        let graphs = [
+            paper_figure1(),
+            bidirected_cycle(70),
+            cycle(9),
+            gnp(70, 0.04, &mut rng),
+            gnp(30, 0.15, &mut rng),
+            gnp(66, 0.5, &mut rng),
+            random_k_out(80, 3, &mut rng),
+        ];
+        for g in &graphs {
+            let n = g.node_count() as u32;
+            let mut bits = VertexFlow::with_row_form(g, true);
+            let mut entries = VertexFlow::with_row_form(g, false);
+            for v in 0..n {
+                for w in 0..n {
+                    for cutoff in [None, Some(1), Some(3)] {
+                        assert_eq!(
+                            bits.connectivity(v, w, cutoff),
+                            entries.connectivity(v, w, cutoff),
+                            "({v}, {w}) cutoff {cutoff:?}"
+                        );
+                    }
+                    assert_eq!(bits.paths(v, w), entries.paths(v, w), "({v}, {w})");
+                    assert_eq!(bits.min_cut(v, w), entries.min_cut(v, w), "({v}, {w})");
+                }
+            }
+            assert_clean(&bits);
+            assert_clean(&entries);
         }
     }
 
@@ -770,11 +1021,12 @@ mod tests {
     }
 
     /// Folds `paths` and `min_cut` of every ordered pair of `g`, in pair
-    /// order, into one FNV-1a digest. Each path and cut is prefixed by
-    /// its length; equal and adjacent pairs fold a `u32::MAX` marker.
-    fn witness_digest(g: &DiGraph) -> u64 {
+    /// order, into one FNV-1a digest, with bit rows or entry rows. Each
+    /// path and cut is prefixed by its length; equal and adjacent pairs
+    /// fold a `u32::MAX` marker.
+    fn witness_digest(g: &DiGraph, bit_rows: bool) -> u64 {
         let n = g.node_count() as u32;
-        let mut kernel = VertexFlow::new(g);
+        let mut kernel = VertexFlow::with_row_form(g, bit_rows);
         let mut hash = 0xcbf2_9ce4_8422_2325;
         for v in 0..n {
             for w in 0..n {
@@ -799,11 +1051,14 @@ mod tests {
     fn witnesses_are_pinned_pair_by_pair() {
         // Which maximum flow the kernel routes decides which Menger paths
         // come back; these digests pin that choice on a sparse graph and
-        // on a dense one shaped like the n = 75 defense overlays.
+        // on a dense one shaped like the n = 75 defense overlays, under
+        // both row forms.
         let sparse = gnp(40, 0.3, &mut SmallRng::seed_from_u64(40));
         let dense = gnp(60, 0.7, &mut SmallRng::seed_from_u64(60));
-        assert_eq!(witness_digest(&sparse), 0xe589_d0b1_f315_77f0);
-        assert_eq!(witness_digest(&dense), 0x230c_feb7_c33f_6243);
+        for bit_rows in [true, false] {
+            assert_eq!(witness_digest(&sparse, bit_rows), 0xe589_d0b1_f315_77f0);
+            assert_eq!(witness_digest(&dense, bit_rows), 0x230c_feb7_c33f_6243);
+        }
     }
 
     #[test]

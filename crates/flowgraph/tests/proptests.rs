@@ -61,6 +61,19 @@ fn kernel_graphs(max_n: usize, max_sparse: usize) -> impl Strategy<Value = DiGra
     })
 }
 
+/// `g` plus isolated vertices until it falls below the kernel's density
+/// rule for bit rows (`m ≥ 2·n·⌈n/64⌉`), so its kernel scans rows entry by
+/// entry. Isolated vertices lie on no path and keep every id of `g`, so
+/// each pair of `g` keeps its κ, paths and cut.
+fn padded_below_bit_rule(g: &DiGraph) -> DiGraph {
+    let m = g.edge_count();
+    let mut n = g.node_count();
+    while m >= 2 * n * n.div_ceil(64) {
+        n += 1;
+    }
+    DiGraph::from_edges(n, g.edges())
+}
+
 /// What `v` still reaches in `g` once `removed` is gone.
 fn source_side(g: &DiGraph, v: u32, removed: &[u32]) -> Vec<bool> {
     let mut blocked = vec![false; g.node_count()];
@@ -431,5 +444,65 @@ proptest! {
         prop_assert!(!h.has_edge(u, v));
         h.add_edge(u, v);
         prop_assert_eq!(h, g);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The kernel's two row forms route like push-relabel pair by pair.
+    /// `gnp` with p from 0.05 to 0.9 and `random_k_out` with k from 1 to 5,
+    /// at n up to 72 (one- and two-word bit rows), land on both sides of
+    /// the density rule, so the graph's own kernel scans bit rows or
+    /// entries; the padded copy always scans entries. Both answer like the
+    /// oracle with and without a cutoff, fresh per pair, reused across the
+    /// sweep, and as clones taken mid-sweep, and return the same paths and
+    /// cut.
+    #[test]
+    fn kernel_row_forms_match_push_relabel(
+        family in 0u8..2,
+        n in 6usize..=72,
+        seed in any::<u64>(),
+        cutoff in 1u64..6,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let g = match family {
+            0 => generators::gnp(n, 0.05 + 0.85 * (seed % 101) as f64 / 100.0, &mut rng),
+            _ => generators::random_k_out(n, 1 + (seed % 5) as usize, &mut rng),
+        };
+        let padded = padded_below_bit_rule(&g);
+        let mut own = VertexFlow::new(&g);
+        let mut entries = VertexFlow::new(&padded);
+        let mut oracle = EvenNetwork::from_graph(&g);
+        let mut ws = FlowWorkspace::new();
+        let mut clones: Option<(VertexFlow, VertexFlow)> = None;
+        let n = n as u32;
+        for v in 0..n {
+            for w in 0..n {
+                let exact = oracle.vertex_connectivity_with(&PushRelabel::new(), v, w, None, &mut ws);
+                let bounded = exact.map(|kappa| kappa.min(cutoff));
+                for (c, want) in [(None, exact), (Some(cutoff), bounded)] {
+                    prop_assert_eq!(own.connectivity(v, w, c), want, "reused ({}, {}) {:?}", v, w, c);
+                    prop_assert_eq!(entries.connectivity(v, w, c), want, "reused padded ({}, {}) {:?}", v, w, c);
+                }
+                let c = (w % 2 == 0).then_some(cutoff);
+                let want = if c.is_some() { bounded } else { exact };
+                prop_assert_eq!(VertexFlow::new(&g).connectivity(v, w, c), want, "fresh ({}, {})", v, w);
+                prop_assert_eq!(VertexFlow::new(&padded).connectivity(v, w, c), want, "fresh padded ({}, {})", v, w);
+                if v == n / 2 && w == 0 {
+                    clones = Some((own.clone(), entries.clone()));
+                }
+                if let Some((own_clone, entries_clone)) = clones.as_mut() {
+                    // A different pair first: state shared with the
+                    // original would show in the next answer.
+                    own_clone.connectivity(w, v, None);
+                    entries_clone.connectivity(w, v, Some(cutoff));
+                    prop_assert_eq!(own_clone.connectivity(v, w, c), want, "clone ({}, {})", v, w);
+                    prop_assert_eq!(entries_clone.connectivity(v, w, c), want, "clone padded ({}, {})", v, w);
+                }
+                prop_assert_eq!(own.paths(v, w), entries.paths(v, w), "paths ({}, {})", v, w);
+                prop_assert_eq!(own.min_cut(v, w), entries.min_cut(v, w), "cut ({}, {})", v, w);
+            }
+        }
     }
 }
