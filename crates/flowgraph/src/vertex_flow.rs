@@ -67,6 +67,10 @@
 //! it pays only where rows are long. Bit rows are built when
 //! `m ≥ 2·n·⌈n/64⌉`, i.e. when a mean row has at least twice as many
 //! entries as a bit row has words; sparser graphs keep the entry scan.
+//! The factor 2 is measured: on overlays with 2.2 or more entries per word
+//! no flow timing got slower on bit rows beyond noise, and at 1.26 or less
+//! (the 10,000-vertex overlay, a k = 5 one of 2,500 vertices) every one
+//! did, by 5–29 % (`docs/DESIGN.md`, "Where the rule sits").
 //! Under that rule the two bit rows per vertex (`16·n·⌈n/64⌉` bytes) cost
 //! at most the `8m` bytes of the CSR's own adjacency arrays.
 //!

@@ -280,19 +280,26 @@ proptest! {
     }
 
     /// The unit-vertex kernel equals push-relabel on the explicit network
-    /// pair by pair, and agrees with it on which pairs are undefined
-    /// (adjacent or equal).
+    /// pair by pair, with and without a cutoff, and agrees with it on which
+    /// pairs are undefined (adjacent or equal). Graphs reach 72 vertices
+    /// (two-word bit rows) and straddle the kernel's density rule; each
+    /// also runs padded below it, so every graph is answered by the entry
+    /// scan and, when dense, by the bit scan too.
     #[test]
-    fn kernel_matches_explicit_solvers(g in arb_kernel_graph()) {
-        let mut kernel = VertexFlow::new(&g);
+    fn kernel_matches_explicit_solvers(g in kernel_graphs(72, 12), cutoff in 1u64..6) {
+        let mut kernels = [VertexFlow::new(&g), VertexFlow::new(&padded_below_bit_rule(&g))];
         let mut even = EvenNetwork::from_graph(&g);
         let mut ws = FlowWorkspace::new();
         for v in 0..g.node_count() as u32 {
             for w in 0..g.node_count() as u32 {
-                let got = kernel.connectivity(v, w, None);
-                prop_assert_eq!(got.is_none(), v == w || g.has_edge(v, w));
                 let pr = even.vertex_connectivity_with(&PushRelabel::new(), v, w, None, &mut ws);
-                prop_assert_eq!(got, pr, "kernel vs push-relabel ({}, {})", v, w);
+                prop_assert_eq!(pr.is_none(), v == w || g.has_edge(v, w));
+                for (kernel, padded) in kernels.iter_mut().zip([false, true]) {
+                    let got = kernel.connectivity(v, w, None);
+                    prop_assert_eq!(got, pr, "kernel (padded: {}) vs push-relabel ({}, {})", padded, v, w);
+                    let bounded = kernel.connectivity(v, w, Some(cutoff));
+                    prop_assert_eq!(bounded, pr.map(|k| k.min(cutoff)), "cutoff {} (padded: {}) ({}, {})", cutoff, padded, v, w);
+                }
             }
         }
     }
@@ -384,27 +391,36 @@ proptest! {
     /// One kernel swept over pairs in an arbitrary order, with and without
     /// cutoffs, answers like a fresh kernel per pair; a clone taken
     /// mid-sweep and the original then run independently of each other.
+    /// The padded copy (entry scan) is held to the same answers, fresh,
+    /// reused and cloned.
     #[test]
     fn kernel_reuse_and_clones_match_fresh(
-        g in arb_kernel_graph(),
-        order in proptest::collection::vec((0u32..26, 0u32..26, 0u64..6), 1..60),
+        g in kernel_graphs(72, 12),
+        order in proptest::collection::vec((0u32..80, 0u32..80, 0u64..6), 1..60),
     ) {
         let n = g.node_count() as u32;
-        let mut reused = VertexFlow::new(&g);
-        let mut cloned = None;
+        let sparse = padded_below_bit_rule(&g);
+        let mut reused = [VertexFlow::new(&g), VertexFlow::new(&sparse)];
+        let mut cloned: Option<[VertexFlow; 2]> = None;
         for (i, (v, w, c)) in order.iter().map(|&(v, w, c)| (v % n, w % n, c)).enumerate() {
             // 0 stands for "no cutoff".
             let cutoff = (c > 0).then_some(c);
             let fresh = VertexFlow::new(&g).connectivity(v, w, cutoff);
-            prop_assert_eq!(reused.connectivity(v, w, cutoff), fresh, "reused ({}, {})", v, w);
+            let fresh_padded = VertexFlow::new(&sparse).connectivity(v, w, cutoff);
+            prop_assert_eq!(fresh_padded, fresh, "fresh padded ({}, {})", v, w);
+            for (kernel, padded) in reused.iter_mut().zip([false, true]) {
+                let got = kernel.connectivity(v, w, cutoff);
+                prop_assert_eq!(got, fresh, "reused (padded: {}) ({}, {})", padded, v, w);
+            }
             if i == order.len() / 2 {
                 cloned = Some(reused.clone());
             }
-            if let Some(clone) = cloned.as_mut() {
+            for (clone, padded) in cloned.iter_mut().flatten().zip([false, true]) {
                 // Run the clone on a different pair first: shared state
                 // would show up in the original's next answer.
                 clone.connectivity(w, v, None);
-                prop_assert_eq!(clone.connectivity(v, w, cutoff), fresh, "clone ({}, {})", v, w);
+                let got = clone.connectivity(v, w, cutoff);
+                prop_assert_eq!(got, fresh, "clone (padded: {}) ({}, {})", padded, v, w);
             }
         }
     }
@@ -444,65 +460,5 @@ proptest! {
         prop_assert!(!h.has_edge(u, v));
         h.add_edge(u, v);
         prop_assert_eq!(h, g);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The kernel's two row forms route like push-relabel pair by pair.
-    /// `gnp` with p from 0.05 to 0.9 and `random_k_out` with k from 1 to 5,
-    /// at n up to 72 (one- and two-word bit rows), land on both sides of
-    /// the density rule, so the graph's own kernel scans bit rows or
-    /// entries; the padded copy always scans entries. Both answer like the
-    /// oracle with and without a cutoff, fresh per pair, reused across the
-    /// sweep, and as clones taken mid-sweep, and return the same paths and
-    /// cut.
-    #[test]
-    fn kernel_row_forms_match_push_relabel(
-        family in 0u8..2,
-        n in 6usize..=72,
-        seed in any::<u64>(),
-        cutoff in 1u64..6,
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let g = match family {
-            0 => generators::gnp(n, 0.05 + 0.85 * (seed % 101) as f64 / 100.0, &mut rng),
-            _ => generators::random_k_out(n, 1 + (seed % 5) as usize, &mut rng),
-        };
-        let padded = padded_below_bit_rule(&g);
-        let mut own = VertexFlow::new(&g);
-        let mut entries = VertexFlow::new(&padded);
-        let mut oracle = EvenNetwork::from_graph(&g);
-        let mut ws = FlowWorkspace::new();
-        let mut clones: Option<(VertexFlow, VertexFlow)> = None;
-        let n = n as u32;
-        for v in 0..n {
-            for w in 0..n {
-                let exact = oracle.vertex_connectivity_with(&PushRelabel::new(), v, w, None, &mut ws);
-                let bounded = exact.map(|kappa| kappa.min(cutoff));
-                for (c, want) in [(None, exact), (Some(cutoff), bounded)] {
-                    prop_assert_eq!(own.connectivity(v, w, c), want, "reused ({}, {}) {:?}", v, w, c);
-                    prop_assert_eq!(entries.connectivity(v, w, c), want, "reused padded ({}, {}) {:?}", v, w, c);
-                }
-                let c = (w % 2 == 0).then_some(cutoff);
-                let want = if c.is_some() { bounded } else { exact };
-                prop_assert_eq!(VertexFlow::new(&g).connectivity(v, w, c), want, "fresh ({}, {})", v, w);
-                prop_assert_eq!(VertexFlow::new(&padded).connectivity(v, w, c), want, "fresh padded ({}, {})", v, w);
-                if v == n / 2 && w == 0 {
-                    clones = Some((own.clone(), entries.clone()));
-                }
-                if let Some((own_clone, entries_clone)) = clones.as_mut() {
-                    // A different pair first: state shared with the
-                    // original would show in the next answer.
-                    own_clone.connectivity(w, v, None);
-                    entries_clone.connectivity(w, v, Some(cutoff));
-                    prop_assert_eq!(own_clone.connectivity(v, w, c), want, "clone ({}, {})", v, w);
-                    prop_assert_eq!(entries_clone.connectivity(v, w, c), want, "clone padded ({}, {})", v, w);
-                }
-                prop_assert_eq!(own.paths(v, w), entries.paths(v, w), "paths ({}, {})", v, w);
-                prop_assert_eq!(own.min_cut(v, w), entries.min_cut(v, w), "cut ({}, {})", v, w);
-            }
-        }
     }
 }
