@@ -74,8 +74,9 @@ pub struct AnalysisConfig {
     /// Run the pair flows on the unit-vertex kernel
     /// (`flowgraph::vertex_flow::VertexFlow`): unit-capacity Dinic on the
     /// implicit Even network, straight over the graph's CSR rows, with one
-    /// sink-rooted BFS per phase (it labels residual distances to the sink
-    /// and stops at the source) and a `min(outdeg, indeg)` early exit. Values are exact either way — this
+    /// two-sided search per phase (it labels the copies on shortest
+    /// residual paths with their distance to the sink) and a
+    /// `min(outdeg, indeg)` early exit. Values are exact either way — this
     /// is purely a speed lever, enabled by default. `false` runs the
     /// push-relabel oracle on the explicit Even network instead: the
     /// measurement baseline and an independent check.

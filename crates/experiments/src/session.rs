@@ -803,10 +803,10 @@ pub struct LiveKappaActor {
 pub const SAMPLED_KAPPA_MIN_NODES: usize = 1_000;
 
 /// Per-minute pair budget of the live sampled feed. Deliberately far
-/// below [`SampledKappaConfig::default`]'s offline budget: the feed runs
-/// every simulated minute, and a couple hundred max-flows bound its cost
-/// to the same order as the minimum-only sweep it replaces at n=1k while
-/// staying flat through n=10k.
+/// below [`kad_resilience::SampledKappaConfig::default`]'s offline
+/// budget: the feed runs every simulated minute, and a couple hundred
+/// max-flows bound its cost to the same order as the minimum-only sweep
+/// it replaces at n=1k while staying flat through n=10k.
 const LIVE_SAMPLED_PAIRS: usize = 256;
 
 impl LiveKappaActor {

@@ -17,16 +17,25 @@
 //! [`VertexFlow`] runs Dinic phases on that implicit network over a CSR
 //! copy of the graph's out- and in-neighbour rows:
 //!
-//! 1. **Sink-rooted BFS.** Labelling walks residual arcs backwards from
-//!    the sink `w'`, so each label is a copy's residual distance *to* the
-//!    sink, and returns the moment the source `v''` is labelled. Every copy
-//!    nearer the sink is labelled by then, which is all the blocking flow
-//!    reads; on overlay graphs (sink two or three hops away) that is a few
-//!    rows, not the whole network. The residual in-arcs come off the
-//!    in-rows: `x''` has one, from `x'` while `x` is idle and from
-//!    `succ[x]'` otherwise; `x'` has one from `z''` for every in-neighbour
-//!    `z ≠ pred[x]`, plus one from `x''` while `x` carries a unit; the sink
-//!    has one from `z''` for every in-neighbour with `succ[z] ≠ w`.
+//! 1. **Two-sided search.** One level-synchronous search grows layers from
+//!    both ends: backward from the sink `w'` (layer `B_j` holds the copies
+//!    at residual distance `j` *to* the sink, labelled `j`) and forward
+//!    from the source `v''` (layer `F_i` at distance `i` from it, marked in
+//!    a second array). Each round grows the side with the smaller frontier,
+//!    until an arc leaves `F_a` into `B_b`: shortest paths have
+//!    `len = a + b + 1` arcs. A walk back over `F_a..F_0` then labels each
+//!    forward copy with an arc into a copy labelled `len − i − 1`, so
+//!    every copy on a shortest `v'' → w'` path carries its exact distance
+//!    to the sink. Copies on no shortest path may stay unlabelled: the DFS
+//!    never reads them (step 2), so it routes the paths a full labelling
+//!    would give. Both balls stop at the middle; on overlay graphs, where
+//!    a sink-rooted search alone labels most of the network before it
+//!    reaches `v''`, that is a few hundred copies. The backward step reads
+//!    the in-rows: `x''` has one residual in-arc, from `x'` while idle and
+//!    from `succ[x]'` otherwise; `x'` has one from `z''` for every
+//!    in-neighbour `z ≠ pred[x]`, plus one from `x''` while `x` carries a
+//!    unit; the sink has one from `z''` for every in-neighbour with
+//!    `succ[z] ≠ w`. The forward step reads the residual out-arcs above.
 //! 2. **Unit blocking flow.** The DFS from `v''` steps only along arcs one
 //!    nearer the sink, so every copy it reaches lies on a shortest residual
 //!    `v'' → w'` path and it never wanders into the part of the network
@@ -36,20 +45,21 @@
 //!
 //! The loop ends when `min(cutoff, outdeg(v), indeg(w))` units are routed
 //! (the degree bound is the capacity of the cuts around `v''` and `w'`, so
-//! a flow meeting it is maximal) or a BFS fails to reach the sink. State is
+//! a flow meeting it is maximal) or a search finds no path. State is
 //! restored in `O(vertices touched)` before returning, so calls are
 //! independent and a clone is always a clean evaluator.
 //!
 //! # Bit rows
 //!
-//! On dense graphs both scans read a row as a bitset, one `u64` word per 64
-//! vertices, instead of entry by entry:
+//! On dense graphs the row scans read a row as a bitset, one `u64` word per
+//! 64 vertices, instead of entry by entry:
 //!
-//! * the BFS expands `x'` with `in_bits(x) & !out_seen`, where `out_seen`
-//!   holds the out-copies labelled so far (the feeder `pred[x]` among
-//!   them: `x'` is labelled from `pred[x]''`);
+//! * the backward step expands `x'` with `in_bits(x) & !out_seen`, where
+//!   `out_seen` holds the out-copies labelled so far (the feeder `pred[x]`
+//!   among them: `x'` is labelled from `pred[x]''`);
 //! * the DFS takes the next candidate out of `x''` from
-//!   `out_bits(x) & in_alive[next / 2]`, starting at bit `cur[x]`.
+//!   `out_bits(x) & in_alive[next / 2]`, starting at bit `cur[x]`, and the
+//!   walk over the forward layers tests an out-copy with the same words.
 //!
 //! One `in_alive` bitset per *even* level is enough: every residual arc
 //! joins an in-copy to an out-copy and the sink `w'` sits at level 0, so
@@ -59,18 +69,18 @@
 //!
 //! The word scans visit new bits in ascending vertex id, which is the
 //! order of the sorted rows, and skip exactly the entries the entry scans
-//! skip. So every label, the queue order, the early exit at `v''`, every
-//! augmenting path and `pred`/`succ` come out identical under both forms,
-//! and so do κ, [`VertexFlow::paths`] and [`VertexFlow::min_cut`].
+//! skip. So every label, every augmenting path and `pred`/`succ` come out
+//! identical under both forms, and so do κ, [`VertexFlow::paths`] and
+//! [`VertexFlow::min_cut`].
 //!
 //! A bit scan costs `⌈n/64⌉` words per row whatever the row's length, so
 //! it pays only where rows are long. Bit rows are built when
 //! `m ≥ 2·n·⌈n/64⌉`, i.e. when a mean row has at least twice as many
 //! entries as a bit row has words; sparser graphs keep the entry scan.
 //! The factor 2 is measured: on overlays with 2.2 or more entries per word
-//! no flow timing got slower on bit rows beyond noise, and at 1.26 or less
-//! (the 10,000-vertex overlay, a k = 5 one of 2,500 vertices) every one
-//! did, by 5–29 % (`docs/DESIGN.md`, "Where the rule sits").
+//! no flow timing is slower on bit rows, while on a k = 5 overlay of 2,500
+//! vertices (1.09 entries per word) the cutoff flow is 16 % slower
+//! (`docs/DESIGN.md`, "Where the rule sits").
 //! Under that rule the two bit rows per vertex (`16·n·⌈n/64⌉` bytes) cost
 //! at most the `8m` bytes of the CSR's own adjacency arrays.
 //!
@@ -285,14 +295,20 @@ pub struct VertexFlow {
     /// out-row, or with bit rows the vertex id the bit scan resumes at.
     cur: Vec<usize>,
     /// With bit rows, the out-copies labelled this phase (bit `z` for
-    /// `z''`), cleared as each BFS starts; empty otherwise.
+    /// `z''`), cleared as each search starts; empty otherwise.
     out_seen: Vec<u64>,
     /// With bit rows, one bitset per even level `L`: bit `y` of bitset
     /// `L / 2` is set while `y'` is labelled `L` and alive. Grows to the
     /// deepest level any phase reaches; empty without bit rows.
     in_alive: Vec<u64>,
-    /// BFS queue; doubles as the list of labelled copies to unlabel.
+    /// Labelled copies in the order they were labelled: the backward
+    /// search's queue, then the list of copies to unlabel.
     queue: Vec<u32>,
+    /// Residual distance from the source, indexed by copy id, for the
+    /// copies the forward search has marked this phase (`NONE`: unmarked).
+    near: Vec<u32>,
+    /// The copies marked in `near`, layer by layer.
+    near_queue: Vec<u32>,
     /// The DFS's partial path, as copy ids starting at the source.
     path: Vec<u32>,
 }
@@ -329,6 +345,8 @@ impl VertexFlow {
             out_seen: vec![0; words],
             in_alive: vec![0; words],
             queue: Vec::new(),
+            near: vec![NONE; 2 * n],
+            near_queue: Vec::with_capacity(2 * n),
             path: Vec::new(),
         }
     }
@@ -484,25 +502,34 @@ impl VertexFlow {
         })
     }
 
-    /// Dinic phases until `stop` units are routed or a BFS fails; `BITS`
-    /// says whether the CSR has bit rows.
+    /// Dinic phases until `stop` units are routed or a search finds no
+    /// path; `BITS` says whether the CSR has bit rows.
     fn phases<const BITS: bool>(&mut self, v: u32, w: u32, stop: u64) -> u64 {
         let mut flow = 0;
         while flow < stop {
-            let reached = self.label_from_sink::<BITS>(v, w);
+            let reached = self.label_level_graph::<BITS>(v, w);
             if reached {
                 let sent = self.blocking_flow::<BITS>(v, w, stop - flow);
                 debug_assert!(sent > 0, "a phase that reached the source routed nothing");
                 flow += sent;
             }
-            for &a in &self.queue {
-                unlabel::<BITS>(&mut self.level, &mut self.in_alive, self.csr.words, a);
-            }
+            self.clear_phase::<BITS>();
             if !reached {
                 break;
             }
         }
         flow
+    }
+
+    /// Clears what a phase's search left: every label and forward mark, in
+    /// `O(copies labelled or marked)`.
+    fn clear_phase<const BITS: bool>(&mut self) {
+        for &a in &self.queue {
+            unlabel::<BITS>(&mut self.level, &mut self.in_alive, self.csr.words, a);
+        }
+        for &c in &self.near_queue {
+            self.near[c as usize] = NONE;
+        }
     }
 
     /// Clears the flow [`Self::route`] left behind, in `O(vertices touched)`.
@@ -514,12 +541,19 @@ impl VertexFlow {
         self.touched.clear();
     }
 
-    /// BFS over residual arcs walked backwards from `w'`, labelling each
-    /// copy with its residual distance to the sink; returns as soon as `v''`
-    /// is labelled (`true`) or every copy that reaches the sink is
-    /// (`false`). Resets `cur` of each labelled out-copy and leaves every
-    /// labelled copy in `queue`.
-    fn label_from_sink<const BITS: bool>(&mut self, v: u32, w: u32) -> bool {
+    /// Labels the phase's level graph by one level-synchronous search from
+    /// both ends and returns whether `v''` is labelled, i.e. whether a
+    /// residual `v'' → w'` path exists.
+    ///
+    /// The backward layers `B_j` (residual distance `j` to `w'`) are
+    /// labelled `j` in `level`; the forward layers `F_i` (distance `i` from
+    /// `v''`) are marked `i` in `near`. Each round grows one side by a
+    /// layer, until an arc leaves `F_a` into `B_b`: shortest paths then
+    /// have `len = a + b + 1` arcs, and a walk back over `F_a..F_0` labels
+    /// the forward copies that lie on one with `len - i`. Resets `cur` of
+    /// each labelled out-copy and leaves every labelled copy in `queue`,
+    /// every marked one in `near_queue`.
+    fn label_level_graph<const BITS: bool>(&mut self, v: u32, w: u32) -> bool {
         let VertexFlow {
             csr,
             pred,
@@ -529,13 +563,17 @@ impl VertexFlow {
             out_seen,
             in_alive,
             queue,
+            near,
+            near_queue,
             ..
         } = self;
         let words = csr.words;
+        // Both return whether the copy was new.
         let mut label_out =
             |z: u32, at: u32, level: &mut [u32], out_seen: &mut [u64], queue: &mut Vec<u32>| {
                 let b = out_copy(z);
-                if level[b as usize] == NONE {
+                let new = level[b as usize] == NONE;
+                if new {
                     level[b as usize] = at;
                     cur[z as usize] = 0;
                     if BITS {
@@ -543,83 +581,194 @@ impl VertexFlow {
                     }
                     queue.push(b);
                 }
+                new
             };
         // In-copies sit at even levels only (module docs), each in the
         // `in_alive` bitset of its level.
-        let mut label_in = |a: u32, at: u32, level: &mut [u32], queue: &mut Vec<u32>| {
-            if level[a as usize] == NONE {
-                level[a as usize] = at;
-                queue.push(a);
-                if BITS {
-                    let bits = alive_words(words, at);
-                    if in_alive.len() < bits.end {
-                        in_alive.resize(bits.end, 0);
+        let label_in =
+            |a: u32, at: u32, level: &mut [u32], in_alive: &mut Vec<u64>, queue: &mut Vec<u32>| {
+                let new = level[a as usize] == NONE;
+                if new {
+                    level[a as usize] = at;
+                    queue.push(a);
+                    if BITS {
+                        let bits = alive_words(words, at);
+                        if in_alive.len() < bits.end {
+                            in_alive.resize(bits.end, 0);
+                        }
+                        set_bit(&mut in_alive[bits], a >> 1);
                     }
-                    set_bit(&mut in_alive[bits], a >> 1);
                 }
-            }
-        };
+                new
+            };
         queue.clear();
+        near_queue.clear();
         out_seen.fill(0);
-        label_in(in_copy(w), 0, level, queue);
-        // Into the sink: edges (z, w) without flow, i.e. succ[z] != w. The
-        // source is not among them — the pair is non-adjacent.
+        label_in(in_copy(w), 0, level, in_alive, queue);
+        // B_1, into the sink: edges (z, w) without flow, i.e. succ[z] != w.
+        // The source is not among them — the pair is non-adjacent.
         for &z in csr.in_row(w) {
             if succ[z as usize] != w {
                 label_out(z, 1, level, out_seen, queue);
             }
         }
-        let mut head = 1;
-        while let Some(&b) = queue.get(head) {
-            head += 1;
-            let next = level[b as usize] + 1;
-            let x = b >> 1;
-            if b & 1 == 1 {
-                // One residual in-arc: from x' while idle, else the reverse
-                // of the edge its unit leaves over.
-                let a = match succ[x as usize] {
-                    NONE => b & !1,
-                    y => in_copy(y),
-                };
-                label_in(a, next, level, queue);
-                continue;
-            }
-            // Edge arcs from every in-neighbour but the one feeding x's
-            // unit, and the reversed internal arc while x carries a unit.
-            // The feeder needs no test: pred[x]'' is the one residual
-            // successor of x', so x' was labelled from it and it is labelled
-            // already (and for pred[x] == v the BFS has returned).
-            if BITS {
-                // Only the in-neighbours whose out-copy is still unlabelled,
-                // in ascending id like the row.
-                for (i, &edges) in csr.in_bits(x).iter().enumerate() {
-                    let mut fresh = edges & !out_seen[i];
-                    while fresh != 0 {
-                        let z = (i * 64) as u32 + fresh.trailing_zeros();
-                        fresh &= fresh - 1;
-                        label_out(z, next, level, out_seen, queue);
-                        if z == v {
-                            return true;
-                        }
-                    }
-                }
+        near[out_copy(v) as usize] = 0;
+        near_queue.push(out_copy(v));
+        // F_0..F_a and B_0..B_b are complete and disjoint, so shortest
+        // paths are longer than a + b arcs; the last layers start at
+        // `f_head` and `b_head`.
+        let (mut a, mut b, mut f_head, mut b_head) = (0, 1, 0, 1);
+        let len = 'search: loop {
+            // Every arc joins an in-copy and an out-copy, so an arc from F_a
+            // into B_b needs a and b of one parity. A side one layer ahead
+            // of that takes its cheap step first: an in-copy has one residual
+            // out-arc, an out-copy one residual in-arc.
+            let forward = if (a ^ b) & 1 == 1 {
+                a & 1 == 1
             } else {
-                for &z in csr.in_row(x) {
-                    label_out(z, next, level, out_seen, queue);
-                    if z == v {
+                near_queue.len() - f_head <= queue.len() - b_head
+            };
+            if forward {
+                // An arc from F_a into B lands in B_b: a shorter path would
+                // have met before.
+                let end = near_queue.len();
+                // Whether d is in B; else marks it for F_{a+1}.
+                let met = |d: u32, near: &mut [u32], near_queue: &mut Vec<u32>| {
+                    if level[d as usize] != NONE {
                         return true;
                     }
+                    if near[d as usize] == NONE {
+                        near[d as usize] = a + 1;
+                        near_queue.push(d);
+                    }
+                    false
+                };
+                for i in f_head..end {
+                    let c = near_queue[i];
+                    if c & 1 == 0 {
+                        if met(sole_exit(pred, c), near, near_queue) {
+                            break 'search a + b + 1;
+                        }
+                        continue;
+                    }
+                    // Edge arcs without flow, then the reversed internal arc
+                    // while x carries a unit. The source's used edges are
+                    // those with pred[y] == v. Any other x'' that carries a
+                    // unit has one residual in-arc, from succ[x]', so that
+                    // copy is marked already and the used edge needs no test.
+                    let x = c >> 1;
+                    for &y in csr.out_row(x) {
+                        if (x != v || pred[y as usize] != v) && met(in_copy(y), near, near_queue) {
+                            break 'search a + b + 1;
+                        }
+                    }
+                    if succ[x as usize] != NONE && met(c & !1, near, near_queue) {
+                        break 'search a + b + 1;
+                    }
                 }
+                if near_queue.len() == end {
+                    return false;
+                }
+                f_head = end;
+                a += 1;
+            } else {
+                // Labels z'' for B_{b+1}; whether it was new and is in F
+                // (then in F_a).
+                let (end, at) = (queue.len(), b + 1);
+                let mut met =
+                    |z: u32, level: &mut [u32], out_seen: &mut [u64], queue: &mut Vec<u32>| {
+                        label_out(z, at, level, out_seen, queue)
+                            && near[out_copy(z) as usize] != NONE
+                    };
+                for i in b_head..end {
+                    let c = queue[i];
+                    let x = c >> 1;
+                    if c & 1 == 1 {
+                        // One residual in-arc: from x' while idle, else the
+                        // reverse of the edge its unit leaves over.
+                        let d = match succ[x as usize] {
+                            NONE => c & !1,
+                            y => in_copy(y),
+                        };
+                        if label_in(d, at, level, in_alive, queue) && near[d as usize] != NONE {
+                            break 'search a + b + 1;
+                        }
+                        continue;
+                    }
+                    // Edge arcs from every in-neighbour but the one feeding
+                    // x's unit, and the reversed internal arc while x carries
+                    // a unit. The feeder needs no test: pred[x]'' is the one
+                    // residual successor of x', so x' was labelled from it
+                    // and it is labelled already (pred[x] == v cannot occur:
+                    // v'' is in F_0, so B would have met F there).
+                    if BITS {
+                        // Only the in-neighbours whose out-copy is still
+                        // unlabelled.
+                        for (k, &edges) in csr.in_bits(x).iter().enumerate() {
+                            let mut fresh = edges & !out_seen[k];
+                            while fresh != 0 {
+                                let z = (k * 64) as u32 + fresh.trailing_zeros();
+                                fresh &= fresh - 1;
+                                if met(z, level, out_seen, queue) {
+                                    break 'search a + b + 1;
+                                }
+                            }
+                        }
+                    } else {
+                        for &z in csr.in_row(x) {
+                            if met(z, level, out_seen, queue) {
+                                break 'search a + b + 1;
+                            }
+                        }
+                    }
+                    if pred[x as usize] != NONE && met(x, level, out_seen, queue) {
+                        break 'search a + b + 1;
+                    }
+                }
+                if queue.len() == end {
+                    return false;
+                }
+                b_head = end;
+                b += 1;
             }
-            if pred[x as usize] != NONE {
-                label_out(x, next, level, out_seen, queue);
+        };
+        // Walk the forward layers back from F_a (a partial F_{a+1} is
+        // skipped): a copy at distance i from v'' lies on a shortest path
+        // iff it has a residual arc into a copy labelled len - i - 1, which
+        // is the DFS's own step test, and every such copy is labelled by
+        // then. As in the DFS, a used edge needs no mask: its head leaves
+        // only back to x'', so it is labelled farther from the sink than
+        // x'' or not at all (and no x'' whose unit enters w' is in F).
+        for &c in near_queue.iter().rev() {
+            let i = near[c as usize];
+            if i > a {
+                continue;
+            }
+            let (at, x) = (len - i, c >> 1);
+            let next = at - 1;
+            if c & 1 == 0 {
+                if level[sole_exit(pred, c) as usize] == next {
+                    label_in(c, at, level, in_alive, queue);
+                }
+                continue;
+            }
+            let on_path = if BITS {
+                first_common(csr.out_bits(x), &in_alive[alive_words(words, next)], 0).is_some()
+            } else {
+                csr.out_row(x)
+                    .iter()
+                    .any(|&y| level[in_copy(y) as usize] == next)
+            };
+            if on_path || (succ[x as usize] != NONE && level[(c & !1) as usize] == next) {
+                label_out(x, at, level, out_seen, queue);
             }
         }
-        false
+        true
     }
 
     /// Routes up to `budget` units along arcs that step one nearer the sink
-    /// and returns how many it routed (at least one after a successful BFS).
+    /// and returns how many it routed (at least one after a search that
+    /// labelled the source).
     fn blocking_flow<const BITS: bool>(&mut self, v: u32, w: u32, budget: u64) -> u64 {
         let VertexFlow {
             csr,
@@ -738,6 +887,7 @@ mod tests {
         assert!(kernel.level.iter().all(|&l| l == NONE));
         assert!(kernel.touched.is_empty());
         assert!(kernel.in_alive.iter().all(|&word| word == 0));
+        assert!(kernel.near.iter().all(|&d| d == NONE));
     }
 
     /// The vertices whose bits are set in `bits`, ascending.
@@ -812,6 +962,129 @@ mod tests {
             }
             assert_clean(&bits);
             assert_clean(&entries);
+        }
+    }
+
+    /// Two sparse random blocks of 16 vertices that reach each other only
+    /// through vertices 16 and 17 one way, and over edges `x + 18 → x` the
+    /// other: every pair from the first block into the second has κ ≤ 2.
+    fn planted_cut(rng: &mut SmallRng) -> DiGraph {
+        let (first, second) = (gnp(16, 0.2, rng), gnp(16, 0.2, rng));
+        let mut edges: Vec<(u32, u32)> = first.edges().collect();
+        edges.extend(second.edges().map(|(x, y)| (x + 18, y + 18)));
+        for x in 0..16 {
+            edges.extend([(x, 16 + x % 2), (16 + x % 2, x + 18), (x + 18, x)]);
+        }
+        DiGraph::from_edges(34, edges)
+    }
+
+    /// Residual distances of every copy from `v''` and to `w'` under the
+    /// flow in `pred`/`succ`, by plain BFS over Even's network written out
+    /// arc by arc.
+    fn residual_distances(g: &DiGraph, kernel: &VertexFlow, v: u32, w: u32) -> [Vec<u32>; 2] {
+        let copies = 2 * g.node_count();
+        let (pred, succ) = (&kernel.pred, &kernel.succ);
+        let mut ahead = vec![Vec::new(); copies];
+        let mut behind = vec![Vec::new(); copies];
+        let mut arc = |tail: u32, head: u32| {
+            ahead[tail as usize].push(head);
+            behind[head as usize].push(tail);
+        };
+        for (x, y) in g.edges() {
+            let carries = if x == v {
+                pred[y as usize] == v
+            } else {
+                succ[x as usize] == y
+            };
+            if carries {
+                arc(in_copy(y), out_copy(x));
+            } else {
+                arc(out_copy(x), in_copy(y));
+            }
+        }
+        for x in 0..g.node_count() as u32 {
+            if succ[x as usize] == NONE {
+                arc(in_copy(x), out_copy(x));
+            } else {
+                arc(out_copy(x), in_copy(x));
+            }
+        }
+        let bfs = |from: u32, arcs: &[Vec<u32>]| {
+            let mut dist = vec![NONE; copies];
+            dist[from as usize] = 0;
+            let mut queue = std::collections::VecDeque::from([from]);
+            while let Some(a) = queue.pop_front() {
+                for &b in &arcs[a as usize] {
+                    if dist[b as usize] == NONE {
+                        dist[b as usize] = dist[a as usize] + 1;
+                        queue.push_back(b);
+                    }
+                }
+            }
+            dist
+        };
+        [bfs(out_copy(v), &ahead), bfs(in_copy(w), &behind)]
+    }
+
+    #[test]
+    fn search_labels_exactly_the_level_graph() {
+        // Every mid-flow state of every pair, under both row forms: each
+        // label is the copy's residual distance to the sink, every copy on
+        // a shortest v'' → w' path is labelled, v'' is labelled iff a
+        // residual path exists, and each forward mark is the copy's
+        // residual distance from v''.
+        let mut rng = SmallRng::seed_from_u64(42);
+        let graphs = [
+            paper_figure1(),
+            bidirected_cycle(12),
+            gnp(40, 0.3, &mut rng),
+            gnp(30, 0.08, &mut rng),
+            gnp(70, 0.04, &mut rng),
+            random_k_out(40, 4, &mut rng),
+            planted_cut(&mut rng),
+        ];
+        for g in &graphs {
+            let n = g.node_count() as u32;
+            for bit_rows in [true, false] {
+                let mut kernel = VertexFlow::with_row_form(g, bit_rows);
+                for v in 0..n {
+                    for w in 0..n {
+                        let Some(kappa) = kernel.connectivity(v, w, None) else {
+                            continue;
+                        };
+                        for c in 0..=kappa {
+                            assert_eq!(kernel.route(v, w, Some(c)), Some(c));
+                            let [from_source, to_sink] = residual_distances(g, &kernel, v, w);
+                            let reached = if bit_rows {
+                                kernel.label_level_graph::<true>(v, w)
+                            } else {
+                                kernel.label_level_graph::<false>(v, w)
+                            };
+                            let len = to_sink[out_copy(v) as usize];
+                            let at = format!("({v}, {w}) after {c} units, bit rows {bit_rows}");
+                            assert_eq!(reached, len != NONE, "{at}");
+                            assert_eq!(kernel.level[out_copy(v) as usize], len, "{at}");
+                            for a in 0..2 * n as usize {
+                                let (ds, dt) = (from_source[a], to_sink[a]);
+                                let label = kernel.level[a];
+                                assert!(label == NONE || label == dt, "{at}: copy {a}");
+                                if reached && ds != NONE && dt != NONE && ds + dt == len {
+                                    assert_eq!(label, dt, "{at}: copy {a} is on a shortest path");
+                                }
+                                let mark = kernel.near[a];
+                                assert!(mark == NONE || mark == ds, "{at}: copy {a} marked");
+                            }
+                            if bit_rows {
+                                kernel.clear_phase::<true>();
+                            } else {
+                                kernel.clear_phase::<false>();
+                            }
+                            kernel.restore();
+                        }
+                    }
+                }
+                assert_clean(&kernel);
+            }
         }
     }
 
