@@ -43,13 +43,6 @@ impl std::hash::Hash for EventId {
     }
 }
 
-impl EventId {
-    /// The raw sequence number (also the global tie-breaking order).
-    pub fn as_u64(self) -> u64 {
-        self.seq
-    }
-}
-
 /// Internal heap entry: ordered by time, then by insertion sequence so that
 /// simultaneous events fire in the order they were scheduled. This total
 /// order is what makes simulations deterministic.

@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod event;
-pub mod hashers;
 pub mod latency;
 pub mod loss;
 pub mod metrics;

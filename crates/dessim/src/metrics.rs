@@ -77,11 +77,6 @@ impl Summary {
         }
     }
 
-    /// Standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// The paper's Table 2 statistic: `Variance / Mean`.
     ///
     /// Zero when the mean is zero (matching the paper's convention for the

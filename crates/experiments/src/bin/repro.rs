@@ -44,7 +44,7 @@ const USAGE: &str =
     defend: defense-policy grid (none/evict-unresponsive/diversify/self-heal × attacks × churn), two CSVs\n\
     sweep: mixed-phase attacker grid (strategy switches mid-campaign, e.g. eclipse→min-cut at the κ trough) × policies, one CSV\n\
     audit: diff two --observe runs' audit-chain.csv; exit 0 when the chains match, 1 naming the first divergent (cell, minute)\n\
-    --scale large runs n=1000 overlays: the live κ feed switches to the sampled estimator\n\
+    --scale large runs n=1000 overlays: the per-minute κ reading (load ledger, trough switch) switches to the sampled estimator\n\
     \x20   (kappa_est/kappa_ci_lo/kappa_ci_hi columns in load-timeseries.csv; na at smaller scales)\n\
     --seed N makes every CSV bit-identically reproducible (all subcommands)\n\
     --jobs N (at least 1) sets the cell-level worker count of every grid (matrix/campaign/service/defend/sweep/load);\n\

@@ -58,10 +58,10 @@ use kad_telemetry::{Cell, Recorder};
 /// deliberately smaller/shorter than the service grid (32 of them must
 /// finish in seconds at bench scale); the attack phase is followed by a
 /// recovery window so the summary can measure the post-attack κ slope.
-/// The per-minute κ feed runs over the attack and recovery window,
-/// resolving the collapse and the defense's healing slope at minute
-/// granularity. Seeds derive from `base_seed` and the cell name, like
-/// every grid.
+/// The summary reads the snapshot grid, which is dense (every 2 minutes)
+/// from the attack start, so the collapse and the defense's healing slope
+/// resolve at 2-minute granularity. Seeds derive from `base_seed` and the
+/// cell name, like every grid.
 pub fn defense_grid(scale: Scale, base_seed: u64) -> Vec<DefenseScenario> {
     let cfg = scale.config();
     // Defense cells shave the service grid's size and traffic: the grid
@@ -106,7 +106,6 @@ pub fn defense_grid(scale: Scale, base_seed: u64) -> Vec<DefenseScenario> {
                         compromises_per_min: 2,
                         start_minute,
                     }),
-                    live_kappa_from: Some(start_minute),
                     ..DefenseScenario::undefended(base)
                 });
             }
@@ -382,7 +381,6 @@ mod tests {
                 store_every_min: 5,
                 ..ProbeSpec::DEFENSE
             }),
-            live_kappa_from: attack.map(|_| 40),
             ..DefenseScenario::undefended(base)
         }
     }

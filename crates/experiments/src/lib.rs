@@ -15,7 +15,7 @@
 //!   describes everything that may act on an overlay while it runs (the
 //!   paper's setup / stabilization / churn phases and traffic of
 //!   Section 5.3, plus an optional attacker, hardening policy,
-//!   durability probe, per-minute κ feed and load workload), and
+//!   durability probe and load workload), and
 //!   [`runner::run_cell`] wires the canonical actor order once and
 //!   snapshots connectivity on a fixed grid. Every grid below is a list
 //!   of cells and a CSV column list.

@@ -59,7 +59,8 @@ pub use crate::runner::{
 use crate::scale::Scale;
 use crate::scenario::{ChurnRate, TrafficModel};
 use crate::session::{
-    Action, EndCtx, MinuteActor, MinuteCtx, Sampler, SessionDriver, SnapshotGrid, TrafficOrigins,
+    minute_kappa, Action, EndCtx, MinuteActor, MinuteCtx, Sampler, SessionDriver, SnapshotGrid,
+    TrafficOrigins,
 };
 use crate::traffic::{ArrivalProcess, ZipfSampler};
 use kad_telemetry::{
@@ -477,13 +478,14 @@ pub struct LoadPoint {
     pub p90_ms: u64,
     /// 99th percentile, ms.
     pub p99_ms: u64,
-    /// The honest subgraph's κ_min at the minute end: the live feed's
-    /// min-only c = 0.02 sweep, or on sampled minutes (overlays at
-    /// [`crate::session::SAMPLED_KAPPA_MIN_NODES`] and above) the sampled
-    /// minimum. Either way an upper bound on κ(D), not exact κ.
+    /// The honest subgraph's κ_min at the minute end, read by
+    /// [`minute_kappa`]: the min-only c = 0.02 sweep, or on sampled
+    /// minutes (overlays at [`crate::session::SAMPLED_KAPPA_MIN_NODES`]
+    /// and above) the sampled minimum. Either way an upper bound on κ(D),
+    /// not exact κ.
     pub kappa_min: u64,
-    /// The sampled κ estimate for the minute, when the live feed ran the
-    /// estimator instead of the min-only sweep. `None` on min-only
+    /// The sampled κ estimate for the minute, when [`minute_kappa`] ran
+    /// the estimator instead of the min-only sweep. `None` on min-only
     /// minutes, so the CSV renders `na` and downstream parsing can never
     /// mistake a sampled mean for a sweep minimum.
     pub kappa_estimate: Option<kad_resilience::KappaEstimate>,
@@ -516,11 +518,12 @@ pub(crate) fn ledger_sampler(
             attack_start: None,
             attack_minutes: 1,
         },
-        move |_net: &mut SimNetwork, ctx: &mut EndCtx<'_>| {
+        move |net: &mut SimNetwork, ctx: &mut EndCtx<'_>| {
             if ctx.at_minute <= load_start {
                 return None;
             }
             let minute = ctx.at_minute - 1;
+            let (kappa_min, kappa_estimate) = minute_kappa(&net.snapshot());
             let t = sink.borrow();
             let latency = t
                 .latency_by_minute
@@ -546,8 +549,8 @@ pub(crate) fn ledger_sampler(
                 p50_ms: latency.percentile(0.5),
                 p90_ms: latency.percentile(0.9),
                 p99_ms: latency.percentile(0.99),
-                kappa_min: ctx.shared.last_kappa.map(|(_, k)| k).unwrap_or(0),
-                kappa_estimate: ctx.shared.last_kappa_estimate.map(|(_, e)| e),
+                kappa_min,
+                kappa_estimate,
                 budget_spent: ctx.shared.budget_spent,
             })
         },
@@ -612,7 +615,6 @@ pub fn load_grid(scale: Scale, base_seed: u64) -> Vec<LoadScenario> {
                 start_minute: LOAD_ATTACK_START_MIN,
             }),
             origins: TrafficOrigins::HonestOnly,
-            live_kappa_from: Some(spec.start_minute),
             load: Some(spec),
             ..LoadScenario::plain(base)
         });
@@ -795,7 +797,6 @@ mod tests {
                 start_minute: 48,
             }),
             origins: TrafficOrigins::HonestOnly,
-            live_kappa_from: Some(spec.start_minute),
             load: Some(spec),
             ..LoadScenario::plain(b.build())
         }

@@ -21,7 +21,7 @@
 //!   converted into a connectivity graph and analysed.
 //!
 //! [`run_cell`] wires the canonical actor order once — `probe?, joins,
-//! churn, traffic, load?, attacker?, live-κ?, sampler` — over the shared
+//! churn, traffic, load?, attacker?, sampler` — over the shared
 //! [`SessionDriver`]; the grid modules
 //! ([`crate::matrix`], [`crate::campaign`], [`crate::service`],
 //! [`crate::defense`], [`crate::sweep`], [`crate::load`]) only build cell
@@ -51,8 +51,8 @@ use crate::load::{
 use crate::observe::{run_observed, CellReport, TraceExemplar};
 use crate::scenario::Scenario;
 use crate::session::{
-    AttackerActor, ChurnActor, JoinSchedule, LiveKappaActor, MinuteActor, ProbeActor, Sampler,
-    SessionDriver, SnapshotGrid, TrafficActor, TrafficOrigins,
+    AttackerActor, ChurnActor, JoinSchedule, MinuteActor, ProbeActor, Sampler, SessionDriver,
+    SnapshotGrid, TrafficActor, TrafficOrigins,
 };
 use crate::sweep::{AttackPhase, PhasedAttackerActor};
 use dessim::metrics::Counters;
@@ -112,18 +112,19 @@ pub struct LiveCell {
     /// The attacker, if any.
     pub attack: Option<AttackSpec>,
     /// The attacker's phase script, first phase first; empty means the
-    /// fixed plan of `attack` for the whole run.
+    /// fixed plan of `attack` for the whole run. A trough-switched phase
+    /// ([`SwitchRule::KappaBelow`](crate::sweep::SwitchRule::KappaBelow))
+    /// reads [`minute_kappa`](crate::session::minute_kappa) at each of
+    /// its minute boundaries after the first.
     pub phases: Vec<AttackPhase>,
     /// The durability probe, if any.
     pub probe: Option<ProbeSpec>,
     /// Which nodes originate the scenario's data traffic.
     pub origins: TrafficOrigins,
-    /// First minute of the per-minute κ_min feed ([`LiveKappaActor`]), if
-    /// it runs: the paper's c = 0.02 heuristic, an *upper bound* on κ(D).
-    /// Off by default: it costs a min-only sweep per minute.
-    pub live_kappa_from: Option<u64>,
     /// A production-load workload ([`crate::load`]). A load cell reports
-    /// its per-minute ledger instead of κ snapshots.
+    /// its per-minute ledger, each row with that minute's
+    /// [`minute_kappa`](crate::session::minute_kappa), instead of κ
+    /// snapshots.
     pub load: Option<LoadSpec>,
 }
 
@@ -139,7 +140,6 @@ impl LiveCell {
             phases: Vec::new(),
             probe: None,
             origins: TrafficOrigins::AllAlive,
-            live_kappa_from: None,
             load: None,
         }
     }
@@ -237,7 +237,8 @@ pub struct CellOutcome {
     /// Phase transitions: `(minute, label of the plan switched to)`.
     pub phase_switches: Vec<(u64, &'static str)>,
     /// The load engine's ledger and telemetry, when the cell carried a
-    /// load. Each ledger point holds that minute's live κ.
+    /// load. Each ledger point holds that minute's κ reading
+    /// ([`minute_kappa`](crate::session::minute_kappa)).
     pub load: Option<LoadReport>,
     /// Total compromises the attacker scheduled (≤ configured budget
     /// when it ran out of honest victims).
@@ -396,11 +397,6 @@ pub(crate) fn run_cell_reported(cell: &LiveCell) -> (CellOutcome, CellReport) {
         };
         PhasedAttackerActor::new(inner, &cell.phases)
     });
-    // The live feed runs before the grid sampler, so at grid instants the
-    // sampler's full-report κ is the one that stays published. Both are
-    // the paper's c = 0.02 heuristic, an upper bound on κ(D); the live
-    // feed only skips the average.
-    let mut live_kappa = cell.live_kappa_from.map(LiveKappaActor::new);
     let mut ledger = load.as_ref().map(|load| {
         ledger_sampler(
             Rc::clone(&load.sink),
@@ -420,10 +416,6 @@ pub(crate) fn run_cell_reported(cell: &LiveCell) -> (CellOutcome, CellReport) {
             move |net, ctx| {
                 let snap = net.snapshot();
                 let report = analyze_snapshot(&snap, &AnalysisConfig::paper_sampled());
-                // The feedback loop: phased attackers read this κ to
-                // decide their trough-triggered switches.
-                ctx.shared
-                    .publish_kappa(ctx.at_minute, report.min_connectivity);
                 let t = sink_handle.borrow();
                 let (from, to) = (window_start, ctx.at_minute);
                 window_start = to;
@@ -464,7 +456,6 @@ pub(crate) fn run_cell_reported(cell: &LiveCell) -> (CellOutcome, CellReport) {
     actors.extend([&mut joins as &mut dyn MinuteActor, &mut churn, &mut traffic]);
     actors.extend(optional(&mut load_actor));
     actors.extend(optional(&mut attacker));
-    actors.extend(optional(&mut live_kappa));
     actors.extend(optional(&mut ledger));
     actors.extend(optional(&mut snapshots));
     driver.run(&mut actors);

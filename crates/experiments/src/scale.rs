@@ -33,9 +33,9 @@ pub enum Scale {
     /// large enough to show every qualitative effect the paper reports.
     #[default]
     Laptop,
-    /// The scale leap: n=1000 overlays, the size where the live κ feed
-    /// switches to the sampled estimator
-    /// ([`crate::session::SAMPLED_KAPPA_MIN_NODES`]) and the
+    /// The scale leap: n=1000 overlays, the size where the per-minute κ
+    /// reading ([`crate::session::minute_kappa`]) switches to the sampled
+    /// estimator ([`crate::session::SAMPLED_KAPPA_MIN_NODES`]) and the
     /// allocation-free hot paths earn their keep. Phases are kept at
     /// laptop-ish lengths so a full grid stays tractable on one machine;
     /// the point of this preset is node count, not duration.

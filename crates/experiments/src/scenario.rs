@@ -2,7 +2,6 @@
 
 use crate::scale::{Scale, ScaleConfig};
 use dessim::loss::LossScenario;
-use dessim::time::SimDuration;
 use kademlia::config::{KademliaConfig, RefreshPolicy};
 
 /// Nodes removed/added per simulated minute during the churn phase.
@@ -102,11 +101,6 @@ impl Scenario {
     /// Simulation end time in minutes.
     pub fn end_minutes(&self) -> u64 {
         self.stabilization_minutes + self.churn_minutes
-    }
-
-    /// Snapshot spacing as a duration.
-    pub fn snapshot_interval(&self) -> SimDuration {
-        SimDuration::from_minutes(self.snapshot_minutes)
     }
 }
 

@@ -20,8 +20,9 @@
 //!    mutate the network directly (probe rounds, scheduled compromises)
 //!    and/or push timed [`Action`]s for this minute into the shared
 //!    action list. Nothing is applied yet: an actor planning against the
-//!    network (the attacker's snapshot) sees the state at the minute
-//!    boundary regardless of what earlier actors queued.
+//!    network (the attacker's snapshot, the trough switch's
+//!    [`minute_kappa`]) sees the state at the minute boundary regardless
+//!    of what earlier actors queued.
 //! 2. The driver sorts the queued actions by timestamp (stable, so
 //!    same-instant actions keep actor order), applies each at its instant
 //!    — advancing the event kernel between them — then drains the kernel
@@ -54,11 +55,12 @@ use crate::attack_plan::{pick_victim, AttackPlan, AttackSpec, EclipseState};
 use crate::scenario::Scenario;
 use dessim::rng::RngFactory;
 use dessim::time::SimTime;
+use kad_resilience::{AnalysisConfig, KappaEstimate, SampledKappaConfig};
 use kad_telemetry::journal::{Journal, JournalEvent};
 use kad_telemetry::span;
 use kademlia::id::NodeId;
 use kademlia::network::SimNetwork;
-use kademlia::NodeAddr;
+use kademlia::{NodeAddr, RoutingSnapshot};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::cell::RefCell;
@@ -126,21 +128,6 @@ pub struct SessionShared {
     pub victims: Vec<(u64, u32)>,
     /// Objects disseminated by the durability probe so far.
     pub stored_objects: usize,
-    /// The most recent `κ_min` a sampler observed, as `(at_minute,
-    /// κ_min)`, if it publishes one ([`SessionShared::publish_kappa`]) —
-    /// the feedback signal phase-switching attackers trigger on. The
-    /// sample minute travels with the value so consumers can reject
-    /// stale feedback (e.g. a pre-attack snapshot).
-    pub last_kappa: Option<(u64, u64)>,
-    /// The live feed's *sampled* κ estimate for the latest fed minute, as
-    /// `(at_minute, estimate)`. Only the sampled live feed
-    /// ([`LiveKappaActor`] at [`SAMPLED_KAPPA_MIN_NODES`] and above)
-    /// writes this; a min-only minute clears it, so it is `None` whenever
-    /// the latest `κ_min` came from the sweep. That is how the CSV
-    /// emitters know to render `na` in the `kappa_est`/`kappa_ci_*`
-    /// columns instead of a number that could be mistaken for the sweep's
-    /// bound, or for an earlier minute's estimate.
-    pub last_kappa_estimate: Option<(u64, kad_resilience::KappaEstimate)>,
     /// Label of the attack phase currently active (phased attackers).
     pub attack_label: &'static str,
     /// Phase transitions a phased attacker performed: `(minute, label of
@@ -153,25 +140,6 @@ pub struct SessionShared {
     /// the same handle. Recording draws no randomness and never touches
     /// the network, so observing a run cannot change its outcome.
     pub journal: Option<Rc<RefCell<Journal>>>,
-}
-
-impl SessionShared {
-    /// Publishes a sampler's `κ_min` observation together with the
-    /// minute it was taken at (samplers call this from their
-    /// [`MinuteActor::at_minute_end`] hook).
-    pub fn publish_kappa(&mut self, at_minute: u64, kappa_min: u64) {
-        self.last_kappa = Some((at_minute, kappa_min));
-    }
-
-    /// The latest published `κ_min` sampled strictly *after* `minute` —
-    /// `None` when the only feedback available predates it. Phased
-    /// attackers use this so a stale pre-attack (or pre-phase) snapshot
-    /// can never trigger a switch.
-    pub fn kappa_since(&self, minute: u64) -> Option<u64> {
-        self.last_kappa
-            .filter(|&(at, _)| at > minute)
-            .map(|(_, kappa)| kappa)
-    }
 }
 
 /// Context handed to [`MinuteActor::on_minute`].
@@ -758,105 +726,62 @@ impl SnapshotGrid {
     }
 }
 
-/// The per-minute κ feed: publishes the honest subgraph's `κ_min` into
-/// [`SessionShared`] at the end of **every** minute from `start_minute`
-/// on — not just at snapshot-grid instants. Trough-triggered attackers
-/// ([`crate::sweep::SwitchRule::KappaBelow`]) and defense feedback loops
-/// then react within one simulated minute of the connectivity dropping,
-/// instead of waiting for the next grid sample.
-///
-/// Each minute costs one minimum-only sweep
-/// ([`AnalysisConfig::min_only`](kad_resilience::AnalysisConfig::min_only):
-/// cutoff pruning, unit-vertex flow kernel) on the honest snapshot. That
-/// sweep is the paper's c = 0.02 heuristic (§5.2): flows only from the
-/// `max(⌈0.02·n⌉, 8)` lowest-out-degree sources. The published value is
-/// therefore an *upper bound* on κ(D), not the exact minimum — on
-/// `paper::sim_gh(Scale::Bench, false, 10, 3)` at seed 2 it reads 18
-/// where κ(D) = 11. One sweep at n=1000 is what kadbench's `kappa-min-1k`
-/// workload times. The actor keeps no series: consumers read the feed
-/// through [`SessionShared`] (a load cell's ledger records each minute's
-/// value).
-///
-/// At [`SAMPLED_KAPPA_MIN_NODES`] honest nodes and above, the actor
-/// switches to the stratified sampled estimator
-/// ([`kad_resilience::sampled_kappa`]): a fixed pair budget per minute
-/// instead of a min-only sweep whose cost grows with the overlay. The
-/// published scalar is then the sampled minimum (an *upper bound* on the
-/// true `κ_min`, exactly 0 whenever the strong-connectivity pre-check
-/// fails — never falsely healthy), and the full estimate (mean + CI)
-/// additionally lands in [`SessionShared::last_kappa_estimate`] for the
-/// `kappa_est`/`kappa_ci_*` CSV columns. A min-only minute clears that
-/// estimate, so an overlay that shrinks below the threshold stops
-/// reporting one. Below the threshold nothing else changes, so bench- and
-/// laptop-scale outputs stay byte-identical.
-pub struct LiveKappaActor {
-    start_minute: u64,
-    analysis: kad_resilience::AnalysisConfig,
-    sampled: kad_resilience::SampledKappaConfig,
-    sampled_min_nodes: usize,
-}
-
-/// Honest-snapshot size at which [`LiveKappaActor`] switches from the
+/// Honest-snapshot size at which [`minute_kappa`] switches from the
 /// minimum-only sweep to the sampled estimator. Matches the scale where
 /// `repro --scale large` starts (n=1000): below it the per-minute sweep
 /// is affordable and keeps goldens byte-identical.
 pub const SAMPLED_KAPPA_MIN_NODES: usize = 1_000;
 
-/// Per-minute pair budget of the live sampled feed. Deliberately far
-/// below [`kad_resilience::SampledKappaConfig::default`]'s offline
-/// budget: the feed runs every simulated minute, and a couple hundred
-/// max-flows bound its cost to the same order as the minimum-only sweep
-/// it replaces at n=1k while staying flat through n=10k.
-const LIVE_SAMPLED_PAIRS: usize = 256;
+/// Pair budget of the per-minute sampled reading. Deliberately far below
+/// [`kad_resilience::SampledKappaConfig::default`]'s offline budget: the
+/// reading runs every simulated minute, and a couple hundred max-flows
+/// bound its cost to the same order as the minimum-only sweep it replaces
+/// at n=1k while staying flat through n=10k.
+const MINUTE_SAMPLED_PAIRS: usize = 256;
 
-impl LiveKappaActor {
-    /// A live κ feed active from `start_minute` (typically the attack
-    /// start — feedback before that has nothing to react to).
-    pub fn new(start_minute: u64) -> LiveKappaActor {
-        LiveKappaActor {
-            start_minute,
-            analysis: kad_resilience::AnalysisConfig::min_only(),
-            sampled: kad_resilience::SampledKappaConfig {
-                target_pairs: LIVE_SAMPLED_PAIRS,
-                ..Default::default()
-            },
-            sampled_min_nodes: SAMPLED_KAPPA_MIN_NODES,
-        }
-    }
-
-    /// Like [`LiveKappaActor::new`] but with a custom sampled-mode
-    /// threshold. `min_nodes: 0` forces the estimator on any overlay
-    /// (used by tests to exercise the sampled path without building a
-    /// thousand-node network); `usize::MAX` pins the min-only sweep.
-    pub fn with_sampled_threshold(start_minute: u64, min_nodes: usize) -> LiveKappaActor {
-        LiveKappaActor {
-            sampled_min_nodes: min_nodes,
-            ..LiveKappaActor::new(start_minute)
-        }
-    }
+/// The per-minute `κ_min` reading of an honest snapshot, for the readers
+/// that need one every minute: the load ledger's `kappa_min` column and
+/// the trough switch ([`crate::sweep::SwitchRule::KappaBelow`]). Each
+/// calls it where it reads, on the snapshot in front of it; nothing is
+/// stored between minutes.
+///
+/// Below [`SAMPLED_KAPPA_MIN_NODES`] honest nodes the reading is one
+/// minimum-only sweep
+/// ([`AnalysisConfig::min_only`](kad_resilience::AnalysisConfig::min_only):
+/// cutoff pruning, unit-vertex flow kernel). That sweep is the paper's
+/// c = 0.02 heuristic (§5.2): flows only from the `max(⌈0.02·n⌉, 8)`
+/// lowest-out-degree sources. The value is therefore an *upper bound* on
+/// κ(D), not the exact minimum — on `paper::sim_gh(Scale::Bench, false,
+/// 10, 3)` at seed 2 it reads 18 where κ(D) = 11. One sweep at n=1000 is
+/// what kadbench's `kappa-min-1k` workload times.
+///
+/// At the threshold and above it runs the stratified sampled estimator
+/// ([`kad_resilience::sampled_kappa`]) instead: a fixed pair budget per
+/// call rather than a sweep whose cost grows with the overlay. The scalar
+/// is then the sampled minimum (also an upper bound on the true `κ_min`,
+/// exactly 0 whenever the strong-connectivity pre-check fails — never
+/// falsely healthy), returned together with the full estimate (mean + CI)
+/// for the `kappa_est`/`kappa_ci_*` CSV columns. A min-only reading
+/// returns no estimate.
+pub fn minute_kappa(snap: &RoutingSnapshot) -> (u64, Option<KappaEstimate>) {
+    minute_kappa_from(snap, SAMPLED_KAPPA_MIN_NODES)
 }
 
-impl MinuteActor for LiveKappaActor {
-    fn label(&self) -> &'static str {
-        "live-kappa"
+/// [`minute_kappa`] with the sampled estimator from `sampled_from` honest
+/// nodes on.
+fn minute_kappa_from(snap: &RoutingSnapshot, sampled_from: usize) -> (u64, Option<KappaEstimate>) {
+    if snap.node_count() < sampled_from {
+        let report = kad_resilience::analyze_snapshot(snap, &AnalysisConfig::min_only());
+        return (report.min_connectivity, None);
     }
-
-    fn at_minute_end(&mut self, net: &mut SimNetwork, ctx: &mut EndCtx<'_>) {
-        if ctx.at_minute < self.start_minute {
-            return;
-        }
-        let snap = net.snapshot();
-        let estimate = (snap.node_count() >= self.sampled_min_nodes).then(|| {
-            let g = kad_resilience::snapshot_to_digraph(&snap);
-            kad_resilience::sampled_kappa(&g, &self.sampled)
-        });
-        let kappa = match estimate {
-            Some(est) => est.min_sampled,
-            None => kad_resilience::analyze_snapshot(&snap, &self.analysis).min_connectivity,
-        };
-        ctx.shared.last_kappa_estimate = estimate.map(|est| (ctx.at_minute, est));
-        ctx.shared.publish_kappa(ctx.at_minute, kappa);
-    }
+    let estimate = kad_resilience::sampled_kappa(
+        &kad_resilience::snapshot_to_digraph(snap),
+        &SampledKappaConfig {
+            target_pairs: MINUTE_SAMPLED_PAIRS,
+            ..Default::default()
+        },
+    );
+    (estimate.min_sampled, Some(estimate))
 }
 
 /// The measurement actor: on each due grid instant, runs the sample
@@ -912,7 +837,6 @@ where
 mod tests {
     use super::*;
     use crate::scenario::{ChurnRate, ScenarioBuilder};
-    use kad_resilience::KappaEstimate;
 
     #[test]
     fn driver_with_join_actor_builds_the_overlay() {
@@ -1007,93 +931,42 @@ mod tests {
     }
 
     #[test]
-    fn live_kappa_switches_to_the_sampled_estimator_past_the_threshold() {
-        // Same overlay, two thresholds: above the overlay size the actor
-        // must run the min-only sweep (no estimates), at 0 it must run the
-        // estimator every minute and publish both the scalar feed and the
-        // full estimate. A 14-node network stands in for n=1000 — the
-        // switch tests size against `sampled_min_nodes`, nothing else. The
-        // feed is read the way a load ledger reads it: through a sampler
-        // over `SessionShared` at every minute end.
-        type Fed = (u64, usize, Option<(u64, u64)>, Option<(u64, KappaEstimate)>);
-        let run = |min_nodes: usize, churn: ChurnRate| -> Vec<Fed> {
-            let mut b = ScenarioBuilder::quick(14, 4);
-            b.name("session-live-kappa")
-                .seed(5)
-                .stabilization_minutes(35)
-                .churn(churn)
-                .churn_minutes(4);
-            let base = b.build();
-            let mut driver = SessionDriver::new(&base);
-            let mut joins = JoinSchedule::new(&mut driver);
-            let mut churn = ChurnActor;
-            let mut traffic = TrafficActor::new(TrafficOrigins::AllAlive);
-            let mut kappa = LiveKappaActor::with_sampled_threshold(30, min_nodes);
-            let every_minute = SnapshotGrid {
-                base_minutes: 1,
-                attack_start: None,
-                attack_minutes: 1,
-            };
-            let mut feed = Sampler::new(
-                every_minute,
-                |net: &mut SimNetwork, ctx: &mut EndCtx<'_>| {
-                    (
-                        ctx.at_minute,
-                        net.snapshot().node_count(),
-                        ctx.shared.last_kappa,
-                        ctx.shared.last_kappa_estimate,
-                    )
-                },
-            );
-            driver.run(&mut [&mut joins, &mut churn, &mut traffic, &mut kappa, &mut feed]);
-            feed.into_points()
-                .into_iter()
-                .filter(|&(at, ..)| at >= 30)
-                .collect()
-        };
+    fn minute_kappa_reads_both_sides_of_the_sampling_threshold() {
+        // One snapshot, two thresholds: a 14-node overlay stands in for
+        // n=1000, since the switch tests size against `sampled_from` and
+        // nothing else.
+        let mut b = ScenarioBuilder::quick(14, 4);
+        b.name("session-minute-kappa")
+            .seed(5)
+            .stabilization_minutes(35);
+        let base = b.build();
+        let mut driver = SessionDriver::new(&base);
+        let mut joins = JoinSchedule::new(&mut driver);
+        let mut traffic = TrafficActor::new(TrafficOrigins::AllAlive);
+        driver.run(&mut [&mut joins, &mut traffic]);
+        let snap = driver.finish().0.snapshot();
+        let n = snap.node_count();
+        assert_eq!(n, 14);
 
-        let fed = run(usize::MAX, ChurnRate::NONE);
-        assert!(!fed.is_empty());
-        for &(at, _, kappa, estimate) in &fed {
-            assert_eq!(
-                kappa.map(|(k_at, _)| k_at),
-                Some(at),
-                "scalar feed every minute"
-            );
-            assert!(estimate.is_none(), "min-only path publishes no estimates");
-        }
+        let min_only = kad_resilience::analyze_snapshot(&snap, &AnalysisConfig::min_only());
+        assert_eq!(
+            minute_kappa_from(&snap, n + 1),
+            (min_only.min_connectivity, None),
+            "below the threshold: the min-only sweep, no estimate"
+        );
+        assert_eq!(minute_kappa(&snap), minute_kappa_from(&snap, n + 1));
 
-        for &(at, _, kappa, estimate) in &run(0, ChurnRate::NONE) {
-            let (est_at, est) = estimate.expect("sampled path estimates every fed minute");
-            assert_eq!(est_at, at);
-            assert_eq!(
-                kappa,
-                Some((at, est.min_sampled)),
-                "the scalar feed is the sampled minimum"
-            );
-            assert!(est.ci_lo <= est.ci_hi);
-            assert!(est.brackets(est.kappa_est));
-        }
-
-        // A shrinking overlay at the threshold: 0/1 churn takes the
-        // 14-node overlay below 14 from minute 36 on. Every minute at the
-        // threshold carries its own estimate; every minute below it ran
-        // the min-only sweep and must carry none — not the last estimate
-        // from before the overlay shrank.
-        let fed = run(14, ChurnRate::ZERO_ONE);
-        assert!(fed.iter().any(|&(_, n, ..)| n >= 14), "sampled minutes ran");
-        assert!(fed.iter().any(|&(_, n, ..)| n < 14), "the overlay shrank");
-        for &(at, n, _, estimate) in &fed {
-            if n >= 14 {
-                assert_eq!(estimate.map(|(est_at, _)| est_at), Some(at), "minute {at}");
-            } else {
-                assert!(
-                    estimate.is_none(),
-                    "minute {at} ({n} honest nodes) ran the min-only sweep \
-                     but carries the estimate from minute {:?}",
-                    estimate.map(|(est_at, _)| est_at)
-                );
-            }
-        }
+        let sampled = kad_resilience::sampled_kappa(
+            &kad_resilience::snapshot_to_digraph(&snap),
+            &SampledKappaConfig {
+                target_pairs: 256,
+                ..Default::default()
+            },
+        );
+        assert_eq!(
+            minute_kappa_from(&snap, n),
+            (sampled.min_sampled, Some(sampled)),
+            "at the threshold: the sampled minimum with its estimate"
+        );
     }
 }

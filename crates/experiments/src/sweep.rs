@@ -2,9 +2,9 @@
 //!
 //! A [`PhasedAttackerActor`] drives the shared [`AttackerActor`] through an
 //! ordered list of [`AttackPhase`]s, switching victim-selection plans on a
-//! clock or on the measured κ feedback the samplers publish into
-//! [`SessionShared`] — e.g. eclipse a replica neighborhood until `κ_min`
-//! troughs, then finish the overlay off with min-cut-guided compromises.
+//! clock or on the measured κ ([`minute_kappa`]) — e.g. eclipse a replica
+//! neighborhood until `κ_min` troughs, then finish the overlay off with
+//! min-cut-guided compromises.
 //! It is the one attacker every live cell wires
 //! ([`crate::runner::run_cell`]): a fixed-plan attack is a one-phase
 //! script.
@@ -16,8 +16,6 @@
 //! adversaries instead of deployment parameters. `repro sweep` runs it
 //! and writes `sweep-timeseries.csv` (the κ/service series with the
 //! active phase label per row).
-//!
-//! [`SessionShared`]: crate::session::SessionShared
 
 use crate::attack_plan::{grid_base_scenario, AttackPlan, AttackSpec};
 use crate::runner::ProbeSpec;
@@ -26,7 +24,7 @@ pub use crate::runner::{
 };
 use crate::scale::Scale;
 use crate::scenario::{ChurnRate, TrafficModel};
-use crate::session::{AttackerActor, MinuteActor, MinuteCtx};
+use crate::session::{minute_kappa, AttackerActor, MinuteActor, MinuteCtx};
 use kad_defense::PolicyKind;
 use kad_telemetry::{Cell, Recorder};
 use kademlia::network::SimNetwork;
@@ -37,11 +35,12 @@ pub enum SwitchRule {
     /// After this many minutes in the phase (attack minutes, counted from
     /// phase entry).
     AfterMinutes(u64),
-    /// When the published `κ_min` first drops below the threshold — the
-    /// "switch at the κ trough" trigger. With the cell's live κ feed on
-    /// ([`LiveKappaActor`](crate::session::LiveKappaActor)) the true κ is
-    /// published every minute of the attack, so the switch lands on the
-    /// very next attack minute after connectivity actually drops.
+    /// When `κ_min` first drops below the threshold — the "switch at the
+    /// κ trough" trigger. From the second minute of a phase on, the
+    /// attacker reads [`minute_kappa`] on the minute-boundary snapshot,
+    /// so the switch lands on the very next attack minute after
+    /// connectivity actually drops. The reading is the paper's c = 0.02
+    /// heuristic, an upper bound on κ(D).
     KappaBelow(u64),
     /// Never: the terminal phase.
     Never,
@@ -92,18 +91,18 @@ impl PhasedAttackerActor {
         }
     }
 
-    fn should_switch(&self, minute: u64, shared: &crate::session::SessionShared) -> bool {
+    fn should_switch(&self, minute: u64, net: &SimNetwork) -> bool {
         let Some(entered) = self.entered_minute else {
             return false;
         };
         match self.phases[self.phase_index].switch {
             SwitchRule::Never => false,
             SwitchRule::AfterMinutes(m) => minute - entered >= m,
-            // Only κ samples taken *after* the phase was entered count:
-            // a stale pre-attack (or pre-phase) snapshot must never
-            // trigger the trough switch.
+            // Only κ measured *after* the phase was entered counts: the
+            // boundary snapshot of the entry minute is the pre-attack (or
+            // pre-phase) overlay and must never trigger the trough switch.
             SwitchRule::KappaBelow(threshold) => {
-                shared.kappa_since(entered).is_some_and(|k| k < threshold)
+                minute > entered && minute_kappa(&net.snapshot()).0 < threshold
             }
         }
     }
@@ -120,9 +119,7 @@ impl MinuteActor for PhasedAttackerActor {
             if self.entered_minute.is_none() {
                 self.entered_minute = Some(ctx.minute);
             }
-            while self.phase_index + 1 < self.phases.len()
-                && self.should_switch(ctx.minute, ctx.shared)
-            {
+            while self.phase_index + 1 < self.phases.len() && self.should_switch(ctx.minute, net) {
                 self.phase_index += 1;
                 let plan = self.phases[self.phase_index].plan;
                 self.inner.set_plan(plan);
@@ -188,8 +185,6 @@ fn phase_scripts() -> [Vec<AttackPhase>; 2] {
 /// The grid `repro sweep` runs: both phase scripts × every [`PolicyKind`]
 /// (churn off — the adaptive attacker is the variable under test), sized
 /// like the defense grid so all 8 cells finish in seconds at bench scale.
-/// The live κ feed runs from the attack start, so trough-triggered
-/// switches land on the very next attack minute.
 pub fn sweep_grid(scale: Scale, base_seed: u64) -> Vec<SweepScenario> {
     let cfg = scale.config();
     let size = (cfg.small_size * 3 / 4).max(12);
@@ -227,7 +222,6 @@ pub fn sweep_grid(scale: Scale, base_seed: u64) -> Vec<SweepScenario> {
                     store_every_min: 8,
                     ..ProbeSpec::SERVICE
                 }),
-                live_kappa_from: Some(start_minute),
                 ..SweepScenario::unattacked(base)
             });
         }
@@ -304,7 +298,6 @@ mod tests {
                 store_every_min: 5,
                 ..ProbeSpec::SERVICE
             }),
-            live_kappa_from: Some(40),
             ..SweepScenario::unattacked(b.build())
         }
     }
@@ -360,6 +353,10 @@ mod tests {
         ));
         assert_eq!(outcome.phase_switches.len(), 1);
         assert_eq!(outcome.phase_switches[0].1, "min-cut");
+        // ...but only κ measured after phase entry counts: the attack
+        // starts (and the phase is entered) at minute 40, whose boundary
+        // snapshot predates it, so the switch lands at minute 41.
+        assert_eq!(outcome.phase_switches[0].0, 41, "attack start 40 + 1");
         // An unreachable threshold never switches.
         let stay = run_sweep(&quick_sweep(
             vec![

@@ -30,7 +30,6 @@ fn cell(policy: PolicyKind, plan: AttackPlan, seed: u64) -> DefenseScenario {
             store_every_min: 6,
             ..ProbeSpec::DEFENSE
         }),
-        live_kappa_from: Some(40),
         ..DefenseScenario::undefended(base)
     }
 }

@@ -219,8 +219,9 @@ fn observed_defense_csvs_are_byte_identical_to_goldens() {
 }
 
 /// `repro sweep --scale bench --seed 1`, generated at the last commit
-/// that still had a dedicated sweep runner: the phased attacker, the
-/// always-on live κ feed and the `phase` column are pinned byte for byte.
+/// that still had a dedicated sweep runner: the phased attacker, its
+/// per-minute trough reading and the `phase` column are pinned byte for
+/// byte.
 #[test]
 fn sweep_csv_is_byte_identical_to_golden() {
     use kad_experiments::sweep::{sweep_grid, sweep_timeseries_csv};
@@ -239,8 +240,8 @@ fn sweep_csv_is_byte_identical_to_golden() {
 }
 
 /// `repro load --scale bench --seed 1`, same provenance: the hot-key
-/// eclipse anchor, the live κ feed from the load start and the per-minute
-/// ledger rows are pinned byte for byte.
+/// eclipse anchor and the per-minute ledger rows with their κ readings
+/// are pinned byte for byte.
 #[test]
 fn load_csvs_are_byte_identical_to_goldens() {
     use kad_experiments::load::{load_grid, load_summary_csv, load_timeseries_csv};

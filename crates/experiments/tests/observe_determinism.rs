@@ -1,9 +1,9 @@
-//! Observing is a pure observer at the scale where the live κ feed
-//! switches estimators: one n=1000 cell with churn, a load workload and
-//! the live κ feed, run once observed and once unobserved, must produce
-//! equal outcomes. At 1,000 honest nodes the feed runs the sampled
+//! Observing is a pure observer at the scale where the per-minute κ
+//! reading switches estimators: one n=1000 cell with churn and a load
+//! workload, run once observed and once unobserved, must produce equal
+//! outcomes. At 1,000 honest nodes `minute_kappa` runs the sampled
 //! estimator, and the load ledger carries each minute's κ and estimate,
-//! so the comparison covers the κ feed as well as the ledger and the
+//! so the comparison covers the κ reading as well as the ledger and the
 //! simulator counters.
 
 use kad_experiments::runner::{run_cell, CellOutcome, LiveCell};
@@ -31,7 +31,6 @@ fn cell(observe: bool) -> LiveCell {
     };
     LiveCell {
         origins: TrafficOrigins::HonestOnly,
-        live_kappa_from: Some(LOAD_START),
         load: Some(spec),
         ..LiveCell::plain(b.build())
     }
@@ -39,7 +38,10 @@ fn cell(observe: bool) -> LiveCell {
 
 #[test]
 fn observing_a_thousand_node_cell_changes_no_outcome() {
-    assert_eq!(SIZE, SAMPLED_KAPPA_MIN_NODES, "the feed's sampled regime");
+    assert_eq!(
+        SIZE, SAMPLED_KAPPA_MIN_NODES,
+        "the sampled regime of minute_kappa"
+    );
     let unobserved = run_cell(&cell(false));
     let mut observed: CellOutcome = run_cell(&cell(true));
 
@@ -47,7 +49,7 @@ fn observing_a_thousand_node_cell_changes_no_outcome() {
     assert!(!ledger.points.is_empty(), "ledger minutes recorded");
     assert!(
         ledger.points.iter().all(|p| p.kappa_estimate.is_some()),
-        "every fed minute ran the sampled estimator"
+        "every ledger minute ran the sampled estimator"
     );
     assert!(unobserved.counters.get("node_removed") > 0, "churn ran");
     let exemplars = observed

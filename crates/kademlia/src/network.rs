@@ -457,11 +457,6 @@ impl SimNetwork {
         self.alive_count - self.compromised_count
     }
 
-    /// Total nodes ever spawned (alive and departed).
-    pub fn spawned_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Borrow a node by address.
     ///
     /// # Panics
@@ -753,14 +748,6 @@ impl SimNetwork {
             self.dispatch(event);
         }
         self.queue.advance_to(t);
-    }
-
-    /// Drains every pending event. Only sensible in tests and small
-    /// examples; scenario runs always bound time with `run_until`.
-    pub fn run_to_quiescence(&mut self) {
-        while let Some((_, event)) = self.queue.pop_before(SimTime::MAX) {
-            self.dispatch(event);
-        }
     }
 
     /// Captures the connectivity snapshot: every honest alive node and one
