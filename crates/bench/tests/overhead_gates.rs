@@ -20,7 +20,8 @@
 
 use dessim::time::{SimDuration, SimTime};
 use kad_bench::support::{paired_ratio_median, stabilized_network};
-use kad_experiments::load::{load_grid, run_load, LoadScenario, LoadTelemetry};
+use kad_experiments::load::{load_grid, LoadTelemetry};
+use kad_experiments::runner::{run_cell, LiveCell};
 use kad_experiments::scale::Scale;
 use kad_experiments::AttackPlan;
 use kad_telemetry::{LookupRecord, NoopSink, TelemetrySink, TracePurpose};
@@ -206,7 +207,7 @@ fn load_gate_catches_a_planted_20_percent_overhead() {
 
 /// The pinned load cell: Poisson 60 req/min × eclipse at bench scale,
 /// seed 1 — the cell the headline attribution decomposes.
-fn load_cell(observe: bool) -> LoadScenario {
+fn load_cell(observe: bool) -> LiveCell {
     let mut cell = load_grid(Scale::Bench, 1)
         .into_iter()
         .find(|cell| {
@@ -237,10 +238,10 @@ fn traced_load_cell_costs_at_most_5_percent_over_plain() {
     let mut traced_best = f64::INFINITY;
     for _ in 0..RUNS {
         let started = Instant::now();
-        black_box(run_load(&plain).budget_spent);
+        black_box(run_cell(&plain).budget_spent);
         plain_best = plain_best.min(started.elapsed().as_secs_f64());
         let started = Instant::now();
-        black_box(run_load(&traced).budget_spent);
+        black_box(run_cell(&traced).budget_spent);
         traced_best = traced_best.min(started.elapsed().as_secs_f64());
     }
     let overhead = traced_best / plain_best - 1.0;

@@ -29,7 +29,8 @@
 //! # Example
 //!
 //! ```
-//! use kad_experiments::campaign::{run_campaign, AttackPlan, CampaignScenario};
+//! use kad_experiments::campaign::AttackPlan;
+//! use kad_experiments::runner::{run_cell, LiveCell};
 //! use kad_experiments::scenario::ScenarioBuilder;
 //! use kad_experiments::AttackSpec;
 //!
@@ -38,16 +39,16 @@
 //!     .seed(3)
 //!     .stabilization_minutes(40)
 //!     .churn_minutes(6);
-//! let scenario = CampaignScenario {
+//! let scenario = LiveCell {
 //!     attack: Some(AttackSpec {
 //!         plan: AttackPlan::HighestDegree,
 //!         budget: 4,
 //!         compromises_per_min: 2,
 //!         start_minute: 40,
 //!     }),
-//!     ..CampaignScenario::plain(base.build())
+//!     ..LiveCell::plain(base.build())
 //! };
-//! let outcome = run_campaign(&scenario);
+//! let outcome = run_cell(&scenario);
 //! assert_eq!(outcome.budget_spent, 4);
 //! // Budget spent is non-decreasing along the series.
 //! let spent: Vec<usize> = outcome.points.iter().map(|p| p.budget_spent).collect();
@@ -56,9 +57,7 @@
 
 use crate::attack_plan::{grid_base_scenario, AttackSpec};
 pub use crate::attack_plan::{AttackPlan, EclipseState};
-pub use crate::runner::{
-    run_cell as run_campaign, CellOutcome as CampaignOutcome, LiveCell as CampaignScenario,
-};
+use crate::runner::{CellOutcome, LiveCell};
 use crate::scale::Scale;
 use crate::scenario::{ChurnRate, TrafficModel};
 use crate::series::FigureData;
@@ -72,7 +71,7 @@ use kad_telemetry::{Cell, Recorder};
 /// and without background churn `1/1`, at the given scale. Each cell's seed
 /// derives from `base_seed` and the cell name, exactly like the figure
 /// harness.
-pub fn campaign_grid(scale: Scale, base_seed: u64) -> Vec<CampaignScenario> {
+pub fn campaign_grid(scale: Scale, base_seed: u64) -> Vec<LiveCell> {
     let cfg = scale.config();
     let size = cfg.small_size;
     let budget = (size / 4).max(2);
@@ -93,14 +92,14 @@ pub fn campaign_grid(scale: Scale, base_seed: u64) -> Vec<CampaignScenario> {
                 },
                 base_seed,
             );
-            grid.push(CampaignScenario {
+            grid.push(LiveCell {
                 attack: Some(AttackSpec {
                     plan,
                     budget,
                     compromises_per_min: 1,
                     start_minute: base.stabilization_minutes,
                 }),
-                ..CampaignScenario::plain(base)
+                ..LiveCell::plain(base)
             });
         }
     }
@@ -109,7 +108,7 @@ pub fn campaign_grid(scale: Scale, base_seed: u64) -> Vec<CampaignScenario> {
 
 /// Renders the `κ(t)` series of several campaigns as one figure (series per
 /// campaign cell), for the terminal charts.
-pub fn campaign_figure(outcomes: &[CampaignOutcome]) -> FigureData {
+pub fn campaign_figure(outcomes: &[CellOutcome]) -> FigureData {
     let mut figure = FigureData::new("campaign: κ(t) of the honest subgraph vs attacker budget");
     for outcome in outcomes {
         figure.add_outcome(outcome.scenario.base.name.clone(), outcome);
@@ -119,7 +118,7 @@ pub fn campaign_figure(outcomes: &[CampaignOutcome]) -> FigureData {
 
 /// The campaign CSV: one row per (campaign, point) with the attacker budget
 /// spent and the resilience `r(t) = κ(t) − 1` alongside the κ series.
-pub fn campaign_csv(outcomes: &[CampaignOutcome]) -> String {
+pub fn campaign_csv(outcomes: &[CellOutcome]) -> String {
     let mut rec = Recorder::new(&[
         "strategy",
         "churn",
@@ -155,34 +154,35 @@ pub fn campaign_csv(outcomes: &[CampaignOutcome]) -> String {
 mod tests {
     use super::*;
     use crate::matrix::MatrixRunner;
+    use crate::runner::run_cell;
     use crate::scenario::ScenarioBuilder;
     use std::collections::HashSet;
 
-    fn quick_campaign(plan: AttackPlan, seed: u64) -> CampaignScenario {
+    fn quick_campaign(plan: AttackPlan, seed: u64) -> LiveCell {
         let mut b = ScenarioBuilder::quick(18, 4);
         b.name(format!("test-campaign-{}", plan.label()))
             .seed(seed)
             .stabilization_minutes(40)
             .churn_minutes(15)
             .snapshot_minutes(20);
-        CampaignScenario {
+        LiveCell {
             attack: Some(AttackSpec {
                 plan,
                 budget: 5,
                 compromises_per_min: 1,
                 start_minute: 40,
             }),
-            ..CampaignScenario::plain(b.build())
+            ..LiveCell::plain(b.build())
         }
     }
 
-    fn plan_of(cell: &CampaignScenario) -> AttackPlan {
+    fn plan_of(cell: &LiveCell) -> AttackPlan {
         cell.attack.expect("campaign cells are attacked").plan
     }
 
     #[test]
     fn campaign_spends_budget_and_shrinks_honest_set() {
-        let outcome = run_campaign(&quick_campaign(AttackPlan::Random, 5));
+        let outcome = run_cell(&quick_campaign(AttackPlan::Random, 5));
         assert_eq!(outcome.budget_spent, 5);
         assert_eq!(outcome.victims.len(), 5);
         assert_eq!(outcome.counters.get("compromise_scheduled"), 5);
@@ -200,12 +200,12 @@ mod tests {
     #[test]
     fn replay_is_deterministic_and_seeds_diverge() {
         for plan in AttackPlan::ALL {
-            let a = run_campaign(&quick_campaign(plan, 7));
-            let b = run_campaign(&quick_campaign(plan, 7));
+            let a = run_cell(&quick_campaign(plan, 7));
+            let b = run_cell(&quick_campaign(plan, 7));
             assert_eq!(a, b, "{plan}");
         }
-        let a = run_campaign(&quick_campaign(AttackPlan::Random, 7));
-        let c = run_campaign(&quick_campaign(AttackPlan::Random, 8));
+        let a = run_cell(&quick_campaign(AttackPlan::Random, 7));
+        let c = run_cell(&quick_campaign(AttackPlan::Random, 8));
         assert_ne!(
             a.victims, c.victims,
             "different overlays, different victims"
@@ -218,7 +218,7 @@ mod tests {
         use kademlia::id::NodeId;
 
         let scenario = quick_campaign(AttackPlan::Eclipse, 11);
-        let outcome = run_campaign(&scenario);
+        let outcome = run_cell(&scenario);
         // Reconstruct the key the attacker derived from the seed and check
         // the first victim is the globally closest node at attack start.
         let key = NodeId::random(
@@ -247,7 +247,7 @@ mod tests {
         assert_eq!(seeds.len(), 8);
         // Smoke: run the two cheapest cells through the MatrixRunner and
         // render CSV + figure.
-        let sample: Vec<CampaignScenario> = grid
+        let sample: Vec<LiveCell> = grid
             .into_iter()
             .filter(|c| plan_of(c) == AttackPlan::Random)
             .collect();
@@ -255,7 +255,7 @@ mod tests {
         let outcomes =
             MatrixRunner::new()
                 .scenario_threads(2)
-                .run_tasks(&sample, run_campaign, |_, _| done += 1);
+                .run_tasks(&sample, run_cell, |_, _| done += 1);
         assert_eq!(done, sample.len());
         let csv = campaign_csv(&outcomes);
         assert!(csv.starts_with("strategy,churn,time_min"));
@@ -270,16 +270,16 @@ mod tests {
         // small overlay (its budget exceeds the typical κ ≈ k/2 here).
         let mut b = ScenarioBuilder::quick(16, 4);
         b.name("test-campaign-mincut-fast").seed(13);
-        let scenario = CampaignScenario {
+        let scenario = LiveCell {
             attack: Some(AttackSpec {
                 plan: AttackPlan::MinCut,
                 budget: 8,
                 compromises_per_min: 2,
                 start_minute: 60,
             }),
-            ..CampaignScenario::plain(b.build())
+            ..LiveCell::plain(b.build())
         };
-        let outcome = run_campaign(&scenario);
+        let outcome = run_cell(&scenario);
         let last = outcome.points.last().expect("points");
         assert!(
             last.report.min_connectivity == 0 || last.honest_size <= 8,

@@ -87,16 +87,13 @@ pub mod table;
 pub mod traffic;
 
 pub use attack_plan::{AttackPlan, AttackSpec};
-pub use campaign::{run_campaign, CampaignOutcome, CampaignScenario};
 pub use defense::{run_defense, DefenseOutcome, DefenseScenario};
 pub use figures::{run_experiment, ExperimentId, ExperimentResult};
-pub use load::{run_load, LoadOutcome, LoadPoint, LoadScenario, LoadSpec};
+pub use load::{LoadPoint, LoadSpec};
 pub use matrix::MatrixRunner;
 pub use observe::{run_observed, CellObservation, CellReport, TraceExemplar};
 pub use runner::{run_cell, run_scenario, CellOutcome, CellPoint, LiveCell, ProbeSpec};
 pub use scale::Scale;
 pub use scenario::{Scenario, ScenarioBuilder};
-pub use service::{run_service, ServiceOutcome, ServiceScenario};
 pub use session::{MinuteActor, SessionDriver};
-pub use sweep::{run_sweep, SweepOutcome, SweepScenario};
 pub use traffic::{ArrivalProcess, ZipfSampler};

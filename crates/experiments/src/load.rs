@@ -53,9 +53,7 @@
 //! simulator counters and hop histogram byte-identical.
 
 use crate::attack_plan::{grid_base_scenario, AttackPlan, AttackSpec};
-pub use crate::runner::{
-    run_cell as run_load, CellOutcome as LoadOutcome, LiveCell as LoadScenario,
-};
+use crate::runner::{CellOutcome, LiveCell};
 use crate::scale::Scale;
 use crate::scenario::{ChurnRate, TrafficModel};
 use crate::session::{
@@ -494,7 +492,7 @@ pub struct LoadPoint {
 }
 
 /// What a load workload leaves in its cell's
-/// [`CellOutcome`](crate::runner::CellOutcome).
+/// [`CellOutcome`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct LoadReport {
     /// One point per load-phase minute, ascending.
@@ -579,7 +577,7 @@ const LOAD_ATTACK_START_MIN: u64 = 55;
 /// stationary process so rate stays the only moving part). Churn is off:
 /// the load engine's in-flight accounting requires origins not to die
 /// mid-lookup, and the attack's damage is the variable under study.
-pub fn load_grid(scale: Scale, base_seed: u64) -> Vec<LoadScenario> {
+pub fn load_grid(scale: Scale, base_seed: u64) -> Vec<LiveCell> {
     let cfg = scale.config();
     let size = cfg.small_size;
     let budget = (size / 4).max(2);
@@ -607,7 +605,7 @@ pub fn load_grid(scale: Scale, base_seed: u64) -> Vec<LoadScenario> {
             },
             base_seed,
         );
-        grid.push(LoadScenario {
+        grid.push(LiveCell {
             attack: plan.map(|plan| AttackSpec {
                 plan,
                 budget,
@@ -616,7 +614,7 @@ pub fn load_grid(scale: Scale, base_seed: u64) -> Vec<LoadScenario> {
             }),
             origins: TrafficOrigins::HonestOnly,
             load: Some(spec),
-            ..LoadScenario::plain(base)
+            ..LiveCell::plain(base)
         });
     };
     for rate in [60.0, 180.0] {
@@ -648,7 +646,7 @@ pub fn load_grid(scale: Scale, base_seed: u64) -> Vec<LoadScenario> {
 }
 
 /// Every outcome that ran a workload, with its spec and report.
-fn loaded(outcomes: &[LoadOutcome]) -> impl Iterator<Item = (&LoadOutcome, LoadSpec, &LoadReport)> {
+fn loaded(outcomes: &[CellOutcome]) -> impl Iterator<Item = (&CellOutcome, LoadSpec, &LoadReport)> {
     outcomes
         .iter()
         .filter_map(|o| Some((o, o.scenario.load?, o.load.as_ref()?)))
@@ -656,7 +654,7 @@ fn loaded(outcomes: &[LoadOutcome]) -> impl Iterator<Item = (&LoadOutcome, LoadS
 
 /// The per-minute CSV: offered vs completed req/min, latency percentiles,
 /// shed and κ, one row per (cell, minute).
-pub fn load_timeseries_csv(outcomes: &[LoadOutcome]) -> String {
+pub fn load_timeseries_csv(outcomes: &[CellOutcome]) -> String {
     let mut rec = Recorder::new(&[
         "strategy",
         "arrival",
@@ -713,7 +711,7 @@ pub fn load_timeseries_csv(outcomes: &[LoadOutcome]) -> String {
 /// attack-phase p99 delta against the baseline cell at the same arrival
 /// shape and rate (0 for baselines themselves — the "eclipse costs X ms
 /// of p99 at rate Y" column).
-pub fn load_summary_csv(outcomes: &[LoadOutcome]) -> String {
+pub fn load_summary_csv(outcomes: &[CellOutcome]) -> String {
     let baseline_p99 = |arrival: ArrivalProcess| -> Option<u64> {
         loaded(outcomes)
             .find(|(o, spec, _)| o.scenario.attack.is_none() && spec.arrival == arrival)
@@ -772,10 +770,10 @@ pub fn load_summary_csv(outcomes: &[LoadOutcome]) -> String {
 mod tests {
     use super::*;
     use crate::matrix::MatrixRunner;
-    use crate::runner::run_cell_reported;
+    use crate::runner::{run_cell, run_cell_reported};
     use crate::scenario::ScenarioBuilder;
 
-    fn quick_load(plan: Option<AttackPlan>, rate: f64, seed: u64) -> LoadScenario {
+    fn quick_load(plan: Option<AttackPlan>, rate: f64, seed: u64) -> LiveCell {
         let mut b = ScenarioBuilder::quick(18, 4);
         b.name(format!(
             "test-load-{}",
@@ -789,7 +787,7 @@ mod tests {
             start_minute: 42,
             phase_split: 48,
         };
-        LoadScenario {
+        LiveCell {
             attack: plan.map(|plan| AttackSpec {
                 plan,
                 budget: 5,
@@ -798,21 +796,21 @@ mod tests {
             }),
             origins: TrafficOrigins::HonestOnly,
             load: Some(spec),
-            ..LoadScenario::plain(b.build())
+            ..LiveCell::plain(b.build())
         }
     }
 
-    fn spec_mut(scenario: &mut LoadScenario) -> &mut LoadSpec {
+    fn spec_mut(scenario: &mut LiveCell) -> &mut LoadSpec {
         scenario.load.as_mut().expect("load cell")
     }
 
-    fn ledger(outcome: &LoadOutcome) -> &LoadReport {
+    fn ledger(outcome: &CellOutcome) -> &LoadReport {
         outcome.load.as_ref().expect("cell ran a load workload")
     }
 
     #[test]
     fn baseline_load_completes_and_finds_values() {
-        let outcome = run_load(&quick_load(None, 30.0, 3));
+        let outcome = run_cell(&quick_load(None, 30.0, 3));
         assert_eq!(outcome.budget_spent, 0);
         let report = ledger(&outcome);
         assert!(report.stats.offered_total > 0, "arrivals happened");
@@ -878,10 +876,10 @@ mod tests {
 
     #[test]
     fn replay_is_deterministic() {
-        let a = run_load(&quick_load(Some(AttackPlan::Eclipse), 30.0, 7));
-        let b = run_load(&quick_load(Some(AttackPlan::Eclipse), 30.0, 7));
+        let a = run_cell(&quick_load(Some(AttackPlan::Eclipse), 30.0, 7));
+        let b = run_cell(&quick_load(Some(AttackPlan::Eclipse), 30.0, 7));
         assert_eq!(a, b);
-        let c = run_load(&quick_load(Some(AttackPlan::Eclipse), 30.0, 8));
+        let c = run_cell(&quick_load(Some(AttackPlan::Eclipse), 30.0, 8));
         assert_ne!(ledger(&a).points, ledger(&c).points, "seeds diverge");
     }
 
@@ -889,7 +887,7 @@ mod tests {
     fn silent_spec_is_inert() {
         let mut scenario = quick_load(None, 0.0, 5);
         spec_mut(&mut scenario).arrival = ArrivalProcess::Poisson { rate_per_min: 0.0 };
-        let outcome = run_load(&scenario);
+        let outcome = run_cell(&scenario);
         let report = ledger(&outcome);
         assert_eq!(report.stats.offered_total, 0);
         assert_eq!(report.telemetry.completed_retrievals, 0);
@@ -900,7 +898,7 @@ mod tests {
     fn tiny_window_sheds_overload() {
         // The window admits 64 per minute; 400 req/min overfill the
         // 256-deep backlog within two minutes.
-        let outcome = run_load(&quick_load(None, 400.0, 9));
+        let outcome = run_cell(&quick_load(None, 400.0, 9));
         let report = ledger(&outcome);
         assert!(
             report.stats.shed_total > 0,
@@ -917,8 +915,8 @@ mod tests {
 
     #[test]
     fn eclipse_on_hot_key_degrades_found_rate_and_latency() {
-        let baseline = run_load(&quick_load(None, 30.0, 11));
-        let eclipsed = run_load(&quick_load(Some(AttackPlan::Eclipse), 30.0, 11));
+        let baseline = run_cell(&quick_load(None, 30.0, 11));
+        let eclipsed = run_cell(&quick_load(Some(AttackPlan::Eclipse), 30.0, 11));
         assert_eq!(eclipsed.budget_spent, 5);
         let base_attack = ledger(&baseline).telemetry.latency_attack();
         let ecl_attack = ledger(&eclipsed).telemetry.latency_attack();
@@ -970,7 +968,7 @@ mod tests {
         }
         // Unobserved sibling: no reservoirs, byte-identical aggregates —
         // trace capture is observation only.
-        let unobserved = run_load(&quick_load(Some(AttackPlan::Eclipse), 30.0, 11));
+        let unobserved = run_cell(&quick_load(Some(AttackPlan::Eclipse), 30.0, 11));
         let (observed, unobserved) = (ledger(&outcome), ledger(&unobserved));
         assert!(unobserved.telemetry.exemplars.is_none());
         assert_eq!(observed.points, unobserved.points);
@@ -1097,7 +1095,7 @@ mod tests {
             strata_used: 4,
             exact: false,
         };
-        let outcome = LoadOutcome {
+        let outcome = CellOutcome {
             scenario: quick_load(None, 30.0, 3),
             points: Vec::new(),
             hops: LogHistogram::default(),
@@ -1143,7 +1141,7 @@ mod tests {
         }
         // Smoke-run two cheap cells (low-rate baseline + eclipse) and
         // render both CSVs.
-        let sample: Vec<LoadScenario> = grid
+        let sample: Vec<LiveCell> = grid
             .into_iter()
             .filter(|c| {
                 c.load.is_some_and(|spec| spec.arrival.mean_rate() == 60.0)
@@ -1156,7 +1154,7 @@ mod tests {
         let outcomes =
             MatrixRunner::new()
                 .scenario_threads(2)
-                .run_tasks(&sample, run_load, |_, _| done += 1);
+                .run_tasks(&sample, run_cell, |_, _| done += 1);
         assert_eq!(done, 2);
         let ts = load_timeseries_csv(&outcomes);
         assert!(ts.starts_with("strategy,arrival,rate_per_min,minute"));

@@ -23,22 +23,20 @@
 //! # Example
 //!
 //! ```
-//! use kad_experiments::service::{run_service, ServiceScenario};
+//! use kad_experiments::runner::{run_cell, LiveCell};
 //! use kad_experiments::scenario::ScenarioBuilder;
 //!
 //! let mut b = ScenarioBuilder::quick(16, 4);
 //! b.name("doc-service").seed(5).stabilization_minutes(40).churn_minutes(6);
-//! let scenario = ServiceScenario::unattacked(b.build());
-//! let outcome = run_service(&scenario);
+//! let scenario = LiveCell::unattacked(b.build());
+//! let outcome = run_cell(&scenario);
 //! let last = outcome.points.last().expect("snapshot grid");
 //! assert!(last.lookup_success_rate > 0.5, "healthy overlay serves lookups");
 //! assert!(!outcome.hops.is_empty(), "hop distribution collected");
 //! ```
 
 use crate::attack_plan::{grid_base_scenario, AttackPlan, AttackSpec};
-pub use crate::runner::{
-    run_cell as run_service, CellOutcome as ServiceOutcome, LiveCell as ServiceScenario,
-};
+use crate::runner::{CellOutcome, LiveCell};
 use crate::scale::Scale;
 use crate::scenario::{ChurnRate, TrafficModel};
 use kad_telemetry::{Cell, Recorder};
@@ -91,7 +89,7 @@ pub const ANALYTIC_HOP_TOLERANCE: f64 = 0.75;
 /// The grid `repro service` runs: churn off/`1/1` crossed with an
 /// attack-free baseline plus all four [`AttackPlan`]s, at the given scale.
 /// Seeds derive from `base_seed` and the cell name, like every other grid.
-pub fn service_grid(scale: Scale, base_seed: u64) -> Vec<ServiceScenario> {
+pub fn service_grid(scale: Scale, base_seed: u64) -> Vec<LiveCell> {
     let cfg = scale.config();
     let size = cfg.small_size;
     let budget = (size / 4).max(2);
@@ -114,14 +112,14 @@ pub fn service_grid(scale: Scale, base_seed: u64) -> Vec<ServiceScenario> {
                 base_seed,
             );
             let start_minute = base.stabilization_minutes;
-            grid.push(ServiceScenario {
+            grid.push(LiveCell {
                 attack: plan.map(|plan| AttackSpec {
                     plan,
                     budget,
                     compromises_per_min: 1,
                     start_minute,
                 }),
-                ..ServiceScenario::unattacked(base)
+                ..LiveCell::unattacked(base)
             });
         }
     }
@@ -130,7 +128,7 @@ pub fn service_grid(scale: Scale, base_seed: u64) -> Vec<ServiceScenario> {
 
 /// The aligned time-series CSV: κ(t) next to lookup success, hop mean and
 /// retrievability, one row per (cell, snapshot).
-pub fn service_timeseries_csv(outcomes: &[ServiceOutcome]) -> String {
+pub fn service_timeseries_csv(outcomes: &[CellOutcome]) -> String {
     let mut rec = Recorder::new(&[
         "strategy",
         "churn",
@@ -174,7 +172,7 @@ pub fn service_timeseries_csv(outcomes: &[ServiceOutcome]) -> String {
 
 /// The hop-count distribution CSV: one row per (cell, hop bucket), with
 /// the per-cell p50/p90/mean repeated for convenience.
-pub fn service_hops_csv(outcomes: &[ServiceOutcome]) -> String {
+pub fn service_hops_csv(outcomes: &[CellOutcome]) -> String {
     let mut rec = Recorder::new(&[
         "strategy", "churn", "hops", "count", "share", "mean", "p50", "p90",
     ]);
@@ -203,11 +201,11 @@ pub fn service_hops_csv(outcomes: &[ServiceOutcome]) -> String {
 mod tests {
     use super::*;
     use crate::matrix::MatrixRunner;
-    use crate::runner::ProbeSpec;
+    use crate::runner::{run_cell, ProbeSpec};
     use crate::scenario::ScenarioBuilder;
     use std::collections::HashSet;
 
-    fn quick_service(attack: Option<AttackPlan>, seed: u64) -> ServiceScenario {
+    fn quick_service(attack: Option<AttackPlan>, seed: u64) -> LiveCell {
         let mut b = ScenarioBuilder::quick(18, 4);
         b.name(format!(
             "test-service-{}",
@@ -218,7 +216,7 @@ mod tests {
         .churn_minutes(12)
         .snapshot_minutes(20);
         let base = b.build();
-        ServiceScenario {
+        LiveCell {
             attack: attack.map(|plan| AttackSpec {
                 plan,
                 budget: 5,
@@ -229,13 +227,13 @@ mod tests {
                 store_every_min: 5,
                 ..ProbeSpec::SERVICE
             }),
-            ..ServiceScenario::unattacked(base)
+            ..LiveCell::unattacked(base)
         }
     }
 
     #[test]
     fn healthy_overlay_serves_lookups_and_retrievals() {
-        let outcome = run_service(&quick_service(None, 3));
+        let outcome = run_cell(&quick_service(None, 3));
         assert_eq!(outcome.budget_spent, 0);
         let last = outcome.points.last().expect("points");
         assert!(last.lookups > 0, "traffic produced lookups");
@@ -259,16 +257,16 @@ mod tests {
 
     #[test]
     fn replay_is_deterministic() {
-        let a = run_service(&quick_service(Some(AttackPlan::Random), 7));
-        let b = run_service(&quick_service(Some(AttackPlan::Random), 7));
+        let a = run_cell(&quick_service(Some(AttackPlan::Random), 7));
+        let b = run_cell(&quick_service(Some(AttackPlan::Random), 7));
         assert_eq!(a, b);
-        let c = run_service(&quick_service(Some(AttackPlan::Random), 8));
+        let c = run_cell(&quick_service(Some(AttackPlan::Random), 8));
         assert_ne!(a.points, c.points, "seeds diverge");
     }
 
     #[test]
     fn attack_spends_budget_and_is_visible_in_kappa() {
-        let outcome = run_service(&quick_service(Some(AttackPlan::HighestDegree), 11));
+        let outcome = run_cell(&quick_service(Some(AttackPlan::HighestDegree), 11));
         assert_eq!(outcome.budget_spent, 5);
         let last = outcome.points.last().expect("points");
         assert_eq!(last.honest_size, 18 - 5);
@@ -287,7 +285,7 @@ mod tests {
         // Not asserting a specific drop (the eclipse key is independent of
         // the probe keys), only that the pipeline runs end to end and the
         // probe keeps reporting while nodes fall.
-        let outcome = run_service(&quick_service(Some(AttackPlan::Eclipse), 13));
+        let outcome = run_cell(&quick_service(Some(AttackPlan::Eclipse), 13));
         assert_eq!(outcome.budget_spent, 5);
         let last = outcome.points.last().expect("points");
         assert!(last.retrieves > 0, "probe still runs under attack");
@@ -304,13 +302,12 @@ mod tests {
         seeds.dedup();
         assert_eq!(seeds.len(), 10, "unique seed per cell");
         // Smoke-run the two cheapest cells through the MatrixRunner.
-        let sample: Vec<ServiceScenario> =
-            grid.into_iter().filter(|c| c.attack.is_none()).collect();
+        let sample: Vec<LiveCell> = grid.into_iter().filter(|c| c.attack.is_none()).collect();
         let mut done = 0usize;
         let outcomes =
             MatrixRunner::new()
                 .scenario_threads(2)
-                .run_tasks(&sample, run_service, |_, _| done += 1);
+                .run_tasks(&sample, run_cell, |_, _| done += 1);
         assert_eq!(done, sample.len());
         let ts = service_timeseries_csv(&outcomes);
         assert!(ts.starts_with("strategy,churn,time_min"));

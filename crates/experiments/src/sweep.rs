@@ -18,10 +18,7 @@
 //! active phase label per row).
 
 use crate::attack_plan::{grid_base_scenario, AttackPlan, AttackSpec};
-use crate::runner::ProbeSpec;
-pub use crate::runner::{
-    run_cell as run_sweep, CellOutcome as SweepOutcome, LiveCell as SweepScenario,
-};
+use crate::runner::{CellOutcome, LiveCell, ProbeSpec};
 use crate::scale::Scale;
 use crate::scenario::{ChurnRate, TrafficModel};
 use crate::session::{minute_kappa, AttackerActor, MinuteActor, MinuteCtx};
@@ -185,7 +182,7 @@ fn phase_scripts() -> [Vec<AttackPhase>; 2] {
 /// The grid `repro sweep` runs: both phase scripts × every [`PolicyKind`]
 /// (churn off — the adaptive attacker is the variable under test), sized
 /// like the defense grid so all 8 cells finish in seconds at bench scale.
-pub fn sweep_grid(scale: Scale, base_seed: u64) -> Vec<SweepScenario> {
+pub fn sweep_grid(scale: Scale, base_seed: u64) -> Vec<LiveCell> {
     let cfg = scale.config();
     let size = (cfg.small_size * 3 / 4).max(12);
     let budget = (size / 2).max(3);
@@ -209,7 +206,7 @@ pub fn sweep_grid(scale: Scale, base_seed: u64) -> Vec<SweepScenario> {
                 base_seed,
             );
             let start_minute = base.stabilization_minutes;
-            grid.push(SweepScenario {
+            grid.push(LiveCell {
                 policy,
                 attack: Some(AttackSpec {
                     plan: phases[0].plan,
@@ -222,7 +219,7 @@ pub fn sweep_grid(scale: Scale, base_seed: u64) -> Vec<SweepScenario> {
                     store_every_min: 8,
                     ..ProbeSpec::SERVICE
                 }),
-                ..SweepScenario::unattacked(base)
+                ..LiveCell::unattacked(base)
             });
         }
     }
@@ -231,7 +228,7 @@ pub fn sweep_grid(scale: Scale, base_seed: u64) -> Vec<SweepScenario> {
 
 /// The mixed-phase time-series CSV: one row per (cell, snapshot), with
 /// the active attack phase as a column.
-pub fn sweep_timeseries_csv(outcomes: &[SweepOutcome]) -> String {
+pub fn sweep_timeseries_csv(outcomes: &[CellOutcome]) -> String {
     let mut rec = Recorder::new(&[
         "script",
         "policy",
@@ -277,16 +274,17 @@ pub fn sweep_timeseries_csv(outcomes: &[SweepOutcome]) -> String {
 mod tests {
     use super::*;
     use crate::matrix::MatrixRunner;
+    use crate::runner::run_cell;
     use crate::scenario::ScenarioBuilder;
 
-    fn quick_sweep(phases: Vec<AttackPhase>, seed: u64) -> SweepScenario {
+    fn quick_sweep(phases: Vec<AttackPhase>, seed: u64) -> LiveCell {
         let mut b = ScenarioBuilder::quick(18, 4);
         b.name("test-sweep")
             .seed(seed)
             .stabilization_minutes(40)
             .churn_minutes(14)
             .snapshot_minutes(20);
-        SweepScenario {
+        LiveCell {
             attack: Some(AttackSpec {
                 plan: phases[0].plan,
                 budget: 8,
@@ -298,13 +296,13 @@ mod tests {
                 store_every_min: 5,
                 ..ProbeSpec::SERVICE
             }),
-            ..SweepScenario::unattacked(b.build())
+            ..LiveCell::unattacked(b.build())
         }
     }
 
     #[test]
     fn clock_switch_fires_and_is_recorded() {
-        let outcome = run_sweep(&quick_sweep(
+        let outcome = run_cell(&quick_sweep(
             vec![
                 AttackPhase {
                     plan: AttackPlan::Random,
@@ -338,7 +336,7 @@ mod tests {
     fn kappa_trough_switch_reacts_to_the_measured_series() {
         // A threshold above any possible κ switches on the very first
         // post-attack-start sample.
-        let outcome = run_sweep(&quick_sweep(
+        let outcome = run_cell(&quick_sweep(
             vec![
                 AttackPhase {
                     plan: AttackPlan::Random,
@@ -358,7 +356,7 @@ mod tests {
         // snapshot predates it, so the switch lands at minute 41.
         assert_eq!(outcome.phase_switches[0].0, 41, "attack start 40 + 1");
         // An unreachable threshold never switches.
-        let stay = run_sweep(&quick_sweep(
+        let stay = run_cell(&quick_sweep(
             vec![
                 AttackPhase {
                     plan: AttackPlan::Random,
@@ -387,8 +385,8 @@ mod tests {
                 switch: SwitchRule::Never,
             },
         ];
-        let a = run_sweep(&quick_sweep(phases.clone(), 11));
-        let b = run_sweep(&quick_sweep(phases, 11));
+        let a = run_cell(&quick_sweep(phases.clone(), 11));
+        let b = run_cell(&quick_sweep(phases, 11));
         assert_eq!(a, b);
     }
 
@@ -401,7 +399,7 @@ mod tests {
         seeds.dedup();
         assert_eq!(seeds.len(), 8, "unique seed per cell");
         // Smoke-run the two none-policy cells and render.
-        let sample: Vec<SweepScenario> = grid
+        let sample: Vec<LiveCell> = grid
             .into_iter()
             .filter(|c| c.policy == PolicyKind::None)
             .collect();
@@ -410,7 +408,7 @@ mod tests {
         let outcomes =
             MatrixRunner::new()
                 .scenario_threads(2)
-                .run_tasks(&sample, run_sweep, |_, _| done += 1);
+                .run_tasks(&sample, run_cell, |_, _| done += 1);
         assert_eq!(done, 2);
         let csv = sweep_timeseries_csv(&outcomes);
         assert!(csv.starts_with("script,policy,churn,time_min,phase"));

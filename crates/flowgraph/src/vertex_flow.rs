@@ -15,7 +15,8 @@
 //!   unit.
 //!
 //! [`VertexFlow`] runs Dinic phases on that implicit network over a CSR
-//! copy of the graph's out- and in-neighbour rows:
+//! copy of the graph's out-neighbour rows and a bit row of each vertex's
+//! out- and in-neighbours ("Bit rows" below):
 //!
 //! 0. **Closed-form opening** (`VertexFlow::open`). From the clean state
 //!    Dinic's first two phases need no search, because their level graphs
@@ -42,14 +43,13 @@
 //!    [`VertexFlow::paths`], [`VertexFlow::min_cut`] and both witness
 //!    digests are unchanged. With `C = ∅` phase 1 is empty and the 5-arc
 //!    phase is Dinic's first. With no 5-arc path, phase 2 routes nothing and
-//!    the first search finds the longer paths, as before. Bit rows find `C`
-//!    and `Y` with word ANDs and each `y` with one masked word scan; entry
-//!    rows merge the two sorted rows and mark `Y` in `near`. Counted on
-//!    kadbench's overlays (seed 11), the opening routes 98 % of the units
-//!    of `kappa-min-1k` and 95 % of `kappa-paper-250`. Every flow there ends
-//!    at `stop`; none ends in a search that finds no path. At n ≥ 1,000,
-//!    89 % or more of a full flow's time now goes to the 7-arc phases after
-//!    the opening (`docs/DESIGN.md`, "Closed-form opening").
+//!    the first search finds the longer paths, as before. `open` finds `C`
+//!    and `Y` with word ANDs and each `y` with one masked word scan.
+//!    Counted on kadbench's overlays (seed 11), the opening routes 98 % of
+//!    the units of `kappa-min-1k` and 95 % of `kappa-paper-250`. Every flow
+//!    there ends at `stop`; none ends in a search that finds no path. At
+//!    n ≥ 1,000, 89 % or more of a full flow's time now goes to the 7-arc
+//!    phases after the opening (`docs/DESIGN.md`, "Closed-form opening").
 //! 1. **Two-sided search.** One level-synchronous search grows layers from
 //!    both ends: backward from the sink `w'` (layer `B_j` holds the copies
 //!    at residual distance `j` *to* the sink, labelled `j`) and forward
@@ -64,8 +64,8 @@
 //!    would give. Both balls stop at the middle; on overlay graphs, where
 //!    a sink-rooted search alone labels most of the network before it
 //!    reaches `v''`, that is a few hundred copies. The backward step reads
-//!    the in-rows: `x''` has one residual in-arc, from `x'` while idle and
-//!    from `succ[x]'` otherwise; `x'` has one from `z''` for every
+//!    the in-bit rows: `x''` has one residual in-arc, from `x'` while idle
+//!    and from `succ[x]'` otherwise; `x'` has one from `z''` for every
 //!    in-neighbour `z ≠ pred[x]`, plus one from `x''` while `x` carries a
 //!    unit; the sink has one from `z''` for every in-neighbour with
 //!    `succ[z] ≠ w`. The forward step reads the residual out-arcs above.
@@ -84,12 +84,12 @@
 //!
 //! # Bit rows
 //!
-//! On dense graphs the row scans read a row as a bitset, one `u64` word per
-//! 64 vertices, instead of entry by entry:
+//! Every row scan reads a row as a bitset, one `u64` word per 64 vertices:
 //!
 //! * the backward step expands `x'` with `in_bits(x) & !out_seen`, where
 //!   `out_seen` holds the out-copies labelled so far (the feeder `pred[x]`
-//!   among them: `x'` is labelled from `pred[x]''`);
+//!   among them: `x'` is labelled from `pred[x]''`), and `B_1` takes the
+//!   in-neighbours of `w` from `in_bits(w)`;
 //! * the DFS takes the next candidate out of `x''` from
 //!   `out_bits(x) & in_alive[next / 2]`, starting at bit `cur[x]`, and the
 //!   walk over the forward layers tests an out-copy with the same words.
@@ -100,22 +100,15 @@
 //! at odd ones). Bit `y` of bitset `L / 2` is set while `y'` is labelled
 //! `L` and alive; the DFS clears it as `y'` dies.
 //!
-//! The word scans visit new bits in ascending vertex id, which is the
-//! order of the sorted rows, and skip exactly the entries the entry scans
-//! skip. So every label, every augmenting path and `pred`/`succ` come out
-//! identical under both forms, and so do κ, [`VertexFlow::paths`] and
-//! [`VertexFlow::min_cut`].
+//! The word scans visit new bits in ascending vertex id: the row order
+//! that step 0's argument and the DFS's current-arc scan assume, so the
+//! augmenting paths, and with them [`VertexFlow::paths`], are those of a
+//! scan over sorted rows. The forward step, the adjacency test and the
+//! witnesses read the sorted out-rows themselves.
 //!
-//! A bit scan costs `⌈n/64⌉` words per row whatever the row's length, so
-//! it pays only where rows are long. Bit rows are built when
-//! `m ≥ 2·n·⌈n/64⌉`, i.e. when a mean row has at least twice as many
-//! entries as a bit row has words; sparser graphs keep the entry scan.
-//! The factor 2 is measured: on overlays with 2.2 or more entries per word
-//! no flow timing is slower on bit rows, while on a k = 5 overlay of 2,500
-//! vertices (1.09 entries per word) the cutoff flow is 16 % slower
-//! (`docs/DESIGN.md`, "Where the rule sits").
-//! Under that rule the two bit rows per vertex (`16·n·⌈n/64⌉` bytes) cost
-//! at most the `8m` bytes of the CSR's own adjacency arrays.
+//! The two bit rows per vertex take `16·n·⌈n/64⌉` bytes, shared by every
+//! clone: 1.6 MB at n = 2,500, 25 MB at n = 10,000 and about 2.5 GB at
+//! n = 100,000 (`docs/DESIGN.md`, "One row form").
 //!
 //! # Witnesses
 //!
@@ -167,21 +160,13 @@ fn sole_exit(pred: &[u32], a: u32) -> u32 {
     }
 }
 
-/// Whether a graph with `n` vertices and `m` edges gets bit rows: when a
-/// mean row has at least twice as many entries as a bit row has words.
-fn wants_bit_rows(n: usize, m: usize) -> bool {
-    m >= 2 * n * n.div_ceil(64)
-}
-
-/// Out- and in-neighbour rows in compressed sparse row form, both sorted
-/// ascending within a row, and on dense graphs the same rows as bitsets.
+/// Out-neighbour rows in compressed sparse row form, sorted ascending
+/// within a row, and the out- and in-neighbour rows as bitsets.
 #[derive(Debug)]
 struct Csr {
     out_off: Vec<usize>,
     out_adj: Vec<u32>,
-    in_off: Vec<usize>,
-    in_adj: Vec<u32>,
-    /// `u64` words per bit row; 0 when the rows are scanned entry by entry.
+    /// `u64` words per bit row: `⌈n/64⌉`.
     words: usize,
     /// Bit `y` of row `x` is set iff `(x, y)` is an edge (`words` per row).
     out_bits: Vec<u64>,
@@ -190,38 +175,25 @@ struct Csr {
 }
 
 impl Csr {
-    fn new(g: &DiGraph, bit_rows: bool) -> Self {
+    fn new(g: &DiGraph) -> Self {
         let n = g.node_count();
         let mut out_off = Vec::with_capacity(n + 1);
         let mut out_adj = Vec::with_capacity(g.edge_count());
-        let mut in_off = vec![0usize; n + 1];
         out_off.push(0);
         for x in 0..n as u32 {
             out_adj.extend_from_slice(g.out_neighbors(x));
             out_off.push(out_adj.len());
-            in_off[x as usize + 1] = in_off[x as usize] + g.in_degree(x);
         }
-        // Tails ascend, so every in-row comes out sorted.
-        let mut fill = in_off.clone();
-        let mut in_adj = vec![0u32; out_adj.len()];
-        for (x, y) in g.edges() {
-            in_adj[fill[y as usize]] = x;
-            fill[y as usize] += 1;
-        }
-        let words = if bit_rows { n.div_ceil(64) } else { 0 };
+        let words = n.div_ceil(64);
         let mut out_bits = vec![0u64; n * words];
         let mut in_bits = vec![0u64; n * words];
-        if words > 0 {
-            for (x, y) in g.edges() {
-                set_bit(&mut out_bits[x as usize * words..], y);
-                set_bit(&mut in_bits[y as usize * words..], x);
-            }
+        for (x, y) in g.edges() {
+            set_bit(&mut out_bits[x as usize * words..], y);
+            set_bit(&mut in_bits[y as usize * words..], x);
         }
         Csr {
             out_off,
             out_adj,
-            in_off,
-            in_adj,
             words,
             out_bits,
             in_bits,
@@ -231,11 +203,6 @@ impl Csr {
     #[inline]
     fn out_row(&self, x: u32) -> &[u32] {
         &self.out_adj[self.out_off[x as usize]..self.out_off[x as usize + 1]]
-    }
-
-    #[inline]
-    fn in_row(&self, x: u32) -> &[u32] {
-        &self.in_adj[self.in_off[x as usize]..self.in_off[x as usize + 1]]
     }
 
     #[inline]
@@ -292,12 +259,12 @@ fn alive_words(words: usize, level: u32) -> Range<usize> {
     start..start + words
 }
 
-/// Drops copy `a` from the level graph: unlabels it and, with bit rows
-/// (`BITS`), clears an in-copy's bit in the `in_alive` set of its level.
+/// Drops copy `a` from the level graph: unlabels it and clears an
+/// in-copy's bit in the `in_alive` set of its level.
 #[inline]
-fn unlabel<const BITS: bool>(level: &mut [u32], in_alive: &mut [u64], words: usize, a: u32) {
+fn unlabel(level: &mut [u32], in_alive: &mut [u64], words: usize, a: u32) {
     let at = std::mem::replace(&mut level[a as usize], NONE);
-    if BITS && a & 1 == 0 && at != NONE {
+    if a & 1 == 0 && at != NONE {
         clear_bit(&mut in_alive[alive_words(words, at)], a >> 1);
     }
 }
@@ -336,23 +303,22 @@ pub struct VertexFlow {
     /// Residual distance to the sink in the current phase, indexed by copy
     /// id; the DFS clears entries as copies die.
     level: Vec<u32>,
-    /// Current-arc pointer per vertex (out-copies only): an index into the
-    /// out-row, or with bit rows the vertex id the bit scan resumes at.
+    /// Current-arc pointer per vertex (out-copies only): the vertex id the
+    /// bit scan of its out-row resumes at.
     cur: Vec<usize>,
-    /// With bit rows, the out-copies labelled this phase (bit `z` for
-    /// `z''`), cleared as each search starts; empty otherwise. The opening
-    /// keeps its free `y ∈ Y` here before the first search.
+    /// The out-copies labelled this phase (bit `z` for `z''`), cleared as
+    /// each search starts. The opening keeps its free `y ∈ Y` here before
+    /// the first search.
     out_seen: Vec<u64>,
-    /// With bit rows, one bitset per even level `L`: bit `y` of bitset
-    /// `L / 2` is set while `y'` is labelled `L` and alive. Grows to the
-    /// deepest level any phase reaches; empty without bit rows.
+    /// One bitset per even level `L`: bit `y` of bitset `L / 2` is set
+    /// while `y'` is labelled `L` and alive. Grows to the deepest level any
+    /// phase reaches.
     in_alive: Vec<u64>,
     /// Labelled copies in the order they were labelled: the backward
     /// search's queue, then the list of copies to unlabel.
     queue: Vec<u32>,
     /// Residual distance from the source, indexed by copy id, for the
     /// copies the forward search has marked this phase (`NONE`: unmarked).
-    /// The entry-row opening marks its free `y'` here and clears them.
     near: Vec<u32>,
     /// The copies marked in `near`, layer by layer.
     near_queue: Vec<u32>,
@@ -361,26 +327,21 @@ pub struct VertexFlow {
 }
 
 impl VertexFlow {
-    /// Builds the kernel for `g`: one `O(n + m)` pass to lay out the rows,
-    /// plus bit rows when `g` is dense enough for them (module docs).
+    /// Builds the kernel for `g`: the sorted out-rows in one `O(n + m)`
+    /// pass, and the out- and in-bit rows in `16·n·⌈n/64⌉` bytes (module
+    /// docs).
     ///
     /// # Panics
     ///
     /// Panics if `g` has more than `u32::MAX / 2` vertices (copy ids must
     /// fit a `u32`).
     pub fn new(g: &DiGraph) -> Self {
-        Self::with_row_form(g, wants_bit_rows(g.node_count(), g.edge_count()))
-    }
-
-    /// [`Self::new`] with the row form chosen by the caller; tests use it
-    /// to run one graph under both forms.
-    fn with_row_form(g: &DiGraph, bit_rows: bool) -> Self {
         let n = g.node_count();
         assert!(
             n <= (u32::MAX / 2) as usize,
             "graph too large for u32 copy ids"
         );
-        let csr = Csr::new(g, bit_rows);
+        let csr = Csr::new(g);
         let words = csr.words;
         VertexFlow {
             csr: Arc::new(csr),
@@ -538,30 +499,29 @@ impl VertexFlow {
             return None;
         }
         // Every path leaves v over its own edge and enters w over its own.
-        let bound = self.csr.out_row(v).len().min(self.csr.in_row(w).len()) as u64;
+        let in_degree: u32 = self
+            .csr
+            .in_bits(w)
+            .iter()
+            .map(|word| word.count_ones())
+            .sum();
+        let bound = self.csr.out_row(v).len().min(in_degree as usize) as u64;
         let stop = cutoff.map_or(bound, |c| c.min(bound));
-        // One copy of the phase loop per row form, so the entry scan
-        // carries no bit-row branch.
-        Some(if self.csr.words > 0 {
-            self.phases::<true>(v, w, stop)
-        } else {
-            self.phases::<false>(v, w, stop)
-        })
+        Some(self.phases(v, w, stop))
     }
 
     /// Dinic phases until `stop` units are routed or a search finds no
-    /// path, the first two in closed form ([`Self::open`]); `BITS` says
-    /// whether the CSR has bit rows.
-    fn phases<const BITS: bool>(&mut self, v: u32, w: u32, stop: u64) -> u64 {
-        let mut flow = self.open::<BITS>(v, w, stop);
+    /// path, the first two in closed form ([`Self::open`]).
+    fn phases(&mut self, v: u32, w: u32, stop: u64) -> u64 {
+        let mut flow = self.open(v, w, stop);
         while flow < stop {
-            let reached = self.label_level_graph::<BITS>(v, w);
+            let reached = self.label_level_graph(v, w);
             if reached {
-                let sent = self.blocking_flow::<BITS>(v, w, stop - flow);
+                let sent = self.blocking_flow(v, w, stop - flow);
                 debug_assert!(sent > 0, "a phase that reached the source routed nothing");
                 flow += sent;
             }
-            self.clear_phase::<BITS>();
+            self.clear_phase();
             if !reached {
                 break;
             }
@@ -576,103 +536,57 @@ impl VertexFlow {
     /// `x ∈ N⁺(v) ∖ C` over the smallest still-free `y ∈ N⁻(w) ∖ C` with
     /// `(x, y)` an edge, both in ascending order.
     ///
-    /// The free `y` are kept in `out_seen` with bit rows (the next search
-    /// zeroes it) and marked in `near` otherwise (cleared before returning).
-    fn open<const BITS: bool>(&mut self, v: u32, w: u32, stop: u64) -> u64 {
+    /// The free `y` are kept in `out_seen`; the next search zeroes it.
+    fn open(&mut self, v: u32, w: u32, stop: u64) -> u64 {
         let VertexFlow {
             csr,
             pred,
             succ,
             touched,
             out_seen,
-            near,
             ..
         } = self;
         if stop == 0 {
             return 0;
         }
         let mut flow = 0;
-        if BITS {
-            let (out_v, in_w) = (csr.out_bits(v), csr.in_bits(w));
-            for (k, (&out_v, &in_w)) in out_v.iter().zip(in_w).enumerate() {
-                let mut common = out_v & in_w;
-                while common != 0 {
-                    let c = (k * 64) as u32 + common.trailing_zeros();
-                    common &= common - 1;
-                    carry(pred, succ, touched, &[v, c, w]);
-                    flow += 1;
-                    if flow == stop {
-                        return flow;
-                    }
-                }
-                out_seen[k] = in_w & !out_v;
-            }
-            for (k, (&out_v, &in_w)) in out_v.iter().zip(in_w).enumerate() {
-                let mut only_v = out_v & !in_w;
-                while only_v != 0 {
-                    let x = (k * 64) as u32 + only_v.trailing_zeros();
-                    only_v &= only_v - 1;
-                    if let Some(y) = first_common(csr.out_bits(x), out_seen, 0) {
-                        clear_bit(out_seen, y);
-                        carry(pred, succ, touched, &[v, x, y, w]);
-                        flow += 1;
-                        if flow == stop {
-                            return flow;
-                        }
-                    }
-                }
-            }
-            return flow;
-        }
-        let (out_v, in_w) = (csr.out_row(v), csr.in_row(w));
-        let mut j = 0;
-        for &c in out_v {
-            while j < in_w.len() && in_w[j] < c {
-                j += 1;
-            }
-            if in_w.get(j) == Some(&c) {
+        let (out_v, in_w) = (csr.out_bits(v), csr.in_bits(w));
+        for (k, (&out_v, &in_w)) in out_v.iter().zip(in_w).enumerate() {
+            let mut common = out_v & in_w;
+            while common != 0 {
+                let c = (k * 64) as u32 + common.trailing_zeros();
+                common &= common - 1;
                 carry(pred, succ, touched, &[v, c, w]);
                 flow += 1;
                 if flow == stop {
                     return flow;
                 }
             }
+            out_seen[k] = in_w & !out_v;
         }
-        // Every c ∈ C carries a unit from v now, so the idle in-neighbours
-        // of w are N⁻(w) ∖ C, and the idle out-neighbours of v are
-        // N⁺(v) ∖ C, none of them in N⁻(w).
-        for &y in in_w {
-            if pred[y as usize] == NONE {
-                near[in_copy(y) as usize] = 0;
-            }
-        }
-        'scan: for &x in out_v {
-            if pred[x as usize] == v {
-                continue;
-            }
-            for &y in csr.out_row(x) {
-                if near[in_copy(y) as usize] != NONE {
-                    near[in_copy(y) as usize] = NONE;
+        for (k, (&out_v, &in_w)) in out_v.iter().zip(in_w).enumerate() {
+            let mut only_v = out_v & !in_w;
+            while only_v != 0 {
+                let x = (k * 64) as u32 + only_v.trailing_zeros();
+                only_v &= only_v - 1;
+                if let Some(y) = first_common(csr.out_bits(x), out_seen, 0) {
+                    clear_bit(out_seen, y);
                     carry(pred, succ, touched, &[v, x, y, w]);
                     flow += 1;
                     if flow == stop {
-                        break 'scan;
+                        return flow;
                     }
-                    break;
                 }
             }
-        }
-        for &y in in_w {
-            near[in_copy(y) as usize] = NONE;
         }
         flow
     }
 
     /// Clears what a phase's search left: every label and forward mark, in
     /// `O(copies labelled or marked)`.
-    fn clear_phase<const BITS: bool>(&mut self) {
+    fn clear_phase(&mut self) {
         for &a in &self.queue {
-            unlabel::<BITS>(&mut self.level, &mut self.in_alive, self.csr.words, a);
+            unlabel(&mut self.level, &mut self.in_alive, self.csr.words, a);
         }
         for &c in &self.near_queue {
             self.near[c as usize] = NONE;
@@ -700,7 +614,7 @@ impl VertexFlow {
     /// the forward copies that lie on one with `len - i`. Resets `cur` of
     /// each labelled out-copy and leaves every labelled copy in `queue`,
     /// every marked one in `near_queue`.
-    fn label_level_graph<const BITS: bool>(&mut self, v: u32, w: u32) -> bool {
+    fn label_level_graph(&mut self, v: u32, w: u32) -> bool {
         let VertexFlow {
             csr,
             pred,
@@ -723,9 +637,7 @@ impl VertexFlow {
                 if new {
                     level[b as usize] = at;
                     cur[z as usize] = 0;
-                    if BITS {
-                        set_bit(out_seen, z);
-                    }
+                    set_bit(out_seen, z);
                     queue.push(b);
                 }
                 new
@@ -738,13 +650,11 @@ impl VertexFlow {
                 if new {
                     level[a as usize] = at;
                     queue.push(a);
-                    if BITS {
-                        let bits = alive_words(words, at);
-                        if in_alive.len() < bits.end {
-                            in_alive.resize(bits.end, 0);
-                        }
-                        set_bit(&mut in_alive[bits], a >> 1);
+                    let bits = alive_words(words, at);
+                    if in_alive.len() < bits.end {
+                        in_alive.resize(bits.end, 0);
                     }
+                    set_bit(&mut in_alive[bits], a >> 1);
                 }
                 new
             };
@@ -752,11 +662,17 @@ impl VertexFlow {
         near_queue.clear();
         out_seen.fill(0);
         label_in(in_copy(w), 0, level, in_alive, queue);
-        // B_1, into the sink: edges (z, w) without flow, i.e. succ[z] != w.
-        // The source is not among them — the pair is non-adjacent.
-        for &z in csr.in_row(w) {
-            if succ[z as usize] != w {
-                label_out(z, 1, level, out_seen, queue);
+        // B_1, into the sink: edges (z, w) without flow, i.e. succ[z] != w,
+        // ascending. The source is not among them — the pair is
+        // non-adjacent.
+        for (k, &edges) in csr.in_bits(w).iter().enumerate() {
+            let mut rest = edges;
+            while rest != 0 {
+                let z = (k * 64) as u32 + rest.trailing_zeros();
+                rest &= rest - 1;
+                if succ[z as usize] != w {
+                    label_out(z, 1, level, out_seen, queue);
+                }
             }
         }
         near[out_copy(v) as usize] = 0;
@@ -847,22 +763,13 @@ impl VertexFlow {
                     // a unit. The feeder needs no test: pred[x]'' is the one
                     // residual successor of x', so x' was labelled from it
                     // and it is labelled already (pred[x] == v cannot occur:
-                    // v'' is in F_0, so B would have met F there).
-                    if BITS {
-                        // Only the in-neighbours whose out-copy is still
-                        // unlabelled.
-                        for (k, &edges) in csr.in_bits(x).iter().enumerate() {
-                            let mut fresh = edges & !out_seen[k];
-                            while fresh != 0 {
-                                let z = (k * 64) as u32 + fresh.trailing_zeros();
-                                fresh &= fresh - 1;
-                                if met(z, level, out_seen, queue) {
-                                    break 'search a + b + 1;
-                                }
-                            }
-                        }
-                    } else {
-                        for &z in csr.in_row(x) {
+                    // v'' is in F_0, so B would have met F there). Only the
+                    // in-neighbours whose out-copy is still unlabelled.
+                    for (k, &edges) in csr.in_bits(x).iter().enumerate() {
+                        let mut fresh = edges & !out_seen[k];
+                        while fresh != 0 {
+                            let z = (k * 64) as u32 + fresh.trailing_zeros();
+                            fresh &= fresh - 1;
                             if met(z, level, out_seen, queue) {
                                 break 'search a + b + 1;
                             }
@@ -899,13 +806,8 @@ impl VertexFlow {
                 }
                 continue;
             }
-            let on_path = if BITS {
-                first_common(csr.out_bits(x), &in_alive[alive_words(words, next)], 0).is_some()
-            } else {
-                csr.out_row(x)
-                    .iter()
-                    .any(|&y| level[in_copy(y) as usize] == next)
-            };
+            let on_path =
+                first_common(csr.out_bits(x), &in_alive[alive_words(words, next)], 0).is_some();
             if on_path || (succ[x as usize] != NONE && level[(c & !1) as usize] == next) {
                 label_out(x, at, level, out_seen, queue);
             }
@@ -916,7 +818,7 @@ impl VertexFlow {
     /// Routes up to `budget` units along arcs that step one nearer the sink
     /// and returns how many it routed (at least one after a search that
     /// labelled the source).
-    fn blocking_flow<const BITS: bool>(&mut self, v: u32, w: u32, budget: u64) -> u64 {
+    fn blocking_flow(&mut self, v: u32, w: u32, budget: u64) -> u64 {
         let VertexFlow {
             csr,
             pred,
@@ -961,7 +863,7 @@ impl VertexFlow {
                 // each interior copy: none can carry a second path this
                 // phase.
                 for &b in &path[1..path.len() - 1] {
-                    unlabel::<BITS>(level, in_alive, words, b);
+                    unlabel(level, in_alive, words, b);
                 }
                 sent += 1;
                 if sent == budget {
@@ -984,22 +886,13 @@ impl VertexFlow {
                 // succ[x] == w has no arc into the sink, so it sits at
                 // distance 3 or more.
                 let at = &mut cur[x as usize];
-                let found = if BITS {
-                    let alive = &in_alive[alive_words(words, next)];
-                    let y = first_common(csr.out_bits(x), alive, *at);
-                    debug_assert!(
-                        y.is_none_or(|y| level[in_copy(y) as usize] == next),
-                        "in_alive out of step with level"
-                    );
-                    *at = y.map_or(words * 64, |y| y as usize);
-                    y
-                } else {
-                    let row = csr.out_row(x);
-                    while *at < row.len() && level[in_copy(row[*at]) as usize] != next {
-                        *at += 1;
-                    }
-                    row.get(*at).copied()
-                };
+                let alive = &in_alive[alive_words(words, next)];
+                let found = first_common(csr.out_bits(x), alive, *at);
+                debug_assert!(
+                    found.is_none_or(|y| level[in_copy(y) as usize] == next),
+                    "in_alive out of step with level"
+                );
+                *at = found.map_or(words * 64, |y| y as usize);
                 match found {
                     Some(y) => Some(in_copy(y)),
                     None => (succ[x as usize] != NONE && level[(a & !1) as usize] == next)
@@ -1011,7 +904,7 @@ impl VertexFlow {
                 None => {
                     // Dead end: drop it from the level graph; the parent's
                     // scan skips it from now on.
-                    unlabel::<BITS>(level, in_alive, words, a);
+                    unlabel(level, in_alive, words, a);
                     path.pop();
                 }
             }
@@ -1049,67 +942,14 @@ mod tests {
     fn csr_rows_mirror_the_graph() {
         let mut rng = SmallRng::seed_from_u64(70);
         for g in [paper_figure1(), gnp(70, 0.3, &mut rng)] {
-            let csr = Csr::new(&g, true);
+            let csr = Csr::new(&g);
             assert_eq!(csr.words, g.node_count().div_ceil(64));
             let reverse = g.reverse();
             for x in 0..g.node_count() as u32 {
                 assert_eq!(csr.out_row(x), g.out_neighbors(x));
-                assert_eq!(csr.in_row(x), reverse.out_neighbors(x));
                 assert_eq!(members(csr.out_bits(x)), csr.out_row(x));
-                assert_eq!(members(csr.in_bits(x)), csr.in_row(x));
+                assert_eq!(members(csr.in_bits(x)), reverse.out_neighbors(x));
             }
-            let entries = Csr::new(&g, false);
-            assert_eq!(entries.words, 0);
-            assert!(entries.out_bits.is_empty() && entries.in_bits.is_empty());
-        }
-    }
-
-    #[test]
-    fn row_form_follows_the_density_rule() {
-        // m ≥ 2·n·⌈n/64⌉: a ring of 200 has m = 400 < 1,600, the dense
-        // gnp about 2,480 ≥ 120, and the rule's edge sits at n = 64.
-        let form = |g: &DiGraph| VertexFlow::new(g).csr.words > 0;
-        assert!(!form(&bidirected_cycle(200)));
-        assert!(form(&gnp(60, 0.7, &mut SmallRng::seed_from_u64(60))));
-        assert!(form(&bidirected_cycle(64)));
-        assert!(!form(&bidirected_cycle(65)));
-        assert!(!form(&cycle(40)));
-    }
-
-    #[test]
-    fn bit_rows_route_like_entry_rows() {
-        // Sparse and deep graphs the density rule leaves on the entry
-        // scan, forced onto bit rows, and dense ones forced the other way:
-        // values, cutoffs, paths and cuts agree pair by pair.
-        let mut rng = SmallRng::seed_from_u64(41);
-        let graphs = [
-            paper_figure1(),
-            bidirected_cycle(70),
-            cycle(9),
-            gnp(70, 0.04, &mut rng),
-            gnp(30, 0.15, &mut rng),
-            gnp(66, 0.5, &mut rng),
-            random_k_out(80, 3, &mut rng),
-        ];
-        for g in &graphs {
-            let n = g.node_count() as u32;
-            let mut bits = VertexFlow::with_row_form(g, true);
-            let mut entries = VertexFlow::with_row_form(g, false);
-            for v in 0..n {
-                for w in 0..n {
-                    for cutoff in [None, Some(1), Some(3)] {
-                        assert_eq!(
-                            bits.connectivity(v, w, cutoff),
-                            entries.connectivity(v, w, cutoff),
-                            "({v}, {w}) cutoff {cutoff:?}"
-                        );
-                    }
-                    assert_eq!(bits.paths(v, w), entries.paths(v, w), "({v}, {w})");
-                    assert_eq!(bits.min_cut(v, w), entries.min_cut(v, w), "({v}, {w})");
-                }
-            }
-            assert_clean(&bits);
-            assert_clean(&entries);
         }
     }
 
@@ -1176,8 +1016,8 @@ mod tests {
 
     #[test]
     fn search_labels_exactly_the_level_graph() {
-        // Every mid-flow state of every pair, under both row forms: each
-        // label is the copy's residual distance to the sink, every copy on
+        // Every mid-flow state of every pair: each label is the copy's
+        // residual distance to the sink, every copy on
         // a shortest v'' → w' path is labelled, v'' is labelled iff a
         // residual path exists, and each forward mark is the copy's
         // residual distance from v''.
@@ -1185,6 +1025,7 @@ mod tests {
         let graphs = [
             paper_figure1(),
             bidirected_cycle(12),
+            cycle(9),
             gnp(40, 0.3, &mut rng),
             gnp(30, 0.08, &mut rng),
             gnp(70, 0.04, &mut rng),
@@ -1193,46 +1034,36 @@ mod tests {
         ];
         for g in &graphs {
             let n = g.node_count() as u32;
-            for bit_rows in [true, false] {
-                let mut kernel = VertexFlow::with_row_form(g, bit_rows);
-                for v in 0..n {
-                    for w in 0..n {
-                        let Some(kappa) = kernel.connectivity(v, w, None) else {
-                            continue;
-                        };
-                        for c in 0..=kappa {
-                            assert_eq!(kernel.route(v, w, Some(c)), Some(c));
-                            let [from_source, to_sink] = residual_distances(g, &kernel, v, w);
-                            let reached = if bit_rows {
-                                kernel.label_level_graph::<true>(v, w)
-                            } else {
-                                kernel.label_level_graph::<false>(v, w)
-                            };
-                            let len = to_sink[out_copy(v) as usize];
-                            let at = format!("({v}, {w}) after {c} units, bit rows {bit_rows}");
-                            assert_eq!(reached, len != NONE, "{at}");
-                            assert_eq!(kernel.level[out_copy(v) as usize], len, "{at}");
-                            for a in 0..2 * n as usize {
-                                let (ds, dt) = (from_source[a], to_sink[a]);
-                                let label = kernel.level[a];
-                                assert!(label == NONE || label == dt, "{at}: copy {a}");
-                                if reached && ds != NONE && dt != NONE && ds + dt == len {
-                                    assert_eq!(label, dt, "{at}: copy {a} is on a shortest path");
-                                }
-                                let mark = kernel.near[a];
-                                assert!(mark == NONE || mark == ds, "{at}: copy {a} marked");
+            let mut kernel = VertexFlow::new(g);
+            for v in 0..n {
+                for w in 0..n {
+                    let Some(kappa) = kernel.connectivity(v, w, None) else {
+                        continue;
+                    };
+                    for c in 0..=kappa {
+                        assert_eq!(kernel.route(v, w, Some(c)), Some(c));
+                        let [from_source, to_sink] = residual_distances(g, &kernel, v, w);
+                        let reached = kernel.label_level_graph(v, w);
+                        let len = to_sink[out_copy(v) as usize];
+                        let at = format!("({v}, {w}) after {c} units");
+                        assert_eq!(reached, len != NONE, "{at}");
+                        assert_eq!(kernel.level[out_copy(v) as usize], len, "{at}");
+                        for a in 0..2 * n as usize {
+                            let (ds, dt) = (from_source[a], to_sink[a]);
+                            let label = kernel.level[a];
+                            assert!(label == NONE || label == dt, "{at}: copy {a}");
+                            if reached && ds != NONE && dt != NONE && ds + dt == len {
+                                assert_eq!(label, dt, "{at}: copy {a} is on a shortest path");
                             }
-                            if bit_rows {
-                                kernel.clear_phase::<true>();
-                            } else {
-                                kernel.clear_phase::<false>();
-                            }
-                            kernel.restore();
+                            let mark = kernel.near[a];
+                            assert!(mark == NONE || mark == ds, "{at}: copy {a} marked");
                         }
+                        kernel.clear_phase();
+                        kernel.restore();
                     }
                 }
-                assert_clean(&kernel);
             }
+            assert_clean(&kernel);
         }
     }
 
@@ -1273,9 +1104,9 @@ mod tests {
 
     #[test]
     fn opening_routes_the_first_two_dinic_phases() {
-        // Every pair and every cutoff c ≤ κ, under both row forms: the
-        // opening leaves the flow of the set reference, and unless it
-        // reached c, no residual v'' → w' path of 5 arcs or fewer is left.
+        // Every pair and every cutoff c ≤ κ: the opening leaves the flow of
+        // the set reference, and unless it reached c, no residual v'' → w'
+        // path of 5 arcs or fewer is left.
         let mut rng = SmallRng::seed_from_u64(43);
         let graphs = [
             paper_figure1(),
@@ -1287,35 +1118,29 @@ mod tests {
         ];
         for g in &graphs {
             let n = g.node_count() as u32;
-            for bit_rows in [true, false] {
-                let mut kernel = VertexFlow::with_row_form(g, bit_rows);
-                for v in 0..n {
-                    for w in 0..n {
-                        let Some(kappa) = kernel.connectivity(v, w, None) else {
-                            continue;
-                        };
-                        for c in 0..=kappa {
-                            let opened = if bit_rows {
-                                kernel.open::<true>(v, w, c)
-                            } else {
-                                kernel.open::<false>(v, w, c)
-                            };
-                            let at = format!("({v}, {w}) cutoff {c}, bit rows {bit_rows}");
-                            let (pred, succ, flow) = reference_opening(g, v, w, c);
-                            assert_eq!(opened, flow, "{at}");
-                            assert_eq!(kernel.pred, pred, "{at}");
-                            assert_eq!(kernel.succ, succ, "{at}");
-                            if opened < c {
-                                let [_, to_sink] = residual_distances(g, &kernel, v, w);
-                                let len = to_sink[out_copy(v) as usize];
-                                assert!(len == NONE || len > 5, "{at}: a path of {len} arcs");
-                            }
-                            kernel.restore();
+            let mut kernel = VertexFlow::new(g);
+            for v in 0..n {
+                for w in 0..n {
+                    let Some(kappa) = kernel.connectivity(v, w, None) else {
+                        continue;
+                    };
+                    for c in 0..=kappa {
+                        let opened = kernel.open(v, w, c);
+                        let at = format!("({v}, {w}) cutoff {c}");
+                        let (pred, succ, flow) = reference_opening(g, v, w, c);
+                        assert_eq!(opened, flow, "{at}");
+                        assert_eq!(kernel.pred, pred, "{at}");
+                        assert_eq!(kernel.succ, succ, "{at}");
+                        if opened < c {
+                            let [_, to_sink] = residual_distances(g, &kernel, v, w);
+                            let len = to_sink[out_copy(v) as usize];
+                            assert!(len == NONE || len > 5, "{at}: a path of {len} arcs");
                         }
+                        kernel.restore();
                     }
                 }
-                assert_clean(&kernel);
             }
+            assert_clean(&kernel);
         }
     }
 
@@ -1529,12 +1354,11 @@ mod tests {
     }
 
     /// Folds `paths` and `min_cut` of every ordered pair of `g`, in pair
-    /// order, into one FNV-1a digest, with bit rows or entry rows. Each
-    /// path and cut is prefixed by its length; equal and adjacent pairs
-    /// fold a `u32::MAX` marker.
-    fn witness_digest(g: &DiGraph, bit_rows: bool) -> u64 {
+    /// order, into one FNV-1a digest. Each path and cut is prefixed by its
+    /// length; equal and adjacent pairs fold a `u32::MAX` marker.
+    fn witness_digest(g: &DiGraph) -> u64 {
         let n = g.node_count() as u32;
-        let mut kernel = VertexFlow::with_row_form(g, bit_rows);
+        let mut kernel = VertexFlow::new(g);
         let mut hash = 0xcbf2_9ce4_8422_2325;
         for v in 0..n {
             for w in 0..n {
@@ -1559,14 +1383,11 @@ mod tests {
     fn witnesses_are_pinned_pair_by_pair() {
         // Which maximum flow the kernel routes decides which Menger paths
         // come back; these digests pin that choice on a sparse graph and
-        // on a dense one shaped like the n = 75 defense overlays, under
-        // both row forms.
+        // on a dense one shaped like the n = 75 defense overlays.
         let sparse = gnp(40, 0.3, &mut SmallRng::seed_from_u64(40));
         let dense = gnp(60, 0.7, &mut SmallRng::seed_from_u64(60));
-        for bit_rows in [true, false] {
-            assert_eq!(witness_digest(&sparse, bit_rows), 0xe589_d0b1_f315_77f0);
-            assert_eq!(witness_digest(&dense, bit_rows), 0x230c_feb7_c33f_6243);
-        }
+        assert_eq!(witness_digest(&sparse), 0xe589_d0b1_f315_77f0);
+        assert_eq!(witness_digest(&dense), 0x230c_feb7_c33f_6243);
     }
 
     #[test]
