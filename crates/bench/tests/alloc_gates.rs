@@ -15,6 +15,7 @@ use flowgraph::generators;
 use kad_bench::support::overlay_graph;
 use kad_resilience::pair::PairEvaluator;
 use kad_resilience::SolverKind;
+use kad_telemetry::{NoopSink, TelemetrySink};
 use kademlia::config::{KademliaConfig, RefreshPolicy};
 use kademlia::contact::NodeAddr;
 use kademlia::id::NodeId;
@@ -129,9 +130,14 @@ fn drive_minute(net: &mut SimNetwork, plan: &TrafficPlan) {
 }
 
 /// One warm-up minute fills every pool; the next full minute must not
-/// touch the allocator at all.
-fn assert_steady_minute_allocates_nothing(n: usize) {
+/// touch the allocator at all. With `sink`, the minute runs with that
+/// telemetry sink installed, as every grid cell does.
+fn assert_steady_minute_allocates_nothing(n: usize, sink: Option<Box<dyn TelemetrySink>>) {
     let mut net = pinned_overlay(n);
+    let with_sink = sink.is_some();
+    if let Some(sink) = sink {
+        net.set_telemetry_sink(sink);
+    }
     let mut rng = SmallRng::seed_from_u64(7);
     let warm = plan_minute(&net, &mut rng);
     drive_minute(&mut net, &warm);
@@ -139,18 +145,28 @@ fn assert_steady_minute_allocates_nothing(n: usize) {
     let during = allocations_during(|| drive_minute(&mut net, &plan));
     assert_eq!(
         during, 0,
-        "n={n}: the event loop allocated {during} times across a steady-state minute"
+        "n={n}, sink {with_sink}: the event loop allocated {during} times across a steady-state minute"
     );
 }
 
 #[test]
 fn steady_state_minute_allocates_nothing_at_n1000() {
-    assert_steady_minute_allocates_nothing(1000);
+    assert_steady_minute_allocates_nothing(1000, None);
 }
 
 #[test]
 fn steady_state_minute_allocates_nothing_at_n4000() {
-    assert_steady_minute_allocates_nothing(4000);
+    assert_steady_minute_allocates_nothing(4000, None);
+}
+
+/// A sink that keeps `wants_traces() == false` must not make the event
+/// loop allocate: every lookup's record is built on the stack and handed
+/// over by reference.
+#[test]
+fn steady_state_minute_with_a_flat_sink_allocates_nothing_at_n1000() {
+    let sink = NoopSink;
+    assert!(!sink.wants_traces(), "the gate covers the flat-record path");
+    assert_steady_minute_allocates_nothing(1000, Some(Box::new(sink)));
 }
 
 /// The κ kernel reuses its rows and scratch across pairs: after one warm

@@ -16,6 +16,8 @@
 use crate::config::KademliaConfig;
 use crate::contact::{Contact, NodeAddr};
 use crate::id::{Distance, NodeId};
+use crate::network::TraceBuffer;
+use dessim::time::SimTime;
 
 /// Unique id of a lookup within one simulation.
 pub type LookupId = u64;
@@ -149,6 +151,20 @@ impl LookupScratch {
     }
 }
 
+/// One in-progress lookup with the driver's bookkeeping for it: everything
+/// [`crate::network::SimNetwork`] keeps per lookup lives here, so it is
+/// created, found and dropped with the lookup itself.
+#[derive(Clone, Debug)]
+pub(crate) struct LookupEntry {
+    pub(crate) state: LookupState,
+    /// When the lookup started (its telemetry record's `started_ms`).
+    pub(crate) started: SimTime,
+    /// The disjoint-path group this lookup is a path of, if any.
+    pub(crate) group: Option<u64>,
+    /// The lookup's spans, only while the installed sink wants traces.
+    pub(crate) trace: Option<Box<TraceBuffer>>,
+}
+
 /// The set of a node's in-progress lookups, keyed by [`LookupId`].
 ///
 /// Backed by an insertion-ordered `Vec` rather than a `HashMap`: a node has
@@ -158,7 +174,7 @@ impl LookupScratch {
 /// (`Vec::remove`) precisely to preserve that order.
 #[derive(Clone, Debug, Default)]
 pub struct LookupTable {
-    entries: Vec<(LookupId, LookupState)>,
+    entries: Vec<LookupEntry>,
 }
 
 impl LookupTable {
@@ -179,37 +195,39 @@ impl LookupTable {
 
     /// The lookup with id `id`, if present.
     pub fn get(&self, id: LookupId) -> Option<&LookupState> {
-        self.entries.iter().find(|(i, _)| *i == id).map(|(_, s)| s)
+        self.iter().find(|s| s.id == id)
     }
 
-    /// Mutable access to the lookup with id `id`.
-    pub fn get_mut(&mut self, id: LookupId) -> Option<&mut LookupState> {
-        self.entries
-            .iter_mut()
-            .find(|(i, _)| *i == id)
-            .map(|(_, s)| s)
+    /// Mutable access to the entry of the lookup with id `id`.
+    pub(crate) fn get_mut(&mut self, id: LookupId) -> Option<&mut LookupEntry> {
+        self.entries.iter_mut().find(|e| e.state.id == id)
     }
 
-    /// Inserts a lookup (ids are unique per simulation; inserting a
+    /// Inserts an entry (ids are unique per simulation; inserting a
     /// duplicate id is a logic error).
-    pub fn insert(&mut self, state: LookupState) {
-        debug_assert!(self.get(state.id()).is_none(), "duplicate lookup id");
-        self.entries.push((state.id(), state));
+    pub(crate) fn insert(&mut self, entry: LookupEntry) {
+        debug_assert!(self.get(entry.state.id).is_none(), "duplicate lookup id");
+        self.entries.push(entry);
     }
 
-    /// Removes and returns the lookup with id `id`.
-    pub fn remove(&mut self, id: LookupId) -> Option<LookupState> {
-        let pos = self.entries.iter().position(|(i, _)| *i == id)?;
-        Some(self.entries.remove(pos).1)
+    /// Removes and returns the entry of the lookup with id `id`.
+    pub(crate) fn remove(&mut self, id: LookupId) -> Option<LookupEntry> {
+        let pos = self.entries.iter().position(|e| e.state.id == id)?;
+        Some(self.entries.remove(pos))
     }
 
     /// Iterates lookups in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &LookupState> {
-        self.entries.iter().map(|(_, s)| s)
+        self.entries.iter().map(|e| &e.state)
     }
 
-    /// Drains all lookups in insertion order, keeping the table's capacity.
-    pub fn drain(&mut self) -> impl Iterator<Item = (LookupId, LookupState)> + '_ {
+    /// Iterates entries in insertion order, mutably.
+    pub(crate) fn entries_mut(&mut self) -> impl Iterator<Item = &mut LookupEntry> {
+        self.entries.iter_mut()
+    }
+
+    /// Drains all entries in insertion order, keeping the table's capacity.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = LookupEntry> + '_ {
         self.entries.drain(..)
     }
 }
@@ -959,26 +977,39 @@ mod tests {
         // hash-dependent; LookupTable pins it to insertion order.
         let mut t = LookupTable::new();
         for id in [7u64, 3, 9, 1] {
-            t.insert(LookupState::new(
-                id,
-                NodeId::from_u64(0, 32),
-                LookupPurpose::Locate,
-                NodeId::from_u64(u32::MAX as u64, 32),
-                &[contact(1)],
-                &config(20, 3),
-            ));
+            t.insert(LookupEntry {
+                state: LookupState::new(
+                    id,
+                    NodeId::from_u64(0, 32),
+                    LookupPurpose::Locate,
+                    NodeId::from_u64(u32::MAX as u64, 32),
+                    &[contact(1)],
+                    &config(20, 3),
+                ),
+                started: SimTime::ZERO,
+                group: None,
+                trace: None,
+            });
         }
         let ids: Vec<LookupId> = t.iter().map(|s| s.id()).collect();
         assert_eq!(ids, vec![7, 3, 9, 1], "insertion order, not key order");
-        assert_eq!(t.remove(9).map(|s| s.id()), Some(9));
+        assert_eq!(t.remove(9).map(|e| e.state.id()), Some(9));
         assert!(t.remove(9).is_none(), "double-remove is a no-op");
         let ids: Vec<LookupId> = t.iter().map(|s| s.id()).collect();
         assert_eq!(ids, vec![7, 3, 1], "removal keeps survivors in order");
         assert_eq!(t.get(3).map(|s| s.id()), Some(3));
         assert!(t.get(9).is_none());
-        let drained: Vec<LookupId> = t.drain().map(|(id, _)| id).collect();
+        let drained: Vec<LookupId> = t.drain().map(|e| e.state.id()).collect();
         assert_eq!(drained, vec![7, 3, 1], "drain is insertion order too");
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn an_entry_is_at_most_24_bytes_over_a_keyed_state() {
+        // The driver's bookkeeping may cost an entry at most 24 bytes over
+        // the bare keyed state.
+        let keyed = std::mem::size_of::<(LookupId, LookupState)>();
+        assert!(std::mem::size_of::<LookupEntry>() <= keyed + 24);
     }
 
     #[test]

@@ -29,10 +29,19 @@
 //! [`crate::lookup`], the private `NetScratch` pools), and none of it
 //! allocates once the pools are warm.
 //!
+//! One lookup has one home: its entry in the origin node's
+//! [`LookupTable`](crate::lookup::LookupTable). Next to the
+//! [`LookupState`] the entry holds the start instant, the disjoint-path
+//! group it belongs to, if any, and its span buffer while spans are
+//! recorded. Creating, finishing and dropping a lookup (its origin
+//! departs) therefore creates, finishes and drops all of it at once;
+//! `SimNetwork` keeps no map keyed by lookup id.
+//!
 //! Service telemetry: installing a [`TelemetrySink`] via
 //! [`SimNetwork::set_telemetry_sink`] makes every terminating lookup emit
 //! one [`LookupRecord`] (purpose, outcome, hop depth, messages, simulated
-//! latency). Without a sink the cost is one `Option` check per lookup.
+//! latency from the exact start instant, even for a lookup started before
+//! the install). Without a sink the cost is one `Option` check per lookup.
 //!
 //! Trace trees: when the installed sink answers `true` to
 //! [`TelemetrySink::wants_traces`], every lookup RPC additionally becomes
@@ -44,13 +53,15 @@
 //! groups merge every member path's spans into one tree. Span recording
 //! is observation only — it draws no randomness and schedules nothing, so
 //! enabling it cannot change outcomes — and costs nothing when the sink
-//! keeps the default `wants_traces() == false`.
+//! keeps the default `wants_traces() == false`: no entry gets a buffer.
 
 use crate::config::{KademliaConfig, RefreshPolicy, REFRESH_INTERVAL, RPC_TIMEOUT};
 use crate::contact::{Contact, NodeAddr};
 use crate::defense::{DefensePolicy, InsertDecision};
 use crate::id::NodeId;
-use crate::lookup::{partition_seeds, LookupId, LookupPurpose, LookupScratch, LookupState};
+use crate::lookup::{
+    partition_seeds, LookupEntry, LookupId, LookupPurpose, LookupScratch, LookupState,
+};
 use crate::messages::{Message, RequestKind, ResponseBody, RpcId};
 use crate::node::KademliaNode;
 use crate::snapshot::RoutingSnapshot;
@@ -281,30 +292,14 @@ struct PendingRpc {
     trace_slot: usize,
 }
 
-/// Span buffer of one in-progress lookup (only allocated while the sink
-/// wants traces).
-#[derive(Debug, Default)]
-struct TraceBuffer {
+/// Span buffer of one in-progress lookup, boxed in its
+/// [`LookupEntry`] only while the sink wants traces.
+#[derive(Clone, Debug)]
+pub(crate) struct TraceBuffer {
     /// Spans in send order; open spans keep [`SpanOutcome::Inflight`].
     spans: Vec<RpcSpan>,
     /// Admission-queue wait annotated by the load engine, milliseconds.
     queue_wait_ms: u64,
-}
-
-/// All span-recording state, empty unless the installed sink wants
-/// traces. Recording is observation only: no randomness, no scheduling.
-#[derive(Debug, Default)]
-struct TraceState {
-    /// Per-lookup span buffers, created with the lookup.
-    buffers: HashMap<LookupId, TraceBuffer>,
-    /// The RPC completion currently being processed, with its lookup:
-    /// queries dispatched while it is set record it as their causal
-    /// parent (same lookup only — a repair lookup started from another
-    /// lookup's timeout is a fresh root).
-    cause: Option<(RpcId, LookupId)>,
-    /// Queue wait to stamp on the next created lookup (set by
-    /// [`SimNetwork::start_find_value_queued`] just before the start).
-    pending_queue_wait_ms: u64,
 }
 
 /// The simulated network (see module docs).
@@ -330,19 +325,17 @@ pub struct SimNetwork {
     /// Telemetry sink; `None` (the default) costs one discriminant check
     /// per lookup completion.
     sink: TelemetrySlot,
-    /// Start instants of in-progress lookups, tracked only while a sink is
-    /// installed (the trace record needs the simulated latency).
-    lookup_started: HashMap<LookupId, SimTime>,
     /// Whether the installed sink wants trace trees (asked once at
     /// install time); gates all span recording behind one bool check.
     traces_on: bool,
-    /// Span-recording state, empty unless `traces_on`.
-    trace: TraceState,
+    /// The RPC completion currently being processed, with its lookup:
+    /// queries dispatched while it is set record it as their causal
+    /// parent (same lookup only — a repair lookup started from another
+    /// lookup's timeout is a fresh root). Set only while `traces_on`.
+    cause: Option<(RpcId, LookupId)>,
     /// Defense policy; `None` (the default) costs one discriminant check
     /// per routing-table insert.
     defense: DefenseSlot,
-    /// Sub-lookup → disjoint-group membership.
-    disjoint: HashMap<LookupId, u64>,
     /// In-flight disjoint-path retrieval groups by group id.
     groups: HashMap<u64, DisjointGroup>,
     next_group_id: u64,
@@ -372,32 +365,40 @@ impl SimNetwork {
             alive_count: 0,
             compromised_count: 0,
             sink: TelemetrySlot(None),
-            lookup_started: HashMap::new(),
             traces_on: false,
-            trace: TraceState::default(),
+            cause: None,
             defense: DefenseSlot(None),
-            disjoint: HashMap::new(),
             groups: HashMap::new(),
             next_group_id: 0,
         }
     }
 
     /// Installs a telemetry sink: every lookup that terminates from now on
-    /// emits one [`LookupRecord`] through it. Install the sink *before*
-    /// starting the traffic to be measured — lookups already in flight
-    /// have no tracked start instant and report a zero start time.
+    /// emits one [`LookupRecord`] through it, with its exact start instant
+    /// even if it was already in flight. Only lookups started from now on
+    /// record spans, so a sink that wants traces gets no [`TraceTree`] for
+    /// the ones already in flight.
     pub fn set_telemetry_sink(&mut self, sink: Box<dyn TelemetrySink>) {
+        self.drop_span_buffers();
         self.traces_on = sink.wants_traces();
-        self.trace = TraceState::default();
         self.sink = TelemetrySlot(Some(sink));
     }
 
     /// Removes the telemetry sink, returning to no-op accounting.
     pub fn clear_telemetry_sink(&mut self) {
+        self.drop_span_buffers();
         self.sink = TelemetrySlot(None);
-        self.lookup_started.clear();
         self.traces_on = false;
-        self.trace = TraceState::default();
+    }
+
+    /// Frees the span buffers of every in-flight lookup: spans recorded
+    /// for one sink never reach the next one.
+    fn drop_span_buffers(&mut self) {
+        if self.traces_on {
+            for node in &mut self.nodes {
+                node.lookups.entries_mut().for_each(|e| e.trace = None);
+            }
+        }
     }
 
     /// Installs a defense policy. Every node of the network shares the
@@ -526,7 +527,7 @@ impl SimNetwork {
             self.nodes[addr.index()].bootstrap = Some(bc);
         }
         let own_id = self.nodes[addr.index()].id();
-        self.start_lookup_internal(addr, own_id, LookupPurpose::Bootstrap);
+        self.start_lookup_internal(addr, own_id, LookupPurpose::Bootstrap, 0);
         self.queue
             .schedule_after(REFRESH_INTERVAL, SimEvent::RefreshTick { node: addr });
         self.counters.incr(Counter::NodeJoined);
@@ -547,15 +548,13 @@ impl SimNetwork {
         // Drain the dying node's lookups in insertion order (LookupTable
         // guarantees deterministic traversal) and reclaim their arenas.
         let mut lookups = std::mem::take(&mut node.lookups);
-        for (id, state) in lookups.drain() {
-            self.lookup_started.remove(&id);
-            self.trace.buffers.remove(&id);
+        for entry in lookups.drain() {
             // Disjoint-path groups die with their origin: drop the group
             // (all members run at the same node) without emitting.
-            if let Some(gid) = self.disjoint.remove(&id) {
+            if let Some(gid) = entry.group {
                 self.groups.remove(&gid);
             }
-            self.scratch.recycle_lookup(state.into_scratch());
+            self.scratch.recycle_lookup(entry.state.into_scratch());
         }
         // Hand the (empty) table back so its capacity survives.
         self.nodes[addr.index()].lookups = lookups;
@@ -615,7 +614,7 @@ impl SimNetwork {
             return None;
         }
         self.counters.incr(Counter::LookupStarted);
-        Some(self.start_lookup_internal(addr, target, LookupPurpose::Locate))
+        Some(self.start_lookup_internal(addr, target, LookupPurpose::Locate, 0))
     }
 
     /// Starts a dissemination of `key` at `addr`: locate the `k` closest
@@ -625,7 +624,7 @@ impl SimNetwork {
             return None;
         }
         self.counters.incr(Counter::StoreStarted);
-        Some(self.start_lookup_internal(addr, key, LookupPurpose::Disseminate))
+        Some(self.start_lookup_internal(addr, key, LookupPurpose::Disseminate, 0))
     }
 
     /// Starts a retrieval of `key` at `addr` (FIND_VALUE): an iterative
@@ -653,14 +652,7 @@ impl SimNetwork {
             return None;
         }
         self.counters.incr(Counter::RetrieveStarted);
-        if self.traces_on {
-            self.trace.pending_queue_wait_ms = queue_wait_ms;
-        }
-        let id = self.start_lookup_internal(addr, key, LookupPurpose::Retrieve);
-        if self.traces_on {
-            self.trace.pending_queue_wait_ms = 0;
-        }
-        Some(id)
+        Some(self.start_lookup_internal(addr, key, LookupPurpose::Retrieve, queue_wait_ms))
     }
 
     /// Starts a **disjoint-path** retrieval of `key` at `addr`: up to `d`
@@ -689,14 +681,8 @@ impl SimNetwork {
             return None;
         }
         self.counters.incr(Counter::RetrieveDisjointStarted);
-        let node = &mut self.nodes[addr.index()];
-        let mut seeds = node.routing.closest(&key, self.config.shortlist_capacity());
-        if seeds.is_empty() {
-            if let Some(b) = node.bootstrap {
-                seeds.push(b);
-                self.counters.incr(Counter::BootstrapReseed);
-            }
-        }
+        let mut seeds = Vec::new();
+        self.gather_seeds(addr, key, &mut seeds);
         let mut paths = partition_seeds(seeds, d);
         if paths.is_empty() {
             // Not a single seed: run one empty path so the group still
@@ -708,15 +694,12 @@ impl SimNetwork {
             claimed.extend(path.iter().map(|c| c.id));
         }
         let remaining = paths.len();
-        let members: Vec<LookupId> = paths
-            .into_iter()
-            .map(|path| self.create_lookup(addr, key, LookupPurpose::Retrieve, &path, false))
-            .collect();
         let gid = self.next_group_id;
         self.next_group_id += 1;
-        for &id in &members {
-            self.disjoint.insert(id, gid);
-        }
+        let members: Vec<LookupId> = paths
+            .into_iter()
+            .map(|path| self.create_lookup(addr, key, LookupPurpose::Retrieve, &path, 0, Some(gid)))
+            .collect();
         let first = members[0];
         self.groups.insert(
             gid,
@@ -767,38 +750,44 @@ impl SimNetwork {
         addr: NodeAddr,
         target: NodeId,
         purpose: LookupPurpose,
+        queue_wait_ms: u64,
     ) -> LookupId {
         let mut seeds = std::mem::take(&mut self.scratch.seeds);
-        let node = &self.nodes[addr.index()];
-        node.routing
-            .closest_into(&target, self.config.shortlist_capacity(), &mut seeds);
-        let bootstrap = node.bootstrap;
-        if seeds.is_empty() {
-            // Empty routing table (join request lost, or heavy loss evicted
-            // everything): fall back to the remembered bootstrap contact so
-            // the node keeps retrying instead of staying isolated forever.
-            if let Some(b) = bootstrap {
-                seeds.push(b);
-                self.counters.incr(Counter::BootstrapReseed);
-            }
-        }
-        let id = self.create_lookup(addr, target, purpose, &seeds, true);
+        self.gather_seeds(addr, target, &mut seeds);
+        let id = self.create_lookup(addr, target, purpose, &seeds, queue_wait_ms, None);
         self.scratch.seeds = seeds;
         self.drive_lookup(addr, id);
         id
     }
 
+    /// Fills `seeds` with `addr`'s closest known contacts to `target`.
+    /// An empty routing table (join request lost, or heavy loss evicted
+    /// everything) falls back to the remembered bootstrap contact, so the
+    /// node keeps retrying instead of staying isolated forever.
+    fn gather_seeds(&mut self, addr: NodeAddr, target: NodeId, seeds: &mut Vec<Contact>) {
+        let node = &self.nodes[addr.index()];
+        node.routing
+            .closest_into(&target, self.config.shortlist_capacity(), seeds);
+        if seeds.is_empty() {
+            if let Some(b) = node.bootstrap {
+                seeds.push(b);
+                self.counters.incr(Counter::BootstrapReseed);
+            }
+        }
+    }
+
     /// Registers a lookup without driving it (disjoint-path groups must
     /// register every member before the first one makes progress).
-    /// `track_start` records the start instant for the telemetry record;
-    /// sub-lookups pass `false` (their group tracks its own start).
+    /// `queue_wait_ms` is stamped on its trace tree; `group` is the
+    /// disjoint-path group it is a path of.
     fn create_lookup(
         &mut self,
         addr: NodeAddr,
         target: NodeId,
         purpose: LookupPurpose,
         seeds: &[Contact],
-        track_start: bool,
+        queue_wait_ms: u64,
+        group: Option<u64>,
     ) -> LookupId {
         let id = self.next_lookup_id;
         self.next_lookup_id += 1;
@@ -806,19 +795,19 @@ impl SimNetwork {
         let node = &mut self.nodes[addr.index()];
         let state =
             LookupState::with_scratch(id, target, purpose, node.id(), seeds, &self.config, arena);
-        node.lookups.insert(state);
-        if track_start && self.sink.0.is_some() {
-            self.lookup_started.insert(id, self.queue.now());
-        }
-        if self.traces_on {
-            self.trace.buffers.insert(
-                id,
-                TraceBuffer {
-                    spans: Vec::with_capacity(8),
-                    queue_wait_ms: self.trace.pending_queue_wait_ms,
-                },
-            );
-        }
+        let trace = self.traces_on.then(|| {
+            Box::new(TraceBuffer {
+                spans: Vec::with_capacity(8),
+                queue_wait_ms,
+            })
+        });
+        let started = self.queue.now();
+        node.lookups.insert(LookupEntry {
+            state,
+            started,
+            group,
+            trace,
+        });
         id
     }
 
@@ -829,59 +818,42 @@ impl SimNetwork {
     /// buffer suffices) and recycles the finished lookup's arena.
     fn drive_lookup(&mut self, addr: NodeAddr, lookup_id: LookupId) {
         let _span = kad_telemetry::span::span("lookup-dispatch");
-        let mut queries = std::mem::take(&mut self.scratch.queries);
-        let finished = {
-            let node = &mut self.nodes[addr.index()];
-            match node.lookups.get_mut(lookup_id) {
-                Some(state) => {
-                    state.next_queries_into(&mut queries);
-                    state.is_finished()
-                }
-                None => {
-                    self.scratch.queries = queries;
-                    return;
-                }
-            }
+        let Some(entry) = self.nodes[addr.index()].lookups.get_mut(lookup_id) else {
+            return;
         };
+        let state = &mut entry.state;
+        let mut queries = std::mem::take(&mut self.scratch.queries);
+        state.next_queries_into(&mut queries);
+        let (finished, target, purpose) = (state.is_finished(), state.target(), state.purpose());
         if finished {
-            let state = self.nodes[addr.index()]
+            let mut entry = self.nodes[addr.index()]
                 .lookups
                 .remove(lookup_id)
                 .expect("finished lookup present");
             self.counters.incr(Counter::LookupFinished);
-            self.finalize_lookup(&state);
-            if state.purpose() == LookupPurpose::Disseminate {
-                let key = state.target();
+            self.finalize_lookup(&mut entry);
+            if purpose == LookupPurpose::Disseminate {
                 let mut targets = std::mem::take(&mut self.scratch.store_targets);
-                state.closest_responded_into(self.config.k, &mut targets);
+                entry
+                    .state
+                    .closest_responded_into(self.config.k, &mut targets);
                 for &c in &targets {
-                    self.send_request(addr, c, RequestKind::Store(key), None);
+                    self.send_request(addr, c, RequestKind::Store(target), None);
                     self.counters.incr(Counter::StoreRpcSent);
                 }
                 targets.clear();
                 self.scratch.store_targets = targets;
             }
-            self.scratch.recycle_lookup(state.into_scratch());
-            self.scratch.queries = queries;
-            return;
-        }
-        let (target, purpose) = {
-            let node = &self.nodes[addr.index()];
-            match node.lookups.get(lookup_id) {
-                Some(s) => (s.target(), s.purpose()),
-                None => {
-                    self.scratch.queries = queries;
-                    return;
-                }
-            }
-        };
-        let kind = if purpose == LookupPurpose::Retrieve {
-            RequestKind::FindValue(target)
+            self.scratch.recycle_lookup(entry.state.into_scratch());
         } else {
-            RequestKind::FindNode(target)
-        };
-        for &c in &queries {
-            self.send_request(addr, c, kind, Some(lookup_id));
+            let kind = if purpose == LookupPurpose::Retrieve {
+                RequestKind::FindValue(target)
+            } else {
+                RequestKind::FindNode(target)
+            };
+            for &c in &queries {
+                self.send_request(addr, c, kind, Some(lookup_id));
+            }
         }
         queries.clear();
         self.scratch.queries = queries;
@@ -890,11 +862,10 @@ impl SimNetwork {
     /// Routes a terminated lookup to its accounting: disjoint-path
     /// members are absorbed into their group, everything else emits its
     /// own trace record.
-    fn finalize_lookup(&mut self, state: &LookupState) {
-        if let Some(gid) = self.disjoint.remove(&state.id()) {
-            self.absorb_into_group(gid, state);
-        } else {
-            self.emit_lookup_record(state);
+    fn finalize_lookup(&mut self, entry: &mut LookupEntry) {
+        match entry.group {
+            Some(gid) => self.absorb_into_group(gid, entry),
+            None => self.emit_lookup_record(entry),
         }
     }
 
@@ -902,15 +873,14 @@ impl SimNetwork {
     /// member to terminate emits the group's single synthesized record.
     /// The first value hit marks every sibling found, terminating them
     /// early ("any path returns the value" semantics).
-    fn absorb_into_group(&mut self, gid: u64, state: &LookupState) {
+    fn absorb_into_group(&mut self, gid: u64, entry: &mut LookupEntry) {
         let Some(group) = self.groups.get_mut(&gid) else {
             return;
         };
-        if self.traces_on {
-            if let Some(buf) = self.trace.buffers.remove(&state.id()) {
-                group.trace_spans.extend(buf.spans);
-            }
+        if let Some(buf) = entry.trace.take() {
+            group.trace_spans.extend(buf.spans);
         }
+        let state = &entry.state;
         group.remaining -= 1;
         group.messages += state.messages_sent();
         group.responded += state.responded() as u32;
@@ -933,21 +903,16 @@ impl SimNetwork {
             for member in members {
                 if member != finished_id {
                     if let Some(sibling) = self.nodes[origin.index()].lookups.get_mut(member) {
-                        sibling.mark_value_found();
+                        sibling.state.mark_value_found();
                     }
                 }
             }
         }
         if done {
             let mut group = self.groups.remove(&gid).expect("group still registered");
-            if self.traces_on {
-                // The critical path of the group is the dependency chain
-                // of the member whose termination completed it.
-                group.trace_final = self
-                    .trace
-                    .cause
-                    .and_then(|(rpc, owner)| (owner == state.id()).then_some(rpc));
-            }
+            // The critical path of the group is the dependency chain of
+            // the member whose termination completed it.
+            group.trace_final = self.cause_in(state.id());
             self.emit_group_record(group);
         }
     }
@@ -982,14 +947,12 @@ impl SimNetwork {
 
     /// Builds and emits the trace record of a terminated lookup, if a
     /// telemetry sink is installed.
-    fn emit_lookup_record(&mut self, state: &LookupState) {
+    fn emit_lookup_record(&mut self, entry: &mut LookupEntry) {
+        let final_rpc = self.cause_in(entry.state.id());
         let Some(sink) = self.sink.0.as_mut() else {
             return;
         };
-        let started = self
-            .lookup_started
-            .remove(&state.id())
-            .unwrap_or(SimTime::ZERO);
+        let state = &entry.state;
         let purpose = match state.purpose() {
             LookupPurpose::Locate => TracePurpose::Locate,
             LookupPurpose::Disseminate => TracePurpose::Disseminate,
@@ -1019,22 +982,25 @@ impl SimNetwork {
             hops: state.result_hops(),
             messages: state.messages_sent(),
             responded: state.responded() as u32,
-            started_ms: started.as_millis(),
+            started_ms: entry.started.as_millis(),
             completed_ms: self.queue.now().as_millis(),
         };
         sink.on_lookup(&record);
-        if self.traces_on {
-            if let Some(buf) = self.trace.buffers.remove(&state.id()) {
-                let final_rpc = self
-                    .trace
-                    .cause
-                    .and_then(|(rpc, owner)| (owner == state.id()).then_some(rpc));
-                let tree = build_trace_tree(record, buf.queue_wait_ms, buf.spans, final_rpc);
-                if let Some(sink) = self.sink.0.as_mut() {
-                    sink.on_trace(&tree);
-                }
-            }
+        if let Some(buf) = entry.trace.take() {
+            sink.on_trace(&build_trace_tree(
+                record,
+                buf.queue_wait_ms,
+                buf.spans,
+                final_rpc,
+            ));
         }
+    }
+
+    /// The RPC whose completion is being processed, if it belongs to
+    /// lookup `id` (only set while the sink wants traces).
+    fn cause_in(&self, id: LookupId) -> Option<RpcId> {
+        self.cause
+            .and_then(|(rpc, owner)| (owner == id).then_some(rpc))
     }
 
     /// Offers a learned contact to `addr`'s routing table, with the
@@ -1116,24 +1082,23 @@ impl SimNetwork {
             .queue
             .schedule_after(RPC_TIMEOUT, SimEvent::RpcTimeout { rpc_id });
         let mut trace_slot = NO_TRACE_SLOT;
-        if self.traces_on {
-            if let Some(lookup_id) = lookup {
-                if let Some(buf) = self.trace.buffers.get_mut(&lookup_id) {
-                    let caused_by = self
-                        .trace
-                        .cause
-                        .and_then(|(rpc, owner)| (owner == lookup_id).then_some(rpc));
-                    trace_slot = buf.spans.len();
-                    buf.spans.push(RpcSpan {
-                        rpc_id,
-                        to_node: to.addr.index() as u32,
-                        to_compromised: false,
-                        sent_ms: self.queue.now().as_millis(),
-                        completed_ms: 0,
-                        outcome: SpanOutcome::Inflight,
-                        caused_by,
-                    });
-                }
+        if let Some(lookup_id) = lookup.filter(|_| self.traces_on) {
+            let caused_by = self.cause_in(lookup_id);
+            let buf = self.nodes[from.index()]
+                .lookups
+                .get_mut(lookup_id)
+                .and_then(|e| e.trace.as_mut());
+            if let Some(buf) = buf {
+                trace_slot = buf.spans.len();
+                buf.spans.push(RpcSpan {
+                    rpc_id,
+                    to_node: to.addr.index() as u32,
+                    to_compromised: false,
+                    sent_ms: self.queue.now().as_millis(),
+                    completed_ms: 0,
+                    outcome: SpanOutcome::Inflight,
+                    caused_by,
+                });
             }
         }
         let assigned = self.pending.insert(PendingRpc {
@@ -1251,30 +1216,28 @@ impl SimNetwork {
                 if let Some(lookup_id) = pending.lookup {
                     if self.traces_on {
                         self.close_trace_span(&pending, lookup_id, SpanOutcome::Responded);
-                        self.trace.cause = Some((rpc_id, lookup_id));
+                        self.cause = Some((rpc_id, lookup_id));
                     }
                     let (mut contacts, value_found) = match body {
                         ResponseBody::Nodes(nodes) => (nodes, false),
                         ResponseBody::Value { found, nodes } => (nodes, found),
                         _ => (Vec::new(), false),
                     };
-                    // Disjoint-path members only merge candidates no
-                    // sibling path has claimed (vertex-disjointness).
-                    if let Some(gid) = self.disjoint.get(&lookup_id) {
-                        if let Some(group) = self.groups.get_mut(gid) {
+                    if let Some(entry) = self.nodes[to.index()].lookups.get_mut(lookup_id) {
+                        // Disjoint-path members only merge candidates no
+                        // sibling path has claimed (vertex-disjointness).
+                        if let Some(group) = entry.group.and_then(|gid| self.groups.get_mut(&gid)) {
                             contacts.retain(|c| group.claimed.insert(c.id));
                         }
-                    }
-                    if let Some(state) = self.nodes[to.index()].lookups.get_mut(lookup_id) {
-                        state.on_response(&from.id, &contacts);
+                        entry.state.on_response(&from.id, &contacts);
                         if value_found {
                             self.counters.incr(Counter::ValueHit);
-                            state.mark_value_found();
+                            entry.state.mark_value_found();
                         }
                     }
                     self.scratch.recycle_body(contacts);
                     self.drive_lookup(to, lookup_id);
-                    self.trace.cause = None;
+                    self.cause = None;
                 } else {
                     self.reclaim_body(body);
                 }
@@ -1314,26 +1277,26 @@ impl SimNetwork {
                 if let Some(sink) = self.sink.0.as_mut() {
                     sink.on_defense(DefenseAction::Repair);
                 }
-                self.start_lookup_internal(requester, target, LookupPurpose::Repair);
+                self.start_lookup_internal(requester, target, LookupPurpose::Repair, 0);
             }
         }
         if let Some(lookup_id) = pending.lookup {
             if self.traces_on {
                 self.close_trace_span(&pending, lookup_id, SpanOutcome::TimedOut);
-                self.trace.cause = Some((rpc_id, lookup_id));
+                self.cause = Some((rpc_id, lookup_id));
             }
-            if let Some(state) = self.nodes[requester.index()].lookups.get_mut(lookup_id) {
-                state.on_failure(&pending.to.id);
+            if let Some(entry) = self.nodes[requester.index()].lookups.get_mut(lookup_id) {
+                entry.state.on_failure(&pending.to.id);
             }
             self.drive_lookup(requester, lookup_id);
-            self.trace.cause = None;
+            self.cause = None;
         }
     }
 
     /// Closes an RPC span: stamps the completion instant, the outcome and
     /// the queried node's compromise flag. A no-op when the RPC recorded
-    /// no span or the owning lookup's buffer is gone (the lookup
-    /// finalized while this RPC was still in flight).
+    /// no span or the owning lookup is gone (it finalized while this RPC
+    /// was still in flight).
     fn close_trace_span(
         &mut self,
         pending: &PendingRpc,
@@ -1345,7 +1308,10 @@ impl SimNetwork {
         }
         let compromised = self.is_compromised(pending.to.addr);
         let now = self.queue.now().as_millis();
-        if let Some(buf) = self.trace.buffers.get_mut(&lookup_id) {
+        let entry = self.nodes[pending.requester.index()]
+            .lookups
+            .get_mut(lookup_id);
+        if let Some(buf) = entry.and_then(|e| e.trace.as_mut()) {
             if let Some(span) = buf.spans.get_mut(pending.trace_slot) {
                 span.completed_ms = now;
                 span.outcome = outcome;
@@ -1375,7 +1341,7 @@ impl SimNetwork {
                 .routing
                 .random_id_in_bucket(&mut self.refresh_rng, i);
             self.counters.incr(Counter::RefreshLookup);
-            self.start_lookup_internal(addr, target, LookupPurpose::Refresh);
+            self.start_lookup_internal(addr, target, LookupPurpose::Refresh, 0);
         }
         self.queue
             .schedule_after(REFRESH_INTERVAL, SimEvent::RefreshTick { node: addr });
@@ -1713,17 +1679,13 @@ mod tests {
         assert!(!purposes.contains(&TracePurpose::Locate));
     }
 
-    #[test]
-    fn without_a_sink_no_start_times_are_tracked() {
-        let mut net = build_network(10, 4, 35);
-        let origin = net.alive_addrs()[0];
-        net.start_lookup(origin, NodeId::from_u64(5, 32));
-        assert!(
-            net.lookup_started.is_empty(),
-            "no sink, no per-lookup tracking overhead"
-        );
-        net.run_until(net.now() + SimDuration::from_secs(30));
-        assert!(net.lookup_started.is_empty());
+    /// Span buffers held by the lookups in flight across the network.
+    fn span_buffers(net: &mut SimNetwork) -> usize {
+        net.nodes
+            .iter_mut()
+            .flat_map(|n| n.lookups.entries_mut())
+            .filter(|e| e.trace.is_some())
+            .count()
     }
 
     #[test]
@@ -1736,11 +1698,96 @@ mod tests {
         let origin = net.alive_addrs()[0];
         net.start_lookup(origin, NodeId::from_u64(5, 32));
         assert!(
-            net.trace.buffers.is_empty(),
+            !net.node(origin).lookups.is_empty(),
+            "the lookup is in flight"
+        );
+        assert_eq!(
+            span_buffers(&mut net),
+            0,
             "a flat-record sink must not pay for span recording"
         );
         net.run_until(net.now() + SimDuration::from_secs(30));
-        assert!(net.trace.buffers.is_empty());
+        assert_eq!(span_buffers(&mut net), 0);
+    }
+
+    /// A lookup already in flight when the sink is installed still
+    /// reports the instant it started, not the start of the clock.
+    #[test]
+    fn a_sink_installed_mid_lookup_reads_its_exact_start() {
+        use kad_telemetry::VecSink;
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        let mut net = build_network(10, 4, 37);
+        let started = net.now() + SimDuration::from_secs(7);
+        net.run_until(started);
+        let origin = net.alive_addrs()[2];
+        let id = net
+            .start_lookup(origin, NodeId::from_u64(0x5EED, 32))
+            .expect("origin alive");
+        net.run_until(started + SimDuration::from_millis(1));
+        assert!(
+            net.node(origin).lookups.get(id).is_some(),
+            "still in flight"
+        );
+        let sink = Rc::new(RefCell::new(VecSink::default()));
+        net.set_telemetry_sink(Box::new(Rc::clone(&sink)));
+        net.run_until(net.now() + SimDuration::from_secs(30));
+        let records = sink.borrow();
+        let record = records
+            .records
+            .iter()
+            .find(|r| r.lookup_id == id)
+            .expect("the in-flight lookup emits its record");
+        assert!(started.as_millis() > 0);
+        assert_eq!(record.started_ms, started.as_millis());
+        assert!(
+            !records.traces.iter().any(|t| t.record.lookup_id == id),
+            "spans before the install were never recorded, so no tree"
+        );
+    }
+
+    /// An origin that departs mid-flight takes its lookups with it: a
+    /// disjoint group and a traced plain lookup emit nothing, and the
+    /// group leaves no state behind.
+    #[test]
+    fn a_departing_origin_drops_its_lookups_and_groups_silently() {
+        use kad_telemetry::VecSink;
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        let mut net = build_network(14, 4, 94);
+        let key = NodeId::from_u64(0xD1E, 32);
+        net.start_store(net.alive_addrs()[0], key);
+        net.run_until(net.now() + SimDuration::from_secs(30));
+        let sink = Rc::new(RefCell::new(VecSink::default()));
+        net.set_telemetry_sink(Box::new(Rc::clone(&sink)));
+        let origin = net.alive_addrs()[7];
+        let group_id = net
+            .start_find_value_disjoint(origin, key, 3)
+            .expect("origin alive");
+        let plain_id = net
+            .start_lookup(origin, NodeId::from_u64(0x1234, 32))
+            .expect("origin alive");
+        net.run_until(net.now() + SimDuration::from_millis(5));
+        assert_eq!(net.groups.len(), 1, "the group is in flight");
+        assert_eq!(
+            net.node(origin).lookups.len(),
+            4,
+            "three paths and the plain lookup are in flight"
+        );
+        assert_eq!(span_buffers(&mut net), 4, "each traced lookup holds spans");
+        assert!(net.remove_node(origin));
+        net.run_until(net.now() + SimDuration::from_secs(60));
+        assert!(net.groups.is_empty(), "the group died with its origin");
+        assert!(net.node(origin).lookups.is_empty());
+        let ours = |id: LookupId| id == group_id || id == plain_id;
+        let events = sink.borrow();
+        assert!(!events
+            .records
+            .iter()
+            .any(|r| ours(r.lookup_id) || r.purpose == TracePurpose::RetrieveDisjoint));
+        assert!(!events.traces.iter().any(|t| ours(t.record.lookup_id)));
     }
 
     /// Every tree emitted under loss (timeouts), compromise (flagged
@@ -1876,8 +1923,10 @@ mod tests {
             !tree.critical_path().rpc_ids.is_empty(),
             "the finalizing member's chain is the group's critical path"
         );
-        assert!(
-            net.trace.buffers.is_empty(),
+        assert!(net.node(retriever).lookups.is_empty(), "every path ended");
+        assert_eq!(
+            span_buffers(&mut net),
+            0,
             "member buffers are folded into the group and freed"
         );
     }
