@@ -18,9 +18,10 @@
 //! copy of the graph's out-neighbour rows and a bit row of each vertex's
 //! out- and in-neighbours ("Bit rows" below):
 //!
-//! 0. **Closed-form opening** (`VertexFlow::open`). From the clean state
-//!    Dinic's first two phases need no search, because their level graphs
-//!    are known in advance. Write `C = N⁺(v) ∩ N⁻(w)` for the common
+//! 0. **Closed-form opening** (`VertexFlow::open`,
+//!    `VertexFlow::third_phase`). From the clean state Dinic's first three
+//!    phases need no search, because their level graphs are known in
+//!    advance. Write `C = N⁺(v) ∩ N⁻(w)` for the common
 //!    neighbours. The 3-arc paths are `v'' → c' → c'' → w'` for `c ∈ C`,
 //!    pairwise disjoint, and phase 1's DFS takes them in the order of `v`'s
 //!    row: it routes `v → c → w` for every `c ∈ C`, ascending. Afterwards
@@ -37,19 +38,48 @@
 //!    and a `y'` dies once routed. So for each `x ∈ X`, ascending, it routes
 //!    the smallest still-free `y ∈ Y` with `(x, y)` an edge, and an `x`
 //!    with none is a dead end. `open` routes exactly these units and stops
-//!    at `stop`, as the DFS's budget does. The `pred`/`succ` it leaves
-//!    equal those of the two phases unit for unit, and the loop below
-//!    resumes from that state. So every later phase, κ,
+//!    at `stop`, as the DFS's budget does. With `C = ∅` phase 1 is empty
+//!    and the 5-arc phase is Dinic's first; with no 5-arc path phase 2
+//!    routes nothing. `open` finds `C` and `Y` with word ANDs and each `y`
+//!    with one masked word scan.
+//!
+//!    Phase 3, the 7-arc one, follows from the state phase 2 leaves.
+//!    Write `S ⊆ Y` for the in-neighbours of `w` still free after phase 2
+//!    (`open` leaves them in `out_seen`) and `U ⊆ X` for the out-neighbours
+//!    of `v` it left idle. No `u ∈ U` has an edge into `S`, or phase 2,
+//!    which tried `u` while the free set held all of `S`, would have routed
+//!    it. Every carrying vertex now has `pred` in `{v} ∪ X` (phase 2's `x`
+//!    feed its `y`), and none of those is an in-neighbour of `w`. A 7-arc
+//!    path `v'' → u' → u'' → p' → q'' → s' → s'' → w'` leaves `v''` over an
+//!    unused edge, so `u ∈ U` is idle and `p ∈ N⁺(u)`. `p'` leaves by its
+//!    one residual arc: `q = p` while `p` is idle, `q = pred[p]` otherwise.
+//!    `s'' → w'` is an unused edge into the sink; a carrying `s` would
+//!    leave `s'` for `pred[s]''`, which has no edge into `w`, so `s` is
+//!    idle and `s ∈ S ∩ N⁺(q)`. With `p` idle the path is *shape A*,
+//!    `v → u → p → s → w`. With `p` carrying, `q = v` is a dead end (`v`
+//!    has no edge into `Y`), so `q = x` of a phase-2 unit
+//!    `v → x → p → w` with `p ∈ Y`: *shape B* re-routes it into
+//!    `v → u → p → w` and `v → x → s → w`. The DFS takes the `u` in row
+//!    order; each `u''` scans its row for a live `p'`, whose one exit leads
+//!    to `q''`, and `q''` scans its row from the start for a live `s'`. Each
+//!    `q''` has exactly one feeder `p'`, so a `p'` that finds no `s` dies
+//!    with its `q''` and, as `S` only shrinks, would stay dead; a routed
+//!    `p'` dies too. So for each `u ∈ U`, ascending, `third_phase` takes the
+//!    smallest untried `p ∈ N⁺(u)`, routes it over the smallest free
+//!    `s ∈ N⁺(q) ∩ S` if there is one, marks `p` tried either way, and
+//!    stops at `stop`. Afterwards no residual path of 7 arcs or fewer is
+//!    left unless `stop` units are routed, and the loop below resumes at
+//!    L ≥ 9.
+//!
+//!    The `pred`/`succ` the three closed-form phases leave equal those of
+//!    three Dinic phases unit for unit, so every later phase, κ,
 //!    [`VertexFlow::paths`], [`VertexFlow::min_cut`] and both witness
-//!    digests are unchanged. With `C = ∅` phase 1 is empty and the 5-arc
-//!    phase is Dinic's first. With no 5-arc path, phase 2 routes nothing and
-//!    the first search finds the longer paths, as before. `open` finds `C`
-//!    and `Y` with word ANDs and each `y` with one masked word scan.
-//!    Counted on kadbench's overlays (seed 11), the opening routes 98 % of
-//!    the units of `kappa-min-1k` and 95 % of `kappa-paper-250`. Every flow
-//!    there ends at `stop`; none ends in a search that finds no path. At
-//!    n ≥ 1,000, 89 % or more of a full flow's time now goes to the 7-arc
-//!    phases after the opening (`docs/DESIGN.md`, "Closed-form opening").
+//!    digests are unchanged. Counted on kadbench's overlays (seed 11), the
+//!    three phases route all but 8 of the 1,001,968 units of
+//!    `kappa-min-1k` and 99.98 % of those of `kappa-paper-250`, and every
+//!    flow there ends at `stop`. A full flow's time now goes mostly to the
+//!    closed form's own row scans (`docs/DESIGN.md`, "Closed-form
+//!    opening").
 //! 1. **Two-sided search.** One level-synchronous search grows layers from
 //!    both ends: backward from the sink `w'` (layer `B_j` holds the copies
 //!    at residual distance `j` *to* the sink, labelled `j`) and forward
@@ -307,9 +337,12 @@ pub struct VertexFlow {
     /// bit scan of its out-row resumes at.
     cur: Vec<usize>,
     /// The out-copies labelled this phase (bit `z` for `z''`), cleared as
-    /// each search starts. The opening keeps its free `y ∈ Y` here before
-    /// the first search.
+    /// each search starts. The opening keeps its free `y ∈ Y` here for
+    /// the third phase, which takes its `s` from them.
     out_seen: Vec<u64>,
+    /// The vertices `p` the closed-form third phase has not tried yet
+    /// (bit `p` set), refilled as that phase starts.
+    untried: Vec<u64>,
     /// One bitset per even level `L`: bit `y` of bitset `L / 2` is set
     /// while `y'` is labelled `L` and alive. Grows to the deepest level any
     /// phase reaches.
@@ -351,6 +384,7 @@ impl VertexFlow {
             level: vec![NONE; 2 * n],
             cur: vec![0; n],
             out_seen: vec![0; words],
+            untried: vec![0; words],
             in_alive: vec![0; words],
             queue: Vec::new(),
             near: vec![NONE; 2 * n],
@@ -511,9 +545,11 @@ impl VertexFlow {
     }
 
     /// Dinic phases until `stop` units are routed or a search finds no
-    /// path, the first two in closed form ([`Self::open`]).
+    /// path, the first three in closed form ([`Self::open`],
+    /// [`Self::third_phase`]).
     fn phases(&mut self, v: u32, w: u32, stop: u64) -> u64 {
         let mut flow = self.open(v, w, stop);
+        flow += self.third_phase(v, w, stop - flow);
         while flow < stop {
             let reached = self.label_level_graph(v, w);
             if reached {
@@ -536,7 +572,8 @@ impl VertexFlow {
     /// `x ∈ N⁺(v) ∖ C` over the smallest still-free `y ∈ N⁻(w) ∖ C` with
     /// `(x, y)` an edge, both in ascending order.
     ///
-    /// The free `y` are kept in `out_seen`; the next search zeroes it.
+    /// The free `y` are kept in `out_seen` for [`Self::third_phase`]; the
+    /// next search zeroes it.
     fn open(&mut self, v: u32, w: u32, stop: u64) -> u64 {
         let VertexFlow {
             csr,
@@ -577,6 +614,63 @@ impl VertexFlow {
                         return flow;
                     }
                 }
+            }
+        }
+        flow
+    }
+
+    /// Routes Dinic's third phase, the 7-arc one, from the state
+    /// [`Self::open`] leaves without a search (module docs, step 0) and
+    /// returns the units routed, at most `stop`. With `S` the free
+    /// in-neighbours of `w` that `open` left in `out_seen`, it takes each
+    /// idle out-neighbour `u` of `v` ascending and tries `u`'s untried
+    /// out-neighbours `p` ascending: with `q = p` if `p` is idle and
+    /// `q = pred[p]` otherwise, the smallest `s ∈ N⁺(q) ∩ S` routes
+    /// `v → u → p → s → w`, or re-routes `v → q → p → w` into
+    /// `v → u → p → w` and `v → q → s → w`. Every `p` is tried once.
+    fn third_phase(&mut self, v: u32, w: u32, stop: u64) -> u64 {
+        let VertexFlow {
+            csr,
+            pred,
+            succ,
+            touched,
+            out_seen,
+            untried,
+            ..
+        } = self;
+        if stop == 0 {
+            return 0;
+        }
+        untried.fill(!0);
+        let mut flow = 0;
+        for &u in csr.out_row(v) {
+            if pred[u as usize] != NONE {
+                continue;
+            }
+            let out_u = csr.out_bits(u);
+            let mut from = 0;
+            while let Some(p) = first_common(out_u, untried, from) {
+                clear_bit(untried, p);
+                from = p as usize + 1;
+                let q = match pred[p as usize] {
+                    NONE => p,
+                    x => x,
+                };
+                let Some(s) = first_common(csr.out_bits(q), out_seen, 0) else {
+                    continue;
+                };
+                clear_bit(out_seen, s);
+                if q == p {
+                    carry(pred, succ, touched, &[v, u, p, s, w]);
+                } else {
+                    carry(pred, succ, touched, &[v, u, p, w]);
+                    carry(pred, succ, touched, &[v, q, s, w]);
+                }
+                flow += 1;
+                if flow == stop {
+                    return flow;
+                }
+                break;
             }
         }
         flow
@@ -1142,6 +1236,82 @@ mod tests {
             }
             assert_clean(&kernel);
         }
+    }
+
+    #[test]
+    fn third_phase_matches_a_searched_dinic_phase() {
+        // Every pair and every cutoff c ≤ κ, from the state after Dinic's
+        // first two phases: the closed-form third phase leaves the flow of
+        // one searched phase (run only when the shortest residual path has
+        // 7 arcs), and unless it reached c, no residual v'' → w' path of 7
+        // arcs or fewer is left. Both shapes of a 7-arc path must occur.
+        let mut rng = SmallRng::seed_from_u64(43);
+        let graphs = [
+            paper_figure1(),
+            bidirected_cycle(70),
+            gnp(40, 0.3, &mut rng),
+            gnp(70, 0.1, &mut rng),
+            random_k_out(40, 4, &mut rng),
+            planted_cut(&mut rng),
+            gnp(120, 0.25, &mut rng),
+            random_k_out(90, 12, &mut rng),
+            gnp(60, 0.06, &mut rng),
+        ];
+        let (mut units, mut reroutes) = (0, 0);
+        for g in &graphs {
+            let n = g.node_count() as u32;
+            let mut kernel = VertexFlow::new(g);
+            let mut searched = kernel.clone();
+            for v in 0..n {
+                for w in 0..n {
+                    let Some(kappa) = kernel.connectivity(v, w, None) else {
+                        continue;
+                    };
+                    for c in 0..=kappa {
+                        let at = format!("({v}, {w}) cutoff {c}");
+                        let (pred, succ, opened) = reference_opening(g, v, w, c);
+                        for x in 0..n as usize {
+                            if pred[x] != NONE {
+                                (searched.pred[x], searched.succ[x]) = (pred[x], succ[x]);
+                                searched.touched.push(x as u32);
+                            }
+                        }
+                        let mut sent = 0;
+                        if opened < c {
+                            if searched.label_level_graph(v, w)
+                                && searched.level[out_copy(v) as usize] == 7
+                            {
+                                sent = searched.blocking_flow(v, w, c - opened);
+                            }
+                            searched.clear_phase();
+                        }
+                        assert_eq!(kernel.open(v, w, c), opened, "{at}");
+                        let third = kernel.third_phase(v, w, c - opened);
+                        assert_eq!(third, sent, "{at}");
+                        assert_eq!(kernel.pred, searched.pred, "{at}");
+                        assert_eq!(kernel.succ, searched.succ, "{at}");
+                        if opened + third < c {
+                            let [_, to_sink] = residual_distances(g, &kernel, v, w);
+                            let len = to_sink[out_copy(v) as usize];
+                            assert!(len == NONE || len > 7, "{at}: a path of {len} arcs");
+                        }
+                        units += third;
+                        // A re-route moves the exit of a phase-2 unit.
+                        reroutes += (0..n as usize)
+                            .filter(|&x| pred[x] == v && succ[x] != w && kernel.succ[x] != succ[x])
+                            .count();
+                        kernel.restore();
+                        searched.restore();
+                    }
+                }
+            }
+            assert_clean(&kernel);
+            assert_clean(&searched);
+        }
+        assert!(
+            reroutes > 0 && units > reroutes as u64,
+            "{units} units, {reroutes} re-routes"
+        );
     }
 
     #[test]
