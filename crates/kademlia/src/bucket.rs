@@ -15,6 +15,7 @@
 //! implementation the arena replaced survives only as the test-only
 //! `reference` model the table is differentially tested against.
 
+use crate::config::MAX_STALENESS_LIMIT;
 use crate::contact::Contact;
 use crate::id::NodeId;
 use dessim::time::SimTime;
@@ -34,12 +35,46 @@ pub struct BucketEntry {
 /// The cold half of a routing-table entry: liveness bookkeeping that only
 /// refreshes, failures and probe scans touch — kept apart from the
 /// contacts so closest-contact reads and membership scans never load it.
+///
+/// One word: [`BucketEntry::last_seen`] in milliseconds above
+/// [`BucketEntry::failures`] in the low byte. Both ranges are checked
+/// where the values enter — `last_seen` below 2^56 ms (about 2.3 million
+/// years) here, the failure count through the staleness limit, which
+/// [`crate::config::KademliaConfigBuilder::build`] caps at
+/// [`MAX_STALENESS_LIMIT`] — so the packing never truncates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Liveness {
+pub(crate) struct Liveness(u64);
+
+impl Liveness {
+    /// A contact just seen at `now`, with no failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now` is 2^56 ms or later.
+    pub(crate) fn seen(now: SimTime) -> Self {
+        let ms = now.as_millis();
+        assert!(ms < 1 << 56, "last_seen {ms} ms exceeds the 56-bit field");
+        Liveness(ms << 8)
+    }
+
     /// See [`BucketEntry::last_seen`].
-    pub(crate) last_seen: SimTime,
+    pub(crate) fn last_seen(self) -> SimTime {
+        SimTime::from_millis(self.0 >> 8)
+    }
+
     /// See [`BucketEntry::failures`].
-    pub(crate) failures: u32,
+    pub(crate) fn failures(self) -> u32 {
+        (self.0 & 0xff) as u32
+    }
+
+    /// Counts one more consecutive failure and returns the new count. The
+    /// caller evicts at the staleness limit (at most
+    /// [`MAX_STALENESS_LIMIT`]), so the count never wraps.
+    pub(crate) fn fail(&mut self) -> u32 {
+        debug_assert!(self.failures() < MAX_STALENESS_LIMIT);
+        self.0 += 1;
+        self.failures()
+    }
 }
 
 /// Outcome of offering a contact to a bucket.
@@ -111,8 +146,8 @@ pub(crate) fn entries<'a>(
 ) -> impl Iterator<Item = BucketEntry> + 'a {
     contacts.iter().zip(liveness).map(|(c, l)| BucketEntry {
         contact: *c,
-        failures: l.failures,
-        last_seen: l.last_seen,
+        failures: l.failures(),
+        last_seen: l.last_seen(),
     })
 }
 

@@ -17,6 +17,11 @@ pub const RPC_TIMEOUT: SimDuration = SimDuration::from_secs(1);
 /// best candidates are exhausted).
 pub const SHORTLIST_FACTOR: usize = 3;
 
+/// The largest staleness limit `s`: the routing table keeps each
+/// contact's consecutive-failure count in one byte, and the count never
+/// exceeds the limit (the contact is evicted when it reaches it).
+pub const MAX_STALENESS_LIMIT: u32 = u8::MAX as u32;
+
 /// The RPC timeout as a config field: zero-sized, so it can only ever be
 /// [`RPC_TIMEOUT`]. It exists so `config.rpc_timeout.as_millis()` keeps
 /// reading the timeout in the benchmark package, which builds against
@@ -182,7 +187,8 @@ impl KademliaConfigBuilder {
     ///
     /// Returns [`ConfigError`] if any parameter is out of range: `bits`
     /// outside `1..=160`, `k = 0`, `bits · k` beyond the routing table's
-    /// 16-bit offsets, `α = 0` or `s = 0`.
+    /// 16-bit offsets, `α = 0`, `s = 0`, or `s` above
+    /// [`MAX_STALENESS_LIMIT`].
     pub fn build(&self) -> Result<KademliaConfig, ConfigError> {
         let config = self.config.unwrap_or_default();
         if config.bits == 0 || config.bits > MAX_BITS {
@@ -205,6 +211,13 @@ impl KademliaConfigBuilder {
         }
         if config.staleness_limit == 0 {
             return Err(ConfigError("staleness limit must be at least 1".into()));
+        }
+        if config.staleness_limit > MAX_STALENESS_LIMIT {
+            return Err(ConfigError(format!(
+                "staleness limit must be at most {MAX_STALENESS_LIMIT} to fit the \
+                 routing table's one-byte failure count, got {}",
+                config.staleness_limit
+            )));
         }
         Ok(config)
     }
@@ -247,6 +260,25 @@ mod tests {
         assert!(KademliaConfig::builder().alpha(0).build().is_err());
         assert!(KademliaConfig::builder()
             .staleness_limit(0)
+            .build()
+            .is_err());
+    }
+
+    #[test]
+    fn staleness_limit_beyond_the_failure_byte_is_a_typed_error() {
+        let ok = KademliaConfig::builder()
+            .staleness_limit(MAX_STALENESS_LIMIT)
+            .build()
+            .expect("the largest limit a byte holds");
+        assert_eq!(ok.staleness_limit, 255);
+        let err: ConfigError = KademliaConfig::builder()
+            .staleness_limit(MAX_STALENESS_LIMIT + 1)
+            .build()
+            .unwrap_err();
+        assert!(err.to_string().contains("at most 255"), "{err}");
+        assert!(err.to_string().ends_with("got 256"), "{err}");
+        assert!(KademliaConfig::builder()
+            .staleness_limit(u32::MAX)
             .build()
             .is_err());
     }

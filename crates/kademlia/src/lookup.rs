@@ -87,7 +87,7 @@ enum CandidateState {
 /// distance's three words are flattened into the struct so `addr`, `hop`
 /// and `state` fill what would otherwise be its tail padding.
 #[derive(Clone, Copy, Debug)]
-struct Candidate {
+pub(crate) struct Candidate {
     /// XOR distance to the lookup target ([`Distance::words`]), cached at
     /// insertion so shortlist searches never recompute it.
     dist_hi: u64,

@@ -63,7 +63,7 @@ use crate::lookup::{
     partition_seeds, LookupEntry, LookupId, LookupPurpose, LookupScratch, LookupState,
 };
 use crate::messages::{Message, RequestKind, ResponseBody, RpcId};
-use crate::node::KademliaNode;
+use crate::node::{KademliaNode, KeyTable};
 use crate::snapshot::RoutingSnapshot;
 use dessim::event::EventId;
 use dessim::metrics::{Counter, Counters};
@@ -180,6 +180,11 @@ struct DisjointGroup {
 
 /// Slot sentinel: this pending RPC recorded no trace span.
 const NO_TRACE_SLOT: usize = usize::MAX;
+
+/// STORE keys the key table reserves room for per spawned node: four
+/// minutes of the paper's store rate (one store per node a minute), 32 of
+/// the pinned load's (one per 8 nodes), before its first resize.
+const KEYS_PER_NODE: usize = 4;
 
 /// Idle-memory budget of each buffer pool (response bodies, lookup
 /// arenas). A pool retains `POOL_BYTES / buffer size` buffers and drops
@@ -336,6 +341,8 @@ pub struct SimNetwork {
     /// Defense policy; `None` (the default) costs one discriminant check
     /// per routing-table insert.
     defense: DefenseSlot,
+    /// Every STORE key delivered so far, interned once for all nodes.
+    keys: KeyTable,
     /// In-flight disjoint-path retrieval groups by group id.
     groups: HashMap<u64, DisjointGroup>,
     next_group_id: u64,
@@ -368,6 +375,7 @@ impl SimNetwork {
             traces_on: false,
             cause: None,
             defense: DefenseSlot(None),
+            keys: KeyTable::default(),
             groups: HashMap::new(),
             next_group_id: 0,
         }
@@ -467,6 +475,17 @@ impl SimNetwork {
         &self.nodes[addr.index()]
     }
 
+    /// Whether a STORE delivered `key` to the node at `addr` and the node
+    /// is still alive (a departed node's store goes with it). Compromised
+    /// nodes hold their keys but withhold them from FIND_VALUE.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address was never spawned.
+    pub fn holds(&self, addr: NodeAddr, key: &NodeId) -> bool {
+        self.nodes[addr.index()].holds(&self.keys, key)
+    }
+
     /// Addresses of all currently alive nodes, ascending (compromised nodes
     /// included — they are alive on the wire).
     pub fn alive_addrs(&self) -> Vec<NodeAddr> {
@@ -501,8 +520,11 @@ impl SimNetwork {
         // Pre-mint pooled response buffers in proportion to network size:
         // peak buffers-in-flight tracks the minute-start lookup burst
         // (every node firing α queries at once), and minting here — in
-        // the topology phase — keeps that growth off the event loop.
+        // the topology phase — keeps that growth off the event loop. The
+        // key table, which STORE deliveries grow, reserves its headroom
+        // here for the same reason.
         self.scratch.pre_mint_bodies(self.config.alpha);
+        self.keys.reserve_total(KEYS_PER_NODE * self.nodes.len());
         // A node's defense-tick chain starts exactly once: here for nodes
         // spawned after the policy was installed, in `set_defense_policy`
         // for nodes alive at install time.
@@ -544,6 +566,7 @@ impl SimNetwork {
             return false;
         }
         node.alive = false;
+        node.drop_keys();
         let compromised = node.compromised;
         // Drain the dying node's lookups in insertion order (LookupTable
         // guarantees deterministic traversal) and reclaim their arenas.
@@ -1180,7 +1203,7 @@ impl SimNetwork {
                 let (response, responder) = {
                     let node = &mut self.nodes[to.index()];
                     (
-                        node.handle_request_with(&kind, self.config.k, &mut buf),
+                        node.handle_request_with(&kind, self.config.k, &mut self.keys, &mut buf),
                         node.contact,
                     )
                 };
@@ -1487,13 +1510,28 @@ mod tests {
         let holders = net
             .alive_addrs()
             .into_iter()
-            .filter(|&a| net.node(a).storage.contains(&key))
+            .filter(|&a| net.holds(a, &key))
             .count();
         assert!(
             holders >= 2,
             "key should be stored on several nodes, got {holders}"
         );
         assert!(holders <= 4, "no more than k holders, got {holders}");
+    }
+
+    #[test]
+    fn a_departed_holder_takes_its_store_along() {
+        let mut net = build_network(10, 4, 5);
+        let key = NodeId::from_u64(0x1234_5678, 32);
+        net.start_store(net.alive_addrs()[0], key);
+        net.run_until(net.now() + SimDuration::from_secs(30));
+        let holder = (0..10)
+            .map(NodeAddr)
+            .find(|&a| net.holds(a, &key))
+            .expect("stored somewhere");
+        assert!(!net.holds(holder, &NodeId::from_u64(0x1234_5679, 32)));
+        net.remove_node(holder);
+        assert!(!net.holds(holder, &key));
     }
 
     #[test]

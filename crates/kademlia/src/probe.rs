@@ -16,7 +16,7 @@
 //! consults its own storage, because the question is whether **someone
 //! else** can still fetch the object through the overlay. Compromised
 //! nodes keep answering routing queries but withhold values (see
-//! [`crate::node::KademliaNode::handle_request`]), so an eclipse attack on
+//! [`SimNetwork::compromise_node`]), so an eclipse attack on
 //! a key's neighborhood degrades retrievability exactly as the system
 //! model predicts.
 //!
@@ -116,7 +116,7 @@ impl DurabilityProbe {
         let honest: Vec<NodeAddr> = net.honest_addrs();
         self.keys
             .iter()
-            .filter(|key| honest.iter().any(|&a| net.node(a).storage.contains(key)))
+            .filter(|key| honest.iter().any(|&a| net.holds(a, key)))
             .count()
     }
 }
@@ -196,7 +196,7 @@ mod tests {
         let holders: Vec<NodeAddr> = net
             .alive_addrs()
             .into_iter()
-            .filter(|&a| net.node(a).storage.contains(&key))
+            .filter(|&a| net.holds(a, &key))
             .collect();
         assert!(!holders.is_empty());
         for addr in holders {

@@ -10,7 +10,7 @@
 //! start        [u16; b+1]   bucket i = entries start[i]..start[i+1]
 //! fingerprints [u32; len]   low 32 id bits         ┐ hot: membership scans,
 //! contacts     [Contact]    24 B (id, addr)        ┘ closest-contact reads
-//! liveness     [Liveness]   last_seen + failures     cold: refresh, failure,
+//! liveness     [Liveness]   8 B (last_seen, failures) cold: refresh, failure,
 //!                                                     probe scans only
 //! ```
 //!
@@ -24,9 +24,14 @@
 //! bump the offsets, which is cheap because both are rare next to reads.
 //! There is no per-bucket allocation and no per-bucket header: an empty
 //! bucket costs two bytes.
+//!
+//! An entry costs 36 bytes. The arrays grow by `k` entries at a time,
+//! not by doubling, and shrink back to their length when evictions leave
+//! more than `k` unused, so no table carries more than `k` entries of
+//! slack.
 
 use crate::bucket::{entries, BucketEntry, InsertOutcome, KBucket, Liveness};
-use crate::config::KademliaConfig;
+use crate::config::{KademliaConfig, MAX_STALENESS_LIMIT};
 use crate::contact::Contact;
 use crate::id::NodeId;
 use dessim::time::SimTime;
@@ -82,14 +87,19 @@ impl RoutingTable {
     ///
     /// # Panics
     ///
-    /// Panics if `own_id` does not fit into the configured bit-length, or
-    /// if `bits · k` exceeds `u16::MAX` (which
+    /// Panics if `own_id` does not fit into the configured bit-length, if
+    /// `bits · k` exceeds `u16::MAX`, or if the staleness limit exceeds
+    /// [`MAX_STALENESS_LIMIT`] (both of which
     /// [`crate::config::KademliaConfigBuilder::build`] rejects).
     pub fn new(own_id: NodeId, config: &KademliaConfig) -> Self {
         assert!(own_id.fits(config.bits), "own id exceeds configured bits");
         assert!(
             config.bits as usize * config.k <= u16::MAX as usize,
             "bits * k exceeds the routing table's u16 offsets"
+        );
+        assert!(
+            config.staleness_limit <= MAX_STALENESS_LIMIT,
+            "staleness limit exceeds the routing table's one-byte failure count"
         );
         RoutingTable {
             own_id,
@@ -130,18 +140,21 @@ impl RoutingTable {
         self.liveness.copy_within(pos + 1..hi, pos);
         self.fingerprints[last] = fingerprint;
         self.contacts[last] = contact;
-        self.liveness[last] = Liveness {
-            last_seen: now,
-            failures: 0,
-        };
+        self.liveness[last] = Liveness::seen(now);
         last
     }
 
-    /// Deletes the entry at `pos` of bucket `i`, shifting the arena's tail.
+    /// Deletes the entry at `pos` of bucket `i`, shifting the arena's tail;
+    /// returns the arrays' memory once more than `k` slots stand unused.
     fn evict(&mut self, i: usize, pos: usize) {
         self.fingerprints.remove(pos);
         self.contacts.remove(pos);
         self.liveness.remove(pos);
+        if self.contacts.capacity() - self.contacts.len() > self.k {
+            self.fingerprints.shrink_to_fit();
+            self.contacts.shrink_to_fit();
+            self.liveness.shrink_to_fit();
+        }
         for s in &mut self.start[i + 1..] {
             *s -= 1;
         }
@@ -172,6 +185,14 @@ impl RoutingTable {
     /// The owner's identifier.
     pub fn own_id(&self) -> NodeId {
         self.own_id
+    }
+
+    /// Unused slots of the fullest-reserved entry array: at most `k`.
+    #[cfg(test)]
+    fn slack(&self) -> usize {
+        (self.fingerprints.capacity() - self.fingerprints.len())
+            .max(self.contacts.capacity() - self.contacts.len())
+            .max(self.liveness.capacity() - self.liveness.len())
     }
 
     /// Number of buckets (`b`).
@@ -210,15 +231,16 @@ impl RoutingTable {
                 InsertOutcome::Refreshed
             }
             None if hi - lo < self.k => {
+                if self.contacts.len() == self.contacts.capacity() {
+                    // `k` more slots, not a doubling: a full table carries
+                    // at most `k` unused entries.
+                    self.fingerprints.reserve_exact(self.k);
+                    self.contacts.reserve_exact(self.k);
+                    self.liveness.reserve_exact(self.k);
+                }
                 self.fingerprints.insert(hi, contact.id.fingerprint());
                 self.contacts.insert(hi, contact);
-                self.liveness.insert(
-                    hi,
-                    Liveness {
-                        last_seen: now,
-                        failures: 0,
-                    },
-                );
+                self.liveness.insert(hi, Liveness::seen(now));
                 for s in &mut self.start[i + 1..] {
                     *s += 1;
                 }
@@ -250,8 +272,7 @@ impl RoutingTable {
         let Some(pos) = self.position(self.range(i), id) else {
             return false;
         };
-        self.liveness[pos].failures += 1;
-        let evict = self.liveness[pos].failures >= self.staleness_limit;
+        let evict = self.liveness[pos].fail() >= self.staleness_limit;
         if evict {
             self.evict(i, pos);
         }
@@ -570,10 +591,73 @@ mod tests {
     fn hot_entry_layout_is_pinned() {
         use std::mem::size_of;
         assert_eq!(size_of::<Contact>(), 24);
+        assert_eq!(size_of::<Liveness>(), 8);
+        assert_eq!(size_of::<crate::lookup::Candidate>(), 32);
         // What a membership scan plus a closest-contact read touch per
         // stored contact; liveness rides in its own array.
-        assert!(size_of::<u32>() + size_of::<Contact>() <= 28);
-        assert!(size_of::<Liveness>() <= 16);
+        assert_eq!(size_of::<u32>() + size_of::<Contact>(), 28);
+        assert_eq!(
+            size_of::<u32>() + size_of::<Contact>() + size_of::<Liveness>(),
+            36
+        );
+    }
+
+    #[test]
+    fn liveness_round_trips_at_the_edges_of_its_fields() {
+        let cfg = KademliaConfig::builder()
+            .bits(16)
+            .k(2)
+            .staleness_limit(MAX_STALENESS_LIMIT)
+            .build()
+            .expect("valid");
+        let mut t = RoutingTable::new(NodeId::from_u64(0, 16), &cfg);
+        let late = SimTime::from_millis((1 << 56) - 1);
+        t.offer(contact(5), late);
+        let id = NodeId::from_u64(5, 16);
+        for failures in 1..MAX_STALENESS_LIMIT {
+            assert!(!t.record_failure(&id));
+            let entry = t.entries().next().expect("still stored");
+            assert_eq!((entry.failures, entry.last_seen), (failures, late));
+        }
+        // The 255th consecutive failure reaches the limit and evicts.
+        assert!(t.record_failure(&id));
+        assert_eq!(t.contact_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "56-bit field")]
+    fn a_last_seen_beyond_the_packed_field_is_rejected() {
+        let mut t = RoutingTable::new(NodeId::from_u64(0, 16), &config(16, 2));
+        t.offer(contact(5), SimTime::from_millis(1 << 56));
+    }
+
+    #[test]
+    #[should_panic(expected = "one-byte failure count")]
+    fn a_staleness_limit_beyond_the_failure_byte_is_rejected() {
+        let cfg = KademliaConfig {
+            staleness_limit: MAX_STALENESS_LIMIT + 1,
+            ..config(16, 2)
+        };
+        RoutingTable::new(NodeId::from_u64(0, 16), &cfg);
+    }
+
+    #[test]
+    fn arena_grows_by_k_and_gives_back_evicted_room() {
+        let k = 4;
+        let mut t = RoutingTable::new(NodeId::from_u64(0, 16), &config(16, k));
+        // Ids 0x100.. land in bucket 8 (k of them) and above.
+        let ids: Vec<u64> = (0..12).map(|i| 0x100 << (i % 8) | i).collect();
+        for &v in &ids {
+            t.offer(contact(v), SimTime::ZERO);
+            assert!(t.slack() < k, "slack {} after inserting {v:#x}", t.slack());
+            assert_eq!(t.contacts.capacity() % k, 0, "grown by k at a time");
+        }
+        for &v in &ids {
+            t.remove(&NodeId::from_u64(v, 16));
+            assert!(t.slack() <= k, "slack {} after removing {v:#x}", t.slack());
+        }
+        assert_eq!(t.contact_count(), 0);
+        assert!(t.contacts.capacity() <= k);
     }
 
     #[test]
@@ -715,13 +799,15 @@ mod tests {
             let own = draw_id(&mut rng, bits, clustered);
             let mut table = RoutingTable::new(own, &cfg);
             let mut model = ReferenceTable::new(own, &cfg);
+            // Instants anywhere in the packed 56-bit millisecond range.
+            let epoch = rng.random_range(0..(1u64 << 56) - 1_300_000);
             // A bounded id pool so refreshes, failures and removals hit
             // stored contacts; the owner's id is in it.
             let mut pool: Vec<NodeId> = (0..400).map(|_| draw_id(&mut rng, bits, clustered)).collect();
             pool.push(own);
             for step in 0..1200u64 {
                 let id = pool[rng.random_range(0..pool.len())];
-                let now = SimTime::from_secs(step);
+                let now = SimTime::from_millis(epoch + step * 1000 + rng.random_range(0..1000));
                 match rng.random_range(0u8..10) {
                     0..=5 => {
                         let c = Contact::new(id, NodeAddr(rng.random_range(0u32..4)));
@@ -747,6 +833,16 @@ mod tests {
                     table.contains(&id),
                     model.bucket_mut(&id).is_some_and(|b| b.contains(&id))
                 );
+                // The touched bucket's liveness round-trips the packing
+                // exactly, and the arena never holds more than `k` spare
+                // slots.
+                if let Some(i) = own.bucket_index_of(&id) {
+                    prop_assert_eq!(
+                        table.bucket(i).iter().collect::<Vec<_>>(),
+                        model.buckets[i].iter().copied().collect::<Vec<_>>()
+                    );
+                }
+                prop_assert!(table.slack() <= k, "slack {} > k = {}", table.slack(), k);
                 if step % 40 != 0 {
                     continue;
                 }
